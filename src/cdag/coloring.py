@@ -15,7 +15,7 @@ import json
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .dag import Dag, Edge
-from .errors import ColoringError, GraphError
+from .errors import CdagError, ColoringError, GraphError
 
 
 def _edge_key(e: Edge) -> Tuple[int, int]:
@@ -217,10 +217,17 @@ class ColoredDag:
     def from_json_dict(cls, doc: dict) -> "ColoredDag":
         try:
             p = int(doc["p"])
-            raw_edges = doc["edges"]
-        except (KeyError, TypeError) as exc:
+            edges = [(int(i) - 1, int(j) - 1) for i, j in doc["edges"]]
+        except KeyError as exc:
             raise ColoringError(f"graph JSON missing field: {exc}") from None
-        edges = [(int(i) - 1, int(j) - 1) for i, j in raw_edges]
+        except (TypeError, ValueError) as exc:
+            raise ColoringError(
+                f"graph JSON needs an integer 'p' and 'edges' as vertex pairs: {exc}"
+            ) from None
+        for i, j in edges:
+            # checked here so that the message keeps the file's 1-based indices
+            if not (0 <= i < p and 0 <= j < p):
+                raise GraphError(f"edge ({i + 1}, {j + 1}) out of range for p={p}")
         graph = Dag(p, edges)
         ecolors = doc.get("edge_colors", {}) or {}
         vcolors = doc.get("vertex_colors", {}) or {}
@@ -248,7 +255,13 @@ def uncolored(graph: Dag) -> ColoredDag:
 
 def read_graph_json(path) -> ColoredDag:
     with open(path, "r", encoding="utf-8") as fh:
-        return ColoredDag.from_json(fh.read())
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CdagError(f"{path}: invalid JSON at line {exc.lineno}, "
+                        f"column {exc.colno}: {exc.msg}") from None
+    return ColoredDag.from_json_dict(doc)
 
 
 def write_graph_json(cd: ColoredDag, path) -> None:

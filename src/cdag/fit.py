@@ -86,16 +86,25 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
+        """Read a CSV with a header row; errors name the file row, counting
+        the header as row 1."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
                 raise CdagError(f"{path}: empty data file") from None
-            rows = [[float(c) for c in row] for row in reader if row]
+            try:
+                rows = [[float(c) for c in row] for row in reader if row]
+            except ValueError as exc:
+                raise CdagError(f"{path}: row {reader.line_num}: {exc}") from None
         if not rows:
             raise CdagError(f"{path}: no sample rows")
-        return cls(np.array(rows, dtype=float), tuple(h.strip() for h in header))
+        try:
+            X = np.array(rows, dtype=float)
+        except ValueError:
+            raise CdagError(_ragged_row_message(path, len(header))) from None
+        return cls(X, tuple(h.strip() for h in header))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -103,6 +112,19 @@ class Dataset:
             writer.writerow(self.column_names())
             for row in self.X:
                 writer.writerow([f"{v:.17g}" for v in row])
+
+
+def _ragged_row_message(path, width: int) -> str:
+    """Name the first row of a data CSV whose field count differs from the
+    header's; only called once parsing has shown that some row does."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row and len(row) != width:
+                return (f"{path}: row {reader.line_num}: expected {width} "
+                        f"fields as in the header, got {len(row)}")
+    return f"{path}: rows have different field counts"
 
 
 Groups = Tuple[Tuple[int, ...], ...]
@@ -115,6 +137,12 @@ def family_ls(X: np.ndarray, k: int, groups: Groups):
     y = X[:, k]
     if not groups:
         return np.zeros(0), float(y @ y)
+    if len(groups) >= len(y):
+        # as many regressors as samples: the fit interpolates, and its
+        # residual is rounding noise rather than a variance estimate
+        raise RankDeficientError(
+            f"family {k} has {len(groups)} parent groups but only {len(y)} samples",
+            family=k)
     design = np.column_stack([X[:, list(grp)].sum(axis=1) for grp in groups])
     coef = _qr_solve(design, y, family=k)
     resid = y - design @ coef

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .coloring import ColoredDag
 from .dag import Dag
-from .errors import CdagError, GraphError, SearchBudgetError
+from .errors import CdagError, GraphError, RankDeficientError, SearchBudgetError
 from .fit import Dataset, family_loglik, family_ls
 
 Group = Tuple[int, ...]
@@ -75,11 +75,24 @@ def _build_colored(p: int, families: Families) -> ColoredDag:
 
 
 def _acyclic(p: int, families: Families) -> bool:
+    """Reference acyclicity test that builds the whole graph; the search
+    itself filters candidates with `_descendant_table` instead."""
     try:
         Dag(p, _edges_of(families))
     except GraphError:
         return False
     return True
+
+
+def _descendant_table(g: Dag) -> List[FrozenSet[int]]:
+    return [g.descendants(v) for v in range(g.p)]
+
+
+def _reversal_acyclic(g: Dag, desc: Sequence[FrozenSet[int]], i: int, j: int) -> bool:
+    """Whether reversing the edge i -> j keeps ``g`` acyclic: it does unless
+    another child of i reaches j, giving a second path i -> ... -> j (j itself
+    needs no exclusion, as a vertex is not its own descendant)."""
+    return not any(j in desc[c] for c in g.children(i))
 
 
 class _FamilyScorer:
@@ -93,12 +106,20 @@ class _FamilyScorer:
         self._memo: Dict[Tuple[int, Tuple[Group, ...]], float] = {}
 
     def component(self, k: int, groups: Tuple[Group, ...]) -> float:
+        """Score component of node k with the given parent groups; a
+        candidate family that cannot be fitted scores -inf, so no move
+        accepts it, but a parentless node that cannot be fitted is an error."""
         key = (k, groups)
         got = self._memo.get(key)
         if got is None:
-            _, rss = family_ls(self.X, k, groups)
-            got = (family_loglik(self.n, rss)
-                   - self.half_log_n * (1 + len(groups)))
+            try:
+                _, rss = family_ls(self.X, k, groups)
+                got = (family_loglik(self.n, rss)
+                       - self.half_log_n * (1 + len(groups)))
+            except RankDeficientError:
+                if not groups:
+                    raise
+                got = -math.inf
             self._memo[key] = got
         return got
 
@@ -122,12 +143,9 @@ def _apply_best(state: SearchState, scorer: _FamilyScorer, candidates,
                 epsilon: float) -> SearchState:
     """Pick the best strictly improving candidate; ties go to the smallest
     (edge list, color classes) key so runs are reproducible."""
-    p = state.current.p
     best = None
     best_score = None
     for families, touched in candidates:
-        if not _acyclic(p, families):
-            continue
         score = state.score
         for k in touched:
             score += scorer.component(k, families[k]) - state.family_cache[k]
@@ -141,18 +159,24 @@ def _apply_best(state: SearchState, scorer: _FamilyScorer, candidates,
             best = families
     if best is None:
         return state
-    return scorer.state_from(best, p, state.rng_seed)
+    return scorer.state_from(best, state.current.p, state.rng_seed)
 
 
 # -- the eight moves ---------------------------------------------------------
+# Only add_color, add_edge and reverse_edge add an edge, so only they can
+# close a cycle; they yield just the candidates that stay acyclic, judged by
+# reachability in the current graph.
 
 
 def _candidates_add_color(state: SearchState):
     fams = state.families
     g = state.current.graph
+    desc = _descendant_table(g)
     for i in range(g.p):
-        nonadj = [j for j in range(g.p) if j != i and not g.adjacent(i, j)]
-        for p1, p2 in combinations(nonadj, 2):
+        # a new parent of i closes a cycle iff it is a descendant of i
+        eligible = [j for j in range(g.p)
+                    if j != i and not g.adjacent(i, j) and j not in desc[i]]
+        for p1, p2 in combinations(eligible, 2):
             yield _with_family(fams, i, fams[i] + ((p1, p2),)), (i,)
 
 
@@ -171,13 +195,14 @@ def _candidates_split_color(state: SearchState):
 def _candidates_add_edge(state: SearchState):
     fams = state.families
     g = state.current.graph
+    desc = _descendant_table(g)
     for j in range(g.p):
         groups = fams[j]
         if not groups:
             continue
         parents = {v for grp in groups for v in grp}
         for i in range(g.p):
-            if i == j or i in parents:
+            if i == j or i in parents or i in desc[j]:
                 continue
             for gi in range(len(groups)):
                 new = groups[:gi] + (groups[gi] + (i,),) + groups[gi + 1:]
@@ -207,10 +232,11 @@ def _candidates_reverse_edge(state: SearchState):
     # properly colored state, so only classes of size >= 3 donate.
     fams = state.families
     g = state.current.graph
+    desc = _descendant_table(g)
     for i, j in sorted(g.edges):
         donor_groups = fams[j]
         gi = next(t for t, grp in enumerate(donor_groups) if i in grp)
-        if len(donor_groups[gi]) < 3:
+        if len(donor_groups[gi]) < 3 or not _reversal_acyclic(g, desc, i, j):
             continue
         shrunk = donor_groups[:gi] + (tuple(v for v in donor_groups[gi] if v != i),
                                       ) + donor_groups[gi + 1:]
@@ -342,6 +368,26 @@ def gecs(data: Dataset, config: Optional[GecsConfig] = None) -> ColoredDag:
 # -- uncolored baseline -------------------------------------------------------
 
 
+def _baseline_candidates(g: Dag, parents: Sequence[Group]) -> List[Dict[int, Group]]:
+    """Per-node parent updates of every acyclic single-edge deletion,
+    reversal and addition on ``g``, in (tail, head) order."""
+    desc = _descendant_table(g)
+    candidates = []
+    for i in range(g.p):
+        for j in range(g.p):
+            if i == j:
+                continue
+            if (i, j) in g.edges:
+                removed = tuple(v for v in parents[j] if v != i)
+                candidates.append({j: removed})
+                if _reversal_acyclic(g, desc, i, j):
+                    candidates.append(
+                        {j: removed, i: tuple(sorted(parents[i] + (j,)))})
+            elif i not in desc[j]:   # also excludes an existing j -> i
+                candidates.append({j: tuple(sorted(parents[j] + (i,)))})
+    return candidates
+
+
 class BaselineSearch:
     """Hill climbing over uncolored DAGs with single-edge add/delete/reverse
     moves under the uncolored score (one parameter per node plus one per
@@ -351,6 +397,8 @@ class BaselineSearch:
     def __init__(self, data: Dataset, config: Optional[GecsConfig] = None):
         if data.p < 1:
             raise CdagError("search needs at least one variable")
+        if data.n < 2:
+            raise CdagError("search needs at least two samples")
         self.data = data
         self.config = config or GecsConfig()
         self.budget = (self.config.move_budget
@@ -372,21 +420,7 @@ class BaselineSearch:
         self.trace.append(TraceRow(0, "init", "", score))
         while True:
             g = Dag(p, [(i, j) for j in range(p) for i in parents[j]])
-            candidates = []   # per-node parent updates
-            for i in range(p):
-                for j in range(p):
-                    if i == j:
-                        continue
-                    if (i, j) in g.edges:
-                        removed = tuple(v for v in parents[j] if v != i)
-                        candidates.append({j: removed})
-                        # reversal is acyclic iff no other directed path i -> j
-                        other = Dag(p, g.edges - {(i, j)})
-                        if j not in other.descendants(i):
-                            candidates.append(
-                                {j: removed, i: tuple(sorted(parents[i] + (j,)))})
-                    elif i not in g.descendants(j) and (j, i) not in g.edges:
-                        candidates.append({j: tuple(sorted(parents[j] + (i,)))})
+            candidates = _baseline_candidates(g, parents)
             best = None
             best_score = None
             for updates in candidates:

@@ -195,3 +195,34 @@ class TestErrors:
         doc = params_to_json_dict(cd, theta)
         assert doc["lambda"] == {"1->3": 0.7}
         assert params_from_json_dict(cd, doc) == theta
+
+
+class TestFileBoundary:
+    """Malformed input files end in a one-line error and exit code 1."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a,b\n1,2\n3,x\n", "row 3"),
+        ("a,b\n1,2\n\n3,4,5\n", "row 4: expected 2 fields as in the header, got 3"),
+        ("a,b\n1\n3,4\n", "row 2: expected 2 fields as in the header, got 1"),
+    ])
+    def test_bad_data_csv(self, workdir, capsys, text, expected):
+        data = workdir / "d.csv"
+        data.write_text(text)
+        code, out, err = run(capsys, "learn", "--data", str(data))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(data) in err and expected in err
+
+    @pytest.mark.parametrize("text, expected", [
+        ('{"p": 2, "edges": [[1, 2]]', "g.json: invalid JSON at line 1, column 27"),
+        ('{"p": 2,\n "edges": [[1, 3]]}', "edge (1, 3) out of range for p=2"),
+        ('{"p": 3, "edges": [[1, 2, 3]]}', "'edges' as vertex pairs"),
+    ])
+    def test_bad_graph_json(self, workdir, capsys, text, expected):
+        graph = workdir / "g.json"
+        graph.write_text(text)
+        code, out, err = run(capsys, "identify", "--graph", str(graph),
+                             "--vertex", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert expected in err

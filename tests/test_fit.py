@@ -130,6 +130,13 @@ class TestMle:
         with pytest.raises(RankDeficientError):
             mle(uncolored(g), Dataset(x))
 
+    def test_interpolating_family_rejected(self):
+        # three regressors on three samples fit exactly, leaving no variance
+        x = np.random.default_rng(8).normal(size=(3, 4))
+        with pytest.raises(RankDeficientError):
+            family_ls(x, 3, ((0,), (1,), (2,)))
+        assert family_ls(x, 3, ((0,), (1,)))[1] > 0.0
+
     def test_too_few_samples_rejected(self):
         data = Dataset(np.ones((1, 4)) * 0.5)
         with pytest.raises(CdagError):

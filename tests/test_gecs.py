@@ -1,13 +1,15 @@
 """Greedy edge-colored search: moves, invariants, and the baseline climber."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag, markov_equivalent
-from cdag.errors import CdagError, SearchBudgetError
+from cdag.errors import CdagError, RankDeficientError, SearchBudgetError
 from cdag.fit import Dataset, bic_score
-from cdag.gecs import (BaselineSearch, GecsConfig, GecsSearch,
+from cdag.gecs import (BaselineSearch, GecsConfig, GecsSearch, SearchState,
                        baseline_greedy, gecs, move_add_color, move_add_edge,
                        move_merge_colors, move_move_edge, move_remove_color,
                        move_remove_edge, move_reverse_edge, move_split_color)
@@ -169,3 +171,165 @@ class TestBaseline:
         search.run()
         scores = [row.score for row in search.trace]
         assert all(b > a for a, b in zip(scores, scores[1:]))
+
+
+class TestRankDeficiency:
+    def test_interpolating_candidates_are_rejected(self):
+        # with n=3, a family of three or more parent groups cannot be fitted
+        data = Dataset(np.random.default_rng(0).normal(size=(3, 5)))
+        for search in (GecsSearch(data), BaselineSearch(data)):
+            result = search.run()
+            assert result.p == 5
+            graph = uncolored(result) if isinstance(result, Dag) else result
+            assert bic_score(graph, data) == pytest.approx(
+                search.trace[-1].score, abs=1e-9)
+
+    def test_single_sample_refused(self):
+        # one row leaves every candidate family unfittable, so searching
+        # would silently return the empty graph
+        data = Dataset(np.ones((1, 3)))
+        for search in (GecsSearch, BaselineSearch):
+            with pytest.raises(CdagError, match="two samples"):
+                search(data)
+
+    def test_unfittable_start_raises(self):
+        x = np.random.default_rng(1).normal(size=(20, 3))
+        x[:, 1] = 0.0
+        with pytest.raises(RankDeficientError):
+            gecs(Dataset(x))
+        with pytest.raises(RankDeficientError):
+            baseline_greedy(Dataset(x))
+
+
+# `cdag.gecs` as an attribute is the gecs() function, not the module
+gecs_module = importlib.import_module("cdag.gecs")
+EDGE_ADDING = (gecs_module._candidates_add_color, gecs_module._candidates_add_edge,
+               gecs_module._candidates_reverse_edge)
+
+
+def _unfiltered(monkeypatch, enumerate_candidates, *args):
+    """The same enumeration with every reachability test passing."""
+    with monkeypatch.context() as m:
+        m.setattr(gecs_module, "_descendant_table",
+                  lambda g: [frozenset()] * g.p)
+        return list(enumerate_candidates(*args))
+
+
+def _random_states():
+    for p in (5, 8, 12):
+        for seed in range(8):
+            rho = (0.3, 0.6, 0.9)[seed % 3]
+            cd, _ = random_bpec(p, rho, 1 + seed % 2, seed=[p, seed])
+            yield SearchState(cd, 0.0, (0.0,) * p)
+
+
+class TestAcyclicityFilter:
+    """The edge-adding generators yield exactly the acyclic candidates of
+    their unfiltered enumeration, in the same order."""
+
+    @pytest.mark.parametrize("generator", EDGE_ADDING,
+                             ids=lambda f: f.__name__[12:])
+    def test_generators_yield_exactly_the_acyclic_candidates(self, monkeypatch,
+                                                            generator):
+        cyclic = 0
+        for state in _random_states():
+            p = state.current.p
+            got = list(generator(state))
+            every = _unfiltered(monkeypatch, generator, state)
+            assert all(gecs_module._acyclic(p, fams) for fams, _ in got)
+            assert got == [c for c in every if gecs_module._acyclic(p, c[0])]
+            cyclic += len(every) - len(got)
+        assert cyclic > 0
+
+    def test_baseline_candidates_are_exactly_the_acyclic_ones(self, monkeypatch):
+        def acyclic(p, parents, updates):
+            new = [updates.get(k, parents[k]) for k in range(p)]
+            return gecs_module._acyclic(p, tuple(tuple((v,) for v in pk)
+                                                 for pk in new))
+        cyclic = 0
+        for state in _random_states():
+            g = state.current.graph
+            parents = [tuple(sorted(g.parents(k))) for k in range(g.p)]
+            got = gecs_module._baseline_candidates(g, parents)
+            every = _unfiltered(monkeypatch, gecs_module._baseline_candidates,
+                                g, parents)
+            assert all(acyclic(g.p, parents, u) for u in got)
+            assert got == [u for u in every if acyclic(g.p, parents, u)]
+            cyclic += len(every) - len(got)
+        assert cyclic > 0
+
+
+# Search output on random_bpec(10, 0.5, 2, seed=5) with sample(n=1000, seed=6),
+# recorded before the acyclicity test moved from whole-graph builds to the
+# current graph's descendant sets.  Any change to the search's hot path must
+# reproduce it exactly.
+GECS_EDGES = (
+    (1, 0), (1, 2), (1, 6), (2, 0), (2, 4), (3, 0), (3, 1), (3, 2), (3, 4),
+    (3, 6), (3, 7), (3, 9), (4, 0), (4, 6), (5, 0), (5, 1), (5, 3), (5, 4),
+    (5, 6), (5, 7), (5, 9), (6, 0), (7, 1), (7, 2), (7, 4), (7, 6), (8, 0),
+    (8, 3), (8, 4), (8, 6), (8, 7), (9, 0), (9, 1), (9, 2), (9, 4), (9, 7),
+)
+GECS_EDGE_CLASSES = (
+    ((1, 0), (3, 0), (4, 0), (8, 0)), ((1, 2), (9, 2)), ((1, 6), (3, 6)),
+    ((2, 0), (6, 0)), ((2, 4), (9, 4)), ((3, 1), (5, 1)), ((3, 2), (7, 2)),
+    ((3, 4), (5, 4), (7, 4), (8, 4)), ((3, 7), (5, 7)), ((3, 9), (5, 9)),
+    ((4, 6), (5, 6)), ((5, 0), (9, 0)), ((5, 3), (8, 3)), ((7, 1), (9, 1)),
+    ((7, 6), (8, 6)), ((8, 7), (9, 7)),
+)
+GECS_MOVES = ("add_color",) * 18 + (
+    "add_edge", "merge_colors", "merge_colors", "split_color", "move_edge",
+    "remove_edge", "merge_colors")
+GECS_SCORES = (
+    -20402.515084762188, -19515.361649154303, -18723.670911642817,
+    -18325.09853732911, -17981.454527883347, -17649.461127652907,
+    -17332.889784510055, -17120.87570468438, -16969.0608195912,
+    -16842.22756892418, -16724.332155923796, -16685.748187244008,
+    -16652.036622668515, -16629.27621366812, -16614.197172899127,
+    -16604.058311268032, -16595.782299248433, -16589.344024063023,
+    -16586.093523049345, -16577.04658593618, -16574.478223248945,
+    -16572.253591545174, -16569.98457389574, -16566.697676777818,
+    -16546.83793857092, -16545.89568137067,
+)
+BASELINE_EDGES = (
+    (0, 1), (0, 4), (1, 4), (1, 7), (2, 0), (2, 1), (2, 7), (3, 0), (3, 2),
+    (3, 4), (5, 3), (5, 4), (5, 6), (5, 7), (6, 0), (6, 2), (6, 4), (6, 7),
+    (7, 4), (8, 0), (8, 1), (8, 3), (8, 4), (8, 6), (8, 7), (9, 1), (9, 2),
+    (9, 3), (9, 4), (9, 5), (9, 6), (9, 7),
+)
+BASELINE_SCORES = (
+    -20402.515084762188, -19819.786344528417, -19251.89823513061,
+    -18938.236002970898, -18698.068413012516, -18464.91718346447,
+    -18244.71432561948, -18066.598002069637, -17833.927109669774,
+    -17687.681098689536, -17550.937237500406, -17439.355592630123,
+    -17345.55048894768, -17255.79758073392, -17151.886466393444,
+    -17071.43107301451, -16984.982397938216, -16776.691806921954,
+    -16697.226833312776, -16623.50999003969, -16566.22416087584,
+    -16516.721125920496, -16479.883377128564, -16444.91175334604,
+    -16411.86498388551, -16393.95638289362, -16381.570829294162,
+    -16368.210142303727, -16359.202104706648, -16352.607288124436,
+    -16347.445931961129, -16342.698811831639, -16334.817224283917,
+    -16329.215151776643, -16326.614474486865, -16325.374214892123,
+    -16324.325407779124,
+)
+
+
+class TestGolden:
+    @pytest.fixture(scope="class")
+    def data(self):
+        truth, theta = random_bpec(10, 0.5, 2, seed=5)
+        return sample(truth, theta, 1000, 6)
+
+    def test_gecs_output_and_trace(self, data):
+        search = GecsSearch(data)
+        result = search.run()
+        assert sorted(result.graph.edges) == list(GECS_EDGES)
+        classes = sorted(tuple(sorted(c)) for c in result.edge_classes if len(c) > 1)
+        assert tuple(classes) == GECS_EDGE_CLASSES
+        assert all(len(c) == 1 for c in result.vertex_classes)
+        assert tuple(row.move for row in search.trace[1:]) == GECS_MOVES
+        assert tuple(row.score for row in search.trace) == GECS_SCORES
+
+    def test_baseline_output_and_trace(self, data):
+        search = BaselineSearch(data)
+        assert sorted(search.run().edges) == list(BASELINE_EDGES)
+        assert tuple(row.score for row in search.trace) == BASELINE_SCORES
