@@ -21,7 +21,7 @@ from .identify import (enumerate_identifying_sets, is_edge_identifying,
                        is_vertex_identifying, is_zero_identifying)
 from .params import (ModelParams, almost_principal_minor, minor, parametrize,
                      random_params, recover_lambda, recover_omega,
-                     recover_params, trek_covariance)
+                     recover_params)
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,6 @@ __all__ = [
     "local_generators", "marginalize_sink", "markov_equivalent", "minor",
     "mle", "model_equivalent", "parametrize", "random_bpec", "random_params",
     "read_graph_json", "recover_lambda", "recover_omega", "recover_params",
-    "run_sweep", "sample", "shd", "trek_covariance", "uncolored",
+    "run_sweep", "sample", "shd", "uncolored",
     "write_graph_json",
 ]

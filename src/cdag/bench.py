@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import List, Sequence, Tuple
@@ -194,20 +193,14 @@ def _run_cell(p, rho, nc, n, rep, root_seed, methods):
     return rows
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> List[dict]:
+def run_sweep(config: SweepConfig) -> List[dict]:
     """Generate/sample/learn every grid cell and replicate; deterministic
     given the root seed, rows ordered by (cell, replicate, method).  Failed
     cells keep their row with an error tag."""
     cells = [(p, rho, nc, n, rep)
              for p, rho, nc, n in product(config.p, config.rho, config.nc, config.n)
              for rep in range(config.replicates)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(
-                lambda c: _run_cell(*c, config.seed, config.methods), cells))
-    else:
-        batches = [_run_cell(*c, config.seed, config.methods) for c in cells]
-    return [row for batch in batches for row in batch]
+    return [row for c in cells for row in _run_cell(*c, config.seed, config.methods)]
 
 
 def write_results_csv(rows: Sequence[dict], path) -> None:

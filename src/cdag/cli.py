@@ -187,7 +187,7 @@ def cmd_equiv(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = bench_mod.SweepConfig.from_json_dict(json.load(fh))
-    rows = bench_mod.run_sweep(config, threads=args.threads)
+    rows = bench_mod.run_sweep(config)
     bench_mod.write_results_csv(rows, args.out)
     failed = sum(1 for r in rows if r["error"])
     _log(f"{len(rows)} rows written to {args.out}; {failed} failed")
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     benchp = sub.add_parser("bench", help="run a synthetic sweep")
     benchp.add_argument("--config", required=True, help="sweep JSON")
     benchp.add_argument("--out", required=True, help="results CSV")
-    benchp.add_argument("--threads", type=int, default=1)
     benchp.set_defaults(func=cmd_bench)
     return parser
 

@@ -224,20 +224,45 @@ class ColoredDag:
             raise ColoringError(
                 f"graph JSON needs an integer 'p' and 'edges' as vertex pairs: {exc}"
             ) from None
+        # indices are checked here so that messages keep the file's 1-based ones
         for i, j in edges:
-            # checked here so that the message keeps the file's 1-based indices
             if not (0 <= i < p and 0 <= j < p):
                 raise GraphError(f"edge ({i + 1}, {j + 1}) out of range for p={p}")
+            if i == j:
+                raise GraphError(f"self-loop at vertex {i + 1}")
         graph = Dag(p, edges)
-        ecolors = doc.get("edge_colors", {}) or {}
-        vcolors = doc.get("vertex_colors", {}) or {}
+        ecolors = doc.get("edge_colors") or {}
+        vcolors = doc.get("vertex_colors") or {}
+        try:
+            edge_classes = [[(int(i) - 1, int(j) - 1) for i, j in grp]
+                            for grp in ecolors.values()]
+            vertex_classes = [[int(v) - 1 for v in grp] for grp in vcolors.values()]
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ColoringError(
+                "graph JSON needs 'edge_colors' to map names to lists of vertex "
+                f"pairs and 'vertex_colors' names to lists of vertices: {exc}"
+            ) from None
         shared = set(ecolors) & set(vcolors)
         if shared:
             raise ColoringError(
                 f"color names used for both vertices and edges: {sorted(shared)}")
-        edge_classes = [[(int(i) - 1, int(j) - 1) for i, j in grp]
-                        for grp in ecolors.values()]
-        vertex_classes = [[int(v) - 1 for v in grp] for grp in vcolors.values()]
+        seen = set()
+        for grp in vertex_classes:
+            for v in grp:
+                if not 0 <= v < p:
+                    raise ColoringError(f"colored vertex {v + 1} out of range")
+                if v in seen:
+                    raise ColoringError(f"vertex {v + 1} assigned to more than one class")
+                seen.add(v)
+        for grp in edge_classes:
+            for i, j in grp:
+                if (i, j) not in graph.edges:
+                    raise ColoringError(
+                        f"colored edge ({i + 1}, {j + 1}) is not in the graph")
+                if (i, j) in seen:
+                    raise ColoringError(
+                        f"edge ({i + 1}, {j + 1}) assigned to more than one class")
+                seen.add((i, j))
         return cls(graph, vertex_classes=vertex_classes, edge_classes=edge_classes)
 
     def to_json(self) -> str:
@@ -274,13 +299,20 @@ def read_adjacency_csv(path) -> ColoredDag:
     """Read an uncolored DAG from a 0/1 adjacency matrix (entry [i][j] = 1
     for an edge i -> j).  Accepted read-only for baseline comparisons."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        rows = [(line, row) for line, row in enumerate(csv.reader(fh), 1) if row]
     p = len(rows)
     edges = []
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(rows):
         if len(row) != p:
-            raise GraphError(f"adjacency matrix is not square at row {i + 1}")
+            raise GraphError(f"adjacency matrix is not square at row {line}")
         for j, cell in enumerate(row):
-            if float(cell) != 0.0:
+            try:
+                present = float(cell) != 0.0
+            except ValueError:
+                raise GraphError(f"{path}: row {line}, column {j + 1}: "
+                                 f"{cell!r} is not a number") from None
+            if present and i == j:
+                raise GraphError(f"self-loop at vertex {i + 1}")
+            elif present:
                 edges.append((i, j))
     return uncolored(Dag(p, edges))

@@ -6,18 +6,20 @@ group keeps at least two members, so it stays proper).  Eight local moves
 propose candidate states; each move applies the best strictly improving
 candidate of its family or leaves the state unchanged.  Three phases, add
 parameters / exchange parameters / remove parameters, are iterated to a
-joint fixed point.
+joint fixed point.  The uncolored baseline runs through the same engine with
+one move over singleton parent groups.
 
-Scores decompose over families, so a candidate is evaluated by refitting the
-one or two families it touches.
+Scores decompose over families, so a candidate is the new parent groups of
+the one or two nodes it changes, and is evaluated by refitting just those.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .coloring import ColoredDag
 from .dag import Dag
@@ -26,6 +28,9 @@ from .fit import Dataset, family_loglik, family_ls
 
 Group = Tuple[int, ...]
 Families = Tuple[Tuple[Group, ...], ...]   # per node: its parent groups
+# (node, its new canonical parent groups) per changed node, in the order
+# their score components are summed
+Candidate = Tuple[Tuple[int, Tuple[Group, ...]], ...]
 
 SCORE_EPS = 1e-9   # strict-improvement margin; stops float-noise cycling
 
@@ -39,39 +44,28 @@ class GecsConfig:
 
 @dataclass(frozen=True)
 class SearchState:
-    """Current colored graph with its score and per-node score components."""
+    """Canonical parent groups of every node with the score and per-node
+    score components; the graph and the colored graph are built when first
+    read."""
 
-    current: ColoredDag
+    families: Families
     score: float
     family_cache: Tuple[float, ...]
-    rng_seed: int = 0
 
-    @property
-    def families(self) -> Families:
-        return _families_of(self.current)
+    @cached_property
+    def graph(self) -> Dag:
+        return Dag(len(self.families), _edges_of(self.families))
 
-
-def _families_of(cd: ColoredDag) -> Families:
-    by_node: List[Dict[int, List[int]]] = [{} for _ in range(cd.p)]
-    for e in cd.graph.edges:
-        i, j = e
-        by_node[j].setdefault(cd.edge_color(e), []).append(i)
-    return tuple(
-        tuple(sorted((tuple(sorted(grp)) for grp in groups.values())))
-        for groups in by_node
-    )
+    @cached_property
+    def current(self) -> ColoredDag:
+        edge_classes = [[(i, j) for i in grp]
+                        for j, groups in enumerate(self.families) for grp in groups]
+        return ColoredDag(self.graph, edge_classes=edge_classes)
 
 
 def _edges_of(families: Families):
     return [(i, j) for j, groups in enumerate(families)
             for grp in groups for i in grp]
-
-
-def _build_colored(p: int, families: Families) -> ColoredDag:
-    graph = Dag(p, _edges_of(families))
-    edge_classes = [[(i, j) for i in grp]
-                    for j, groups in enumerate(families) for grp in groups]
-    return ColoredDag(graph, edge_classes=edge_classes)
 
 
 def _acyclic(p: int, families: Families) -> bool:
@@ -123,43 +117,55 @@ class _FamilyScorer:
             self._memo[key] = got
         return got
 
-    def state_from(self, families: Families, p: int, seed: int) -> SearchState:
-        cache = tuple(self.component(k, families[k]) for k in range(p))
-        return SearchState(_build_colored(p, families), math.fsum(cache),
-                           cache, rng_seed=seed)
+    def state_from(self, families: Families) -> SearchState:
+        cache = tuple(self.component(k, groups) for k, groups in enumerate(families))
+        return SearchState(families, math.fsum(cache), cache)
 
 
-def _with_family(families: Families, k: int, groups) -> Families:
-    groups = tuple(sorted(tuple(sorted(g)) for g in groups if g))
-    return families[:k] + (groups,) + families[k + 1:]
+def _canonical(groups) -> Tuple[Group, ...]:
+    return tuple(sorted(tuple(sorted(g)) for g in groups if g))
 
 
-def _tiekey(families: Families):
+def _updated(families: Families, candidate: Candidate) -> Families:
+    new = list(families)
+    for k, groups in candidate:
+        new[k] = groups
+    return tuple(new)
+
+
+def _gecs_tiekey(families: Families, candidate: Candidate):
     # edge list first, then the canonical color-class form
-    return (tuple(sorted(_edges_of(families))), families)
+    new = _updated(families, candidate)
+    return (tuple(sorted(_edges_of(new))), new)
+
+
+def _baseline_tiekey(families: Families, candidate: Candidate):
+    # smallest changed head first, then that head's parents
+    return tuple(sorted(candidate))
 
 
 def _apply_best(state: SearchState, scorer: _FamilyScorer, candidates,
-                epsilon: float) -> SearchState:
+                epsilon: float, tiekey: Callable) -> SearchState:
     """Pick the best strictly improving candidate; ties go to the smallest
-    (edge list, color classes) key so runs are reproducible."""
-    best = None
-    best_score = None
-    for families, touched in candidates:
+    ``tiekey`` so runs are reproducible."""
+    best = best_score = best_key = None
+    for candidate in candidates:
         score = state.score
-        for k in touched:
-            score += scorer.component(k, families[k]) - state.family_cache[k]
+        for k, groups in candidate:
+            score += scorer.component(k, groups) - state.family_cache[k]
         if score <= state.score + epsilon:
             continue
-        if (best is None or score > best_score + epsilon
-                or (abs(score - best_score) <= epsilon
-                    and _tiekey(families) < _tiekey(best))):
-            if best is None or score > best_score:
-                best_score = score
-            best = families
+        if best is None or score > best_score + epsilon:
+            best, best_score, best_key = candidate, score, None
+        elif abs(score - best_score) <= epsilon:
+            if best_key is None:
+                best_key = tiekey(state.families, best)
+            key = tiekey(state.families, candidate)
+            if key < best_key:
+                best, best_score, best_key = candidate, max(score, best_score), key
     if best is None:
         return state
-    return scorer.state_from(best, state.current.p, state.rng_seed)
+    return scorer.state_from(_updated(state.families, best))
 
 
 # -- the eight moves ---------------------------------------------------------
@@ -170,14 +176,14 @@ def _apply_best(state: SearchState, scorer: _FamilyScorer, candidates,
 
 def _candidates_add_color(state: SearchState):
     fams = state.families
-    g = state.current.graph
+    g = state.graph
     desc = _descendant_table(g)
     for i in range(g.p):
         # a new parent of i closes a cycle iff it is a descendant of i
         eligible = [j for j in range(g.p)
                     if j != i and not g.adjacent(i, j) and j not in desc[i]]
         for p1, p2 in combinations(eligible, 2):
-            yield _with_family(fams, i, fams[i] + ((p1, p2),)), (i,)
+            yield ((i, _canonical(fams[i] + ((p1, p2),))),)
 
 
 def _candidates_split_color(state: SearchState):
@@ -189,12 +195,12 @@ def _candidates_split_color(state: SearchState):
             for a, b in combinations(grp, 2):
                 rest = tuple(v for v in grp if v not in (a, b))
                 new = groups[:gi] + (rest, (a, b)) + groups[gi + 1:]
-                yield _with_family(fams, i, new), (i,)
+                yield ((i, _canonical(new)),)
 
 
 def _candidates_add_edge(state: SearchState):
     fams = state.families
-    g = state.current.graph
+    g = state.graph
     desc = _descendant_table(g)
     for j in range(g.p):
         groups = fams[j]
@@ -206,7 +212,7 @@ def _candidates_add_edge(state: SearchState):
                 continue
             for gi in range(len(groups)):
                 new = groups[:gi] + (groups[gi] + (i,),) + groups[gi + 1:]
-                yield _with_family(fams, j, new), (j,)
+                yield ((j, _canonical(new)),)
 
 
 def _candidates_move_edge(state: SearchState):
@@ -224,27 +230,26 @@ def _candidates_move_edge(state: SearchState):
                     new = list(groups)
                     new[g1] = tuple(x for x in donor if x != v)
                     new[g2] = groups[g2] + (v,)
-                    yield _with_family(fams, i, new), (i,)
+                    yield ((i, _canonical(new)),)
 
 
 def _candidates_reverse_edge(state: SearchState):
     # Keeping the donor class at size >= 2 after the removal preserves a
     # properly colored state, so only classes of size >= 3 donate.
     fams = state.families
-    g = state.current.graph
+    g = state.graph
     desc = _descendant_table(g)
     for i, j in sorted(g.edges):
         donor_groups = fams[j]
         gi = next(t for t, grp in enumerate(donor_groups) if i in grp)
         if len(donor_groups[gi]) < 3 or not _reversal_acyclic(g, desc, i, j):
             continue
-        shrunk = donor_groups[:gi] + (tuple(v for v in donor_groups[gi] if v != i),
-                                      ) + donor_groups[gi + 1:]
+        shrunk = _canonical(donor_groups[:gi]
+                            + (tuple(v for v in donor_groups[gi] if v != i),)
+                            + donor_groups[gi + 1:])
         for ti in range(len(fams[i])):
             target = fams[i][:ti] + (fams[i][ti] + (j,),) + fams[i][ti + 1:]
-            families = _with_family(fams, j, shrunk)
-            families = _with_family(families, i, target)
-            yield families, (i, j)
+            yield (i, _canonical(target)), (j, shrunk)
 
 
 def _candidates_remove_edge(state: SearchState):
@@ -255,7 +260,7 @@ def _candidates_remove_edge(state: SearchState):
                 continue
             for v in grp:
                 new = groups[:gi] + (tuple(x for x in grp if x != v),) + groups[gi + 1:]
-                yield _with_family(fams, j, new), (j,)
+                yield ((j, _canonical(new)),)
 
 
 def _candidates_merge_colors(state: SearchState):
@@ -264,14 +269,14 @@ def _candidates_merge_colors(state: SearchState):
         for g1, g2 in combinations(range(len(groups)), 2):
             new = [grp for t, grp in enumerate(groups) if t not in (g1, g2)]
             new.append(groups[g1] + groups[g2])
-            yield _with_family(fams, i, new), (i,)
+            yield ((i, _canonical(new)),)
 
 
 def _candidates_remove_color(state: SearchState):
     fams = state.families
     for i, groups in enumerate(fams):
         for gi in range(len(groups)):
-            yield _with_family(fams, i, groups[:gi] + groups[gi + 1:]), (i,)
+            yield ((i, _canonical(groups[:gi] + groups[gi + 1:])),)
 
 
 def _make_move(name, generator):
@@ -279,7 +284,7 @@ def _make_move(name, generator):
              epsilon: float = SCORE_EPS) -> SearchState:
         if scorer is None:
             scorer = _FamilyScorer(data)
-        return _apply_best(state, scorer, generator(state), epsilon)
+        return _apply_best(state, scorer, generator(state), epsilon, _gecs_tiekey)
     move.__name__ = move.__qualname__ = name
     move.__doc__ = f"Apply the best strictly improving `{name[5:]}` candidate, if any."
     return move
@@ -295,10 +300,41 @@ move_merge_colors = _make_move("move_merge_colors", _candidates_merge_colors)
 move_remove_color = _make_move("move_remove_color", _candidates_remove_color)
 
 PHASES = (
-    ("phase1", (move_add_color, move_split_color)),
-    ("phase2", (move_add_edge, move_move_edge, move_reverse_edge, move_remove_edge)),
-    ("phase3", (move_merge_colors, move_remove_color)),
+    ("phase1", (("add_color", _candidates_add_color),
+                ("split_color", _candidates_split_color))),
+    ("phase2", (("add_edge", _candidates_add_edge),
+                ("move_edge", _candidates_move_edge),
+                ("reverse_edge", _candidates_reverse_edge),
+                ("remove_edge", _candidates_remove_edge))),
+    ("phase3", (("merge_colors", _candidates_merge_colors),
+                ("remove_color", _candidates_remove_color))),
 )
+
+
+# -- uncolored baseline move -------------------------------------------------
+
+
+def _candidates_baseline(state: SearchState):
+    """Every acyclic single-edge deletion, reversal and addition on the
+    current graph, whose parent groups are all singletons, in (tail, head)
+    order; a reversal changes the head j first, then the tail i."""
+    fams = state.families
+    g = state.graph
+    desc = _descendant_table(g)
+    for i in range(g.p):
+        for j in range(g.p):
+            if i == j:
+                continue
+            if (i, j) in g.edges:
+                removed = tuple(grp for grp in fams[j] if grp != (i,))
+                yield ((j, removed),)
+                if _reversal_acyclic(g, desc, i, j):
+                    yield (j, removed), (i, tuple(sorted(fams[i] + ((j,),))))
+            elif i not in desc[j]:   # also excludes an existing j -> i
+                yield ((j, tuple(sorted(fams[j] + ((i,),)))),)
+
+
+# -- the shared greedy engine ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -309,12 +345,17 @@ class TraceRow:
     score: float
 
 
-class GecsSearch:
-    """One greedy run over a dataset; exposes the score trace and final state."""
+class _GreedySearch:
+    """Greedy search from the empty graph.  Each phase applies its moves'
+    best strictly improving candidates until none improves, and the phases
+    repeat until none of them changes the state.  A subclass gives the
+    phase table of (move name, candidate generator) pairs and the key that
+    breaks score ties."""
+
+    phases: Tuple[Tuple[str, Tuple[Tuple[str, Callable], ...]], ...]
+    _tiekey: Callable
 
     def __init__(self, data: Dataset, config: Optional[GecsConfig] = None):
-        if data.p < 2:
-            raise CdagError("search needs at least two variables")
         if data.n < 2:
             raise CdagError("search needs at least two samples")
         self.data = data
@@ -323,10 +364,9 @@ class GecsSearch:
                        if self.config.move_budget is not None
                        else 10 * data.p ** 3)
         self.scorer = _FamilyScorer(data)
-        self.trace: List[TraceRow] = []
         empty = tuple(() for _ in range(data.p))
-        self.state = self.scorer.state_from(empty, data.p, self.config.seed)
-        self.trace.append(TraceRow(0, "init", "", self.state.score))
+        self.state = self.scorer.state_from(empty)
+        self.trace: List[TraceRow] = [TraceRow(0, "init", "", self.state.score)]
         self._accepted = 0
 
     def _accept(self, phase: str, move_name: str, new_state: SearchState):
@@ -337,25 +377,44 @@ class GecsSearch:
         self.state = new_state
         self.trace.append(TraceRow(self._accepted, phase, move_name, new_state.score))
 
-    def _modify(self, phase: str, moves) -> None:
+    def _modify(self, phase: str, moves) -> bool:
+        """Apply the phase's moves until none improves; whether any did."""
         eps = self.config.epsilon
+        start = self._accepted
         while True:
-            before = self.state.score
-            for move in moves:
-                new_state = move(self.state, self.data, self.scorer, eps)
+            before = self._accepted
+            for name, generator in moves:
+                new_state = _apply_best(self.state, self.scorer,
+                                        generator(self.state), eps, self._tiekey)
                 if new_state.score > self.state.score + eps:
-                    self._accept(phase, move.__name__[5:], new_state)
-            if self.state.score <= before + eps:
-                return
+                    self._accept(phase, name, new_state)
+            if self._accepted == before:
+                return self._accepted > start
+
+    def _search(self) -> SearchState:
+        # a phase that accepts nothing leaves the state as it is, so the
+        # search stops once every phase has run to a fixed point of it
+        settled = 0
+        while True:
+            for phase, moves in self.phases:
+                settled = 1 if self._modify(phase, moves) else settled + 1
+                if settled == len(self.phases):
+                    return self.state
+
+
+class GecsSearch(_GreedySearch):
+    """One greedy run over a dataset; exposes the score trace and final state."""
+
+    phases = PHASES
+    _tiekey = staticmethod(_gecs_tiekey)
+
+    def __init__(self, data: Dataset, config: Optional[GecsConfig] = None):
+        if data.p < 2:
+            raise CdagError("search needs at least two variables")
+        super().__init__(data, config)
 
     def run(self) -> ColoredDag:
-        eps = self.config.epsilon
-        while True:
-            before = self.state.score
-            for phase, moves in PHASES:
-                self._modify(phase, moves)
-            if self.state.score <= before + eps:
-                return self.state.current
+        return self._search().current
 
 
 def gecs(data: Dataset, config: Optional[GecsConfig] = None) -> ColoredDag:
@@ -365,87 +424,22 @@ def gecs(data: Dataset, config: Optional[GecsConfig] = None) -> ColoredDag:
     return GecsSearch(data, config).run()
 
 
-# -- uncolored baseline -------------------------------------------------------
-
-
-def _baseline_candidates(g: Dag, parents: Sequence[Group]) -> List[Dict[int, Group]]:
-    """Per-node parent updates of every acyclic single-edge deletion,
-    reversal and addition on ``g``, in (tail, head) order."""
-    desc = _descendant_table(g)
-    candidates = []
-    for i in range(g.p):
-        for j in range(g.p):
-            if i == j:
-                continue
-            if (i, j) in g.edges:
-                removed = tuple(v for v in parents[j] if v != i)
-                candidates.append({j: removed})
-                if _reversal_acyclic(g, desc, i, j):
-                    candidates.append(
-                        {j: removed, i: tuple(sorted(parents[i] + (j,)))})
-            elif i not in desc[j]:   # also excludes an existing j -> i
-                candidates.append({j: tuple(sorted(parents[j] + (i,)))})
-    return candidates
-
-
-class BaselineSearch:
+class BaselineSearch(_GreedySearch):
     """Hill climbing over uncolored DAGs with single-edge add/delete/reverse
     moves under the uncolored score (one parameter per node plus one per
     edge).  GES-style stand-in for comparisons, searching DAG space rather
     than essential graphs."""
 
+    phases = (("climb", (("", _candidates_baseline),)),)
+    _tiekey = staticmethod(_baseline_tiekey)
+
     def __init__(self, data: Dataset, config: Optional[GecsConfig] = None):
         if data.p < 1:
             raise CdagError("search needs at least one variable")
-        if data.n < 2:
-            raise CdagError("search needs at least two samples")
-        self.data = data
-        self.config = config or GecsConfig()
-        self.budget = (self.config.move_budget
-                       if self.config.move_budget is not None
-                       else 10 * data.p ** 3)
-        self.scorer = _FamilyScorer(data)
-        self.trace: List[TraceRow] = []
-        self._accepted = 0
-
-    def _component(self, k: int, parents: Group) -> float:
-        return self.scorer.component(k, tuple((v,) for v in parents))
+        super().__init__(data, config)
 
     def run(self) -> Dag:
-        p = self.data.p
-        eps = self.config.epsilon
-        parents: List[Group] = [() for _ in range(p)]
-        cache = [self._component(k, ()) for k in range(p)]
-        score = math.fsum(cache)
-        self.trace.append(TraceRow(0, "init", "", score))
-        while True:
-            g = Dag(p, [(i, j) for j in range(p) for i in parents[j]])
-            candidates = _baseline_candidates(g, parents)
-            best = None
-            best_score = None
-            for updates in candidates:
-                new_score = score
-                for k, pk in updates.items():
-                    new_score += self._component(k, pk) - cache[k]
-                if new_score <= score + eps:
-                    continue
-                key = tuple(sorted(updates.items()))
-                if (best is None or new_score > best_score + eps
-                        or (abs(new_score - best_score) <= eps and key < best[0])):
-                    if best is None or new_score > best_score:
-                        best_score = new_score
-                    best = (key, updates)
-            if best is None:
-                return g
-            for k, pk in best[1].items():
-                parents[k] = pk
-                cache[k] = self._component(k, pk)
-            score = math.fsum(cache)
-            self._accepted += 1
-            if self._accepted > self.budget:
-                raise SearchBudgetError(
-                    f"exceeded the move budget of {self.budget} accepted moves")
-            self.trace.append(TraceRow(self._accepted, "climb", "", score))
+        return self._search().graph
 
 
 def baseline_greedy(data: Dataset, config: Optional[GecsConfig] = None) -> Dag:

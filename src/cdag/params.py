@@ -3,24 +3,21 @@
 The forward map sends per-class error variances and structural coefficients
 to the covariance matrix (I - L)^-T W (I - L)^-1.  Because I - L is
 triangular under a topological order, it is evaluated with two triangular
-solves; an explicit inverse is never formed.  A trek-monomial summation
-serves as an independent oracle for small graphs.
+solves; an explicit inverse is never formed.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .coloring import ColoredDag
 from .dag import Dag
-from .errors import ColoringError, NotPositiveDefiniteError, SizeGuardError
-
-TREK_GUARD_P = 8
+from .errors import ColoringError, NotPositiveDefiniteError
 
 
 @dataclass(frozen=True)
@@ -79,47 +76,6 @@ def parametrize(cd: ColoredDag, theta: ModelParams) -> np.ndarray:
     inv[order] = np.arange(cd.p)
     sigma = sigma_t.T[np.ix_(inv, inv)]
     sigma = (sigma + sigma.T) / 2.0
-    return sigma
-
-
-def _directed_paths(g: Dag, src: int) -> Dict[int, list]:
-    """All directed paths from src keyed by endpoint, each a tuple of edges."""
-    paths = {src: [()]}
-    stack = [(src, ())]
-    while stack:
-        v, path = stack.pop()
-        for ch in sorted(g.children(v)):
-            ext = path + ((v, ch),)
-            paths.setdefault(ch, []).append(ext)
-            stack.append((ch, ext))
-    return paths
-
-
-def trek_covariance(g: Dag, omega: Sequence[float], lam: np.ndarray) -> np.ndarray:
-    """Covariance by explicit trek-monomial summation: sigma_ij is the sum
-    over treks of the top vertex's variance times the product of the
-    coefficients along both sides.  Test oracle for ``parametrize``;
-    exponential, guarded at p <= 8.
-    """
-    if g.p > TREK_GUARD_P:
-        raise SizeGuardError(f"trek enumeration is limited to p <= {TREK_GUARD_P}")
-    lam = np.asarray(lam)
-    by_source = [_directed_paths(g, s) for s in range(g.p)]
-    sigma = np.zeros((g.p, g.p))
-    for i in range(g.p):
-        for j in range(i, g.p):
-            total = 0.0
-            for s in range(g.p):
-                to_i = by_source[s].get(i)
-                to_j = by_source[s].get(j)
-                if not to_i or not to_j:
-                    continue
-                for left in to_i:
-                    wl = float(np.prod([lam[e] for e in left])) if left else 1.0
-                    for right in to_j:
-                        wr = float(np.prod([lam[e] for e in right])) if right else 1.0
-                        total += omega[s] * wl * wr
-            sigma[i, j] = sigma[j, i] = total
     return sigma
 
 

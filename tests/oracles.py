@@ -1,14 +1,17 @@
 """Independent reference implementations used to validate the package.
 
 Everything here is deliberately naive: path enumeration instead of
-ball-passing, transitive closure instead of DFS, explicit normal equations
-instead of QR.  These stay independent of the code paths they check.
+ball-passing, transitive closure instead of DFS, trek-monomial sums instead
+of triangular solves, explicit normal equations instead of QR.  These stay independent of the code paths they check.
 """
 
 import numpy as np
 
 from cdag.dag import Dag
 from cdag.coloring import ColoredDag
+from cdag.errors import SizeGuardError
+
+TREK_GUARD_P = 8
 
 
 def transitive_closure(g: Dag):
@@ -161,6 +164,47 @@ def random_bpec_like(rng, p, rho=0.6) -> ColoredDag:
             groups[pos % k].append((i, j))
         edge_classes.extend(groups)
     return ColoredDag(g, edge_classes=edge_classes)
+
+
+def _directed_paths(g: Dag, src: int):
+    """All directed paths from src keyed by endpoint, each a tuple of edges."""
+    paths = {src: [()]}
+    stack = [(src, ())]
+    while stack:
+        v, path = stack.pop()
+        for ch in sorted(g.children(v)):
+            ext = path + ((v, ch),)
+            paths.setdefault(ch, []).append(ext)
+            stack.append((ch, ext))
+    return paths
+
+
+def trek_covariance(g: Dag, omega, lam) -> np.ndarray:
+    """Covariance by explicit trek-monomial summation: sigma_ij is the sum
+    over treks of the top vertex's variance times the product of the
+    coefficients along both sides.  Oracle for ``parametrize``; exponential,
+    guarded at p <= 8.
+    """
+    if g.p > TREK_GUARD_P:
+        raise SizeGuardError(f"trek enumeration is limited to p <= {TREK_GUARD_P}")
+    lam = np.asarray(lam)
+    by_source = [_directed_paths(g, s) for s in range(g.p)]
+    sigma = np.zeros((g.p, g.p))
+    for i in range(g.p):
+        for j in range(i, g.p):
+            total = 0.0
+            for s in range(g.p):
+                to_i = by_source[s].get(i)
+                to_j = by_source[s].get(j)
+                if not to_i or not to_j:
+                    continue
+                for left in to_i:
+                    wl = float(np.prod([lam[e] for e in left])) if left else 1.0
+                    for right in to_j:
+                        wr = float(np.prod([lam[e] for e in right])) if right else 1.0
+                        total += omega[s] * wl * wr
+            sigma[i, j] = sigma[j, i] = total
+    return sigma
 
 
 def normal_equation_ls(design: np.ndarray, y: np.ndarray):

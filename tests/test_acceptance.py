@@ -21,11 +21,11 @@ from cdag.gecs import GecsConfig, GecsSearch, baseline_greedy, gecs
 from cdag.identify import enumerate_identifying_sets
 from cdag.params import (almost_principal_minor, expand_params,
                          parametrize, random_params, recover_lambda,
-                         recover_omega, recover_params, trek_covariance)
+                         recover_omega, recover_params)
 
 from oracles import (all_dags, all_natural_dags, normal_equation_ls,
                      path_dsep, random_bpec_like, random_colored_dag,
-                     random_dag)
+                     random_dag, trek_covariance)
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
 P4_COLORED = ColoredDag(P4, vertex_classes=[[0, 2]],

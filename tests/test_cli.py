@@ -217,9 +217,37 @@ class TestFileBoundary:
         ('{"p": 2, "edges": [[1, 2]]', "g.json: invalid JSON at line 1, column 27"),
         ('{"p": 2,\n "edges": [[1, 3]]}', "edge (1, 3) out of range for p=2"),
         ('{"p": 3, "edges": [[1, 2, 3]]}', "'edges' as vertex pairs"),
+        ('{"p": 3, "edges": [[1, 2]], "edge_colors": {"a": [[1, 2], [3, 2]]}}',
+         "colored edge (3, 2) is not in the graph"),
+        ('{"p": 2, "edges": [[1, 1]]}', "self-loop at vertex 1"),
+        ('{"p": 3, "edges": [], "vertex_colors": {"a": [1, 4]}}',
+         "colored vertex 4 out of range"),
+        ('{"p": 3, "edges": [], "vertex_colors": {"a": [1, 2], "b": [2, 3]}}',
+         "vertex 2 assigned to more than one class"),
+        ('{"p": 2, "edges": [[1, 2]], "edge_colors": {"a": [[1, 2]], "b": [[1, 2]]}}',
+         "edge (1, 2) assigned to more than one class"),
+        ('{"p": 2, "edges": [[1, 2]], "edge_colors": {"a": [["x", 2]]}}',
+         "'edge_colors' to map names to lists of vertex pairs"),
+        ('{"p": 2, "edges": [[1, 2]], "edge_colors": {"a": [[2]]}}',
+         "'edge_colors' to map names to lists of vertex pairs"),
+        ('{"p": 2, "edges": [[1, 2]], "edge_colors": 3}',
+         "'edge_colors' to map names to lists of vertex pairs"),
     ])
     def test_bad_graph_json(self, workdir, capsys, text, expected):
         graph = workdir / "g.json"
+        graph.write_text(text)
+        code, out, err = run(capsys, "identify", "--graph", str(graph),
+                             "--vertex", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert expected in err
+
+    @pytest.mark.parametrize("text, expected", [
+        ("0,1\n\nx,0\n", "row 3, column 1: 'x' is not a number"),
+        ("1,0\n0,0\n", "self-loop at vertex 1"),
+    ])
+    def test_bad_adjacency_csv(self, workdir, capsys, text, expected):
+        graph = workdir / "adj.csv"
         graph.write_text(text)
         code, out, err = run(capsys, "identify", "--graph", str(graph),
                              "--vertex", "1")

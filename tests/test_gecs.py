@@ -64,7 +64,7 @@ class TestMoves:
         theta = ModelParams((1.0,) * 5, (0.5, -0.6, 0.7))
         data = sample(truth, theta, 300, 4)
         search = GecsSearch(data)
-        state = search.scorer.state_from(_families_from(truth), truth.p, 0)
+        state = search.scorer.state_from(_families_from(truth))
         assert move_remove_edge(state, data, search.scorer).current == state.current
 
     def test_reverse_edge_never_leaves_singleton_donor(self):
@@ -73,8 +73,7 @@ class TestMoves:
             truth, theta = random_bpec(6, 0.7, 2, seed=seed)
             data = sample(truth, theta, 400, seed + 50)
             search = GecsSearch(data)
-            state = search.scorer.state_from(
-                _families_from(truth), truth.p, 0)
+            state = search.scorer.state_from(_families_from(truth))
             after = move_reverse_edge(state, data, search.scorer)
             assert after.current.is_bpec()
 
@@ -134,8 +133,11 @@ class TestGecs:
     def test_budget_exceeded_raises(self):
         truth, theta = random_bpec(6, 0.6, 2, seed=21)
         data = sample(truth, theta, 400, 22)
-        with pytest.raises(SearchBudgetError):
-            gecs(data, GecsConfig(move_budget=1))
+        for cls in (GecsSearch, BaselineSearch):
+            search = cls(data, GecsConfig(move_budget=1))
+            with pytest.raises(SearchBudgetError):
+                search.run()
+            assert len(search.trace) == 2   # the one move within budget
 
     def test_preconditions(self):
         rng = np.random.default_rng(13)
@@ -204,23 +206,24 @@ class TestRankDeficiency:
 # `cdag.gecs` as an attribute is the gecs() function, not the module
 gecs_module = importlib.import_module("cdag.gecs")
 EDGE_ADDING = (gecs_module._candidates_add_color, gecs_module._candidates_add_edge,
-               gecs_module._candidates_reverse_edge)
+               gecs_module._candidates_reverse_edge, gecs_module._candidates_baseline)
 
 
-def _unfiltered(monkeypatch, enumerate_candidates, *args):
+def _unfiltered(monkeypatch, generator, state):
     """The same enumeration with every reachability test passing."""
     with monkeypatch.context() as m:
         m.setattr(gecs_module, "_descendant_table",
                   lambda g: [frozenset()] * g.p)
-        return list(enumerate_candidates(*args))
+        return list(generator(state))
 
 
-def _random_states():
+def _random_states(colored):
     for p in (5, 8, 12):
         for seed in range(8):
             rho = (0.3, 0.6, 0.9)[seed % 3]
             cd, _ = random_bpec(p, rho, 1 + seed % 2, seed=[p, seed])
-            yield SearchState(cd, 0.0, (0.0,) * p)
+            cd = cd if colored else uncolored(cd.graph)
+            yield SearchState(_families_from(cd), 0.0, (0.0,) * p)
 
 
 class TestAcyclicityFilter:
@@ -231,30 +234,17 @@ class TestAcyclicityFilter:
                              ids=lambda f: f.__name__[12:])
     def test_generators_yield_exactly_the_acyclic_candidates(self, monkeypatch,
                                                             generator):
+        def acyclic(state, candidate):
+            return gecs_module._acyclic(
+                state.graph.p, gecs_module._updated(state.families, candidate))
         cyclic = 0
-        for state in _random_states():
-            p = state.current.p
+        # the baseline climbs over uncolored graphs only
+        colored = generator is not gecs_module._candidates_baseline
+        for state in _random_states(colored):
             got = list(generator(state))
             every = _unfiltered(monkeypatch, generator, state)
-            assert all(gecs_module._acyclic(p, fams) for fams, _ in got)
-            assert got == [c for c in every if gecs_module._acyclic(p, c[0])]
-            cyclic += len(every) - len(got)
-        assert cyclic > 0
-
-    def test_baseline_candidates_are_exactly_the_acyclic_ones(self, monkeypatch):
-        def acyclic(p, parents, updates):
-            new = [updates.get(k, parents[k]) for k in range(p)]
-            return gecs_module._acyclic(p, tuple(tuple((v,) for v in pk)
-                                                 for pk in new))
-        cyclic = 0
-        for state in _random_states():
-            g = state.current.graph
-            parents = [tuple(sorted(g.parents(k))) for k in range(g.p)]
-            got = gecs_module._baseline_candidates(g, parents)
-            every = _unfiltered(monkeypatch, gecs_module._baseline_candidates,
-                                g, parents)
-            assert all(acyclic(g.p, parents, u) for u in got)
-            assert got == [u for u in every if acyclic(g.p, parents, u)]
+            assert all(acyclic(state, c) for c in got)
+            assert got == [c for c in every if acyclic(state, c)]
             cyclic += len(every) - len(got)
         assert cyclic > 0
 

@@ -9,10 +9,9 @@ from cdag.errors import ColoringError, SizeGuardError
 from cdag.params import (ModelParams, almost_principal_minor, expand_params,
                          is_positive_definite, minor, parametrize,
                          random_params, read_matrix_csv, recover_lambda,
-                         recover_omega, recover_params, trek_covariance,
-                         write_matrix_csv)
+                         recover_omega, recover_params, write_matrix_csv)
 
-from oracles import random_colored_dag, random_dag
+from oracles import random_colored_dag, random_dag, trek_covariance
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
 P4_COLORED = ColoredDag(P4, vertex_classes=[[0, 2]],
