@@ -15,7 +15,7 @@ from .dag import Dag, markov_equivalent, marginalize_sink
 from .errors import (CdagError, ColoringError, GraphError,
                      NotPositiveDefiniteError, RankDeficientError,
                      SearchBudgetError, SizeGuardError)
-from .fit import Dataset, bic_components, bic_score, mle
+from .fit import Dataset, bic_components, bic_score, fit_families, mle
 from .gecs import GecsConfig, GecsSearch, SearchState, baseline_greedy, gecs
 from .identify import (enumerate_identifying_sets, is_edge_identifying,
                        is_vertex_identifying, is_zero_identifying)
@@ -32,7 +32,7 @@ __all__ = [
     "SearchBudgetError", "SearchState", "SizeGuardError",
     "almost_principal_minor", "baseline_greedy", "bic_components", "bic_score",
     "check_global_markov", "check_local_markov", "color_sensitivity",
-    "enumerate_identifying_sets", "faithfulness_scan", "gecs",
+    "enumerate_identifying_sets", "faithfulness_scan", "fit_families", "gecs",
     "is_edge_identifying", "is_vertex_identifying", "is_zero_identifying",
     "local_generators", "marginalize_sink", "markov_equivalent", "minor",
     "mle", "model_equivalent", "parametrize", "random_bpec", "random_params",

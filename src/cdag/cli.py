@@ -20,7 +20,7 @@ from .coloring import (ColoredDag, read_adjacency_csv, read_graph_json,
                        write_graph_json, uncolored)
 from .constraints import check_global_markov, check_local_markov, model_equivalent
 from .errors import CdagError
-from .fit import Dataset, bic_score, mle
+from .fit import Dataset, fit_families
 from .gecs import BaselineSearch, GecsConfig, GecsSearch
 from .identify import enumerate_identifying_sets
 from .params import ModelParams, random_params, read_matrix_csv
@@ -134,10 +134,10 @@ def cmd_score(args) -> int:
     data = Dataset.from_csv(args.data)
     if args.center:
         data = data.centered()
-    theta, loglik = mle(cd, data)
+    theta, families = fit_families(cd, data)
     _emit({
-        "loglik": loglik,
-        "bic": bic_score(cd, data),
+        "loglik": sum(f.loglik for f in families),
+        "bic": sum(f.score(data.n) for f in families),
         "n_params": cd.n_params,
         "params": params_to_json_dict(cd, theta),
     })

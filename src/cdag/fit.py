@@ -1,15 +1,17 @@
 """Maximum likelihood and BIC for compatibly colored DAGs.
 
-Fitting solves one least-squares problem per vertex color: within a family,
-parents sharing an edge color contribute a single regressor column equal to
-the sum of their sample values, and families sharing a vertex color are
-stacked into one pooled system (a node lacking parents of some shared edge
-color contributes zero-filled rows for that column).  Data are treated as
-mean-zero; centering is the caller's decision.
+One kernel, `family_ls`, fits one vertex color class, and every fit goes
+through it: `mle`, `bic_score` and `bic_components` call it once per class,
+and the greedy search once per candidate node.  Within a family, parents
+sharing an edge color contribute a single regressor column equal to the sum
+of their sample values, and the families of a class are stacked into one
+pooled system (a node lacking parents of some shared edge color contributes
+zero-filled rows for that column).  Data are treated as mean-zero; centering
+is the caller's decision.
 
-The score is the log-likelihood at the MLE minus ln(n)/2 per free parameter,
-and it decomposes over vertex colors, which is what makes greedy search
-affordable.
+The score is the log-likelihood at the MLE minus ln(n)/2 per free parameter
+(`family_bic`), and it decomposes over vertex colors, which is what makes
+greedy search affordable.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 RANK_RTOL = 1e-10   # relative R-diagonal cutoff for calling a design singular
 
 
-def _qr_solve(design: np.ndarray, y: np.ndarray, family) -> np.ndarray:
+def _qr_solve(design: np.ndarray, y: np.ndarray, nodes) -> np.ndarray:
     """Least squares via column-pivoted QR; a rank-deficient design is an
     error rather than a silent pseudo-inverse."""
     q, r, perm = qr(design, mode="economic", pivoting=True)
@@ -38,7 +40,8 @@ def _qr_solve(design: np.ndarray, y: np.ndarray, family) -> np.ndarray:
     if diag.size < design.shape[1] or diag.max() == 0.0 \
             or diag.min() <= RANK_RTOL * diag.max():
         raise RankDeficientError(
-            f"collinear grouped design for family {family}", family=family)
+            f"collinear regressors in the family of {_vertices(nodes)}",
+            family=tuple(nodes))
     coef = np.empty(design.shape[1])
     coef[perm] = solve_triangular(r, q.T @ y)
     return coef
@@ -127,66 +130,63 @@ def _ragged_row_message(path, width: int) -> str:
     return f"{path}: rows have different field counts"
 
 
-Groups = Tuple[Tuple[int, ...], ...]
+Edges = Tuple[Tuple[int, int], ...]
 
 
-def family_ls(X: np.ndarray, k: int, groups: Groups):
-    """Least squares for one node: one regressor per parent group, the
-    column being the sum of that group's parent columns.  Returns the
-    coefficient vector and the residual sum of squares."""
-    y = X[:, k]
+def _vertices(nodes: Sequence[int]) -> str:
+    """The 1-based vertices of a family, for messages."""
+    if len(nodes) == 1:
+        return f"vertex {nodes[0] + 1}"
+    return "vertices " + ", ".join(str(k + 1) for k in nodes)
+
+
+def family_ls(X: np.ndarray, nodes: Sequence[int], groups: Sequence[Edges]):
+    """Pooled least squares for one vertex color class.
+
+    ``nodes`` are the class's vertices and ``groups`` its regressor columns:
+    each is a tuple of edges (i, j) with j in ``nodes``, and node j's block
+    of the column is the sum of X[:, i] over its edges, in ascending i, or
+    zeros if it has none.  The nodes' blocks are stacked into one system.
+    Returns the coefficients, one per column, and the pooled residual sum of
+    squares."""
+    n = X.shape[0]
+    # a single node's column is read in place, in the caller's memory layout
+    y = X[:, nodes[0]] if len(nodes) == 1 else np.concatenate([X[:, k] for k in nodes])
     if not groups:
         return np.zeros(0), float(y @ y)
-    if len(groups) >= len(y):
+    if len(groups) >= n:
         # as many regressors as samples: the fit interpolates, and its
         # residual is rounding noise rather than a variance estimate
         raise RankDeficientError(
-            f"family {k} has {len(groups)} parent groups but only {len(y)} samples",
-            family=k)
-    design = np.column_stack([X[:, list(grp)].sum(axis=1) for grp in groups])
-    coef = _qr_solve(design, y, family=k)
+            f"the family of {_vertices(nodes)} has {len(groups)} regressor "
+            f"columns but only {n} samples", family=tuple(nodes))
+    design = np.zeros((len(y), len(groups)))
+    for row, k in enumerate(nodes):
+        block = design[row * n:(row + 1) * n]
+        for col, edges in enumerate(groups):
+            parents = sorted(i for i, j in edges if j == k)
+            if parents:
+                block[:, col] = X[:, parents].sum(axis=1)
+    coef = _qr_solve(design, y, nodes)
     resid = y - design @ coef
     return coef, float(resid @ resid)
 
 
-def family_loglik(n: int, rss: float, n_nodes: int = 1) -> float:
-    """Gaussian log-likelihood contribution of a pooled family at its MLE."""
-    m = n * n_nodes
+def family_loglik(n: int, rss: float, nodes: Sequence[int]) -> float:
+    """Gaussian log-likelihood of a vertex color class at its MLE."""
+    m = n * len(nodes)
     if rss <= 0.0:
-        raise RankDeficientError("zero residual variance; model interpolates the data")
+        raise RankDeficientError(
+            f"zero residual variance at {_vertices(nodes)}; the model "
+            f"interpolates the data", family=tuple(nodes))
     omega = rss / m
     return -0.5 * m * (LOG_2PI + math.log(omega) + 1.0)
 
 
-def _pooled_fit(X: np.ndarray, nodes: Sequence[int], parent_groups, n: int):
-    """Stacked least squares for the nodes of one vertex color.
-
-    ``parent_groups`` maps each node to its {edge color -> parent tuple};
-    the regressor columns are indexed by the union of edge colors, and a
-    node without parents of some color contributes zeros there.
-    """
-    colors = sorted({c for k in nodes for c in parent_groups[k]})
-    if n <= len(colors):
-        raise CdagError(
-            f"need more than {len(colors)} samples to fit the family of "
-            f"nodes {[k + 1 for k in nodes]}")
-    y = np.concatenate([X[:, k] for k in nodes])
-    if colors:
-        design = np.zeros((n * len(nodes), len(colors)))
-        for row, k in enumerate(nodes):
-            block = slice(row * n, (row + 1) * n)
-            for col, color in enumerate(colors):
-                parents = parent_groups[k].get(color)
-                if parents:
-                    design[block, col] = X[:, list(parents)].sum(axis=1)
-        coef = _qr_solve(design, y, family=tuple(nodes))
-        resid = y - design @ coef
-    else:
-        coef = np.zeros(0)
-        resid = y
-    rss_by_node = {k: float(resid[row * n:(row + 1) * n] @ resid[row * n:(row + 1) * n])
-                   for row, k in enumerate(nodes)}
-    return colors, coef, rss_by_node
+def family_bic(loglik: float, n: int, n_columns: int) -> float:
+    """Score contribution of a vertex color class: its log-likelihood minus
+    ln(n)/2 for its error variance and for each regressor column."""
+    return loglik - 0.5 * math.log(n) * (1 + n_columns)
 
 
 @dataclass(frozen=True)
@@ -197,40 +197,32 @@ class FamilyScore:
     nodes: Tuple[int, ...]
     edge_colors: Tuple[int, ...]
     loglik: float
-    n_params: int
 
     def score(self, n: int) -> float:
-        return self.loglik - 0.5 * math.log(n) * self.n_params
+        return family_bic(self.loglik, n, len(self.edge_colors))
 
 
-def _fit_families(cd: ColoredDag, data: Dataset):
+def fit_families(cd: ColoredDag, data: Dataset):
+    """Maximum-likelihood parameters and the per-vertex-color score
+    components, from one least-squares fit per vertex color class."""
     if data.p != cd.p:
         raise CdagError(f"data has {data.p} columns but the graph has {cd.p} vertices")
     if not cd.is_compatible():
         raise ColoringError(
             "maximum likelihood requires a compatible coloring "
             "(same-colored edges must enter same-colored vertices)")
-    g = cd.graph
-    parent_groups = {k: {} for k in range(cd.p)}
-    for k in range(cd.p):
-        for j in sorted(g.parents(k)):
-            parent_groups[k].setdefault(cd.edge_color((j, k)), []).append(j)
-        parent_groups[k] = {c: tuple(v) for c, v in parent_groups[k].items()}
-    omega = [0.0] * len(cd.vertex_classes)
+    # column-major, so that each node's response column is contiguous; BLAS
+    # sums a strided column in another order, which moves the last bits
+    X = np.asfortranarray(data.X)
+    omega = []
     lam = [0.0] * len(cd.edge_classes)
     families = []
     for cid, grp in enumerate(cd.vertex_classes):
         nodes = tuple(sorted(grp))
-        colors, coef, rss_by_node = _pooled_fit(data.X, nodes, parent_groups, data.n)
-        total_rss = sum(rss_by_node.values())
-        families.append(FamilyScore(
-            vertex_class=cid,
-            nodes=nodes,
-            edge_colors=tuple(colors),
-            loglik=family_loglik(data.n, total_rss, n_nodes=len(nodes)),
-            n_params=1 + len(colors),
-        ))
-        omega[cid] = total_rss / (data.n * len(nodes))
+        colors = tuple(sorted({c for k in nodes for c in cd.parent_edge_colors(k)}))
+        coef, rss = family_ls(X, nodes, [tuple(sorted(cd.edge_classes[c])) for c in colors])
+        families.append(FamilyScore(cid, nodes, colors, family_loglik(data.n, rss, nodes)))
+        omega.append(rss / (data.n * len(nodes)))
         for color, value in zip(colors, coef):
             lam[color] = float(value)
     return ModelParams(tuple(omega), tuple(lam)), tuple(families)
@@ -238,18 +230,16 @@ def _fit_families(cd: ColoredDag, data: Dataset):
 
 def mle(cd: ColoredDag, data: Dataset) -> Tuple[ModelParams, float]:
     """Maximum-likelihood parameters and the log-likelihood at the maximum."""
-    params, families = _fit_families(cd, data)
+    params, families = fit_families(cd, data)
     return params, sum(f.loglik for f in families)
 
 
 def bic_components(cd: ColoredDag, data: Dataset) -> Tuple[FamilyScore, ...]:
     """Per-vertex-color score components; their sum is ``bic_score``."""
-    _, families = _fit_families(cd, data)
-    return families
+    return fit_families(cd, data)[1]
 
 
 def bic_score(cd: ColoredDag, data: Dataset) -> float:
     """Log-likelihood at the MLE minus ln(n)/2 per free parameter (higher
     is better)."""
-    _, families = _fit_families(cd, data)
-    return sum(f.score(data.n) for f in families)
+    return sum(f.score(data.n) for f in bic_components(cd, data))

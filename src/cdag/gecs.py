@@ -24,7 +24,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .coloring import ColoredDag
 from .dag import Dag
 from .errors import CdagError, GraphError, RankDeficientError, SearchBudgetError
-from .fit import Dataset, family_loglik, family_ls
+from .fit import Dataset, family_bic, family_loglik, family_ls
 
 Group = Tuple[int, ...]
 Families = Tuple[Tuple[Group, ...], ...]   # per node: its parent groups
@@ -96,7 +96,6 @@ class _FamilyScorer:
     def __init__(self, data: Dataset):
         self.X = data.X
         self.n = data.n
-        self.half_log_n = 0.5 * math.log(data.n)
         self._memo: Dict[Tuple[int, Tuple[Group, ...]], float] = {}
 
     def component(self, k: int, groups: Tuple[Group, ...]) -> float:
@@ -107,9 +106,9 @@ class _FamilyScorer:
         got = self._memo.get(key)
         if got is None:
             try:
-                _, rss = family_ls(self.X, k, groups)
-                got = (family_loglik(self.n, rss)
-                       - self.half_log_n * (1 + len(groups)))
+                edges = tuple(tuple((i, k) for i in grp) for grp in groups)
+                _, rss = family_ls(self.X, (k,), edges)
+                got = family_bic(family_loglik(self.n, rss, (k,)), self.n, len(groups))
             except RankDeficientError:
                 if not groups:
                     raise

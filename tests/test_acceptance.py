@@ -219,7 +219,8 @@ def test_criterion_6_mle_correctness():
             take = min(len(pool), int(rng.integers(1, 3)))
             groups.append(tuple(sorted(pool[:take])))
             pool = pool[take:]
-        coef, rss = family_ls(x, width, tuple(groups))
+        edges = tuple(tuple((i, width) for i in grp) for grp in groups)
+        coef, rss = family_ls(x, (width,), edges)
         design = np.column_stack([x[:, list(grp)].sum(axis=1) for grp in groups])
         ref_coef, ref_rss = normal_equation_ls(design, x[:, width])
         assert np.abs(coef - ref_coef).max() < 1e-8

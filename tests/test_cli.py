@@ -8,6 +8,7 @@ import pytest
 from cdag.cli import main, params_from_json_dict, params_to_json_dict
 from cdag.coloring import ColoredDag, write_graph_json
 from cdag.dag import Dag
+from cdag.fit import Dataset
 from cdag.params import ModelParams, parametrize, write_matrix_csv
 
 EX516_A = {"p": 6, "edges": [[1, 2], [1, 3], [2, 3], [1, 4], [4, 5], [4, 6], [5, 6]],
@@ -238,6 +239,25 @@ class TestFileBoundary:
         graph.write_text(text)
         code, out, err = run(capsys, "identify", "--graph", str(graph),
                              "--vertex", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert expected in err
+
+    @pytest.mark.parametrize("command, expected", [
+        ("score", "collinear regressors in the family of vertex 3"),
+        ("learn", "zero residual variance at vertex 2"),
+    ])
+    def test_degenerate_data(self, workdir, capsys, command, expected):
+        # column 2 duplicates column 1, so the family of vertex 3 is
+        # collinear; with column 2 zeroed, vertex 2 has no variance
+        x = np.random.default_rng(3).standard_normal((50, 3))
+        x[:, 1] = x[:, 0] if command == "score" else 0.0
+        data = workdir / "d.csv"
+        Dataset(x).to_csv(data)
+        graph = workdir / "g.json"
+        graph.write_text('{"p": 3, "edges": [[1, 3], [2, 3]]}')
+        argv = ["--data", str(data)] + (["--graph", str(graph)] if command == "score" else [])
+        code, out, err = run(capsys, command, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err

@@ -10,7 +10,7 @@ from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, RankDeficientError
 from cdag.fit import Dataset, bic_components, bic_score, family_ls, mle
 from cdag.params import ModelParams, parametrize, recover_lambda
-from cdag.bench import sample
+from cdag.bench import random_bpec, sample
 
 from oracles import normal_equation_ls, random_bpec_like
 
@@ -91,7 +91,8 @@ class TestMle:
                 groups.append(tuple(sorted(pool[:take])))
                 pool = pool[take:]
             groups = tuple(groups)
-            coef, rss = family_ls(x, p, groups)
+            edges = tuple(tuple((i, p) for i in grp) for grp in groups)
+            coef, rss = family_ls(x, (p,), edges)
             design = np.column_stack(
                 [x[:, list(grp)].sum(axis=1) for grp in groups])
             ref_coef, ref_rss = normal_equation_ls(design, x[:, p])
@@ -100,22 +101,31 @@ class TestMle:
 
     def test_pooled_vertex_classes_share_coefficients(self):
         # two same-colored nodes with same-colored incoming edges: one
-        # coefficient, one pooled variance
-        g = Dag(4, [(0, 1), (0, 2), (3, 1), (3, 2)])
-        cd = ColoredDag(g, vertex_classes=[[1, 2]],
-                        edge_classes=[[(0, 1), (0, 2)], [(3, 1), (3, 2)]])
-        assert cd.is_compatible()
+        # coefficient, one pooled variance; in the second graph node 2 has
+        # no edge of the second color, so its block of that column is zero
         rng = np.random.default_rng(5)
         data = _random_data(rng, 500, 4)
-        theta, loglik = mle(cd, data)
         x = data.X
-        stacked_y = np.concatenate([x[:, 1], x[:, 2]])
-        stacked_d = np.vstack([np.column_stack([x[:, 0], x[:, 3]])] * 2)
-        ref_coef, ref_rss = normal_equation_ls(stacked_d, stacked_y)
-        fitted = sorted(theta.lam)
-        assert np.allclose(fitted, sorted(ref_coef), atol=1e-8)
-        shared = theta.omega[cd.vertex_color(1)]
-        assert shared == pytest.approx(ref_rss / (2 * data.n), abs=1e-10)
+        zero = np.zeros(data.n)
+        for edges, edge_classes, blocks in [
+            ([(0, 1), (0, 2), (3, 1), (3, 2)],
+             [[(0, 1), (0, 2)], [(3, 1), (3, 2)]],
+             [(x[:, 0], x[:, 3]), (x[:, 0], x[:, 3])]),
+            ([(0, 1), (0, 2), (3, 1)],
+             [[(0, 1), (0, 2)], [(3, 1)]],
+             [(x[:, 0], x[:, 3]), (x[:, 0], zero)]),
+        ]:
+            cd = ColoredDag(Dag(4, edges), vertex_classes=[[1, 2]],
+                            edge_classes=edge_classes)
+            assert cd.is_compatible()
+            theta, loglik = mle(cd, data)
+            stacked_y = np.concatenate([x[:, 1], x[:, 2]])
+            stacked_d = np.vstack([np.column_stack(b) for b in blocks])
+            ref_coef, ref_rss = normal_equation_ls(stacked_d, stacked_y)
+            fitted = sorted(theta.lam)
+            assert np.allclose(fitted, sorted(ref_coef), atol=1e-8)
+            shared = theta.omega[cd.vertex_color(1)]
+            assert shared == pytest.approx(ref_rss / (2 * data.n), abs=1e-10)
 
     def test_incompatible_coloring_rejected(self):
         with pytest.raises(ColoringError):
@@ -134,8 +144,10 @@ class TestMle:
         # three regressors on three samples fit exactly, leaving no variance
         x = np.random.default_rng(8).normal(size=(3, 4))
         with pytest.raises(RankDeficientError):
-            family_ls(x, 3, ((0,), (1,), (2,)))
-        assert family_ls(x, 3, ((0,), (1,)))[1] > 0.0
+            family_ls(x, (3,), (((0, 3),), ((1, 3),), ((2, 3),)))
+        assert family_ls(x, (3,), (((0, 3),), ((1, 3),)))[1] > 0.0
+        with pytest.raises(RankDeficientError):
+            mle(uncolored(Dag(4, [(0, 3), (1, 3), (2, 3)])), Dataset(x))
 
     def test_too_few_samples_rejected(self):
         data = Dataset(np.ones((1, 4)) * 0.5)
@@ -189,6 +201,25 @@ class TestBic:
         theta = ModelParams((1.0, 1.0, 1.0), (0.6,))
         data = sample(merged, theta, 5000, 77)
         assert bic_score(merged, data) > bic_score(uncolored(g), data)
+
+    def test_golden_loglik_and_score(self):
+        # exact values on the data of test_gecs.TestGolden: how the fit reads
+        # the data (a strided or a contiguous column) shows in the last bits
+        truth, theta = random_bpec(10, 0.5, 2, seed=5)
+        data = sample(truth, theta, 1000, 6)
+        fitted, loglik = mle(truth, data)
+        assert fitted.omega == (
+            1.6608551421507731, 1.1074706305650392, 1.6090614252094968,
+            1.3938767298249655, 1.8963536904399214, 2.044814356785673,
+            1.4474271593847303, 1.7944096734900077, 0.7744024673733473,
+            1.6835541079560938)
+        assert fitted.lam == (
+            0.6688103448119107, 0.4647649989797395, 0.793334797954897,
+            -0.7392925575705538, -0.736392789248158, 0.5997631327713203,
+            -0.4310867970923434, -0.7516181782606339, -0.32378021988774763,
+            -0.7722300359234411)
+        assert loglik == -16185.434544812795
+        assert bic_score(truth, data) == -16254.512097602616
 
     def test_score_is_loglik_minus_penalty(self):
         rng = np.random.default_rng(9)
