@@ -8,7 +8,7 @@ and a synthetic benchmark harness.
 """
 
 from .bench import color_sensitivity, random_bpec, run_sweep, sample, shd
-from .coloring import ColoredDag, Coloring, read_graph_json, uncolored, write_graph_json
+from .coloring import ColoredDag, read_graph_json, uncolored, write_graph_json
 from .constraints import (RelationPoly, check_global_markov, check_local_markov,
                           faithfulness_scan, local_generators, model_equivalent)
 from .dag import Dag, markov_equivalent, marginalize_sink
@@ -26,7 +26,7 @@ from .params import (ModelParams, almost_principal_minor, minor, parametrize,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CdagError", "ColoredDag", "Coloring", "ColoringError", "Dag", "Dataset",
+    "CdagError", "ColoredDag", "ColoringError", "Dag", "Dataset",
     "GecsConfig", "GecsSearch", "GraphError", "ModelParams",
     "NotPositiveDefiniteError", "RankDeficientError", "RelationPoly",
     "SearchBudgetError", "SearchState", "SizeGuardError",

@@ -134,17 +134,28 @@ class SweepConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SweepConfig":
-        def grid(key):
+        if not isinstance(doc, dict):
+            raise CdagError("sweep config must be a JSON object")
+
+        def number(key, kind, val):
+            try:
+                return kind(val)
+            except (TypeError, ValueError):
+                raise CdagError(f"sweep config field {key!r} needs "
+                                f"{kind.__name__} values, got {val!r}") from None
+
+        def grid(key, kind):
             val = doc[key]
-            return tuple(val) if isinstance(val, (list, tuple)) else (val,)
+            vals = val if isinstance(val, (list, tuple)) else (val,)
+            return tuple(number(key, kind, v) for v in vals)
         try:
             return cls(
-                p=tuple(int(v) for v in grid("p")),
-                rho=tuple(float(v) for v in grid("rho")),
-                nc=tuple(int(v) for v in grid("nc")),
-                n=tuple(int(v) for v in grid("n")),
-                replicates=int(doc["replicates"]),
-                seed=int(doc.get("seed", 0)),
+                p=grid("p", int),
+                rho=grid("rho", float),
+                nc=grid("nc", int),
+                n=grid("n", int),
+                replicates=number("replicates", int, doc["replicates"]),
+                seed=number("seed", int, doc.get("seed", 0)),
                 methods=tuple(doc.get("methods", ("gecs", "baseline"))),
             )
         except KeyError as exc:

@@ -20,10 +20,11 @@ from .coloring import (ColoredDag, read_adjacency_csv, read_graph_json,
                        write_graph_json, uncolored)
 from .constraints import check_global_markov, check_local_markov, model_equivalent
 from .errors import CdagError
+from .files import read_json, read_matrix_csv
 from .fit import Dataset, fit_families
 from .gecs import BaselineSearch, GecsConfig, GecsSearch
 from .identify import enumerate_identifying_sets
-from .params import ModelParams, random_params, read_matrix_csv
+from .params import ModelParams, random_params
 
 
 def _read_graph(path) -> ColoredDag:
@@ -60,23 +61,26 @@ def params_to_json_dict(cd: ColoredDag, theta: ModelParams) -> dict:
 
 
 def params_from_json_dict(cd: ColoredDag, doc: dict) -> ModelParams:
-    try:
-        omega_doc = dict(doc["omega"])
-        lam_doc = dict(doc["lambda"])
-    except (KeyError, TypeError) as exc:
-        raise CdagError(f"parameter JSON missing field: {exc}") from None
-    omega, lam = [], []
-    for c in range(len(cd.vertex_classes)):
-        key = _param_key(cd, c, "vertex")
-        if key not in omega_doc:
-            raise CdagError(f"missing error variance for class {key!r}")
-        omega.append(float(omega_doc[key]))
-    for c in range(len(cd.edge_classes)):
-        key = _param_key(cd, c, "edge")
-        if key not in lam_doc:
-            raise CdagError(f"missing coefficient for class {key!r}")
-        lam.append(float(lam_doc[key]))
-    return ModelParams(tuple(omega), tuple(lam))
+    def values(field, kind, n_classes, what):
+        try:
+            entries = dict(doc[field])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CdagError(f"parameter JSON missing field: {exc}") from None
+        out = []
+        for c in range(n_classes):
+            key = _param_key(cd, c, kind)
+            if key not in entries:
+                raise CdagError(f"missing {what} for class {key!r}")
+            try:
+                out.append(float(entries[key]))
+            except (TypeError, ValueError):
+                raise CdagError(f"parameter JSON field {field!r}: the value "
+                                f"{entries[key]!r} of class {key!r} is not a "
+                                "number") from None
+        return tuple(out)
+    return ModelParams(
+        values("omega", "vertex", len(cd.vertex_classes), "error variance"),
+        values("lambda", "edge", len(cd.edge_classes), "coefficient"))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -86,8 +90,7 @@ def cmd_simulate(args) -> int:
     if args.graph is not None:
         cd = _read_graph(args.graph)
         if args.params is not None:
-            with open(args.params, "r", encoding="utf-8") as fh:
-                theta = params_from_json_dict(cd, json.load(fh))
+            theta = params_from_json_dict(cd, read_json(args.params))
         else:
             theta = random_params(cd, np.random.default_rng(args.seed))
     else:
@@ -185,8 +188,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = bench_mod.SweepConfig.from_json_dict(json.load(fh))
+    config = bench_mod.SweepConfig.from_json_dict(read_json(args.config))
     rows = bench_mod.run_sweep(config)
     bench_mod.write_results_csv(rows, args.out)
     failed = sum(1 for r in rows if r["error"])

@@ -1,21 +1,25 @@
-"""Vertex/edge colorings of a DAG, classification predicates, and file I/O.
+"""Colored DAGs: a DAG with vertex and edge colorings, classification
+predicates, and file I/O.
 
 A color class of size one is the representation of an "uncolored" vertex or
 edge, so every vertex and every edge always belongs to exactly one class.
 Class ids are dense integers internally (vertex and edge namespaces are
 separate); opaque strings appear only in files.  Classes are canonically
-numbered by their base member, so two colorings inducing the same partitions
-compare equal regardless of how they were built.
+numbered by their base member, so two colored DAGs inducing the same
+partitions compare equal regardless of how they were built.  Error messages
+render vertices 1-based, as files do.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Tuple
+
+import numpy as np
 
 from .dag import Dag, Edge
-from .errors import CdagError, ColoringError, GraphError
+from .errors import ColoringError, GraphError
+from .files import read_json, read_matrix_csv
 
 
 def _edge_key(e: Edge) -> Tuple[int, int]:
@@ -23,82 +27,58 @@ def _edge_key(e: Edge) -> Tuple[int, int]:
     return (e[1], e[0])
 
 
-class Coloring:
-    """Partition of the vertices and of the edges of a ``Dag`` into classes."""
+def _edge_name(e: Edge) -> str:
+    return f"({e[0] + 1}, {e[1] + 1})"
 
-    __slots__ = ("vertex_class", "edge_class", "vertex_classes", "edge_classes")
+
+def _classes(groups, universe, kind: str, absent: str, name, key):
+    """The given classes plus a singleton for each member of ``universe``
+    they leave out, sorted by base member under ``key``; ``name`` renders a
+    member 1-based for error messages."""
+    classes, seen = [], set()
+    for grp in groups:
+        if not grp:
+            raise ColoringError(f"empty {kind} color class")
+        outside = [x for x in grp if x not in universe]
+        if outside:
+            raise ColoringError(
+                f"colored {kind} {name(min(outside, key=key))} {absent}")
+        if grp & seen:
+            raise ColoringError(f"{kind} {name(min(grp & seen, key=key))} "
+                                "assigned to more than one class")
+        seen |= grp
+        classes.append(grp)
+    classes.extend(frozenset({x}) for x in universe if x not in seen)
+    classes.sort(key=lambda g: min(map(key, g)))
+    return tuple(classes)
+
+
+class ColoredDag:
+    """A ``Dag`` with a partition of its vertices and a partition of its
+    edges into color classes; unlisted members get singleton classes."""
+
+    __slots__ = ("graph", "vertex_class", "edge_class", "vertex_classes",
+                 "edge_classes")
 
     def __init__(self, graph: Dag,
                  vertex_classes: Iterable[Iterable[int]] = (),
                  edge_classes: Iterable[Iterable[Edge]] = ()):
-        v_groups = self._close_partition(
-            [frozenset(g) for g in vertex_classes], range(graph.p), "vertex")
-        e_groups = self._close_partition(
-            [frozenset(tuple(e) for e in g) for g in edge_classes],
-            sorted(graph.edges, key=_edge_key), "edge")
-        for grp in v_groups:
-            for v in grp:
-                if not (0 <= v < graph.p):
-                    raise ColoringError(f"colored vertex {v} out of range")
-        for grp in e_groups:
-            for e in grp:
-                if e not in graph.edges:
-                    raise ColoringError(f"colored edge {e} is not in the graph")
-        v_groups.sort(key=min)
-        e_groups.sort(key=lambda g: min(_edge_key(e) for e in g))
+        v_groups = _classes([frozenset(g) for g in vertex_classes],
+                            range(graph.p), "vertex", "out of range",
+                            lambda v: v + 1, int)
+        e_groups = _classes([frozenset(tuple(e) for e in g) for g in edge_classes],
+                            graph.edges, "edge", "is not in the graph",
+                            _edge_name, _edge_key)
         vmap = [0] * graph.p
         for cid, grp in enumerate(v_groups):
             for v in grp:
                 vmap[v] = cid
-        emap = {}
-        for cid, grp in enumerate(e_groups):
-            for e in grp:
-                emap[e] = cid
+        emap = {e: cid for cid, grp in enumerate(e_groups) for e in grp}
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "vertex_class", tuple(vmap))
         object.__setattr__(self, "edge_class", emap)
-        object.__setattr__(self, "vertex_classes", tuple(v_groups))
-        object.__setattr__(self, "edge_classes", tuple(e_groups))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Coloring is immutable")
-
-    @staticmethod
-    def _close_partition(groups, universe, what):
-        seen = set()
-        for grp in groups:
-            if not grp:
-                raise ColoringError(f"empty {what} color class")
-            if seen & grp:
-                raise ColoringError(
-                    f"{what} {sorted(seen & grp)} assigned to more than one class")
-            seen |= grp
-        closed = [g for g in groups]
-        closed.extend(frozenset({x}) for x in universe if x not in seen)
-        return closed
-
-    def __eq__(self, other):
-        if not isinstance(other, Coloring):
-            return NotImplemented
-        return (self.vertex_class == other.vertex_class
-                and self.edge_class == other.edge_class)
-
-    def __hash__(self):
-        return hash((self.vertex_class, tuple(sorted(self.edge_class.items()))))
-
-
-class ColoredDag:
-    """A ``Dag`` together with a ``Coloring`` of its vertices and edges."""
-
-    __slots__ = ("graph", "coloring")
-
-    def __init__(self, graph: Dag,
-                 vertex_classes: Iterable[Iterable[int]] = (),
-                 edge_classes: Iterable[Iterable[Edge]] = (),
-                 coloring: Optional[Coloring] = None):
-        if coloring is None:
-            coloring = Coloring(graph, vertex_classes, edge_classes)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "vertex_classes", v_groups)
+        object.__setattr__(self, "edge_classes", e_groups)
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredDag is immutable")
@@ -108,10 +88,12 @@ class ColoredDag:
             return NotImplemented
         return (self.graph.p == other.graph.p
                 and self.graph.edges == other.graph.edges
-                and self.coloring == other.coloring)
+                and self.vertex_class == other.vertex_class
+                and self.edge_class == other.edge_class)
 
     def __hash__(self):
-        return hash((self.graph.p, self.graph.edges, self.coloring))
+        return hash((self.graph.p, self.graph.edges, self.vertex_class,
+                     tuple(sorted(self.edge_class.items()))))
 
     # -- structure ------------------------------------------------------
 
@@ -120,26 +102,18 @@ class ColoredDag:
         return self.graph.p
 
     @property
-    def vertex_classes(self) -> Tuple[FrozenSet[int], ...]:
-        return self.coloring.vertex_classes
-
-    @property
-    def edge_classes(self) -> Tuple[FrozenSet[Edge], ...]:
-        return self.coloring.edge_classes
-
-    @property
     def n_params(self) -> int:
         """Model dimension: one parameter per vertex class plus one per edge class."""
         return len(self.vertex_classes) + len(self.edge_classes)
 
     def vertex_color(self, i: int) -> int:
-        return self.coloring.vertex_class[i]
+        return self.vertex_class[i]
 
     def edge_color(self, e: Edge) -> int:
         try:
-            return self.coloring.edge_class[tuple(e)]
+            return self.edge_class[tuple(e)]
         except KeyError:
-            raise ColoringError(f"{tuple(e)} is not an edge of the graph") from None
+            raise ColoringError(f"{_edge_name(e)} is not an edge of the graph") from None
 
     def parent_edge_colors(self, k: int) -> FrozenSet[int]:
         """Distinct colors of the edges entering k; empty for sources."""
@@ -188,7 +162,7 @@ class ColoredDag:
 
     def is_compatible(self) -> bool:
         """Same-colored edges point to same-colored heads."""
-        vc = self.coloring.vertex_class
+        vc = self.vertex_class
         return all(len({vc[j] for _, j in grp}) == 1 for grp in self.edge_classes)
 
     # -- serialization ----------------------------------------------------
@@ -224,12 +198,6 @@ class ColoredDag:
             raise ColoringError(
                 f"graph JSON needs an integer 'p' and 'edges' as vertex pairs: {exc}"
             ) from None
-        # indices are checked here so that messages keep the file's 1-based ones
-        for i, j in edges:
-            if not (0 <= i < p and 0 <= j < p):
-                raise GraphError(f"edge ({i + 1}, {j + 1}) out of range for p={p}")
-            if i == j:
-                raise GraphError(f"self-loop at vertex {i + 1}")
         graph = Dag(p, edges)
         ecolors = doc.get("edge_colors") or {}
         vcolors = doc.get("vertex_colors") or {}
@@ -246,23 +214,6 @@ class ColoredDag:
         if shared:
             raise ColoringError(
                 f"color names used for both vertices and edges: {sorted(shared)}")
-        seen = set()
-        for grp in vertex_classes:
-            for v in grp:
-                if not 0 <= v < p:
-                    raise ColoringError(f"colored vertex {v + 1} out of range")
-                if v in seen:
-                    raise ColoringError(f"vertex {v + 1} assigned to more than one class")
-                seen.add(v)
-        for grp in edge_classes:
-            for i, j in grp:
-                if (i, j) not in graph.edges:
-                    raise ColoringError(
-                        f"colored edge ({i + 1}, {j + 1}) is not in the graph")
-                if (i, j) in seen:
-                    raise ColoringError(
-                        f"edge ({i + 1}, {j + 1}) assigned to more than one class")
-                seen.add((i, j))
         return cls(graph, vertex_classes=vertex_classes, edge_classes=edge_classes)
 
     def to_json(self) -> str:
@@ -279,14 +230,7 @@ def uncolored(graph: Dag) -> ColoredDag:
 
 
 def read_graph_json(path) -> ColoredDag:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CdagError(f"{path}: invalid JSON at line {exc.lineno}, "
-                        f"column {exc.colno}: {exc.msg}") from None
-    return ColoredDag.from_json_dict(doc)
+    return ColoredDag.from_json_dict(read_json(path))
 
 
 def write_graph_json(cd: ColoredDag, path) -> None:
@@ -298,21 +242,9 @@ def write_graph_json(cd: ColoredDag, path) -> None:
 def read_adjacency_csv(path) -> ColoredDag:
     """Read an uncolored DAG from a 0/1 adjacency matrix (entry [i][j] = 1
     for an edge i -> j).  Accepted read-only for baseline comparisons."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [(line, row) for line, row in enumerate(csv.reader(fh), 1) if row]
-    p = len(rows)
-    edges = []
-    for i, (line, row) in enumerate(rows):
-        if len(row) != p:
-            raise GraphError(f"adjacency matrix is not square at row {line}")
-        for j, cell in enumerate(row):
-            try:
-                present = float(cell) != 0.0
-            except ValueError:
-                raise GraphError(f"{path}: row {line}, column {j + 1}: "
-                                 f"{cell!r} is not a number") from None
-            if present and i == j:
-                raise GraphError(f"self-loop at vertex {i + 1}")
-            elif present:
-                edges.append((i, j))
-    return uncolored(Dag(p, edges))
+    matrix = read_matrix_csv(path)
+    p = len(matrix)
+    if matrix.shape != (p, p):
+        raise GraphError(f"{path}: adjacency matrix has {p} rows of "
+                         f"{matrix.shape[1]} entries; it must be square")
+    return uncolored(Dag(p, zip(*np.nonzero(matrix))))

@@ -173,10 +173,18 @@ def _evaluate(gens, sigma, tol) -> Tuple[int, Tuple[ConstraintViolation, ...]]:
     return len(gens), tuple(violations)
 
 
+def _model_sigma(sigma: np.ndarray, cd: ColoredDag) -> np.ndarray:
+    """A positive definite covariance matrix of the graph's p variables."""
+    if np.shape(sigma) != (cd.p, cd.p):
+        raise GraphError(f"covariance matrix has shape {np.shape(sigma)} but "
+                         f"the graph has p={cd.p} vertices")
+    return require_positive_definite(sigma)
+
+
 def check_local_markov(sigma: np.ndarray, cd: ColoredDag,
                        tol: float = 1e-7) -> MarkovReport:
     """Evaluate every local generator at sigma and report the violated ones."""
-    sigma = require_positive_definite(sigma)
+    sigma = _model_sigma(sigma, cd)
     n, violations = _evaluate(local_generators(cd), sigma, tol)
     return MarkovReport("local", "full", tol, n, violations)
 
@@ -246,7 +254,7 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
     allowed for p <= 8; otherwise a seeded random sample of at most ``budget``
     constraints per category is drawn, and the report records it.
     """
-    sigma = require_positive_definite(sigma)
+    sigma = _model_sigma(sigma, cd)
     g = cd.graph
     rng = np.random.default_rng(seed)
     memo = {}

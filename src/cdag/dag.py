@@ -1,8 +1,9 @@
 """Directed acyclic graphs and the purely graph-theoretic queries.
 
-Vertices are dense 0-based integers ``0..p-1``; files and CLI output render
-them 1-based.  A :class:`Dag` is immutable after construction, caches its
-topological order and parent/child sets, and all queries are pure.
+Vertices are dense 0-based integers ``0..p-1``; files, CLI output and error
+messages render them 1-based.  A :class:`Dag` is immutable after
+construction, caches its topological order and parent/child sets, and all
+queries are pure.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ class Dag:
     def __init__(self, p: int, edges: Iterable[Edge] = ()):
         if p < 0:
             raise GraphError(f"vertex count must be nonnegative, got {p}")
-        edge_set = frozenset((int(i), int(j)) for i, j in edges)
-        for i, j in edge_set:
-            if i == j:
-                raise GraphError(f"self-loop at vertex {i}")
+        edge_list = [(int(i), int(j)) for i, j in edges]
+        for i, j in edge_list:
             if not (0 <= i < p and 0 <= j < p):
-                raise GraphError(f"edge ({i}, {j}) out of range for p={p}")
+                raise GraphError(f"edge ({i + 1}, {j + 1}) out of range for p={p}")
+            if i == j:
+                raise GraphError(f"self-loop at vertex {i + 1}")
+        edge_set = frozenset(edge_list)
         parents = [set() for _ in range(p)]
         children = [set() for _ in range(p)]
         for i, j in edge_set:
@@ -68,7 +70,7 @@ class Dag:
 
     def _check_vertex(self, i: int) -> None:
         if not (0 <= i < self.p):
-            raise GraphError(f"vertex {i} out of range for p={self.p}")
+            raise GraphError(f"vertex {i + 1} out of range for p={self.p}")
 
     def parents(self, i: int) -> FrozenSet[int]:
         self._check_vertex(i)
@@ -191,7 +193,7 @@ class Dag:
         """An edge i -> j is covered when pa(j) = pa(i) | {i}."""
         i, j = edge
         if edge not in self.edges:
-            raise GraphError(f"({i}, {j}) is not an edge")
+            raise GraphError(f"({i + 1}, {j + 1}) is not an edge")
         return self._parents[j] == self._parents[i] | {i}
 
 
@@ -207,7 +209,7 @@ def marginalize_sink(g: Dag, j: int):
     surviving old indices to new ones."""
     g._check_vertex(j)
     if not g.is_sink(j):
-        raise GraphError(f"vertex {j} is not a sink")
+        raise GraphError(f"vertex {j + 1} is not a sink")
     relabel = {v: (v if v < j else v - 1) for v in range(g.p) if v != j}
     edges = [(relabel[a], relabel[b]) for a, b in g.edges if a != j and b != j]
     return Dag(g.p - 1, edges), relabel

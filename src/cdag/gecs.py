@@ -39,7 +39,6 @@ SCORE_EPS = 1e-9   # strict-improvement margin; stops float-noise cycling
 class GecsConfig:
     seed: int = 0
     move_budget: Optional[int] = None   # default 10 * p**3, set at run time
-    epsilon: float = SCORE_EPS
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def _baseline_tiekey(families: Families, candidate: Candidate):
 
 
 def _apply_best(state: SearchState, scorer: _FamilyScorer, candidates,
-                epsilon: float, tiekey: Callable) -> SearchState:
+                tiekey: Callable) -> SearchState:
     """Pick the best strictly improving candidate; ties go to the smallest
     ``tiekey`` so runs are reproducible."""
     best = best_score = best_key = None
@@ -152,11 +151,11 @@ def _apply_best(state: SearchState, scorer: _FamilyScorer, candidates,
         score = state.score
         for k, groups in candidate:
             score += scorer.component(k, groups) - state.family_cache[k]
-        if score <= state.score + epsilon:
+        if score <= state.score + SCORE_EPS:
             continue
-        if best is None or score > best_score + epsilon:
+        if best is None or score > best_score + SCORE_EPS:
             best, best_score, best_key = candidate, score, None
-        elif abs(score - best_score) <= epsilon:
+        elif abs(score - best_score) <= SCORE_EPS:
             if best_key is None:
                 best_key = tiekey(state.families, best)
             key = tiekey(state.families, candidate)
@@ -279,11 +278,11 @@ def _candidates_remove_color(state: SearchState):
 
 
 def _make_move(name, generator):
-    def move(state: SearchState, data: Dataset, scorer: Optional[_FamilyScorer] = None,
-             epsilon: float = SCORE_EPS) -> SearchState:
+    def move(state: SearchState, data: Dataset,
+             scorer: Optional[_FamilyScorer] = None) -> SearchState:
         if scorer is None:
             scorer = _FamilyScorer(data)
-        return _apply_best(state, scorer, generator(state), epsilon, _gecs_tiekey)
+        return _apply_best(state, scorer, generator(state), _gecs_tiekey)
     move.__name__ = move.__qualname__ = name
     move.__doc__ = f"Apply the best strictly improving `{name[5:]}` candidate, if any."
     return move
@@ -378,14 +377,13 @@ class _GreedySearch:
 
     def _modify(self, phase: str, moves) -> bool:
         """Apply the phase's moves until none improves; whether any did."""
-        eps = self.config.epsilon
         start = self._accepted
         while True:
             before = self._accepted
             for name, generator in moves:
                 new_state = _apply_best(self.state, self.scorer,
-                                        generator(self.state), eps, self._tiekey)
-                if new_state.score > self.state.score + eps:
+                                        generator(self.state), self._tiekey)
+                if new_state.score > self.state.score + SCORE_EPS:
                     self._accept(phase, name, new_state)
             if self._accepted == before:
                 return self._accepted > start

@@ -145,13 +145,6 @@ def recover_params(cd: ColoredDag, sigma: np.ndarray) -> ModelParams:
     return ModelParams(omega, tuple(lam))
 
 
-def vanishes(value: float, sigma: np.ndarray, tol: Optional[float] = None) -> bool:
-    """Default test for a residual to count as zero at the scale of sigma."""
-    if tol is None:
-        tol = 1e-9 * (1.0 + float(np.abs(sigma).max()))
-    return abs(value) <= tol
-
-
 def is_positive_definite(sigma: np.ndarray, check_sym: float = 1e-12) -> bool:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -183,9 +176,3 @@ def write_matrix_csv(matrix: np.ndarray, path) -> None:
         writer = csv.writer(fh)
         for row in matrix:
             writer.writerow([f"{v:.17g}" for v in row])
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [[float(c) for c in row] for row in csv.reader(fh) if row]
-    return np.array(rows, dtype=float)

@@ -274,3 +274,56 @@ class TestFileBoundary:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1,0,0\n0,x,0\n0,0,1\n", "row 2, column 2: 'x' is not a number"),
+        ("1,0,0\n\n0,1\n0,0,1\n", "row 3: expected 3 fields as in row 1, got 2"),
+        ("1,0\n0,1\n", "covariance matrix has shape (2, 2) but the graph has p=3"),
+    ])
+    def test_bad_sigma_csv(self, workdir, capsys, text, expected):
+        graph = workdir / "g.json"
+        write_graph_json(ColoredDag(Dag(3, [(0, 1), (1, 2)])), graph)
+        sigma = workdir / "sigma.csv"
+        sigma.write_text(text)
+        code, out, err = run(capsys, "check", "--graph", str(graph),
+                             "--sigma", str(sigma))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert expected in err
+
+    @pytest.mark.parametrize("command, text, expected", [
+        ("simulate", '{"omega": {"v1": 1}', "theta.json: invalid JSON at line 1"),
+        ("simulate", '{"omega": {"v1": "a", "v2": 1, "v3": 1}, "lambda": {}}',
+         "parameter JSON field 'omega': the value 'a' of class 'v1' is not a number"),
+        ("bench", '{"p": [4],\n', "sweep.json: invalid JSON at line 2"),
+        ("bench", '{"p": "x", "rho": 0.5, "nc": 2, "n": 100, "replicates": 1}',
+         "sweep config field 'p' needs int values, got 'x'"),
+        ("bench", "[4]", "sweep config must be a JSON object"),
+    ])
+    def test_bad_params_and_sweep_json(self, workdir, capsys, command, text, expected):
+        if command == "simulate":
+            graph = workdir / "g.json"
+            write_graph_json(ColoredDag(Dag(3)), graph)
+            path = workdir / "theta.json"
+            argv = ["--graph", str(graph), "--params", str(path), "--n", "10"]
+        else:
+            path = workdir / "sweep.json"
+            argv = ["--config", str(path)]
+        path.write_text(text)
+        code, out, err = run(capsys, command, *argv, "--out", str(workdir / "out.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert expected in err
+
+    @pytest.mark.parametrize("target, expected", [
+        (("--vertex", "0"), "vertex 0 out of range for p=3"),
+        (("--vertex", "9"), "vertex 9 out of range for p=3"),
+        (("--edge", "0,1"), "vertex 0 out of range for p=3"),
+    ])
+    def test_bad_identify_target(self, workdir, capsys, target, expected):
+        graph = workdir / "g.json"
+        write_graph_json(ColoredDag(Dag(3, [(0, 1), (1, 2)])), graph)
+        code, out, err = run(capsys, "identify", "--graph", str(graph), *target)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert expected in err

@@ -146,3 +146,21 @@ class TestSerialization:
         cd = read_adjacency_csv(path)
         assert cd.graph.edges == {(0, 1), (1, 2)}
         assert cd.is_uncolored()
+
+
+class TestValidation:
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: ColoredDag(P4, vertex_classes=[[0, 4]]), "colored vertex 5 out of range"),
+        (lambda: ColoredDag(P4, edge_classes=[[(0, 1), (0, 2)]]),
+         "colored edge (1, 3) is not in the graph"),
+        (lambda: ColoredDag(P4, vertex_classes=[[0, 1], [1, 2]]),
+         "vertex 2 assigned to more than one class"),
+        (lambda: ColoredDag(P4, edge_classes=[[(0, 1)], [(0, 1), (1, 2)]]),
+         "edge (1, 2) assigned to more than one class"),
+        (lambda: ColoredDag(P4, vertex_classes=[[]]), "empty vertex color class"),
+        (lambda: P4_COLORED.edge_color((0, 2)), "(1, 3) is not an edge of the graph"),
+    ])
+    def test_errors_name_vertices_one_based(self, build, expected):
+        with pytest.raises(ColoringError) as exc:
+            build()
+        assert expected in str(exc.value)

@@ -47,6 +47,19 @@ class TestBasicQueries:
         with pytest.raises(GraphError):
             Dag(2, [(1, 1)])
 
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: Dag(3, [(0, 0)]), "self-loop at vertex 1"),
+        (lambda: Dag(3, [(0, 3)]), "edge (1, 4) out of range for p=3"),
+        (lambda: P4.parents(4), "vertex 5 out of range for p=4"),
+        (lambda: P4.children(-1), "vertex 0 out of range for p=4"),
+        (lambda: P4.is_covered((0, 2)), "(1, 3) is not an edge"),
+        (lambda: marginalize_sink(P4, 1), "vertex 2 is not a sink"),
+    ])
+    def test_errors_name_vertices_one_based(self, build, expected):
+        with pytest.raises(GraphError) as exc:
+            build()
+        assert expected in str(exc.value)
+
     def test_topo_consistent(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

@@ -6,10 +6,11 @@ import pytest
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import ColoringError, SizeGuardError
+from cdag.files import read_matrix_csv
 from cdag.params import (ModelParams, almost_principal_minor, expand_params,
                          is_positive_definite, minor, parametrize,
-                         random_params, read_matrix_csv, recover_lambda,
-                         recover_omega, recover_params, write_matrix_csv)
+                         random_params, recover_lambda, recover_omega,
+                         recover_params, write_matrix_csv)
 
 from oracles import random_colored_dag, random_dag, trek_covariance
 
