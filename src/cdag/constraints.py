@@ -1,24 +1,29 @@
 """Polynomial/rational constraints of a colored model and the checks built on them.
 
-The local generators are the denominator-cleared relations that cut out the
-model inside the positive definite cone: one conditional-independence minor
-per non-adjacent pair, one vertex-coloring relation per pair of same-colored
-vertices, and one edge-coloring relation per pair of same-colored edges.
-Evaluating them numerically yields Markov-property checks, a faithfulness
-diagnostic, and a sampling-based model-equivalence test.
+Every check is one pipeline: enumerate relations, then evaluate them in one
+loop.  Two enumerations feed it: the (i, j, K) triples, for independence
+minors, and the pairs of same-colored vertices and of same-colored edges,
+for coloring relations.  The local generators condition on parent sets; they
+are the denominator-cleared relations that cut out the model inside the
+positive definite cone.  The global relations range over d-separated triples
+and products of identifying sets.  Evaluating them numerically yields
+Markov-property checks, a faithfulness diagnostic, and a sampling-based
+model-equivalence test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import identify
 from .coloring import ColoredDag
 from .dag import Dag
-from .errors import GraphError, SizeGuardError
+from .errors import CdagError, GraphError, SizeGuardError
 from .params import (almost_principal_minor, minor, parametrize, random_params,
                      recover_lambda, recover_omega, require_positive_definite)
 
@@ -42,6 +47,9 @@ class RelationPoly:
     kind: str                       # cir | vcr | ecr | vcc | ecc
     indices: Tuple[int, ...]        # (i, j) or (i, j, k, l)
     given: Tuple[Tuple[int, ...], ...]  # one or two sorted conditioning sets
+
+    def __post_init__(self):
+        object.__setattr__(self, "given", tuple(tuple(sorted(s)) for s in self.given))
 
     def __call__(self, sigma: np.ndarray) -> float:
         if self.kind == "cir":
@@ -93,8 +101,34 @@ class RelationPoly:
         }
 
 
-def _cir(i: int, j: int, given) -> RelationPoly:
-    return RelationPoly("cir", (i, j), (tuple(sorted(given)),))
+def _triples(p: int) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
+    """Every (i, j, K) with i < j and K a set of the other vertices: by
+    pair, then by the size of K."""
+    for i, j in combinations(range(p), 2):
+        others = [v for v in range(p) if v != i and v != j]
+        for r in range(len(others) + 1):
+            for k in combinations(others, r):
+                yield i, j, k
+
+
+def _same_colored_pairs(cd: ColoredDag) -> Iterator[tuple]:
+    """(kind, indices, t1, t2) for every pair t1, t2 of same-colored vertices
+    (kind "vc"), then of same-colored edges (kind "ec"), in class order; the
+    edges of a class are ordered head first.  The local relation's kind adds
+    "r" to the pair's kind, the global one "c"."""
+    for grp in cd.vertex_classes:
+        for i, j in combinations(sorted(grp), 2):
+            yield "vc", (i, j), i, j
+    for grp in cd.edge_classes:
+        members = sorted(grp, key=lambda e: (e[1], e[0]))
+        for e1, e2 in combinations(members, 2):
+            yield "ec", e1 + e2, e1, e2
+
+
+def _parent_set(g: Dag, target) -> FrozenSet[int]:
+    """pa(i) of a vertex i, pa(j) of an edge i -> j: the conditioning set of
+    the target's local relations, and one of its identifying sets."""
+    return g.parents(target if isinstance(target, int) else target[1])
 
 
 def local_generators(cd: ColoredDag) -> List[RelationPoly]:
@@ -110,18 +144,10 @@ def local_generators(cd: ColoredDag) -> List[RelationPoly]:
         if g.adjacent(a, b):
             continue
         i, j = (a, b) if g.topo_rank(a) < g.topo_rank(b) else (b, a)
-        gens.append(_cir(i, j, g.parents(j)))
-    for grp in cd.vertex_classes:
-        for i, j in combinations(sorted(grp), 2):
-            gens.append(RelationPoly("vcr", (i, j),
-                                     (tuple(sorted(g.parents(i))),
-                                      tuple(sorted(g.parents(j))))))
-    for grp in cd.edge_classes:
-        members = sorted(grp, key=lambda e: (e[1], e[0]))
-        for (i, j), (k, l) in combinations(members, 2):
-            gens.append(RelationPoly("ecr", (i, j, k, l),
-                                     (tuple(sorted(g.parents(j))),
-                                      tuple(sorted(g.parents(l))))))
+        gens.append(RelationPoly("cir", (i, j), (g.parents(j),)))
+    for kind, indices, t1, t2 in _same_colored_pairs(cd):
+        gens.append(RelationPoly(kind + "r", indices,
+                                 (_parent_set(g, t1), _parent_set(g, t2))))
     return gens
 
 
@@ -164,13 +190,17 @@ class MarkovReport:
         }
 
 
-def _evaluate(gens, sigma, tol) -> Tuple[int, Tuple[ConstraintViolation, ...]]:
-    violations = []
+def _violations(gens, sigma: np.ndarray, tol: float) -> Iterator[ConstraintViolation]:
+    """The relations whose residual at sigma exceeds tol, in order."""
     for gen in gens:
         val = gen(sigma)
         if abs(val) > tol:
-            violations.append(ConstraintViolation(gen, float(val)))
-    return len(gens), tuple(violations)
+            yield ConstraintViolation(gen, float(val))
+
+
+def _require_tol(tol: float) -> None:
+    if not tol >= 0:
+        raise CdagError(f"tol must be nonnegative, got {tol}")
 
 
 def _model_sigma(sigma: np.ndarray, cd: ColoredDag) -> np.ndarray:
@@ -184,65 +214,11 @@ def _model_sigma(sigma: np.ndarray, cd: ColoredDag) -> np.ndarray:
 def check_local_markov(sigma: np.ndarray, cd: ColoredDag,
                        tol: float = 1e-7) -> MarkovReport:
     """Evaluate every local generator at sigma and report the violated ones."""
+    _require_tol(tol)
     sigma = _model_sigma(sigma, cd)
-    n, violations = _evaluate(local_generators(cd), sigma, tol)
-    return MarkovReport("local", "full", tol, n, violations)
-
-
-def _identifying_sets(g: Dag, target):
-    # deferred import: identify depends only on dag
-    from .identify import enumerate_identifying_sets
-    return sorted(enumerate_identifying_sets(g, target), key=sorted)
-
-
-def _sample_identifying(g: Dag, target, rng, want: int, tries: int = 200):
-    """Rejection-sample identifying sets for large graphs (always includes
-    the parent-set witness)."""
-    from .identify import (is_edge_identifying, is_vertex_identifying)
-    if isinstance(target, int):
-        base = g.parents(target)
-        universe = [v for v in range(g.p) if v != target]
-        test = lambda a: is_vertex_identifying(g, target, a)
-    else:
-        i, j = target
-        base = g.parents(j) | {i}
-        universe = [v for v in range(g.p) if v != j]
-        test = lambda a: is_edge_identifying(g, i, j, a)
-    found = {frozenset(base)}
-    for _ in range(tries):
-        if len(found) >= want:
-            break
-        mask = rng.random(len(universe)) < 0.5
-        cand = frozenset(v for v, m in zip(universe, mask) if m) | frozenset(base)
-        if test(cand):
-            found.add(cand)
-    return sorted(found, key=sorted)
-
-
-def _global_ci_constraints(g: Dag):
-    for i, j in combinations(range(g.p), 2):
-        others = [v for v in range(g.p) if v != i and v != j]
-        for r in range(len(others) + 1):
-            for k in combinations(others, r):
-                if g.d_separated({i}, {j}, k):
-                    yield _cir(i, j, k)
-
-
-def _global_coloring_constraints(cd: ColoredDag, sets_for):
-    g = cd.graph
-    for grp in cd.vertex_classes:
-        for i, j in combinations(sorted(grp), 2):
-            for a in sets_for(i):
-                for b in sets_for(j):
-                    yield RelationPoly("vcc", (i, j),
-                                       (tuple(sorted(a)), tuple(sorted(b))))
-    for grp in cd.edge_classes:
-        members = sorted(grp, key=lambda e: (e[1], e[0]))
-        for e1, e2 in combinations(members, 2):
-            for a in sets_for(e1):
-                for b in sets_for(e2):
-                    yield RelationPoly("ecc", e1 + e2,
-                                       (tuple(sorted(a)), tuple(sorted(b))))
+    gens = local_generators(cd)
+    return MarkovReport("local", "full", tol, len(gens),
+                        tuple(_violations(gens, sigma, tol)))
 
 
 def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
@@ -250,79 +226,65 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
     """Check d-separation independences plus the invariance constraints over
     products of identifying sets.
 
-    With ``budget=None`` the products are enumerated in full, which is only
-    allowed for p <= 8; otherwise a seeded random sample of at most ``budget``
-    constraints per category is drawn, and the report records it.
+    Up to p = 8 the triples and identifying sets are enumerated in full;
+    beyond, they are sampled, which needs a budget.  With ``budget=None``
+    every product is checked; otherwise a seeded random sample of at most
+    ``budget`` constraints per category is drawn, and the report records it.
     """
+    _require_tol(tol)
     sigma = _model_sigma(sigma, cd)
     g = cd.graph
+    small = g.p <= FULL_GLOBAL_GUARD_P
+    if budget is None and not small:
+        raise SizeGuardError(
+            f"full global check is limited to p <= {FULL_GLOBAL_GUARD_P}; pass a budget")
+    if budget is not None and budget < 1:
+        raise CdagError(f"budget must be at least 1, got {budget}")
     rng = np.random.default_rng(seed)
-    memo = {}
+
+    @cache
+    def sets_for(target):
+        if small:
+            return sorted(identify.enumerate_identifying_sets(g, target), key=sorted)
+        return identify.sample_identifying_sets(g, target, _parent_set(g, target), rng,
+                                                want=max(2, int(np.sqrt(budget)) + 1))
+
+    if small:
+        ci = [RelationPoly("cir", (i, j), (k,))
+              for i, j, k in _triples(g.p) if g.d_separated({i}, {j}, k)]
+    else:
+        ci, vertex_pairs = [], list(combinations(range(g.p), 2))
+        for _ in range(budget * 4):
+            if len(ci) >= budget:
+                break
+            i, j = vertex_pairs[rng.integers(len(vertex_pairs))]
+            rest = [v for v in range(g.p) if v != i and v != j]
+            mask = rng.random(len(rest)) < 0.5
+            k = tuple(v for v, m in zip(rest, mask) if m)
+            if g.d_separated({i}, {j}, k):
+                ci.append(RelationPoly("cir", (i, j), (k,)))
+    pairs = list(_same_colored_pairs(cd))
     if budget is None:
-        if g.p > FULL_GLOBAL_GUARD_P:
-            raise SizeGuardError(
-                f"full global check is limited to p <= {FULL_GLOBAL_GUARD_P}; pass a budget")
         mode = "full"
-
-        def sets_for(target):
-            key = target
-            if key not in memo:
-                memo[key] = _identifying_sets(g, target)
-            return memo[key]
-
-        ci = list(_global_ci_constraints(g))
-        coloring = list(_global_coloring_constraints(cd, sets_for))
+        coloring = [RelationPoly(kind + "c", indices, (a, b))
+                    for kind, indices, t1, t2 in pairs
+                    for a in sets_for(t1) for b in sets_for(t2)]
     else:
         mode = f"sampled(budget={budget}, seed={seed})"
-        want = max(2, int(np.sqrt(budget)) + 1)
-
-        def sets_for(target):
-            key = target
-            if key not in memo:
-                if g.p <= FULL_GLOBAL_GUARD_P:
-                    memo[key] = _identifying_sets(g, target)
-                else:
-                    memo[key] = _sample_identifying(g, target, rng, want)
-            return memo[key]
-
-        ci = []
-        if g.p <= FULL_GLOBAL_GUARD_P:
-            ci = list(_global_ci_constraints(g))
-            if len(ci) > budget:
-                keep = rng.choice(len(ci), size=budget, replace=False)
-                ci = [ci[t] for t in sorted(keep)]
-        else:
-            pairs = list(combinations(range(g.p), 2))
-            for _ in range(budget * 4):
-                if len(ci) >= budget:
-                    break
-                i, j = pairs[rng.integers(len(pairs))]
-                rest = [v for v in range(g.p) if v != i and v != j]
-                mask = rng.random(len(rest)) < 0.5
-                k = tuple(v for v, m in zip(rest, mask) if m)
-                if g.d_separated({i}, {j}, k):
-                    ci.append(_cir(i, j, k))
+        if len(ci) > budget:
+            keep = rng.choice(len(ci), size=budget, replace=False)
+            ci = [ci[t] for t in sorted(keep)]
         # draw (A, B) products without materializing the full family
-        same_color = []
-        for grp in cd.vertex_classes:
-            same_color.extend(("vcc", i, j)
-                              for i, j in combinations(sorted(grp), 2))
-        for grp in cd.edge_classes:
-            members = sorted(grp, key=lambda e: (e[1], e[0]))
-            same_color.extend(("ecc", e1, e2)
-                              for e1, e2 in combinations(members, 2))
         coloring = []
-        for _ in range(budget if same_color else 0):
-            kind, t1, t2 = same_color[rng.integers(len(same_color))]
+        for _ in range(budget if pairs else 0):
+            kind, indices, t1, t2 = pairs[rng.integers(len(pairs))]
             sets1, sets2 = sets_for(t1), sets_for(t2)
-            a = tuple(sorted(sets1[rng.integers(len(sets1))]))
-            b = tuple(sorted(sets2[rng.integers(len(sets2))]))
-            if kind == "vcc":
-                coloring.append(RelationPoly("vcc", (t1, t2), (a, b)))
-            else:
-                coloring.append(RelationPoly("ecc", t1 + t2, (a, b)))
-    n, violations = _evaluate(ci + coloring, sigma, tol)
-    return MarkovReport("global", mode, tol, n, violations)
+            a = sets1[rng.integers(len(sets1))]
+            b = sets2[rng.integers(len(sets2))]
+            coloring.append(RelationPoly(kind + "c", indices, (a, b)))
+    gens = ci + coloring
+    return MarkovReport("global", mode, tol, len(gens),
+                        tuple(_violations(gens, sigma, tol)))
 
 
 # -- faithfulness diagnostic --------------------------------------------------
@@ -344,17 +306,10 @@ def faithfulness_scan(cd: ColoredDag, trials: int = 20,
     sigmas = [parametrize(cd, random_params(cd, rng)) for _ in range(trials)]
     tols = [tol if tol is not None else 1e-9 * (1.0 + float(np.abs(s).max()))
             for s in sigmas]
-    hits = []
-    for i, j in combinations(range(g.p), 2):
-        others = [v for v in range(g.p) if v != i and v != j]
-        for r in range(len(others) + 1):
-            for k in combinations(others, r):
-                if g.d_separated({i}, {j}, k):
-                    continue
-                if all(abs(almost_principal_minor(s, i, j, k)) <= t
-                       for s, t in zip(sigmas, tols)):
-                    hits.append((i, j, frozenset(k)))
-    return hits
+    return [(i, j, frozenset(k)) for i, j, k in _triples(g.p)
+            if not g.d_separated({i}, {j}, k)
+            and all(abs(almost_principal_minor(s, i, j, k)) <= t
+                    for s, t in zip(sigmas, tols))]
 
 
 # -- model equivalence --------------------------------------------------------
@@ -399,14 +354,16 @@ def model_equivalent(cd1: ColoredDag, cd2: ColoredDag, trials: int = 20,
     """
     if cd1.p != cd2.p:
         raise GraphError(f"vertex counts differ: {cd1.p} vs {cd2.p}")
+    if trials < 1:
+        raise CdagError(f"trials must be at least 1, got {trials}")
+    _require_tol(tol)
     rng = np.random.default_rng(seed)
     pairs = ((1, local_generators(cd1), cd2), (2, local_generators(cd2), cd1))
     for side, gens, model in pairs:
         for t in range(trials):
             sigma = parametrize(model, random_params(model, rng))
-            for gen in gens:
-                val = gen(sigma)
-                if abs(val) > tol:
-                    witness = EquivalenceWitness(gen, side, t, float(val))
-                    return EquivalenceResult(False, trials, tol, witness)
+            hit = next(_violations(gens, sigma, tol), None)
+            if hit is not None:
+                witness = EquivalenceWitness(hit.constraint, side, t, hit.residual)
+                return EquivalenceResult(False, trials, tol, witness)
     return EquivalenceResult(True, trials, tol)

@@ -17,19 +17,23 @@ from .errors import CdagError
 def read_json(path):
     """The parsed document; invalid JSON reports its line and column."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CdagError(f"{path}: invalid JSON at line {exc.lineno}, "
-                        f"column {exc.colno}: {exc.msg}") from None
+        try:
+            return json.loads(fh.read())
+        except UnicodeDecodeError:
+            raise CdagError(f"{path}: not UTF-8 text") from None
+        except json.JSONDecodeError as exc:
+            raise CdagError(f"{path}: invalid JSON at line {exc.lineno}, "
+                            f"column {exc.colno}: {exc.msg}") from None
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """A matrix with one row per nonblank line.  Row numbers in errors are
     file lines, blank lines counted."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [(line, row) for line, row in enumerate(csv.reader(fh), 1) if row]
+        try:
+            rows = [(line, row) for line, row in enumerate(csv.reader(fh), 1) if row]
+        except UnicodeDecodeError:
+            raise CdagError(f"{path}: not UTF-8 text") from None
     width = len(rows[0][1]) if rows else 0
     matrix = np.empty((len(rows), width))
     for r, (line, row) in enumerate(rows):

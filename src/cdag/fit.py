@@ -95,10 +95,11 @@ class Dataset:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
+                rows = [[float(c) for c in row] for row in reader if row]
             except StopIteration:
                 raise CdagError(f"{path}: empty data file") from None
-            try:
-                rows = [[float(c) for c in row] for row in reader if row]
+            except UnicodeDecodeError:
+                raise CdagError(f"{path}: not UTF-8 text") from None
             except ValueError as exc:
                 raise CdagError(f"{path}: row {reader.line_num}: {exc}") from None
         if not rows:

@@ -1,4 +1,4 @@
-"""Identifying-set membership tests and enumeration.
+"""Identifying-set membership tests, enumeration and sampling.
 
 A set A identifies the error variance of a vertex i when the conditional
 variance of i given A equals that parameter on every model point, and
@@ -11,7 +11,9 @@ test suite.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, Set, Union
+from typing import FrozenSet, List, Set, Union
+
+import numpy as np
 
 from .dag import Dag, Edge
 from .errors import GraphError, SizeGuardError
@@ -24,7 +26,7 @@ def is_vertex_identifying(g: Dag, i: int, candidate) -> bool:
     all of its descendants."""
     a = frozenset(candidate)
     if i in a:
-        raise GraphError(f"candidate set for vertex {i} may not contain it")
+        raise GraphError(f"candidate set for vertex {i + 1} may not contain it")
     return g.parents(i) <= a and not (a & g.closed_descendants(i))
 
 
@@ -32,10 +34,11 @@ def is_zero_identifying(g: Dag, i: int, j: int, candidate) -> bool:
     """For a non-edge (i, j): the regression quotient of i on j given the
     candidate set is identically zero iff the set minus i d-separates i and j."""
     if (i, j) in g.edges:
-        raise GraphError(f"({i}, {j}) is an edge; use is_edge_identifying")
+        raise GraphError(f"({i + 1}, {j + 1}) is an edge; use is_edge_identifying")
     a = frozenset(candidate)
     if j in a:
-        raise GraphError(f"candidate set for pair ({i}, {j}) may not contain {j}")
+        raise GraphError(f"candidate set for pair ({i + 1}, {j + 1}) "
+                         f"may not contain {j + 1}")
     return g.d_separated({i}, {j}, a - {i})
 
 
@@ -44,10 +47,11 @@ def is_edge_identifying(g: Dag, i: int, j: int, candidate) -> bool:
     descendants, and, minus i, d-separate i and j in the graph with the edge
     i -> j and all descendants of j deleted."""
     if (i, j) not in g.edges:
-        raise GraphError(f"({i}, {j}) is not an edge; use is_zero_identifying")
+        raise GraphError(f"({i + 1}, {j + 1}) is not an edge; use is_zero_identifying")
     a = frozenset(candidate)
     if j in a:
-        raise GraphError(f"candidate set for edge ({i}, {j}) may not contain {j}")
+        raise GraphError(f"candidate set for edge ({i + 1}, {j + 1}) "
+                         f"may not contain {j + 1}")
     if i not in a or a & g.closed_descendants(j):
         return False
     # delete de(j) and the edge i -> j, then test separation
@@ -61,6 +65,20 @@ def is_edge_identifying(g: Dag, i: int, j: int, candidate) -> bool:
                            {relabel[v] for v in a - {i}})
 
 
+def _membership(g: Dag, target: Union[int, Edge]):
+    """(universe, test): the vertices a candidate set may draw from, and the
+    membership test, for a vertex, an edge or a non-edge."""
+    if isinstance(target, int):
+        g._check_vertex(target)
+        return ([v for v in range(g.p) if v != target],
+                lambda a: is_vertex_identifying(g, target, a))
+    i, j = target
+    g._check_vertex(i)
+    g._check_vertex(j)
+    test = is_edge_identifying if (i, j) in g.edges else is_zero_identifying
+    return [v for v in range(g.p) if v != j], lambda a: test(g, i, j, a)
+
+
 def enumerate_identifying_sets(g: Dag,
                                target: Union[int, Edge]) -> Set[FrozenSet[int]]:
     """All identifying sets for a vertex or for a (present or absent) edge.
@@ -69,19 +87,7 @@ def enumerate_identifying_sets(g: Dag,
     """
     if g.p > ENUM_GUARD_P:
         raise SizeGuardError(f"identifying-set enumeration is limited to p <= {ENUM_GUARD_P}")
-    if isinstance(target, int):
-        g._check_vertex(target)
-        universe = [v for v in range(g.p) if v != target]
-        test = lambda a: is_vertex_identifying(g, target, a)
-    else:
-        i, j = target
-        g._check_vertex(i)
-        g._check_vertex(j)
-        universe = [v for v in range(g.p) if v != j]
-        if (i, j) in g.edges:
-            test = lambda a: is_edge_identifying(g, i, j, a)
-        else:
-            test = lambda a: is_zero_identifying(g, i, j, a)
+    universe, test = _membership(g, target)
     found = set()
     for r in range(len(universe) + 1):
         for combo in combinations(universe, r):
@@ -89,3 +95,21 @@ def enumerate_identifying_sets(g: Dag,
             if test(a):
                 found.add(a)
     return found
+
+
+def sample_identifying_sets(g: Dag, target: Union[int, Edge], witness,
+                            rng: np.random.Generator, want: int,
+                            tries: int = 200) -> List[FrozenSet[int]]:
+    """Up to ``want`` identifying sets, sorted, from ``tries`` random supersets
+    of ``witness``, a known identifying set that is always included; for
+    graphs too large to enumerate."""
+    universe, test = _membership(g, target)
+    found = {frozenset(witness)}
+    for _ in range(tries):
+        if len(found) >= want:
+            break
+        mask = rng.random(len(universe)) < 0.5
+        cand = frozenset(v for v, m in zip(universe, mask) if m) | frozenset(witness)
+        if test(cand):
+            found.add(cand)
+    return sorted(found, key=sorted)

@@ -110,10 +110,11 @@ def recover_omega(sigma: np.ndarray, graph: Optional[Dag], i: int, given=None) -
         given = graph.parents(i)
     a = sorted(set(given))
     if i in a:
-        raise ColoringError(f"identifying set for vertex {i} may not contain it")
+        raise ColoringError(f"identifying set for vertex {i + 1} may not contain it")
     den = minor(sigma, a, a)
     if den == 0.0:
-        raise NotPositiveDefiniteError(f"singular principal minor at {a}")
+        raise NotPositiveDefiniteError(
+            f"singular principal minor at {[v + 1 for v in a]}")
     return minor(sigma, [i] + a, [i] + a) / den
 
 
@@ -125,10 +126,12 @@ def recover_lambda(sigma: np.ndarray, graph: Optional[Dag], i: int, j: int,
         given = graph.parents(j)
     a = sorted(set(given))
     if j in a:
-        raise ColoringError(f"identifying set for edge ({i}, {j}) may not contain {j}")
+        raise ColoringError(f"identifying set for edge ({i + 1}, {j + 1}) "
+                            f"may not contain {j + 1}")
     den = minor(sigma, a, a)
     if den == 0.0:
-        raise NotPositiveDefiniteError(f"singular principal minor at {a}")
+        raise NotPositiveDefiniteError(
+            f"singular principal minor at {[v + 1 for v in a]}")
     return almost_principal_minor(sigma, i, j, [v for v in a if v != i]) / den
 
 

@@ -199,16 +199,20 @@ class TestErrors:
 
 
 class TestFileBoundary:
-    """Malformed input files end in a one-line error and exit code 1."""
+    """Malformed input files end in a one-line error and exit code 1.
+
+    Texts are written with surrogateescape, so a leading U+DCFF stands for
+    the byte 0xff, which is not UTF-8."""
 
     @pytest.mark.parametrize("text, expected", [
         ("a,b\n1,2\n3,x\n", "row 3"),
         ("a,b\n1,2\n\n3,4,5\n", "row 4: expected 2 fields as in the header, got 3"),
         ("a,b\n1\n3,4\n", "row 2: expected 2 fields as in the header, got 1"),
+        ("\udcffa,b\n1,2\n", "d.csv: not UTF-8 text"),
     ])
     def test_bad_data_csv(self, workdir, capsys, text, expected):
         data = workdir / "d.csv"
-        data.write_text(text)
+        data.write_text(text, errors="surrogateescape")
         code, out, err = run(capsys, "learn", "--data", str(data))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
@@ -233,10 +237,11 @@ class TestFileBoundary:
          "'edge_colors' to map names to lists of vertex pairs"),
         ('{"p": 2, "edges": [[1, 2]], "edge_colors": 3}',
          "'edge_colors' to map names to lists of vertex pairs"),
+        ('\udcff{"p": 2, "edges": []}', "g.json: not UTF-8 text"),
     ])
     def test_bad_graph_json(self, workdir, capsys, text, expected):
         graph = workdir / "g.json"
-        graph.write_text(text)
+        graph.write_text(text, errors="surrogateescape")
         code, out, err = run(capsys, "identify", "--graph", str(graph),
                              "--vertex", "1")
         assert code == 1 and out == ""
@@ -279,12 +284,13 @@ class TestFileBoundary:
         ("1,0,0\n0,x,0\n0,0,1\n", "row 2, column 2: 'x' is not a number"),
         ("1,0,0\n\n0,1\n0,0,1\n", "row 3: expected 3 fields as in row 1, got 2"),
         ("1,0\n0,1\n", "covariance matrix has shape (2, 2) but the graph has p=3"),
+        ("\udcff1,0,0\n0,1,0\n0,0,1\n", "sigma.csv: not UTF-8 text"),
     ])
     def test_bad_sigma_csv(self, workdir, capsys, text, expected):
         graph = workdir / "g.json"
         write_graph_json(ColoredDag(Dag(3, [(0, 1), (1, 2)])), graph)
         sigma = workdir / "sigma.csv"
-        sigma.write_text(text)
+        sigma.write_text(text, errors="surrogateescape")
         code, out, err = run(capsys, "check", "--graph", str(graph),
                              "--sigma", str(sigma))
         assert code == 1 and out == ""
@@ -315,15 +321,26 @@ class TestFileBoundary:
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err
 
-    @pytest.mark.parametrize("target, expected", [
-        (("--vertex", "0"), "vertex 0 out of range for p=3"),
-        (("--vertex", "9"), "vertex 9 out of range for p=3"),
-        (("--edge", "0,1"), "vertex 0 out of range for p=3"),
+    @pytest.mark.parametrize("argv, expected", [
+        (("identify", "--vertex", "0"), "vertex 0 out of range for p=3"),
+        (("identify", "--vertex", "9"), "vertex 9 out of range for p=3"),
+        (("identify", "--edge", "0,1"), "vertex 0 out of range for p=3"),
+        (("check", "--global", "--budget", "-1"), "budget must be at least 1, got -1"),
+        (("check", "--global", "--budget", "0"), "budget must be at least 1, got 0"),
+        (("check", "--tol", "-1"), "tol must be nonnegative, got -1.0"),
+        (("equiv", "--trials", "-3"), "trials must be at least 1, got -3"),
+        (("equiv", "--tol", "-1"), "tol must be nonnegative, got -1.0"),
     ])
-    def test_bad_identify_target(self, workdir, capsys, target, expected):
-        graph = workdir / "g.json"
-        write_graph_json(ColoredDag(Dag(3, [(0, 1), (1, 2)])), graph)
-        code, out, err = run(capsys, "identify", "--graph", str(graph), *target)
+    def test_bad_argument(self, workdir, capsys, argv, expected):
+        cd = ColoredDag(Dag(3, [(0, 1), (1, 2)]))
+        graph, sigma = workdir / "g.json", workdir / "sigma.csv"
+        write_graph_json(cd, graph)
+        write_matrix_csv(parametrize(cd, ModelParams((1.0, 1.0, 1.0), (0.5, 0.5))), sigma)
+        inputs = {"identify": ("--graph", str(graph)),
+                  "check": ("--graph", str(graph), "--sigma", str(sigma)),
+                  "equiv": ("--a", str(graph), "--b", str(graph))}
+        command, *flags = argv
+        code, out, err = run(capsys, command, *inputs[command], *flags)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err

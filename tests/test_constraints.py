@@ -1,5 +1,7 @@
 """Constraint generators, Markov checks, faithfulness, and model equivalence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cdag.constraints import (check_global_markov, check_local_markov,
                               faithfulness_scan, local_generators,
                               model_equivalent)
 from cdag.dag import Dag
-from cdag.errors import NotPositiveDefiniteError, SizeGuardError
+from cdag.errors import CdagError, NotPositiveDefiniteError, SizeGuardError
 from cdag.params import (ModelParams, almost_principal_minor, parametrize,
                          random_params)
 
@@ -188,3 +190,77 @@ class TestModelEquivalence:
             assert not model_equivalent(colored_chain, other,
                                         trials=20, seed=5).equivalent
         assert hits > 10
+
+
+def _noise_sigma(p, seed):
+    # a generic positive definite matrix: no relation vanishes on it, so at
+    # tol=0 every relation a check enumerates is reported, in order
+    a = np.random.default_rng(seed).standard_normal((p, p))
+    return a @ a.T / p + np.eye(p)
+
+
+G6 = ColoredDag(Dag(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4),
+                        (3, 5), (4, 5), (0, 5)]),
+                vertex_classes=[[1, 4]], edge_classes=[[(0, 1), (3, 5)]])
+G10 = ColoredDag(Dag(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+                          (7, 8), (8, 9), (0, 5), (2, 7)]),
+                 vertex_classes=[[1, 6]],
+                 edge_classes=[[(0, 1), (5, 6)], [(2, 3), (7, 8)]])
+
+
+class TestGlobalGolden:
+    """The exact constraint lists of the global check, in evaluation order."""
+
+    def _labels(self, cd, noise_seed, **kwargs):
+        report = check_global_markov(_noise_sigma(cd.p, noise_seed), cd, tol=0.0,
+                                     **kwargs)
+        assert report.n_checked == len(report.violations)
+        return [v.constraint.label() for v in report.violations]
+
+    def test_full_p6(self):
+        assert self._labels(G6, 0) == [
+            "cir(1,4 | {2,3})", "cir(1,4 | {2,3,5})", "cir(1,5 | {2,3})",
+            "cir(1,5 | {3,4})", "cir(1,5 | {2,3,4})", "cir(2,5 | {3,4})",
+            "cir(2,5 | {1,3,4})", "cir(2,5 | {1,3,4,6})", "cir(2,6 | {1,3,4})",
+            "cir(2,6 | {1,4,5})", "cir(2,6 | {1,3,4,5})", "cir(3,6 | {1,4,5})",
+            "cir(3,6 | {1,2,4,5})",
+            "vcc(2,5; {1},{1,2,3,4})", "vcc(2,5; {1},{1,3,4})",
+            "vcc(2,5; {1},{2,3,4})", "vcc(2,5; {1},{3,4})",
+            "ecc(1->2,4->6; {1},{1,2,3,4,5})", "ecc(1->2,4->6; {1},{1,2,4,5})",
+            "ecc(1->2,4->6; {1},{1,3,4,5})", "ecc(1->2,4->6; {1},{1,4,5})",
+            "ecc(1->2,4->6; {1},{2,3,4,5})"]
+
+    def test_budget_subsamples_enumerated_triples_p6(self):
+        # budget 4 is below the 13 d-separated triples
+        assert self._labels(G6, 0, budget=4, seed=3) == [
+            "cir(1,4 | {2,3})", "cir(1,5 | {2,3})", "cir(1,5 | {3,4})",
+            "cir(2,6 | {1,3,4})",
+            "ecc(1->2,4->6; {1},{1,2,3,4,5})", "vcc(2,5; {1},{1,3,4})",
+            "vcc(2,5; {1},{2,3,4})", "vcc(2,5; {1},{1,3,4})"]
+
+    def test_budget_samples_beyond_guard_p10(self):
+        assert self._labels(G10, 1, budget=6, seed=4) == [
+            "cir(5,8 | {3,6,9})", "cir(2,6 | {1,3,4,5,9})", "cir(4,9 | {2,8,10})",
+            "cir(3,10 | {1,5,7,8,9})", "cir(4,9 | {1,3,6,8,10})",
+            "ecc(1->2,6->7; {1},{6})", "ecc(1->2,6->7; {1},{1,2,6})",
+            "ecc(1->2,6->7; {1},{6})", "ecc(1->2,6->7; {1},{1,3,4,6})",
+            "vcc(2,7; {1},{1,4,5,6})", "ecc(3->4,8->9; {3},{3,4,6,8})"]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: check_global_markov(np.eye(4), uncolored(P4), budget=0),
+         "budget must be at least 1, got 0"),
+        (lambda: check_global_markov(np.eye(4), uncolored(P4), budget=-1),
+         "budget must be at least 1, got -1"),
+        (lambda: model_equivalent(EX48, EX48, trials=0), "trials must be at least 1, got 0"),
+        (lambda: check_local_markov(np.eye(4), P4_COLORED, tol=-1.0),
+         "tol must be nonnegative, got -1.0"),
+        (lambda: check_global_markov(np.eye(4), P4_COLORED, tol=float("nan")),
+         "tol must be nonnegative, got nan"),
+        (lambda: model_equivalent(EX48, EX48, tol=-1e-9),
+         "tol must be nonnegative, got -1e-09"),
+    ])
+    def test_numeric_arguments_out_of_range(self, call, expected):
+        with pytest.raises(CdagError, match=re.escape(expected)):
+            call()

@@ -1,5 +1,7 @@
 """Identifying-set membership, enumeration, and numeric soundness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from cdag.coloring import uncolored
 from cdag.dag import Dag
 from cdag.errors import GraphError, SizeGuardError
 from cdag.identify import (enumerate_identifying_sets, is_edge_identifying,
-                           is_vertex_identifying, is_zero_identifying)
+                           is_vertex_identifying, is_zero_identifying,
+                           sample_identifying_sets)
 from cdag.params import parametrize, random_params, recover_lambda, recover_omega
 
 from oracles import path_dsep, random_dag
@@ -132,3 +135,35 @@ class TestNumericSoundness:
                             assert max(errs) < 1e-8
                         else:
                             assert max(errs) > 1e-4
+
+
+class TestSampling:
+    def test_samples_are_enumerated_members(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            g = random_dag(rng, int(rng.integers(2, 9)), 0.4)
+            targets = list(range(g.p)) + sorted(g.edges)
+            for target in targets:
+                head = target if isinstance(target, int) else target[1]
+                witness = g.parents(head)
+                got = sample_identifying_sets(g, target, witness, rng, want=6)
+                assert frozenset(witness) in got
+                assert len(got) <= 6 and got == sorted(got, key=sorted)
+                assert set(got) <= enumerate_identifying_sets(g, target)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: is_vertex_identifying(P4, 1, {1}),
+     "candidate set for vertex 2 may not contain it"),
+    (lambda: is_edge_identifying(P4, 0, 1, {1}),
+     "candidate set for edge (1, 2) may not contain 2"),
+    (lambda: is_edge_identifying(P4, 0, 2, {1}),
+     "(1, 3) is not an edge; use is_zero_identifying"),
+    (lambda: is_zero_identifying(P4, 0, 2, {2}),
+     "candidate set for pair (1, 3) may not contain 3"),
+    (lambda: is_zero_identifying(P4, 0, 1, {0}),
+     "(1, 2) is an edge; use is_edge_identifying"),
+])
+def test_messages_name_vertices_one_based(call, expected):
+    with pytest.raises(GraphError, match=re.escape(expected)):
+        call()

@@ -1,11 +1,13 @@
 """Parametrization, the trek oracle, minors, and parameter recovery."""
 
+import re
+
 import numpy as np
 import pytest
 
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
-from cdag.errors import ColoringError, SizeGuardError
+from cdag.errors import CdagError, ColoringError, SizeGuardError
 from cdag.files import read_matrix_csv
 from cdag.params import (ModelParams, almost_principal_minor, expand_params,
                          is_positive_definite, minor, parametrize,
@@ -143,3 +145,18 @@ class TestCsv:
         path = tmp_path / "sigma.csv"
         write_matrix_csv(sigma, path)
         assert np.array_equal(read_matrix_csv(path), sigma)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: recover_omega(np.eye(3), None, 0, {0}),
+     "identifying set for vertex 1 may not contain it"),
+    (lambda: recover_lambda(np.eye(3), None, 0, 1, {1}),
+     "identifying set for edge (1, 2) may not contain 2"),
+    (lambda: recover_omega(np.diag([0.0, 1.0, 1.0]), None, 1, {0}),
+     "singular principal minor at [1]"),
+    (lambda: recover_lambda(np.diag([1.0, 1.0, 0.0]), None, 0, 1, {0, 2}),
+     "singular principal minor at [1, 3]"),
+])
+def test_messages_name_vertices_one_based(call, expected):
+    with pytest.raises(CdagError, match=re.escape(expected)):
+        call()
