@@ -16,7 +16,7 @@ from .errors import (CdagError, ColoringError, GraphError,
                      NotPositiveDefiniteError, RankDeficientError,
                      SearchBudgetError, SizeGuardError)
 from .fit import Dataset, bic_components, bic_score, fit_families, mle
-from .gecs import GecsConfig, GecsSearch, SearchState, baseline_greedy, gecs
+from .gecs import GecsSearch, SearchState, baseline_greedy, gecs
 from .identify import (enumerate_identifying_sets, is_edge_identifying,
                        is_vertex_identifying, is_zero_identifying)
 from .params import (ModelParams, almost_principal_minor, minor, parametrize,
@@ -27,9 +27,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CdagError", "ColoredDag", "ColoringError", "Dag", "Dataset",
-    "GecsConfig", "GecsSearch", "GraphError", "ModelParams",
-    "NotPositiveDefiniteError", "RankDeficientError", "RelationPoly",
-    "SearchBudgetError", "SearchState", "SizeGuardError",
+    "GecsSearch", "GraphError", "ModelParams", "NotPositiveDefiniteError",
+    "RankDeficientError", "RelationPoly", "SearchBudgetError", "SearchState",
+    "SizeGuardError",
     "almost_principal_minor", "baseline_greedy", "bic_components", "bic_score",
     "check_global_markov", "check_local_markov", "color_sensitivity",
     "enumerate_identifying_sets", "faithfulness_scan", "fit_families", "gecs",

@@ -8,7 +8,6 @@ are partitioned round-robin into at most ``nc`` classes of size at least two.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -20,7 +19,7 @@ from .coloring import ColoredDag, uncolored
 from .dag import Dag
 from .errors import CdagError
 from .fit import Dataset
-from .gecs import GecsConfig, baseline_greedy, gecs
+from .gecs import baseline_greedy, gecs
 from .params import ModelParams, expand_params
 
 RESULT_COLUMNS = ("p", "rho", "nc", "n", "seed", "method", "shd",
@@ -161,10 +160,6 @@ class SweepConfig:
         except KeyError as exc:
             raise CdagError(f"sweep config missing field {exc}") from None
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepConfig":
-        return cls.from_json_dict(json.loads(text))
-
 
 def _cell_seed(root: int, p: int, rho: float, nc: int, n: int, rep: int) -> int:
     ss = np.random.SeedSequence((root, p, int(round(rho * 1000)), nc, n, rep))
@@ -187,11 +182,11 @@ def _run_cell(p, rho, nc, n, rep, root_seed, methods):
         t0 = time.perf_counter()
         try:
             if method == "gecs":
-                est = gecs(data, GecsConfig(seed=seed))
+                est = gecs(data)
                 sens = color_sensitivity(truth, est)
                 dist = shd(truth.graph, est.graph)
             elif method == "baseline":
-                est_g = baseline_greedy(data, GecsConfig(seed=seed))
+                est_g = baseline_greedy(data)
                 sens = color_sensitivity(truth, uncolored(est_g))
                 dist = shd(truth.graph, est_g)
             else:

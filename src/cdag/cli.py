@@ -22,7 +22,7 @@ from .constraints import check_global_markov, check_local_markov, model_equivale
 from .errors import CdagError
 from .files import read_json, read_matrix_csv
 from .fit import Dataset, fit_families
-from .gecs import BaselineSearch, GecsConfig, GecsSearch
+from .gecs import BaselineSearch, GecsSearch
 from .identify import enumerate_identifying_sets
 from .params import ModelParams, random_params
 
@@ -113,12 +113,11 @@ def cmd_learn(args) -> int:
     data = Dataset.from_csv(args.data)
     if args.center:
         data = data.centered()
-    config = GecsConfig(seed=args.seed, move_budget=args.budget)
     if args.baseline:
-        search = BaselineSearch(data, config)
+        search = BaselineSearch(data, move_budget=args.budget)
         result = uncolored(search.run())
     else:
-        search = GecsSearch(data, config)
+        search = GecsSearch(data, move_budget=args.budget)
         result = search.run()
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
@@ -152,8 +151,9 @@ def cmd_check(args) -> int:
     sigma = read_matrix_csv(args.sigma)
     reports = [check_local_markov(sigma, cd, tol=args.tol)]
     if getattr(args, "global"):
+        seed = 0 if args.seed is None else args.seed
         reports.append(check_global_markov(sigma, cd, tol=args.tol,
-                                           budget=args.budget, seed=args.seed))
+                                           budget=args.budget, seed=seed))
     _emit({"reports": [r.to_json_dict() for r in reports]})
     return 0 if all(r.ok for r in reports) else 1
 
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     learn = sub.add_parser("learn", help="greedy edge-colored search on a data CSV")
     learn.add_argument("--data", required=True)
-    learn.add_argument("--seed", type=int, default=0)
     learn.add_argument("--budget", type=int, default=None,
                        help="accepted-move budget (default 10 p^3)")
     learn.add_argument("--baseline", action="store_true",
@@ -243,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--global", action="store_true",
                        help="also check the global property")
     check.add_argument("--budget", type=int, default=None,
-                       help="sample this many global constraints instead of enumerating")
-    check.add_argument("--seed", type=int, default=0)
+                       help="with --global: sample this many global constraints "
+                            "instead of enumerating")
+    check.add_argument("--seed", type=int, default=None,
+                       help="with --global: seed of the sampled constraints (default 0)")
     check.set_defaults(func=cmd_check)
 
     ident = sub.add_parser("identify", help="enumerate identifying sets")
@@ -271,6 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "check" and not getattr(args, "global"):
+        for flag in ("budget", "seed"):
+            if getattr(args, flag) is not None:
+                parser.error(f"check --{flag} needs --global")
     try:
         return args.func(args)
     except CdagError as exc:

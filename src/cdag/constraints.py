@@ -203,6 +203,11 @@ def _require_tol(tol: float) -> None:
         raise CdagError(f"tol must be nonnegative, got {tol}")
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise CdagError(f"trials must be at least 1, got {trials}")
+
+
 def _model_sigma(sigma: np.ndarray, cd: ColoredDag) -> np.ndarray:
     """A positive definite covariance matrix of the graph's p variables."""
     if np.shape(sigma) != (cd.p, cd.p):
@@ -302,6 +307,9 @@ def faithfulness_scan(cd: ColoredDag, trials: int = 20,
     g = cd.graph
     if g.p > SCAN_GUARD_P:
         raise SizeGuardError(f"faithfulness scan is limited to p <= {SCAN_GUARD_P}")
+    _require_trials(trials)
+    if tol is not None:
+        _require_tol(tol)
     rng = np.random.default_rng(seed)
     sigmas = [parametrize(cd, random_params(cd, rng)) for _ in range(trials)]
     tols = [tol if tol is not None else 1e-9 * (1.0 + float(np.abs(s).max()))
@@ -354,8 +362,7 @@ def model_equivalent(cd1: ColoredDag, cd2: ColoredDag, trials: int = 20,
     """
     if cd1.p != cd2.p:
         raise GraphError(f"vertex counts differ: {cd1.p} vs {cd2.p}")
-    if trials < 1:
-        raise CdagError(f"trials must be at least 1, got {trials}")
+    _require_trials(trials)
     _require_tol(tol)
     rng = np.random.default_rng(seed)
     pairs = ((1, local_generators(cd1), cd2), (2, local_generators(cd2), cd1))

@@ -36,12 +36,6 @@ SCORE_EPS = 1e-9   # strict-improvement margin; stops float-noise cycling
 
 
 @dataclass(frozen=True)
-class GecsConfig:
-    seed: int = 0
-    move_budget: Optional[int] = None   # default 10 * p**3, set at run time
-
-
-@dataclass(frozen=True)
 class SearchState:
     """Canonical parent groups of every node with the score and per-node
     score components; the graph and the colored graph are built when first
@@ -277,26 +271,6 @@ def _candidates_remove_color(state: SearchState):
             yield ((i, _canonical(groups[:gi] + groups[gi + 1:])),)
 
 
-def _make_move(name, generator):
-    def move(state: SearchState, data: Dataset,
-             scorer: Optional[_FamilyScorer] = None) -> SearchState:
-        if scorer is None:
-            scorer = _FamilyScorer(data)
-        return _apply_best(state, scorer, generator(state), _gecs_tiekey)
-    move.__name__ = move.__qualname__ = name
-    move.__doc__ = f"Apply the best strictly improving `{name[5:]}` candidate, if any."
-    return move
-
-
-move_add_color = _make_move("move_add_color", _candidates_add_color)
-move_split_color = _make_move("move_split_color", _candidates_split_color)
-move_add_edge = _make_move("move_add_edge", _candidates_add_edge)
-move_move_edge = _make_move("move_move_edge", _candidates_move_edge)
-move_reverse_edge = _make_move("move_reverse_edge", _candidates_reverse_edge)
-move_remove_edge = _make_move("move_remove_edge", _candidates_remove_edge)
-move_merge_colors = _make_move("move_merge_colors", _candidates_merge_colors)
-move_remove_color = _make_move("move_remove_color", _candidates_remove_color)
-
 PHASES = (
     ("phase1", (("add_color", _candidates_add_color),
                 ("split_color", _candidates_split_color))),
@@ -346,21 +320,23 @@ class TraceRow:
 class _GreedySearch:
     """Greedy search from the empty graph.  Each phase applies its moves'
     best strictly improving candidates until none improves, and the phases
-    repeat until none of them changes the state.  A subclass gives the
-    phase table of (move name, candidate generator) pairs and the key that
-    breaks score ties."""
+    repeat until none of them changes the state, or until more than
+    ``move_budget`` moves (default 10 p^3) would be accepted.  A subclass
+    gives the phase table of (move name, candidate generator) pairs, the key
+    that breaks score ties and the fewest variables it searches over."""
 
     phases: Tuple[Tuple[str, Tuple[Tuple[str, Callable], ...]], ...]
     _tiekey: Callable
+    min_p: int
 
-    def __init__(self, data: Dataset, config: Optional[GecsConfig] = None):
+    def __init__(self, data: Dataset, *, move_budget: Optional[int] = None):
+        if data.p < self.min_p:
+            raise CdagError(f"search needs p >= {self.min_p}, got p={data.p}")
         if data.n < 2:
             raise CdagError("search needs at least two samples")
-        self.data = data
-        self.config = config or GecsConfig()
-        self.budget = (self.config.move_budget
-                       if self.config.move_budget is not None
-                       else 10 * data.p ** 3)
+        if move_budget is not None and move_budget < 0:
+            raise CdagError(f"move budget must be at least 0, got {move_budget}")
+        self.budget = move_budget if move_budget is not None else 10 * data.p ** 3
         self.scorer = _FamilyScorer(data)
         empty = tuple(() for _ in range(data.p))
         self.state = self.scorer.state_from(empty)
@@ -404,21 +380,17 @@ class GecsSearch(_GreedySearch):
 
     phases = PHASES
     _tiekey = staticmethod(_gecs_tiekey)
-
-    def __init__(self, data: Dataset, config: Optional[GecsConfig] = None):
-        if data.p < 2:
-            raise CdagError("search needs at least two variables")
-        super().__init__(data, config)
+    min_p = 2
 
     def run(self) -> ColoredDag:
         return self._search().current
 
 
-def gecs(data: Dataset, config: Optional[GecsConfig] = None) -> ColoredDag:
+def gecs(data: Dataset, *, move_budget: Optional[int] = None) -> ColoredDag:
     """Greedy edge-colored search from the empty graph; the result is a
     BPEC-DAG (empty when no two-parent family pays for itself) and a local
     maximum of the decomposable score under the eight moves."""
-    return GecsSearch(data, config).run()
+    return GecsSearch(data, move_budget=move_budget).run()
 
 
 class BaselineSearch(_GreedySearch):
@@ -429,15 +401,11 @@ class BaselineSearch(_GreedySearch):
 
     phases = (("climb", (("", _candidates_baseline),)),)
     _tiekey = staticmethod(_baseline_tiekey)
-
-    def __init__(self, data: Dataset, config: Optional[GecsConfig] = None):
-        if data.p < 1:
-            raise CdagError("search needs at least one variable")
-        super().__init__(data, config)
+    min_p = 1
 
     def run(self) -> Dag:
         return self._search().graph
 
 
-def baseline_greedy(data: Dataset, config: Optional[GecsConfig] = None) -> Dag:
-    return BaselineSearch(data, config).run()
+def baseline_greedy(data: Dataset, *, move_budget: Optional[int] = None) -> Dag:
+    return BaselineSearch(data, move_budget=move_budget).run()

@@ -17,7 +17,7 @@ from cdag.constraints import (check_global_markov, check_local_markov,
                               model_equivalent)
 from cdag.dag import Dag
 from cdag.fit import Dataset, bic_components, bic_score, family_ls, mle
-from cdag.gecs import GecsConfig, GecsSearch, baseline_greedy, gecs
+from cdag.gecs import GecsSearch, baseline_greedy, gecs
 from cdag.identify import enumerate_identifying_sets
 from cdag.params import (almost_principal_minor, expand_params,
                          parametrize, random_params, recover_lambda,
@@ -260,12 +260,12 @@ def test_criterion_7_gecs_behavior():
         for seed in range(1, 26):
             truth, theta = random_bpec(6, 0.5, 2, seed=seed)
             data = sample(truth, theta, n, seed + 1)
-            search = GecsSearch(data, GecsConfig(seed=seed))
+            search = GecsSearch(data)
             est = search.run()
             scores = [row.score for row in search.trace]
             assert all(b > a for a, b in zip(scores, scores[1:]))
             assert est.is_bpec()
-            assert est == gecs(data, GecsConfig(seed=seed))
+            assert est == gecs(data)
             shds.append(shd(truth.graph, est.graph))
             sens.append(color_sensitivity(truth, est))
         shd_by_n[n] = float(np.median(shds))
@@ -285,9 +285,8 @@ def test_criterion_8_density_trend():
     for seed in range(1, 26):
         truth, theta = random_bpec(6, 0.8, 2, seed=seed)
         data = sample(truth, theta, 1000, seed + 1)
-        gecs_shd.append(shd(truth.graph, gecs(data, GecsConfig(seed=seed)).graph))
-        base_shd.append(shd(truth.graph,
-                            baseline_greedy(data, GecsConfig(seed=seed))))
+        gecs_shd.append(shd(truth.graph, gecs(data).graph))
+        base_shd.append(shd(truth.graph, baseline_greedy(data)))
     med_g, med_b = float(np.median(gecs_shd)), float(np.median(base_shd))
     assert med_g <= med_b
     # caveat: the comparator is DAG-space hill climbing standing in for GES

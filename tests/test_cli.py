@@ -40,7 +40,7 @@ class TestSimulateLearnScore:
 
         trace = workdir / "trace.csv"
         code, out, _ = run(capsys, "learn", "--data", str(data), "--no-center",
-                           "--seed", "1", "--trace", str(trace))
+                           "--trace", str(trace))
         assert code == 0
         learned = ColoredDag.from_json_dict(json.loads(out))
         assert learned.is_bpec()
@@ -114,6 +114,26 @@ class TestCheck:
         assert report["verdict"] == "fail"
         entry = report["violations"][0]
         assert {"constraint", "indices", "residual", "tol", "verdict"} <= set(entry)
+
+    def test_sampled_global_check_defaults_to_seed_zero(self, workdir, capsys):
+        graph, sigma_csv, _ = self._write_model_point(workdir)
+        code, out, _ = run(capsys, "check", "--graph", str(graph),
+                           "--sigma", str(sigma_csv), "--global", "--budget", "5")
+        assert code == 0
+        assert json.loads(out)["reports"][1]["mode"] == "sampled(budget=5, seed=0)"
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--budget", "0"), "--budget"),
+        (("--seed", "1"), "--seed"),
+        (("--seed", "0", "--budget", "5"), "--budget"),
+    ])
+    def test_sampling_flags_need_global(self, workdir, capsys, flags, named):
+        graph, sigma_csv, _ = self._write_model_point(workdir)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", str(graph), "--sigma", str(sigma_csv), *flags])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"check {named} needs --global" in out.err
 
 
 class TestEquivIdentifyBench:
@@ -330,13 +350,18 @@ class TestFileBoundary:
         (("check", "--tol", "-1"), "tol must be nonnegative, got -1.0"),
         (("equiv", "--trials", "-3"), "trials must be at least 1, got -3"),
         (("equiv", "--tol", "-1"), "tol must be nonnegative, got -1.0"),
+        (("learn", "--budget", "-3"), "move budget must be at least 0, got -3"),
+        (("learn", "--baseline", "--budget", "-1"), "move budget must be at least 0, got -1"),
     ])
     def test_bad_argument(self, workdir, capsys, argv, expected):
         cd = ColoredDag(Dag(3, [(0, 1), (1, 2)]))
         graph, sigma = workdir / "g.json", workdir / "sigma.csv"
+        data = workdir / "d.csv"
         write_graph_json(cd, graph)
         write_matrix_csv(parametrize(cd, ModelParams((1.0, 1.0, 1.0), (0.5, 0.5))), sigma)
+        Dataset(np.random.default_rng(0).standard_normal((20, 3))).to_csv(data)
         inputs = {"identify": ("--graph", str(graph)),
+                  "learn": ("--data", str(data)),
                   "check": ("--graph", str(graph), "--sigma", str(sigma)),
                   "equiv": ("--a", str(graph), "--b", str(graph))}
         command, *flags = argv

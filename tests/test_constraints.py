@@ -260,6 +260,14 @@ class TestArguments:
          "tol must be nonnegative, got nan"),
         (lambda: model_equivalent(EX48, EX48, tol=-1e-9),
          "tol must be nonnegative, got -1e-09"),
+        (lambda: faithfulness_scan(uncolored(P4), trials=0),
+         "trials must be at least 1, got 0"),
+        (lambda: faithfulness_scan(uncolored(P4), trials=-3),
+         "trials must be at least 1, got -3"),
+        (lambda: faithfulness_scan(uncolored(P4), tol=-1.0),
+         "tol must be nonnegative, got -1.0"),
+        (lambda: faithfulness_scan(uncolored(P4), tol=float("nan")),
+         "tol must be nonnegative, got nan"),
     ])
     def test_numeric_arguments_out_of_range(self, call, expected):
         with pytest.raises(CdagError, match=re.escape(expected)):

@@ -9,16 +9,17 @@ from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag, markov_equivalent
 from cdag.errors import CdagError, RankDeficientError, SearchBudgetError
 from cdag.fit import Dataset, bic_score
-from cdag.gecs import (BaselineSearch, GecsConfig, GecsSearch, SearchState,
-                       baseline_greedy, gecs, move_add_color, move_add_edge,
-                       move_merge_colors, move_move_edge, move_remove_color,
-                       move_remove_edge, move_reverse_edge, move_split_color)
+from cdag.gecs import (PHASES, BaselineSearch, GecsSearch, SearchState,
+                       _apply_best, _gecs_tiekey, baseline_greedy, gecs)
 from cdag.params import ModelParams
 from cdag.bench import random_bpec, sample
 
-ALL_MOVES = (move_add_color, move_split_color, move_add_edge, move_move_edge,
-             move_reverse_edge, move_remove_edge, move_merge_colors,
-             move_remove_color)
+MOVES = dict(move for _, moves in PHASES for move in moves)
+
+
+def _apply_move(name, state, scorer):
+    """The state after the best strictly improving candidate of one move."""
+    return _apply_best(state, scorer, MOVES[name](state), _gecs_tiekey)
 
 
 class _CheckedSearch(GecsSearch):
@@ -41,7 +42,7 @@ class TestMoves:
     def test_add_color_finds_strong_collider(self):
         truth, data = _collider_data()
         search = GecsSearch(data)
-        new = move_add_color(search.state, data, search.scorer)
+        new = _apply_move("add_color", search.state, search.scorer)
         assert new.current.graph.edges == {(0, 2), (1, 2)}
         assert new.current.is_bpec()
 
@@ -50,8 +51,9 @@ class TestMoves:
         search = GecsSearch(data)
         search.run()
         converged = search.state
-        for move in ALL_MOVES:
-            after = move(converged, data, search.scorer)
+        assert len(MOVES) == 8
+        for name in MOVES:
+            after = _apply_move(name, converged, search.scorer)
             assert after.current == converged.current
             assert after.score == converged.score
 
@@ -65,7 +67,7 @@ class TestMoves:
         data = sample(truth, theta, 300, 4)
         search = GecsSearch(data)
         state = search.scorer.state_from(_families_from(truth))
-        assert move_remove_edge(state, data, search.scorer).current == state.current
+        assert _apply_move("remove_edge", state, search.scorer).current == state.current
 
     def test_reverse_edge_never_leaves_singleton_donor(self):
         rng = np.random.default_rng(5)
@@ -74,7 +76,7 @@ class TestMoves:
             data = sample(truth, theta, 400, seed + 50)
             search = GecsSearch(data)
             state = search.scorer.state_from(_families_from(truth))
-            after = move_reverse_edge(state, data, search.scorer)
+            after = _apply_move("reverse_edge", state, search.scorer)
             assert after.current.is_bpec()
 
 
@@ -91,7 +93,7 @@ class TestGecs:
         for seed in range(5):
             truth, theta = random_bpec(6, 0.5, 2, seed=seed)
             data = sample(truth, theta, 400, seed + 10)
-            search = _CheckedSearch(data, GecsConfig(seed=seed))
+            search = _CheckedSearch(data)
             result = search.run()
             scores = [row.score for row in search.trace]
             assert all(b > a for a, b in zip(scores, scores[1:]))
@@ -100,7 +102,7 @@ class TestGecs:
     def test_deterministic_under_fixed_seed(self):
         truth, theta = random_bpec(6, 0.6, 2, seed=9)
         data = sample(truth, theta, 500, 11)
-        assert gecs(data, GecsConfig(seed=1)) == gecs(data, GecsConfig(seed=1))
+        assert gecs(data) == gecs(data)
 
     def test_state_score_matches_scorer(self):
         truth, theta = random_bpec(5, 0.5, 2, seed=2)
@@ -126,7 +128,7 @@ class TestGecs:
                            edge_classes=[[(0, 1), (2, 3)]])
         theta = ModelParams((1.0, 2.0, 3.0), (0.5, 0.7))
         data = sample(chain, theta, 1000, 99)
-        search = GecsSearch(data, GecsConfig(seed=1))
+        search = GecsSearch(data)
         search.run()
         assert search.state.score >= search.trace[0].score
 
@@ -134,10 +136,18 @@ class TestGecs:
         truth, theta = random_bpec(6, 0.6, 2, seed=21)
         data = sample(truth, theta, 400, 22)
         for cls in (GecsSearch, BaselineSearch):
-            search = cls(data, GecsConfig(move_budget=1))
+            search = cls(data, move_budget=1)
             with pytest.raises(SearchBudgetError):
                 search.run()
             assert len(search.trace) == 2   # the one move within budget
+
+    def test_negative_budget_refused_before_fitting(self):
+        # column 2 is constant, so fitting the start state would raise
+        x = np.random.default_rng(23).standard_normal((50, 3))
+        x[:, 1] = 0.0
+        for cls in (GecsSearch, BaselineSearch):
+            with pytest.raises(CdagError, match="move budget must be at least 0, got -3"):
+                cls(Dataset(x), move_budget=-3)
 
     def test_preconditions(self):
         rng = np.random.default_rng(13)
