@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -138,8 +139,8 @@ def cmd_score(args) -> int:
         data = data.centered()
     theta, families = fit_families(cd, data)
     _emit({
-        "loglik": sum(f.loglik for f in families),
-        "bic": sum(f.score(data.n) for f in families),
+        "loglik": math.fsum(f.loglik for f in families),
+        "bic": math.fsum(f.score(data.n) for f in families),
         "n_params": cd.n_params,
         "params": params_to_json_dict(cd, theta),
     })
@@ -239,13 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--graph", required=True)
     check.add_argument("--sigma", required=True, help="covariance CSV")
     check.add_argument("--tol", type=float, default=1e-7)
-    check.add_argument("--global", action="store_true",
+    check.add_argument("--global", action="store_true", default=None,
                        help="also check the global property")
     check.add_argument("--budget", type=int, default=None,
                        help="with --global: sample this many global constraints "
                             "instead of enumerating")
     check.add_argument("--seed", type=int, default=None,
-                       help="with --global: seed of the sampled constraints (default 0)")
+                       help="with --global --budget: seed of the sampled "
+                            "constraints (default 0)")
     check.set_defaults(func=cmd_check)
 
     ident = sub.add_parser("identify", help="enumerate identifying sets")
@@ -272,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and not getattr(args, "global"):
-        for flag in ("budget", "seed"):
-            if getattr(args, flag) is not None:
-                parser.error(f"check --{flag} needs --global")
+    if args.command == "check":
+        for flag, needs in (("budget", "global"), ("seed", "global"), ("seed", "budget")):
+            if getattr(args, flag) is not None and getattr(args, needs) is None:
+                parser.error(f"check --{flag} needs --{needs}")
     try:
         return args.func(args)
     except CdagError as exc:

@@ -9,6 +9,20 @@ pooled system (a node lacking parents of some shared edge color contributes
 zero-filled rows for that column).  Data are treated as mean-zero; centering
 is the caller's decision.
 
+The kernel reads no samples: it fits from the Gram matrix S = X^T X, which a
+`Dataset` computes once (`Dataset.gram`).  With A_j the indicator matrix of
+node j's regressor columns, the normal equations are G = sum_j A_j^T S A_j
+and b = sum_j A_j^T S[:, j], and RSS = sum_j S[j, j] - b^T G^-1 b.  G is
+factored by pivoted Cholesky after scaling it to unit diagonal, so each
+pivot is the share of a column's squared norm left unexplained by the
+columns before it.  One relative tolerance, `RESIDUAL_RTOL`, decides both
+failures: a column whose share falls to it is collinear with the others,
+and a response whose RSS falls to that share of its squared norm has zero
+residual variance.  A family with as many columns as samples is refused
+before it is solved, since it interpolates.  The columns are ordered
+canonically first, so a family fits to the same bits whichever order its
+caller lists them in.
+
 The score is the log-likelihood at the MLE minus ln(n)/2 per free parameter
 (`family_bic`), and it decomposes over vertex colors, which is what makes
 greedy search affordable.
@@ -18,33 +32,22 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dpstrf, dtrtrs
 
 from .coloring import ColoredDag
 from .errors import CdagError, ColoringError, RankDeficientError
 from .params import ModelParams
 
 LOG_2PI = math.log(2.0 * math.pi)
-RANK_RTOL = 1e-10   # relative R-diagonal cutoff for calling a design singular
-
-
-def _qr_solve(design: np.ndarray, y: np.ndarray, nodes) -> np.ndarray:
-    """Least squares via column-pivoted QR; a rank-deficient design is an
-    error rather than a silent pseudo-inverse."""
-    q, r, perm = qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size < design.shape[1] or diag.max() == 0.0 \
-            or diag.min() <= RANK_RTOL * diag.max():
-        raise RankDeficientError(
-            f"collinear regressors in the family of {_vertices(nodes)}",
-            family=tuple(nodes))
-    coef = np.empty(design.shape[1])
-    coef[perm] = solve_triangular(r, q.T @ y)
-    return coef
+# unexplained share of a squared norm at or below which a column counts as
+# in the span of the others, or a response as fitted exactly
+RESIDUAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,40 +90,50 @@ class Dataset:
     def centered(self) -> "Dataset":
         return Dataset(self.X - self.X.mean(axis=0, keepdims=True), self.names)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The p x p Gram matrix X^T X, from which every fit is computed."""
+        s = self.X.T @ self.X
+        s.setflags(write=False)
+        return s
+
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        """Read a CSV with a header row; errors name the file row, counting
-        the header as row 1."""
+        """Read a CSV with a header row, then one row of numbers per sample.
+        Blank lines are skipped, and errors name the file row, counting the
+        header as row 1."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
-                rows = [[float(c) for c in row] for row in reader if row]
-            except StopIteration:
-                raise CdagError(f"{path}: empty data file") from None
+                header = next(csv.reader(fh), None)
+                with warnings.catch_warnings():
+                    # a file without sample rows is reported below, not warned about
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    X = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
+                                   comments=None)
             except UnicodeDecodeError:
                 raise CdagError(f"{path}: not UTF-8 text") from None
             except ValueError as exc:
-                raise CdagError(f"{path}: row {reader.line_num}: {exc}") from None
-        if not rows:
+                raise CdagError(_bad_row_message(path, len(header), exc)) from None
+        if header is None:
+            raise CdagError(f"{path}: empty data file")
+        if not X.size:
             raise CdagError(f"{path}: no sample rows")
-        try:
-            X = np.array(rows, dtype=float)
-        except ValueError:
-            raise CdagError(_ragged_row_message(path, len(header))) from None
+        if X.shape[1] != len(header):
+            raise CdagError(_bad_row_message(path, len(header), "rows do not match the header"))
         return cls(X, tuple(h.strip() for h in header))
 
     def to_csv(self, path) -> None:
+        """Write the header, then each sample with 17 significant digits, so
+        that `from_csv` reads back the same array."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.column_names())
-            for row in self.X:
-                writer.writerow([f"{v:.17g}" for v in row])
+            csv.writer(fh).writerow(self.column_names())
+            np.savetxt(fh, self.X, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
-def _ragged_row_message(path, width: int) -> str:
-    """Name the first row of a data CSV whose field count differs from the
-    header's; only called once parsing has shown that some row does."""
+def _bad_row_message(path, width: int, fallback) -> str:
+    """Name the first row of a data CSV that is not ``width`` numbers; only
+    called once parsing has failed.  A cell is a number as the parser reads
+    it: ASCII, no digit separators, and what `float` accepts."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -128,7 +141,21 @@ def _ragged_row_message(path, width: int) -> str:
             if row and len(row) != width:
                 return (f"{path}: row {reader.line_num}: expected {width} "
                         f"fields as in the header, got {len(row)}")
-    return f"{path}: rows have different field counts"
+            for col, cell in enumerate(row, 1):
+                if not _is_number(cell):
+                    return (f"{path}: row {reader.line_num}, column {col}: "
+                            f"{cell!r} is not a number")
+    return f"{path}: {fallback}"
+
+
+def _is_number(cell: str) -> bool:
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 Edges = Tuple[Tuple[int, int], ...]
@@ -141,45 +168,59 @@ def _vertices(nodes: Sequence[int]) -> str:
     return "vertices " + ", ".join(str(k + 1) for k in nodes)
 
 
-def family_ls(X: np.ndarray, nodes: Sequence[int], groups: Sequence[Edges]):
-    """Pooled least squares for one vertex color class.
+def family_ls(S: np.ndarray, nodes: Sequence[int], groups: Sequence[Edges], *, n: int):
+    """Pooled least squares for one vertex color class, from the Gram matrix
+    ``S`` of ``n`` samples.
 
     ``nodes`` are the class's vertices and ``groups`` its regressor columns:
     each is a tuple of edges (i, j) with j in ``nodes``, and node j's block
-    of the column is the sum of X[:, i] over its edges, in ascending i, or
-    zeros if it has none.  The nodes' blocks are stacked into one system.
-    Returns the coefficients, one per column, and the pooled residual sum of
-    squares."""
-    n = X.shape[0]
-    # a single node's column is read in place, in the caller's memory layout
-    y = X[:, nodes[0]] if len(nodes) == 1 else np.concatenate([X[:, k] for k in nodes])
-    if not groups:
-        return np.zeros(0), float(y @ y)
-    if len(groups) >= n:
+    of the column is the sum of X[:, i] over its edges, or zeros if it has
+    none.  The nodes' blocks are stacked into one system.  Returns the
+    coefficients, one per column, and the pooled residual sum of squares."""
+    m = len(groups)
+    if m >= n:
         # as many regressors as samples: the fit interpolates, and its
         # residual is rounding noise rather than a variance estimate
         raise RankDeficientError(
-            f"the family of {_vertices(nodes)} has {len(groups)} regressor "
-            f"columns but only {n} samples", family=tuple(nodes))
-    design = np.zeros((len(y), len(groups)))
-    for row, k in enumerate(nodes):
-        block = design[row * n:(row + 1) * n]
-        for col, edges in enumerate(groups):
-            parents = sorted(i for i, j in edges if j == k)
-            if parents:
-                block[:, col] = X[:, parents].sum(axis=1)
-    coef = _qr_solve(design, y, nodes)
-    resid = y - design @ coef
-    return coef, float(resid @ resid)
+            f"the family of {_vertices(nodes)} has {m} regressor columns "
+            f"but only {n} samples", family=tuple(nodes))
+    yy = sum(S[k, k] for k in nodes)
+    coef = np.zeros(m)
+    rss = yy
+    if m:
+        order = sorted(range(m), key=lambda c: sorted(groups[c]))
+        indicator = {k: np.zeros((S.shape[0], m)) for k in nodes}
+        for col, c in enumerate(order):
+            for i, j in groups[c]:
+                indicator[j][i, col] = 1.0
+        G = np.zeros((m, m))
+        b = np.zeros(m)
+        for k, A in indicator.items():
+            SA = S @ A
+            G += A.T @ SA
+            b += SA[k]
+        d = np.sqrt(np.diag(G))
+        rank = 0   # an all-zero column makes the design singular outright
+        if d.all():
+            U, piv, rank, _ = dpstrf(G / np.outer(d, d), tol=RESIDUAL_RTOL)
+        if rank < m:
+            raise RankDeficientError(
+                f"collinear regressors in the family of {_vertices(nodes)}",
+                family=tuple(nodes))
+        piv -= 1
+        z = dtrtrs(U, (b / d)[piv], trans=1)[0]
+        coef[np.array(order)[piv]] = dtrtrs(U, z)[0] / d[piv]
+        rss = yy - z @ z
+    if rss <= RESIDUAL_RTOL * yy:
+        raise RankDeficientError(
+            f"zero residual variance at {_vertices(nodes)}; the model "
+            f"interpolates the data", family=tuple(nodes))
+    return coef, float(rss)
 
 
 def family_loglik(n: int, rss: float, nodes: Sequence[int]) -> float:
     """Gaussian log-likelihood of a vertex color class at its MLE."""
     m = n * len(nodes)
-    if rss <= 0.0:
-        raise RankDeficientError(
-            f"zero residual variance at {_vertices(nodes)}; the model "
-            f"interpolates the data", family=tuple(nodes))
     omega = rss / m
     return -0.5 * m * (LOG_2PI + math.log(omega) + 1.0)
 
@@ -212,16 +253,15 @@ def fit_families(cd: ColoredDag, data: Dataset):
         raise ColoringError(
             "maximum likelihood requires a compatible coloring "
             "(same-colored edges must enter same-colored vertices)")
-    # column-major, so that each node's response column is contiguous; BLAS
-    # sums a strided column in another order, which moves the last bits
-    X = np.asfortranarray(data.X)
+    S = data.gram
     omega = []
     lam = [0.0] * len(cd.edge_classes)
     families = []
     for cid, grp in enumerate(cd.vertex_classes):
         nodes = tuple(sorted(grp))
         colors = tuple(sorted({c for k in nodes for c in cd.parent_edge_colors(k)}))
-        coef, rss = family_ls(X, nodes, [tuple(sorted(cd.edge_classes[c])) for c in colors])
+        coef, rss = family_ls(S, nodes, [tuple(sorted(cd.edge_classes[c])) for c in colors],
+                              n=data.n)
         families.append(FamilyScore(cid, nodes, colors, family_loglik(data.n, rss, nodes)))
         omega.append(rss / (data.n * len(nodes)))
         for color, value in zip(colors, coef):
@@ -232,7 +272,7 @@ def fit_families(cd: ColoredDag, data: Dataset):
 def mle(cd: ColoredDag, data: Dataset) -> Tuple[ModelParams, float]:
     """Maximum-likelihood parameters and the log-likelihood at the maximum."""
     params, families = fit_families(cd, data)
-    return params, sum(f.loglik for f in families)
+    return params, math.fsum(f.loglik for f in families)
 
 
 def bic_components(cd: ColoredDag, data: Dataset) -> Tuple[FamilyScore, ...]:
@@ -243,4 +283,4 @@ def bic_components(cd: ColoredDag, data: Dataset) -> Tuple[FamilyScore, ...]:
 def bic_score(cd: ColoredDag, data: Dataset) -> float:
     """Log-likelihood at the MLE minus ln(n)/2 per free parameter (higher
     is better)."""
-    return sum(f.score(data.n) for f in bic_components(cd, data))
+    return math.fsum(f.score(data.n) for f in bic_components(cd, data))

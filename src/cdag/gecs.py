@@ -87,7 +87,7 @@ class _FamilyScorer:
     grouped regression minus the ln(n)/2 share of its parameters."""
 
     def __init__(self, data: Dataset):
-        self.X = data.X
+        self.S = data.gram
         self.n = data.n
         self._memo: Dict[Tuple[int, Tuple[Group, ...]], float] = {}
 
@@ -100,7 +100,7 @@ class _FamilyScorer:
         if got is None:
             try:
                 edges = tuple(tuple((i, k) for i in grp) for grp in groups)
-                _, rss = family_ls(self.X, (k,), edges)
+                _, rss = family_ls(self.S, (k,), edges, n=self.n)
                 got = family_bic(family_loglik(self.n, rss, (k,)), self.n, len(groups))
             except RankDeficientError:
                 if not groups:

@@ -220,7 +220,7 @@ def test_criterion_6_mle_correctness():
             groups.append(tuple(sorted(pool[:take])))
             pool = pool[take:]
         edges = tuple(tuple((i, width) for i in grp) for grp in groups)
-        coef, rss = family_ls(x, (width,), edges)
+        coef, rss = family_ls(x.T @ x, (width,), edges, n=n)
         design = np.column_stack([x[:, list(grp)].sum(axis=1) for grp in groups])
         ref_coef, ref_rss = normal_equation_ls(design, x[:, width])
         assert np.abs(coef - ref_coef).max() < 1e-8

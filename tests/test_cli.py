@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cdag.bench import random_bpec, sample
 from cdag.cli import main, params_from_json_dict, params_to_json_dict
 from cdag.coloring import ColoredDag, write_graph_json
 from cdag.dag import Dag
@@ -55,6 +56,20 @@ class TestSimulateLearnScore:
         doc = json.loads(out)
         assert doc["bic"] <= doc["loglik"]
         assert set(doc["params"]) == {"omega", "lambda"}
+
+    def test_trace_ends_at_the_score_of_the_result(self, workdir, capsys):
+        # on the data of test_gecs.TestGolden: the search and `score` fit
+        # each family to the same bits and sum them exactly
+        truth, theta = random_bpec(10, 0.5, 2, seed=5)
+        data, graph, trace = workdir / "d.csv", workdir / "g.json", workdir / "t.csv"
+        sample(truth, theta, 1000, 6).to_csv(data)
+        code, out, _ = run(capsys, "learn", "--data", str(data), "--trace", str(trace))
+        assert code == 0
+        graph.write_text(out)
+        code, out, _ = run(capsys, "score", "--graph", str(graph), "--data", str(data))
+        assert code == 0
+        final = trace.read_text().strip().splitlines()[-1].split(",")[3]
+        assert float(final) == json.loads(out)["bic"]
 
     def test_seed_reproducibility(self, workdir, capsys):
         args = ("simulate", "--p", "4", "--rho", "0.5", "--nc", "2",
@@ -134,6 +149,16 @@ class TestCheck:
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == "" and f"check {named} needs --global" in out.err
+
+    def test_seed_needs_budget(self, workdir, capsys):
+        # without --budget the global check enumerates and draws nothing
+        graph, sigma_csv, _ = self._write_model_point(workdir)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", str(graph), "--sigma", str(sigma_csv),
+                  "--global", "--seed", "5"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "check --seed needs --budget" in out.err
 
 
 class TestEquivIdentifyBench:
@@ -229,6 +254,8 @@ class TestFileBoundary:
         ("a,b\n1,2\n\n3,4,5\n", "row 4: expected 2 fields as in the header, got 3"),
         ("a,b\n1\n3,4\n", "row 2: expected 2 fields as in the header, got 1"),
         ("\udcffa,b\n1,2\n", "d.csv: not UTF-8 text"),
+        ("a,b\n", "d.csv: no sample rows"),
+        ("a,b\n1,2\n1_0,3\n", "row 3, column 1: '1_0' is not a number"),
     ])
     def test_bad_data_csv(self, workdir, capsys, text, expected):
         data = workdir / "d.csv"

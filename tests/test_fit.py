@@ -1,6 +1,7 @@
 """Maximum likelihood, grouped least squares, and the decomposable score."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,42 @@ class TestDataset:
         back = Dataset.from_csv(path)
         assert back.names == ("a", "b", "c")
         assert np.array_equal(back.X, data.X)
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # 17 significant digits, CRLF rows: signed zero, the smallest
+        # subnormal, a huge value and an integer-valued one
+        data = Dataset(np.array([[-0.0, 5e-324], [1e300, 123456789.0]]))
+        path = tmp_path / "d.csv"
+        data.to_csv(path)
+        assert path.read_bytes() == (
+            b"x1,x2\r\n-0,4.9406564584124654e-324\r\n"
+            b"1.0000000000000001e+300,123456789\r\n")
+        back = Dataset.from_csv(path)
+        assert back.X.tobytes() == data.X.tobytes()
+
+    @pytest.mark.parametrize("text, expected", [
+        ('a,b\n"1.5",2\n', [[1.5, 2.0]]),
+        ("a,b\r\n1,2\r\n\r\n3,4\r\n\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ])
+    def test_csv_grammar_accepts(self, tmp_path, text, expected):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        data = Dataset.from_csv(path)
+        assert data.names == ("a", "b") and data.X.tolist() == expected
+
+    def test_header_only_csv_has_no_rows_and_no_warning(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CdagError, match="no sample rows"):
+                Dataset.from_csv(path)
+
+    def test_gram_matrix(self):
+        x = np.random.default_rng(0).standard_normal((7, 3))
+        data = Dataset(x)
+        assert data.gram is data.gram
+        assert np.array_equal(data.gram, x.T @ x)
 
     def test_centering(self):
         data = Dataset(np.array([[1.0, 2.0], [3.0, 6.0]]))
@@ -92,7 +129,7 @@ class TestMle:
                 pool = pool[take:]
             groups = tuple(groups)
             edges = tuple(tuple((i, p) for i in grp) for grp in groups)
-            coef, rss = family_ls(x, (p,), edges)
+            coef, rss = family_ls(x.T @ x, (p,), edges, n=n)
             design = np.column_stack(
                 [x[:, list(grp)].sum(axis=1) for grp in groups])
             ref_coef, ref_rss = normal_equation_ls(design, x[:, p])
@@ -144,8 +181,8 @@ class TestMle:
         # three regressors on three samples fit exactly, leaving no variance
         x = np.random.default_rng(8).normal(size=(3, 4))
         with pytest.raises(RankDeficientError):
-            family_ls(x, (3,), (((0, 3),), ((1, 3),), ((2, 3),)))
-        assert family_ls(x, (3,), (((0, 3),), ((1, 3),)))[1] > 0.0
+            family_ls(x.T @ x, (3,), (((0, 3),), ((1, 3),), ((2, 3),)), n=3)
+        assert family_ls(x.T @ x, (3,), (((0, 3),), ((1, 3),)), n=3)[1] > 0.0
         with pytest.raises(RankDeficientError):
             mle(uncolored(Dag(4, [(0, 3), (1, 3), (2, 3)])), Dataset(x))
 
@@ -160,6 +197,71 @@ class TestMle:
         shuffled = Dataset(data.X[rng.permutation(data.n)])
         cd = uncolored(P4)
         assert mle(cd, data)[1] == pytest.approx(mle(cd, shuffled)[1], abs=1e-9)
+
+
+def _pooled_design(x, nodes, groups):
+    """The stacked response and design of a vertex color class, as
+    `family_ls` defines them, built from the samples."""
+    n = x.shape[0]
+    y = np.concatenate([x[:, k] for k in nodes])
+    design = np.zeros((n * len(nodes), len(groups)))
+    for row, k in enumerate(nodes):
+        for col, edges in enumerate(groups):
+            for i, j in edges:
+                if j == k:
+                    design[row * n:(row + 1) * n, col] += x[:, i]
+    return design, y
+
+
+class TestGramKernel:
+    def test_matches_normal_equations(self):
+        # random families and pooled classes at p 3-15 and n 20-20000; in a
+        # pooled class some node may lack edges of a shared color
+        rng = np.random.default_rng(10)
+        lacking = 0
+        for trial in range(60):
+            p = int(rng.integers(3, 16))
+            n = int(rng.choice([20, 200, 2000, 20000]))
+            x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+            nodes = tuple(sorted(rng.choice(p, size=1 + trial % 3, replace=False).tolist()))
+            pool = [(i, k) for k in nodes for i in range(p) if i not in nodes]
+            pool = [pool[e] for e in rng.permutation(len(pool))[:rng.integers(1, 9)]]
+            groups = []
+            while pool:
+                take = int(rng.integers(1, 4))
+                groups.append(tuple(sorted(pool[:take])))
+                pool = pool[take:]
+            lacking += any(not any(j == k for _, j in g) for g in groups for k in nodes)
+            design, y = _pooled_design(x, nodes, groups)
+            coef, rss = family_ls(x.T @ x, nodes, groups, n=n)
+            ref_coef, ref_rss = normal_equation_ls(design, y)
+            assert np.allclose(coef, ref_coef, rtol=1e-8, atol=1e-10)
+            assert rss == pytest.approx(ref_rss, rel=1e-9)
+        assert lacking > 0
+
+    def test_column_order_does_not_change_the_bits(self):
+        x = np.random.default_rng(11).standard_normal((500, 6))
+        groups = (((0, 5), (1, 5)), ((2, 5),), ((3, 5), (4, 5)))
+        coef, rss = family_ls(x.T @ x, (5,), groups, n=500)
+        back, rss_back = family_ls(x.T @ x, (5,), groups[::-1], n=500)
+        assert rss_back == rss and back.tolist() == coef[::-1].tolist()
+
+    @pytest.mark.parametrize("column", ["duplicate", "zero", "sum"])
+    def test_collinear_columns_rejected(self, column):
+        x = np.random.default_rng(12).standard_normal((200, 5))
+        x[:, 2] = {"duplicate": x[:, 0], "zero": 0.0, "sum": x[:, 0] + x[:, 1]}[column]
+        with pytest.raises(RankDeficientError,
+                           match="collinear regressors in the family of vertex 5") as exc:
+            family_ls(x.T @ x, (4,), (((0, 4),), ((1, 4),), ((2, 4),), ((3, 4),)), n=200)
+        assert exc.value.family == (4,)
+
+    def test_response_summing_its_parents_rejected(self):
+        x = np.random.default_rng(13).standard_normal((200, 4))
+        x[:, 3] = x[:, 0] + x[:, 1] + x[:, 2]
+        with pytest.raises(RankDeficientError,
+                           match="zero residual variance at vertex 4") as exc:
+            family_ls(x.T @ x, (3,), (((0, 3), (1, 3)), ((2, 3),)), n=200)
+        assert exc.value.family == (3,)
 
 
 class TestBic:
@@ -203,23 +305,23 @@ class TestBic:
         assert bic_score(merged, data) > bic_score(uncolored(g), data)
 
     def test_golden_loglik_and_score(self):
-        # exact values on the data of test_gecs.TestGolden: how the fit reads
-        # the data (a strided or a contiguous column) shows in the last bits
+        # exact values on the data of test_gecs.TestGolden, re-recorded when
+        # fitting moved to the Gram matrix (largest relative change 9.0e-15)
         truth, theta = random_bpec(10, 0.5, 2, seed=5)
         data = sample(truth, theta, 1000, 6)
         fitted, loglik = mle(truth, data)
         assert fitted.omega == (
-            1.6608551421507731, 1.1074706305650392, 1.6090614252094968,
-            1.3938767298249655, 1.8963536904399214, 2.044814356785673,
-            1.4474271593847303, 1.7944096734900077, 0.7744024673733473,
-            1.6835541079560938)
+            1.6608551421507736, 1.1074706305650395, 1.6090614252094975,
+            1.3938767298249657, 1.896353690439922, 2.044814356785671,
+            1.447427159384737, 1.7944096734900075, 0.7744024673733543,
+            1.6835541079560898)
         assert fitted.lam == (
-            0.6688103448119107, 0.4647649989797395, 0.793334797954897,
-            -0.7392925575705538, -0.736392789248158, 0.5997631327713203,
-            -0.4310867970923434, -0.7516181782606339, -0.32378021988774763,
-            -0.7722300359234411)
-        assert loglik == -16185.434544812795
-        assert bic_score(truth, data) == -16254.512097602616
+            0.6688103448119105, 0.4647649989797397, 0.7933347979548975,
+            -0.7392925575705547, -0.7363927892481573, 0.5997631327713198,
+            -0.4310867970923427, -0.7516181782606323, -0.3237802198877473,
+            -0.772230035923441)
+        assert loglik == -16185.434544812799
+        assert bic_score(truth, data) == -16254.512097602621
 
     def test_score_is_loglik_minus_penalty(self):
         rng = np.random.default_rng(9)

@@ -259,10 +259,12 @@ class TestAcyclicityFilter:
         assert cyclic > 0
 
 
-# Search output on random_bpec(10, 0.5, 2, seed=5) with sample(n=1000, seed=6),
-# recorded before the acyclicity test moved from whole-graph builds to the
-# current graph's descendant sets.  Any change to the search's hot path must
-# reproduce it exactly.
+# Search output on random_bpec(10, 0.5, 2, seed=5) with sample(n=1000, seed=6).
+# Edges, color classes and moves were recorded before the acyclicity test
+# moved from whole-graph builds to the current graph's descendant sets; the
+# scores were re-recorded when fitting moved from QR on the samples to the
+# Gram matrix (largest relative change 4.4e-16).  Any change to the search's
+# hot path must reproduce them exactly.
 GECS_EDGES = (
     (1, 0), (1, 2), (1, 6), (2, 0), (2, 4), (3, 0), (3, 1), (3, 2), (3, 4),
     (3, 6), (3, 7), (3, 9), (4, 0), (4, 6), (5, 0), (5, 1), (5, 3), (5, 4),
@@ -280,14 +282,14 @@ GECS_MOVES = ("add_color",) * 18 + (
     "add_edge", "merge_colors", "merge_colors", "split_color", "move_edge",
     "remove_edge", "merge_colors")
 GECS_SCORES = (
-    -20402.515084762188, -19515.361649154303, -18723.670911642817,
-    -18325.09853732911, -17981.454527883347, -17649.461127652907,
-    -17332.889784510055, -17120.87570468438, -16969.0608195912,
-    -16842.22756892418, -16724.332155923796, -16685.748187244008,
-    -16652.036622668515, -16629.27621366812, -16614.197172899127,
-    -16604.058311268032, -16595.782299248433, -16589.344024063023,
+    -20402.51508476219, -19515.361649154303, -18723.670911642817,
+    -18325.098537329115, -17981.45452788335, -17649.46112765291,
+    -17332.88978451006, -17120.875704684382, -16969.0608195912,
+    -16842.227568924183, -16724.3321559238, -16685.748187244015,
+    -16652.03662266852, -16629.276213668123, -16614.19717289913,
+    -16604.058311268036, -16595.782299248436, -16589.344024063023,
     -16586.093523049345, -16577.04658593618, -16574.478223248945,
-    -16572.253591545174, -16569.98457389574, -16566.697676777818,
+    -16572.253591545177, -16569.984573895745, -16566.697676777818,
     -16546.83793857092, -16545.89568137067,
 )
 BASELINE_EDGES = (
@@ -297,19 +299,19 @@ BASELINE_EDGES = (
     (9, 3), (9, 4), (9, 5), (9, 6), (9, 7),
 )
 BASELINE_SCORES = (
-    -20402.515084762188, -19819.786344528417, -19251.89823513061,
-    -18938.236002970898, -18698.068413012516, -18464.91718346447,
-    -18244.71432561948, -18066.598002069637, -17833.927109669774,
-    -17687.681098689536, -17550.937237500406, -17439.355592630123,
-    -17345.55048894768, -17255.79758073392, -17151.886466393444,
-    -17071.43107301451, -16984.982397938216, -16776.691806921954,
-    -16697.226833312776, -16623.50999003969, -16566.22416087584,
-    -16516.721125920496, -16479.883377128564, -16444.91175334604,
-    -16411.86498388551, -16393.95638289362, -16381.570829294162,
-    -16368.210142303727, -16359.202104706648, -16352.607288124436,
-    -16347.445931961129, -16342.698811831639, -16334.817224283917,
-    -16329.215151776643, -16326.614474486865, -16325.374214892123,
-    -16324.325407779124,
+    -20402.51508476219, -19819.786344528417, -19251.89823513061,
+    -18938.236002970898, -18698.06841301252, -18464.91718346447,
+    -18244.71432561948, -18066.598002069637, -17833.927109669778,
+    -17687.681098689536, -17550.937237500406, -17439.355592630127,
+    -17345.550488947683, -17255.79758073392, -17151.886466393444,
+    -17071.431073014515, -16984.98239793822, -16776.691806921957,
+    -16697.22683331278, -16623.509990039696, -16566.224160875845,
+    -16516.7211259205, -16479.883377128568, -16444.911753346045,
+    -16411.864983885513, -16393.956382893623, -16381.570829294167,
+    -16368.210142303731, -16359.202104706654, -16352.607288124442,
+    -16347.445931961134, -16342.698811831644, -16334.817224283923,
+    -16329.215151776649, -16326.61447448687, -16325.374214892128,
+    -16324.32540777913,
 )
 
 
