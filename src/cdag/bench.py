@@ -129,7 +129,6 @@ class SweepConfig:
     n: Tuple[int, ...]
     replicates: int
     seed: int = 0
-    methods: Tuple[str, ...] = ("gecs", "baseline")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SweepConfig":
@@ -155,7 +154,6 @@ class SweepConfig:
                 n=grid("n", int),
                 replicates=number("replicates", int, doc["replicates"]),
                 seed=number("seed", int, doc.get("seed", 0)),
-                methods=tuple(doc.get("methods", ("gecs", "baseline"))),
             )
         except KeyError as exc:
             raise CdagError(f"sweep config missing field {exc}") from None
@@ -166,7 +164,10 @@ def _cell_seed(root: int, p: int, rho: float, nc: int, n: int, rep: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_cell(p, rho, nc, n, rep, root_seed, methods):
+METHODS = ("gecs", "baseline")
+
+
+def _run_cell(p, rho, nc, n, rep, root_seed):
     seed = _cell_seed(root_seed, p, rho, nc, n, rep)
     rows = []
     base = dict(p=p, rho=rho, nc=nc, n=n, seed=seed)
@@ -174,23 +175,21 @@ def _run_cell(p, rho, nc, n, rep, root_seed, methods):
         truth, theta = random_bpec(p, rho, nc, seed)
         data = sample(truth, theta, n, seed + 1)
     except CdagError as exc:
-        for method in methods:
+        for method in METHODS:
             rows.append(dict(base, method=method, shd="", sensitivity="",
                              runtime="", error=str(exc)))
         return rows
-    for method in methods:
+    for method in METHODS:
         t0 = time.perf_counter()
         try:
             if method == "gecs":
                 est = gecs(data)
                 sens = color_sensitivity(truth, est)
                 dist = shd(truth.graph, est.graph)
-            elif method == "baseline":
+            else:
                 est_g = baseline_greedy(data)
                 sens = color_sensitivity(truth, uncolored(est_g))
                 dist = shd(truth.graph, est_g)
-            else:
-                raise CdagError(f"unknown method {method!r}")
             rows.append(dict(base, method=method, shd=dist, sensitivity=sens,
                              runtime=time.perf_counter() - t0, error=""))
         except CdagError as exc:
@@ -206,7 +205,7 @@ def run_sweep(config: SweepConfig) -> List[dict]:
     cells = [(p, rho, nc, n, rep)
              for p, rho, nc, n in product(config.p, config.rho, config.nc, config.n)
              for rep in range(config.replicates)]
-    return [row for c in cells for row in _run_cell(*c, config.seed, config.methods)]
+    return [row for c in cells for row in _run_cell(*c, config.seed)]
 
 
 def write_results_csv(rows: Sequence[dict], path) -> None:

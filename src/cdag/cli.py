@@ -149,7 +149,7 @@ def cmd_score(args) -> int:
 
 def cmd_check(args) -> int:
     cd = _read_graph(args.graph)
-    sigma = read_matrix_csv(args.sigma)
+    _, sigma = read_matrix_csv(args.sigma)
     reports = [check_local_markov(sigma, cd, tol=args.tol)]
     if getattr(args, "global"):
         seed = 0 if args.seed is None else args.seed

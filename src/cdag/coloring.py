@@ -242,9 +242,14 @@ def write_graph_json(cd: ColoredDag, path) -> None:
 def read_adjacency_csv(path) -> ColoredDag:
     """Read an uncolored DAG from a 0/1 adjacency matrix (entry [i][j] = 1
     for an edge i -> j).  Accepted read-only for baseline comparisons."""
-    matrix = read_matrix_csv(path)
+    _, matrix = read_matrix_csv(path)
     p = len(matrix)
     if matrix.shape != (p, p):
         raise GraphError(f"{path}: adjacency matrix has {p} rows of "
                          f"{matrix.shape[1]} entries; it must be square")
+    bad = np.argwhere((matrix != 0) & (matrix != 1))
+    if len(bad):
+        i, j = bad[0]
+        raise GraphError(f"{path}: adjacency entry ({i + 1}, {j + 1}) is "
+                         f"{matrix[i, j]:g}; entries must be 0 or 1")
     return uncolored(Dag(p, zip(*np.nonzero(matrix))))

@@ -30,9 +30,7 @@ greedy search affordable.
 
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -42,6 +40,7 @@ from scipy.linalg.lapack import dpstrf, dtrtrs
 
 from .coloring import ColoredDag
 from .errors import CdagError, ColoringError, RankDeficientError
+from .files import read_matrix_csv, write_matrix_csv
 from .params import ModelParams
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -99,63 +98,19 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        """Read a CSV with a header row, then one row of numbers per sample.
-        Blank lines are skipped, and errors name the file row, counting the
-        header as row 1."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            try:
-                header = next(csv.reader(fh), None)
-                with warnings.catch_warnings():
-                    # a file without sample rows is reported below, not warned about
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    X = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
-                                   comments=None)
-            except UnicodeDecodeError:
-                raise CdagError(f"{path}: not UTF-8 text") from None
-            except ValueError as exc:
-                raise CdagError(_bad_row_message(path, len(header), exc)) from None
-        if header is None:
+        """Read a data CSV (grammar in `cdag.files`): a header row, then one
+        row of numbers per sample."""
+        names, X = read_matrix_csv(path, header=True)
+        if names is None:
             raise CdagError(f"{path}: empty data file")
         if not X.size:
             raise CdagError(f"{path}: no sample rows")
-        if X.shape[1] != len(header):
-            raise CdagError(_bad_row_message(path, len(header), "rows do not match the header"))
-        return cls(X, tuple(h.strip() for h in header))
+        return cls(X, tuple(h.strip() for h in names))
 
     def to_csv(self, path) -> None:
-        """Write the header, then each sample with 17 significant digits, so
-        that `from_csv` reads back the same array."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerow(self.column_names())
-            np.savetxt(fh, self.X, fmt="%.17g", delimiter=",", newline="\r\n")
-
-
-def _bad_row_message(path, width: int, fallback) -> str:
-    """Name the first row of a data CSV that is not ``width`` numbers; only
-    called once parsing has failed.  A cell is a number as the parser reads
-    it: ASCII, no digit separators, and what `float` accepts."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row and len(row) != width:
-                return (f"{path}: row {reader.line_num}: expected {width} "
-                        f"fields as in the header, got {len(row)}")
-            for col, cell in enumerate(row, 1):
-                if not _is_number(cell):
-                    return (f"{path}: row {reader.line_num}, column {col}: "
-                            f"{cell!r} is not a number")
-    return f"{path}: {fallback}"
-
-
-def _is_number(cell: str) -> bool:
-    if not cell.isascii() or "_" in cell:
-        return False
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+        """Write the header, then each sample, so that `from_csv` reads back
+        the same array."""
+        write_matrix_csv(self.X, path, header=self.column_names())
 
 
 Edges = Tuple[Tuple[int, int], ...]

@@ -8,7 +8,6 @@ solves; an explicit inverse is never formed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -18,6 +17,7 @@ from scipy.linalg import solve_triangular
 from .coloring import ColoredDag
 from .dag import Dag
 from .errors import ColoringError, NotPositiveDefiniteError
+from .files import write_matrix_csv  # noqa: F401  (re-exported for perfbench)
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def random_params(cd: ColoredDag, rng: np.random.Generator) -> ModelParams:
 def parametrize(cd: ColoredDag, theta: ModelParams) -> np.ndarray:
     """Covariance matrix of the colored model at ``theta``."""
     w, lam = expand_params(cd, theta)
-    order = np.array(cd.graph.topo)
+    order = np.array(cd.graph.topo, dtype=int)
     m = np.eye(cd.p) - lam[np.ix_(order, order)]  # unit upper triangular
     # sigma = M^-T diag(w) M^-1 via two triangular solves
     y = solve_triangular(m.T, np.diag(w[order]), lower=True, unit_diagonal=True)
@@ -152,8 +152,10 @@ def is_positive_definite(sigma: np.ndarray, check_sym: float = 1e-12) -> bool:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         return False
-    scale = 1.0 + float(np.abs(sigma).max())
-    if float(np.abs(sigma - sigma.T).max()) > check_sym * scale:
+    if not np.isfinite(sigma).all():
+        return False
+    scale = 1.0 + float(np.abs(sigma).max(initial=0.0))
+    if float(np.abs(sigma - sigma.T).max(initial=0.0)) > check_sym * scale:
         return False
     try:
         np.linalg.cholesky((sigma + sigma.T) / 2.0)
@@ -167,15 +169,3 @@ def require_positive_definite(sigma: np.ndarray) -> np.ndarray:
     if not is_positive_definite(sigma):
         raise NotPositiveDefiniteError("matrix is not symmetric positive definite")
     return sigma
-
-
-# -- CSV dumps -------------------------------------------------------------
-
-
-def write_matrix_csv(matrix: np.ndarray, path) -> None:
-    """17-significant-digit rendering: values survive a parse round trip."""
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -9,8 +9,9 @@ from cdag.bench import random_bpec, sample
 from cdag.cli import main, params_from_json_dict, params_to_json_dict
 from cdag.coloring import ColoredDag, write_graph_json
 from cdag.dag import Dag
+from cdag.files import write_matrix_csv
 from cdag.fit import Dataset
-from cdag.params import ModelParams, parametrize, write_matrix_csv
+from cdag.params import ModelParams, parametrize
 
 EX516_A = {"p": 6, "edges": [[1, 2], [1, 3], [2, 3], [1, 4], [4, 5], [4, 6], [5, 6]],
            "edge_colors": {"cyan": [[1, 2], [4, 5]]}, "vertex_colors": {}}
@@ -317,6 +318,12 @@ class TestFileBoundary:
     @pytest.mark.parametrize("text, expected", [
         ("0,1\n\nx,0\n", "row 3, column 1: 'x' is not a number"),
         ("1,0\n0,0\n", "self-loop at vertex 1"),
+        ("0,2\n0,0\n", "adj.csv: adjacency entry (1, 2) is 2; entries must be 0 or 1"),
+        ("0,nan\n0,0\n", "adj.csv: adjacency entry (1, 2) is nan; entries must be 0 or 1"),
+        ("", "adj.csv: no rows"),
+        ("\n\n", "adj.csv: no rows"),
+        ("0,1\n1_0,0\n", "row 2, column 1: '1_0' is not a number"),
+        ("0,\u0661\n0,0\n", "row 1, column 2: '\u0661' is not a number"),
     ])
     def test_bad_adjacency_csv(self, workdir, capsys, text, expected):
         graph = workdir / "adj.csv"
@@ -332,6 +339,11 @@ class TestFileBoundary:
         ("1,0,0\n\n0,1\n0,0,1\n", "row 3: expected 3 fields as in row 1, got 2"),
         ("1,0\n0,1\n", "covariance matrix has shape (2, 2) but the graph has p=3"),
         ("\udcff1,0,0\n0,1,0\n0,0,1\n", "sigma.csv: not UTF-8 text"),
+        ("1,0,0\n0,nan,0\n0,0,1\n", "matrix is not symmetric positive definite"),
+        ("1,0,0\n0,1,inf\n0,inf,1\n", "matrix is not symmetric positive definite"),
+        ("", "sigma.csv: no rows"),
+        ("1,0,0\n0,1_0,0\n0,0,1\n", "row 2, column 2: '1_0' is not a number"),
+        ("1,0,0\n0,1,0\n0,0,\u0661\n", "row 3, column 3: '\u0661' is not a number"),
     ])
     def test_bad_sigma_csv(self, workdir, capsys, text, expected):
         graph = workdir / "g.json"

@@ -161,6 +161,13 @@ class TestModelEquivalence:
     def test_self_equivalent(self):
         assert model_equivalent(EX48, EX48, trials=5, seed=1).equivalent
 
+    def test_empty_model(self):
+        empty = uncolored(Dag(0))
+        sigma = parametrize(empty, ModelParams((), ()))
+        assert sigma.shape == (0, 0)
+        assert check_local_markov(sigma, empty).ok
+        assert model_equivalent(empty, empty, trials=2, seed=0).equivalent
+
     def test_size_mismatch_rejected(self):
         from cdag.errors import GraphError
         with pytest.raises(GraphError):

@@ -8,11 +8,11 @@ import pytest
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, SizeGuardError
-from cdag.files import read_matrix_csv
+from cdag.files import read_matrix_csv, write_matrix_csv
 from cdag.params import (ModelParams, almost_principal_minor, expand_params,
                          is_positive_definite, minor, parametrize,
                          random_params, recover_lambda, recover_omega,
-                         recover_params, write_matrix_csv)
+                         recover_params)
 
 from oracles import random_colored_dag, random_dag, trek_covariance
 
@@ -43,6 +43,15 @@ class TestParametrize:
             cd = random_colored_dag(rng, int(rng.integers(2, 8)))
             sigma = parametrize(cd, random_params(cd, rng))
             assert is_positive_definite(sigma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_not_positive_definite(self, bad):
+        sigma = np.eye(3)
+        sigma[1, 1] = bad
+        assert not is_positive_definite(sigma)
+        sigma = np.eye(3)
+        sigma[0, 2] = sigma[2, 0] = bad
+        assert not is_positive_definite(sigma)
 
     def test_missing_key_rejected(self):
         with pytest.raises(ColoringError):
@@ -144,7 +153,24 @@ class TestCsv:
         sigma[0, 0] = 1 / 3
         path = tmp_path / "sigma.csv"
         write_matrix_csv(sigma, path)
-        assert np.array_equal(read_matrix_csv(path), sigma)
+        assert np.array_equal(read_matrix_csv(path)[1], sigma)
+
+    @pytest.mark.parametrize("header, first_line", [
+        (None, b""),
+        (("a", "b"), b"a,b\r\n"),
+    ])
+    def test_pinned_bytes_and_round_trip(self, tmp_path, header, first_line):
+        # the header-less bytes are those the covariance writer produced
+        # before it was shared with data files
+        matrix = np.array([[-0.0, 5e-324], [1e300, 123456789.0]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(matrix, path, header)
+        assert path.read_bytes() == first_line + (
+            b"-0,4.9406564584124654e-324\r\n"
+            b"1.0000000000000001e+300,123456789\r\n")
+        names, back = read_matrix_csv(path, header=header is not None)
+        assert names == (None if header is None else list(header))
+        assert back.tobytes() == matrix.tobytes()
 
 
 @pytest.mark.parametrize("call, expected", [
