@@ -198,6 +198,11 @@ def cmd_bench(args) -> int:
     return 0
 
 
+TOL_HELP = ("bound on each relation's dimensionless residual: a partial "
+            "correlation, or the relative difference of two conditional variances "
+            "or regression coefficients (default 1e-7)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdag",
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="Markov-property check of a covariance matrix")
     check.add_argument("--graph", required=True)
     check.add_argument("--sigma", required=True, help="covariance CSV")
-    check.add_argument("--tol", type=float, default=1e-7)
+    check.add_argument("--tol", type=float, default=1e-7, help=TOL_HELP)
     check.add_argument("--global", action="store_true", default=None,
                        help="also check the global property")
     check.add_argument("--budget", type=int, default=None,
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     equiv.add_argument("--a", required=True)
     equiv.add_argument("--b", required=True)
     equiv.add_argument("--trials", type=int, default=20)
-    equiv.add_argument("--tol", type=float, default=1e-7)
+    equiv.add_argument("--tol", type=float, default=1e-7, help=TOL_HELP)
     equiv.add_argument("--seed", type=int, default=0)
     equiv.set_defaults(func=cmd_equiv)
 

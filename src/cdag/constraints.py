@@ -1,14 +1,35 @@
 """Polynomial/rational constraints of a colored model and the checks built on them.
 
-Every check is one pipeline: enumerate relations, then evaluate them in one
-loop.  Two enumerations feed it: the (i, j, K) triples, for independence
-minors, and the pairs of same-colored vertices and of same-colored edges,
-for coloring relations.  The local generators condition on parent sets; they
-are the denominator-cleared relations that cut out the model inside the
-positive definite cone.  The global relations range over d-separated triples
-and products of identifying sets.  Evaluating them numerically yields
-Markov-property checks, a faithfulness diagnostic, and a sampling-based
-model-equivalence test.
+Every check is one pipeline: enumerate relations, compile them, then
+evaluate them per covariance.  Two enumerations feed it: the (i, j, K)
+triples, for independence minors, and the pairs of same-colored vertices
+and of same-colored edges, for coloring relations.  The local generators
+condition on parent sets; they are the denominator-cleared relations that
+cut out the model inside the positive definite cone.  The global relations
+range over d-separated triples and products of identifying sets.
+Evaluating them numerically yields Markov-property checks, a faithfulness
+diagnostic, and a sampling-based model-equivalence test.
+
+Each relation kind names, in one table, the minors it is built from and
+two ways to combine them.  ``RelationPoly.__call__`` gives the paper's
+relation: a polynomial with denominators cleared (``cir``/``vcr``/``ecr``)
+or a difference of recovery quotients (``vcc``/``ecc``), evaluated on sigma
+itself.  The checks instead compile a relation list once into an
+``_Evaluator``.  It scales sigma to its correlation matrix
+R = D^-1/2 sigma D^-1/2, with D the diagonal of sigma, computes each
+distinct minor of R once (one stacked determinant call per minor size) and
+combines the minors into dimensionless residuals:
+
+- ``cir``: the partial correlation of i and j given K;
+- ``vcr``/``vcc``: the relative difference (a - b) / max(|a|, |b|), or 0
+  where a == b, of the two conditional variances;
+- ``ecr``/``ecc``: the relative difference of the two regression
+  coefficients.
+
+A check's ``tol`` bounds these residuals, so c * sigma gets the verdicts of
+sigma for every c > 0, and the independence verdicts are unchanged by any
+positive rescaling of the variables.  A residual that is not finite (a
+minor that under- or overflows) is a ``CdagError``, never a pass.
 """
 
 from __future__ import annotations
@@ -16,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -24,8 +45,7 @@ from . import identify
 from .coloring import ColoredDag
 from .dag import Dag
 from .errors import CdagError, GraphError, SizeGuardError
-from .params import (almost_principal_minor, minor, parametrize, random_params,
-                     recover_lambda, recover_omega, require_positive_definite)
+from .params import minor, parametrize, random_params, require_positive_definite
 
 SCAN_GUARD_P = 8
 FULL_GLOBAL_GUARD_P = 8
@@ -33,6 +53,100 @@ FULL_GLOBAL_GUARD_P = 8
 
 def _fmt_set(s) -> str:
     return "{" + ",".join(str(v + 1) for v in sorted(s)) + "}"
+
+
+# -- the relation kinds -------------------------------------------------------
+# A minor is a (rows, cols) pair of index tuples.  A relation combines one
+# term (cir) or two (the coloring kinds); a term lists its minors in a fixed
+# order, which its kind's combining functions read.
+
+
+def _principal(s):
+    s = tuple(sorted(s))
+    return s, s
+
+
+def _almost_principal(i, j, given):
+    k = tuple(sorted(given))
+    return (i,) + k, (j,) + k
+
+
+def _independence_minors(i, j, k):
+    """|S_{ij|K}|, |S_{iK}|, |S_{jK}|."""
+    return _almost_principal(i, j, k), _principal((i,) + k), _principal((j,) + k)
+
+
+def _variance_minors(i, a):
+    """|S_{iA}| and |S_A|, whose quotient is the conditional variance of i
+    given A."""
+    return _principal((i,) + a), _principal(a)
+
+
+def _coefficient_minors(i, j, a):
+    """|S_{ij|A \\ i}| and |S_A|, whose quotient is the regression
+    coefficient of i -> j given A."""
+    return _almost_principal(i, j, set(a) - {i}), _principal(a)
+
+
+def _cleared(m):
+    return m[0] * m[3] - m[2] * m[1]
+
+
+def _quotients(m):
+    return m[0] / m[1] - m[2] / m[3]
+
+
+def _relative_difference(a, b):
+    """(a - b) / max(|a|, |b|), and 0 where a == b; NaN stays NaN."""
+    diff = a - b
+    return np.divide(diff, np.maximum(np.abs(a), np.abs(b)),
+                     out=np.zeros_like(diff), where=diff != 0)
+
+
+def _partial_correlation(m, x, var):
+    return m[0] / (np.sqrt(m[1]) * np.sqrt(m[2]))
+
+
+def _variances(m, x, var):
+    # a quotient of minors of R times var_i is the conditional variance
+    i, j = x
+    return _relative_difference(m[0] / m[1] * var[i], m[2] / m[3] * var[j])
+
+
+def _coefficients(m, x, var):
+    # a quotient of minors of R times sd_j / sd_i is the coefficient on i -> j
+    i, j, k, l = x
+    sd = np.sqrt(var)
+    return _relative_difference(m[0] / m[1] * (sd[j] / sd[i]),
+                                m[2] / m[3] * (sd[l] / sd[k]))
+
+
+class _Kind(NamedTuple):
+    terms: Callable       # (indices, given) -> the relation's terms
+    minors: Callable      # one term -> the (rows, cols) of its minors
+    polynomial: Callable  # minors of sigma -> the paper's relation
+    residual: Callable    # (minors of R, index columns, variances) -> residuals
+
+
+def _one_term(x, g):
+    return [x + g]
+
+
+def _vertex_terms(x, g):
+    return [(x[0], g[0]), (x[1], g[1])]
+
+
+def _edge_terms(x, g):
+    return [(x[0], x[1], g[0]), (x[2], x[3], g[1])]
+
+
+_KINDS = {
+    "cir": _Kind(_one_term, _independence_minors, lambda m: m[0], _partial_correlation),
+    "vcr": _Kind(_vertex_terms, _variance_minors, _cleared, _variances),
+    "vcc": _Kind(_vertex_terms, _variance_minors, _quotients, _variances),
+    "ecr": _Kind(_edge_terms, _coefficient_minors, _cleared, _coefficients),
+    "ecc": _Kind(_edge_terms, _coefficient_minors, _quotients, _coefficients),
+}
 
 
 @dataclass(frozen=True)
@@ -49,35 +163,15 @@ class RelationPoly:
     given: Tuple[Tuple[int, ...], ...]  # one or two sorted conditioning sets
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown relation kind {self.kind!r}")
         object.__setattr__(self, "given", tuple(tuple(sorted(s)) for s in self.given))
 
     def __call__(self, sigma: np.ndarray) -> float:
-        if self.kind == "cir":
-            i, j = self.indices
-            (k,) = self.given
-            return almost_principal_minor(sigma, i, j, k)
-        if self.kind == "vcr":
-            i, j = self.indices
-            a, b = self.given
-            return (minor(sigma, [i] + list(a), [i] + list(a)) * minor(sigma, b, b)
-                    - minor(sigma, [j] + list(b), [j] + list(b)) * minor(sigma, a, a))
-        if self.kind == "ecr":
-            i, j, k, l = self.indices
-            a, b = self.given
-            na = [v for v in a if v != i]
-            nb = [v for v in b if v != k]
-            return (minor(sigma, b, b) * almost_principal_minor(sigma, i, j, na)
-                    - minor(sigma, a, a) * almost_principal_minor(sigma, k, l, nb))
-        if self.kind == "vcc":
-            i, j = self.indices
-            a, b = self.given
-            return recover_omega(sigma, None, i, a) - recover_omega(sigma, None, j, b)
-        if self.kind == "ecc":
-            i, j, k, l = self.indices
-            a, b = self.given
-            return (recover_lambda(sigma, None, i, j, a)
-                    - recover_lambda(sigma, None, k, l, b))
-        raise ValueError(f"unknown relation kind {self.kind!r}")
+        kind = _KINDS[self.kind]
+        return kind.polynomial([minor(sigma, rows, cols)
+                                for term in kind.terms(self.indices, self.given)
+                                for rows, cols in kind.minors(*term)])
 
     def label(self) -> str:
         """Human-readable 1-based rendering."""
@@ -190,12 +284,66 @@ class MarkovReport:
         }
 
 
-def _violations(gens, sigma: np.ndarray, tol: float) -> Iterator[ConstraintViolation]:
-    """The relations whose residual at sigma exceeds tol, in order."""
-    for gen in gens:
-        val = gen(sigma)
-        if abs(val) > tol:
-            yield ConstraintViolation(gen, float(val))
+class _Evaluator:
+    """A relation list compiled once, then evaluated per covariance matrix.
+
+    Every distinct minor gets one slot; a minor and its transpose share it,
+    since R is symmetric.  Evaluation fills the slots with one stacked
+    determinant call per minor size, then combines them kind by kind.
+    Relations over products of identifying sets repeat their terms, so the
+    slots are looked up once per distinct term.
+    """
+
+    def __init__(self, relations):
+        self.relations = list(relations)
+        slots, terms, by_kind = {}, {}, {}
+        for pos, rel in enumerate(self.relations):
+            kind = _KINDS[rel.kind]
+            ids = []
+            for term in kind.terms(rel.indices, rel.given):
+                key = kind.minors, term
+                if key not in terms:
+                    terms[key] = [slots.setdefault(min(m, m[::-1]), len(slots))
+                                  for m in kind.minors(*term)]
+                ids += terms[key]
+            by_kind.setdefault(rel.kind, []).append((pos, ids, rel.indices))
+        # per kind: positions, slot ids and indices, one column per relation
+        self._kinds = [(_KINDS[kind].residual, *(np.array(col).T for col in zip(*group)))
+                       for kind, group in by_kind.items()]
+        by_size = {}
+        for (rows, cols), slot in slots.items():
+            by_size.setdefault(len(rows), []).append((slot, rows, cols))
+        # per minor size: slot ids, and the stacked rows and columns
+        self._sizes = [tuple(np.array(col, dtype=int) for col in zip(*group))
+                       for group in by_size.values()]
+        self._n_slots = len(slots)
+
+    def residuals(self, sigma: np.ndarray) -> np.ndarray:
+        """The dimensionless residual of every relation at sigma, in order."""
+        var = np.diag(sigma)
+        sd = np.sqrt(var)
+        r = sigma / sd[:, None] / sd[None, :]
+        m = np.empty(self._n_slots)
+        out = np.empty(len(self.relations))
+        # an under- or overflow surfaces as a non-finite residual, refused below
+        with np.errstate(over="ignore", under="ignore", divide="ignore",
+                         invalid="ignore"):
+            for ids, rows, cols in self._sizes:
+                m[ids] = minor(r, rows, cols)
+            for residual, pos, ids, indices in self._kinds:
+                out[pos] = residual(m[ids], indices, var)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise CdagError(f"{self.relations[bad[0]].label()} has a non-finite "
+                            f"residual: the covariance matrix is too badly scaled "
+                            f"or too close to singular")
+        return out
+
+    def violations(self, sigma: np.ndarray, tol: float) -> List[ConstraintViolation]:
+        """The relations whose residual at sigma exceeds tol, in order."""
+        res = self.residuals(sigma)
+        return [ConstraintViolation(self.relations[t], float(res[t]))
+                for t in np.flatnonzero(np.abs(res) > tol)]
 
 
 def _require_tol(tol: float) -> None:
@@ -223,7 +371,7 @@ def check_local_markov(sigma: np.ndarray, cd: ColoredDag,
     sigma = _model_sigma(sigma, cd)
     gens = local_generators(cd)
     return MarkovReport("local", "full", tol, len(gens),
-                        tuple(_violations(gens, sigma, tol)))
+                        tuple(_Evaluator(gens).violations(sigma, tol)))
 
 
 def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
@@ -289,35 +437,34 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
             coloring.append(RelationPoly(kind + "c", indices, (a, b)))
     gens = ci + coloring
     return MarkovReport("global", mode, tol, len(gens),
-                        tuple(_violations(gens, sigma, tol)))
+                        tuple(_Evaluator(gens).violations(sigma, tol)))
 
 
 # -- faithfulness diagnostic --------------------------------------------------
 
 
-def faithfulness_scan(cd: ColoredDag, trials: int = 20,
-                      tol: Optional[float] = None,
+def faithfulness_scan(cd: ColoredDag, trials: int = 20, tol: float = 1e-9,
                       seed: int = 0) -> List[Tuple[int, int, FrozenSet[int]]]:
     """Elementary independences that hold on the colored model although the
-    pair is d-connected: for every d-connected triple, evaluate its minor at
-    ``trials`` random model points and report the triples vanishing at all
-    of them.  Diagnostic only; vanishing at every sample is necessary but not
-    proof of an exact model constraint.
+    pair is d-connected: for every d-connected triple, evaluate its partial
+    correlation at ``trials`` random model points and report the triples
+    where it is at most ``tol`` in magnitude at all of them.  Diagnostic
+    only; vanishing at every sample is necessary but not proof of an exact
+    model constraint.
     """
     g = cd.graph
     if g.p > SCAN_GUARD_P:
         raise SizeGuardError(f"faithfulness scan is limited to p <= {SCAN_GUARD_P}")
     _require_trials(trials)
-    if tol is not None:
-        _require_tol(tol)
+    _require_tol(tol)
     rng = np.random.default_rng(seed)
     sigmas = [parametrize(cd, random_params(cd, rng)) for _ in range(trials)]
-    tols = [tol if tol is not None else 1e-9 * (1.0 + float(np.abs(s).max()))
-            for s in sigmas]
-    return [(i, j, frozenset(k)) for i, j, k in _triples(g.p)
-            if not g.d_separated({i}, {j}, k)
-            and all(abs(almost_principal_minor(s, i, j, k)) <= t
-                    for s, t in zip(sigmas, tols))]
+    triples = [(i, j, k) for i, j, k in _triples(g.p) if not g.d_separated({i}, {j}, k)]
+    evaluator = _Evaluator(RelationPoly("cir", (i, j), (k,)) for i, j, k in triples)
+    vanishing = np.ones(len(triples), dtype=bool)
+    for sigma in sigmas:
+        vanishing &= np.abs(evaluator.residuals(sigma)) <= tol
+    return [(i, j, frozenset(k)) for (i, j, k), v in zip(triples, vanishing) if v]
 
 
 # -- model equivalence --------------------------------------------------------
@@ -367,10 +514,11 @@ def model_equivalent(cd1: ColoredDag, cd2: ColoredDag, trials: int = 20,
     rng = np.random.default_rng(seed)
     pairs = ((1, local_generators(cd1), cd2), (2, local_generators(cd2), cd1))
     for side, gens, model in pairs:
+        evaluator = _Evaluator(gens)
         for t in range(trials):
             sigma = parametrize(model, random_params(model, rng))
-            hit = next(_violations(gens, sigma, tol), None)
-            if hit is not None:
-                witness = EquivalenceWitness(hit.constraint, side, t, hit.residual)
+            hits = evaluator.violations(sigma, tol)
+            if hits:
+                witness = EquivalenceWitness(hits[0].constraint, side, t, hits[0].residual)
                 return EquivalenceResult(False, trials, tol, witness)
     return EquivalenceResult(True, trials, tol)

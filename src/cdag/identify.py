@@ -46,23 +46,32 @@ def is_edge_identifying(g: Dag, i: int, j: int, candidate) -> bool:
     """For an edge i -> j: the candidate set must contain i, avoid j and its
     descendants, and, minus i, d-separate i and j in the graph with the edge
     i -> j and all descendants of j deleted."""
+    return _edge_test(g, i, j)(candidate)
+
+
+def _edge_test(g: Dag, i: int, j: int):
+    """``is_edge_identifying`` for one edge, as a test of candidate sets that
+    shares one pruned graph."""
     if (i, j) not in g.edges:
         raise GraphError(f"({i + 1}, {j + 1}) is not an edge; use is_zero_identifying")
-    a = frozenset(candidate)
-    if j in a:
-        raise GraphError(f"candidate set for edge ({i + 1}, {j + 1}) "
-                         f"may not contain {j + 1}")
-    if i not in a or a & g.closed_descendants(j):
-        return False
-    # delete de(j) and the edge i -> j, then test separation
+    # delete de(j) and the edge i -> j; candidates are tested for separation there
     dropped = g.descendants(j)
+    closed = dropped | {j}
     keep = [v for v in range(g.p) if v not in dropped]
     relabel = {v: pos for pos, v in enumerate(keep)}
-    sub_edges = [(relabel[a_], relabel[b_]) for a_, b_ in g.edges
-                 if a_ not in dropped and b_ not in dropped and (a_, b_) != (i, j)]
-    sub = Dag(len(keep), sub_edges)
-    return sub.d_separated({relabel[i]}, {relabel[j]},
-                           {relabel[v] for v in a - {i}})
+    sub = Dag(len(keep), [(relabel[a], relabel[b]) for a, b in g.edges
+                          if a not in dropped and b not in dropped and (a, b) != (i, j)])
+
+    def test(candidate) -> bool:
+        a = frozenset(candidate)
+        if j in a:
+            raise GraphError(f"candidate set for edge ({i + 1}, {j + 1}) "
+                             f"may not contain {j + 1}")
+        if i not in a or a & closed:
+            return False
+        return sub.d_separated({relabel[i]}, {relabel[j]}, {relabel[v] for v in a - {i}})
+
+    return test
 
 
 def _membership(g: Dag, target: Union[int, Edge]):
@@ -75,8 +84,10 @@ def _membership(g: Dag, target: Union[int, Edge]):
     i, j = target
     g._check_vertex(i)
     g._check_vertex(j)
-    test = is_edge_identifying if (i, j) in g.edges else is_zero_identifying
-    return [v for v in range(g.p) if v != j], lambda a: test(g, i, j, a)
+    universe = [v for v in range(g.p) if v != j]
+    if (i, j) in g.edges:
+        return universe, _edge_test(g, i, j)
+    return universe, lambda a: is_zero_identifying(g, i, j, a)
 
 
 def enumerate_identifying_sets(g: Dag,

@@ -9,7 +9,7 @@ solves; an explicit inverse is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -82,16 +82,21 @@ def parametrize(cd: ColoredDag, theta: ModelParams) -> np.ndarray:
 # -- minors and rational recovery functions ------------------------------
 
 
-def minor(sigma: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> float:
-    """Determinant of the (rows, cols) submatrix; the empty minor is 1."""
-    rows = list(rows)
-    cols = list(cols)
-    if len(rows) != len(cols):
+def minor(sigma: np.ndarray, rows, cols):
+    """Determinant of the (rows, cols) submatrix; the empty minor is 1.
+
+    Given two 2-d arrays, one index set per row, returns the array of the
+    stacked minors from one determinant call.
+    """
+    rows = np.asarray(rows, dtype=int)
+    cols = np.asarray(cols, dtype=int)
+    if rows.shape != cols.shape:
         raise ColoringError("minor needs index sets of equal size")
-    if not rows:
+    if rows.ndim == 2:
+        return np.linalg.det(sigma[rows[:, :, None], cols[:, None, :]])
+    if not rows.size:
         return 1.0
-    sub = sigma[np.ix_(rows, cols)]
-    return float(np.linalg.det(sub))
+    return float(np.linalg.det(sigma[np.ix_(rows, cols)]))
 
 
 def almost_principal_minor(sigma: np.ndarray, i: int, j: int, given=()) -> float:

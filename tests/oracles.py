@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: path enumeration instead of
 ball-passing, transitive closure instead of DFS, trek-monomial sums instead
-of triangular solves, explicit normal equations instead of QR.  These stay independent of the code paths they check.
+of triangular solves, explicit normal equations instead of QR, linear solves
+on submatrices instead of minors.  These stay independent of the code paths
+they check.
 """
 
 import numpy as np
@@ -213,3 +215,38 @@ def normal_equation_ls(design: np.ndarray, y: np.ndarray):
     coef = np.linalg.solve(gram, design.T @ y)
     resid = y - design @ coef
     return coef, float(resid @ resid)
+
+
+def _regression(sigma, target, given):
+    """Coefficients and residual variance of `target` regressed on `given`,
+    by a linear solve on the submatrices."""
+    given = sorted(given)
+    coef = np.linalg.solve(sigma[np.ix_(given, given)], sigma[given, target])
+    return dict(zip(given, coef)), sigma[target, target] - sigma[target, given] @ coef
+
+
+def _relative_difference(a, b):
+    return 0.0 if a == b else (a - b) / max(abs(a), abs(b))
+
+
+def normalized_residual(kind, indices, given, sigma) -> float:
+    """The dimensionless residual of one relation: the partial correlation
+    (cir), or the relative difference of two conditional variances (vcr,
+    vcc) or of two regression coefficients (ecr, ecc)."""
+    sigma = np.asarray(sigma, dtype=float)
+    if kind == "cir":
+        (i, j), (k,) = indices, given
+        pair, k = [i, j], sorted(k)
+        cond = sigma[np.ix_(pair, pair)]
+        if k:
+            cond = cond - sigma[np.ix_(pair, k)] @ np.linalg.solve(
+                sigma[np.ix_(k, k)], sigma[np.ix_(k, pair)])
+        return cond[0, 1] / np.sqrt(cond[0, 0] * cond[1, 1])
+    a, b = given
+    if kind in ("vcr", "vcc"):
+        i, j = indices
+        return _relative_difference(_regression(sigma, i, a)[1],
+                                    _regression(sigma, j, b)[1])
+    i, j, k, l = indices
+    return _relative_difference(_regression(sigma, j, a)[0][i],
+                                _regression(sigma, l, b)[0][k])

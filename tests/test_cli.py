@@ -131,6 +131,14 @@ class TestCheck:
         entry = report["violations"][0]
         assert {"constraint", "indices", "residual", "tol", "verdict"} <= set(entry)
 
+    def test_non_finite_residual_exits_one(self, workdir, capsys):
+        graph, sigma_csv, _ = self._write_model_point(workdir)
+        write_matrix_csv(np.diag([1e-320, 1e300, 1.0, 1.0]), sigma_csv)
+        code, out, err = run(capsys, "check", "--graph", str(graph),
+                             "--sigma", str(sigma_csv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ecr(1->2,3->4; {1},{3}) has a non-finite residual")
+
     def test_sampled_global_check_defaults_to_seed_zero(self, workdir, capsys):
         graph, sigma_csv, _ = self._write_model_point(workdir)
         code, out, _ = run(capsys, "check", "--graph", str(graph),

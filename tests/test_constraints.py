@@ -1,10 +1,12 @@
 """Constraint generators, Markov checks, faithfulness, and model equivalence."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from cdag.bench import random_bpec
 from cdag.coloring import ColoredDag, uncolored
 from cdag.constraints import (check_global_markov, check_local_markov,
                               faithfulness_scan, local_generators,
@@ -14,7 +16,7 @@ from cdag.errors import CdagError, NotPositiveDefiniteError, SizeGuardError
 from cdag.params import (ModelParams, almost_principal_minor, parametrize,
                          random_params)
 
-from oracles import all_dags, random_colored_dag
+from oracles import all_dags, normalized_residual, random_colored_dag
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
 P4_COLORED = ColoredDag(P4, vertex_classes=[[0, 2]],
@@ -252,6 +254,83 @@ class TestGlobalGolden:
             "ecc(1->2,6->7; {1},{6})", "ecc(1->2,6->7; {1},{1,2,6})",
             "ecc(1->2,6->7; {1},{6})", "ecc(1->2,6->7; {1},{1,3,4,6})",
             "vcc(2,7; {1},{1,4,5,6})", "ecc(3->4,8->9; {3},{3,4,6,8})"]
+
+
+def _residuals(check, sigma, cd, **kwargs):
+    # at tol=0 a generic covariance reports every relation, in order
+    report = check(sigma, cd, tol=0.0, **kwargs)
+    assert report.n_checked == len(report.violations)
+    return report.violations
+
+
+class TestScaleFreeResiduals:
+    def test_exact_covariances_pass_and_are_self_equivalent_up_to_p40(self):
+        for p in (10, 20, 30, 40):
+            for seed in range(3):
+                cd, theta = random_bpec(p, 0.5, 2, [p, seed])
+                assert check_local_markov(parametrize(cd, theta), cd).ok
+                assert model_equivalent(cd, cd, seed=seed).equivalent
+
+    def test_perturbed_covariances_fail(self):
+        # a 1e-3 relative perturbation, by congruence so it stays positive definite
+        for p in (10, 20, 30):
+            cd, theta = random_bpec(p, 0.5, 2, [p, 7])
+            a = np.eye(p) + 1e-3 * np.random.default_rng(p).standard_normal((p, p))
+            report = check_local_markov(a @ parametrize(cd, theta) @ a.T, cd)
+            assert max(abs(v.residual) for v in report.violations) > 1e-3
+
+    @pytest.mark.parametrize("check", [check_local_markov, check_global_markov])
+    def test_residuals_and_verdicts_are_invariant_to_scale(self, check):
+        cd, theta = random_bpec(7, 0.5, 2, [7, 1])
+        sigma = _noise_sigma(7, 2)
+        base = _residuals(check, sigma, cd)
+        for c in (1e100, 1e-100):
+            scaled = _residuals(check, c * sigma, cd)
+            assert [v.constraint for v in scaled] == [v.constraint for v in base]
+            np.testing.assert_allclose([v.residual for v in scaled],
+                                       [v.residual for v in base], rtol=1e-12, atol=0)
+            model = parametrize(cd, theta)
+            assert check(c * model, cd).ok and check(model, cd).ok
+        # rescaling single variables moves the coloring relations, not independence
+        d = np.diag(np.random.default_rng(3).uniform(0.01, 100.0, 7))
+        rescaled = _residuals(check, d @ sigma @ d, cd)
+        cir = [t for t, v in enumerate(base) if v.constraint.kind == "cir"]
+        np.testing.assert_allclose([rescaled[t].residual for t in cir],
+                                   [base[t].residual for t in cir], rtol=1e-12, atol=0)
+        g = uncolored(cd.graph)
+        model = parametrize(g, random_params(g, np.random.default_rng(4)))
+        assert check(d @ model @ d, g).ok and check(model, g).ok
+
+    def test_every_kind_matches_the_solve_oracle(self):
+        rng = np.random.default_rng(9)
+        kinds = set()
+        for _ in range(8):
+            cd = random_colored_dag(rng, int(rng.integers(4, 7)))
+            sigma = _noise_sigma(cd.p, int(rng.integers(1000)))
+            for check in (check_local_markov, check_global_markov):
+                for v in _residuals(check, sigma, cd):
+                    rel = v.constraint
+                    kinds.add(rel.kind)
+                    assert v.residual == pytest.approx(
+                        normalized_residual(rel.kind, rel.indices, rel.given, sigma),
+                        rel=1e-9, abs=1e-12), rel.label()
+        assert kinds == {"cir", "vcr", "ecr", "vcc", "ecc"}
+
+    def test_huge_scale_reports_every_violation_without_warnings(self):
+        cd, _ = random_bpec(6, 0.5, 2, [3, 1])
+        sigma = _noise_sigma(6, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = check_local_markov(1e160 * sigma, cd)
+        assert len(huge.violations) == huge.n_checked == 11
+        assert ([v.constraint for v in huge.violations]
+                == [v.constraint for v in check_local_markov(sigma, cd).violations])
+
+    def test_non_finite_residual_is_an_error(self):
+        # sd_2 / sd_1 overflows, so the coefficient on 1 -> 2 is not finite
+        sigma = np.diag([1e-320, 1e300, 1.0, 1.0])
+        with pytest.raises(CdagError, match=re.escape("ecr(1->2,3->4; {1},{3})")):
+            check_local_markov(sigma, P4_COLORED)
 
 
 class TestArguments:

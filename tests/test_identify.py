@@ -1,10 +1,12 @@
 """Identifying-set membership, enumeration, and numeric soundness."""
 
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from cdag import identify
 from cdag.coloring import uncolored
 from cdag.dag import Dag
 from cdag.errors import GraphError, SizeGuardError
@@ -73,6 +75,21 @@ class TestEnumeration:
 
     def test_chain_edge_sets(self):
         assert enumerate_identifying_sets(P4, (0, 1)) == {frozenset({0})}
+
+    def test_edge_sets_share_one_pruned_graph(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(identify, "Dag", lambda *args: built.append(args) or Dag(*args))
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            g = random_dag(rng, 6, 0.5)
+            for i, j in sorted(g.edges):
+                universe = [v for v in range(g.p) if v != j]
+                expected = {a for r in range(len(universe) + 1)
+                            for a in map(frozenset, combinations(universe, r))
+                            if is_edge_identifying(g, i, j, a)}
+                built.clear()
+                assert enumerate_identifying_sets(g, (i, j)) == expected
+                assert len(built) == 1
 
     def test_isolated_vertex_all_subsets(self):
         got = enumerate_identifying_sets(Dag(4), 1)

@@ -117,6 +117,18 @@ class TestMinors:
     def test_mismatched_sets_rejected(self):
         with pytest.raises(ColoringError):
             minor(P4_SIGMA, [0, 1], [2])
+        with pytest.raises(ColoringError):
+            minor(P4_SIGMA, [[0, 1], [1, 2]], [[2, 3]])
+
+    def test_stacked_minors_match_one_at_a_time(self):
+        rows = np.array([[0, 1], [1, 2], [0, 3]])
+        cols = np.array([[2, 3], [1, 2], [1, 3]])
+        stacked = minor(P4_SIGMA, rows, cols)
+        assert stacked.shape == (3,)
+        for value, r, c in zip(stacked, rows, cols):
+            assert value == pytest.approx(minor(P4_SIGMA, list(r), list(c)), rel=1e-12)
+        empty = np.zeros((2, 0), dtype=int)
+        assert list(minor(P4_SIGMA, empty, empty)) == [1.0, 1.0]
 
 
 class TestRecovery:
