@@ -11,7 +11,7 @@ from .bench import color_sensitivity, random_bpec, run_sweep, sample, shd
 from .coloring import ColoredDag, read_graph_json, uncolored, write_graph_json
 from .constraints import (RelationPoly, check_global_markov, check_local_markov,
                           faithfulness_scan, local_generators, model_equivalent)
-from .dag import Dag, markov_equivalent, marginalize_sink
+from .dag import Dag
 from .errors import (CdagError, ColoringError, GraphError,
                      NotPositiveDefiniteError, RankDeficientError,
                      SearchBudgetError, SizeGuardError)
@@ -34,9 +34,8 @@ __all__ = [
     "check_global_markov", "check_local_markov", "color_sensitivity",
     "enumerate_identifying_sets", "faithfulness_scan", "fit_families", "gecs",
     "is_edge_identifying", "is_vertex_identifying", "is_zero_identifying",
-    "local_generators", "marginalize_sink", "markov_equivalent", "minor",
-    "mle", "model_equivalent", "parametrize", "random_bpec", "random_params",
-    "read_graph_json", "recover_lambda", "recover_omega", "recover_params",
-    "run_sweep", "sample", "shd", "uncolored",
-    "write_graph_json",
+    "local_generators", "minor", "mle", "model_equivalent", "parametrize",
+    "random_bpec", "random_params", "read_graph_json", "recover_lambda",
+    "recover_omega", "recover_params", "run_sweep", "sample", "shd",
+    "uncolored", "write_graph_json",
 ]

@@ -8,6 +8,7 @@ are partitioned round-robin into at most ``nc`` classes of size at least two.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -15,11 +16,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .coloring import ColoredDag, uncolored
+from .coloring import ColoredDag
 from .dag import Dag
 from .errors import CdagError
 from .fit import Dataset
-from .gecs import baseline_greedy, gecs
+from .gecs import BaselineSearch, GecsSearch
 from .params import ModelParams, expand_params
 
 RESULT_COLUMNS = ("p", "rho", "nc", "n", "seed", "method", "shd",
@@ -136,11 +137,14 @@ class SweepConfig:
             raise CdagError("sweep config must be a JSON object")
 
         def number(key, kind, val):
-            try:
-                return kind(val)
-            except (TypeError, ValueError):
+            # int() would take JSON true and truncate 4.9; neither is a count
+            if not (type(val) is int or kind is float and type(val) is float):
                 raise CdagError(f"sweep config field {key!r} needs "
-                                f"{kind.__name__} values, got {val!r}") from None
+                                f"{kind.__name__} values, got {val!r}")
+            if not 0 <= val < math.inf:
+                raise CdagError(f"sweep config field {key!r} needs finite "
+                                f"nonnegative values, got {val!r}")
+            return kind(val)
 
         def grid(key, kind):
             val = doc[key]
@@ -164,7 +168,7 @@ def _cell_seed(root: int, p: int, rho: float, nc: int, n: int, rep: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-METHODS = ("gecs", "baseline")
+METHODS = {"gecs": GecsSearch, "baseline": BaselineSearch}
 
 
 def _run_cell(p, rho, nc, n, rep, root_seed):
@@ -179,18 +183,12 @@ def _run_cell(p, rho, nc, n, rep, root_seed):
             rows.append(dict(base, method=method, shd="", sensitivity="",
                              runtime="", error=str(exc)))
         return rows
-    for method in METHODS:
+    for method, search in METHODS.items():
         t0 = time.perf_counter()
         try:
-            if method == "gecs":
-                est = gecs(data)
-                sens = color_sensitivity(truth, est)
-                dist = shd(truth.graph, est.graph)
-            else:
-                est_g = baseline_greedy(data)
-                sens = color_sensitivity(truth, uncolored(est_g))
-                dist = shd(truth.graph, est_g)
-            rows.append(dict(base, method=method, shd=dist, sensitivity=sens,
+            est = search(data).run()
+            rows.append(dict(base, method=method, shd=shd(truth.graph, est.graph),
+                             sensitivity=color_sensitivity(truth, est),
                              runtime=time.perf_counter() - t0, error=""))
         except CdagError as exc:
             rows.append(dict(base, method=method, shd="", sensitivity="",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .coloring import (ColoredDag, read_adjacency_csv, read_graph_json,
-                       write_graph_json, uncolored)
+                       write_graph_json)
 from .constraints import check_global_markov, check_local_markov, model_equivalent
 from .errors import CdagError
 from .files import read_json, read_matrix_csv
@@ -114,12 +114,8 @@ def cmd_learn(args) -> int:
     data = Dataset.from_csv(args.data)
     if args.center:
         data = data.centered()
-    if args.baseline:
-        search = BaselineSearch(data, move_budget=args.budget)
-        result = uncolored(search.run())
-    else:
-        search = GecsSearch(data, move_budget=args.budget)
-        result = search.run()
+    search = (BaselineSearch if args.baseline else GecsSearch)(data, move_budget=args.budget)
+    result = search.run()
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -31,6 +31,13 @@ def _edge_name(e: Edge) -> str:
     return f"({e[0] + 1}, {e[1] + 1})"
 
 
+def _integer(x, where: str) -> int:
+    # JSON true and 3.0 would pass int(); a vertex count or index is neither
+    if type(x) is not int:
+        raise TypeError(f"{where} holds {x!r}, not an integer")
+    return x
+
+
 def _classes(groups, universe, kind: str, absent: str, name, key):
     """The given classes plus a singleton for each member of ``universe``
     they leave out, sorted by base member under ``key``; ``name`` renders a
@@ -144,9 +151,6 @@ class ColoredDag:
         """Vertices are all singleton classes (only edges may share colors)."""
         return len(self.vertex_classes) == self.graph.p
 
-    def is_uncolored(self) -> bool:
-        return self.is_vertex_colored() and self.is_edge_colored()
-
     def is_blocked(self) -> bool:
         """Edges sharing a color share their head node."""
         return all(len({j for _, j in grp}) == 1 for grp in self.edge_classes)
@@ -190,8 +194,9 @@ class ColoredDag:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ColoredDag":
         try:
-            p = int(doc["p"])
-            edges = [(int(i) - 1, int(j) - 1) for i, j in doc["edges"]]
+            p = _integer(doc["p"], "'p'")
+            edges = [(_integer(i, "'edges'") - 1, _integer(j, "'edges'") - 1)
+                     for i, j in doc["edges"]]
         except KeyError as exc:
             raise ColoringError(f"graph JSON missing field: {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -202,9 +207,11 @@ class ColoredDag:
         ecolors = doc.get("edge_colors") or {}
         vcolors = doc.get("vertex_colors") or {}
         try:
-            edge_classes = [[(int(i) - 1, int(j) - 1) for i, j in grp]
-                            for grp in ecolors.values()]
-            vertex_classes = [[int(v) - 1 for v in grp] for grp in vcolors.values()]
+            edge_classes = [[(_integer(i, f"edge color {name!r}") - 1,
+                              _integer(j, f"edge color {name!r}") - 1) for i, j in grp]
+                            for name, grp in ecolors.items()]
+            vertex_classes = [[_integer(v, f"vertex color {name!r}") - 1 for v in grp]
+                              for name, grp in vcolors.items()]
         except (AttributeError, TypeError, ValueError) as exc:
             raise ColoringError(
                 "graph JSON needs 'edge_colors' to map names to lists of vertex "
@@ -218,10 +225,6 @@ class ColoredDag:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ColoredDag":
-        return cls.from_json_dict(json.loads(text))
 
 
 def uncolored(graph: Dag) -> ColoredDag:

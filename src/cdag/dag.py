@@ -9,7 +9,6 @@ queries are pure.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from typing import FrozenSet, Iterable, Tuple
 
 from .errors import GraphError
@@ -80,35 +79,22 @@ class Dag:
         self._check_vertex(i)
         return self._children[i]
 
-    def ancestors(self, i: int) -> FrozenSet[int]:
-        """All j with a directed path j -> ... -> i (excluding i)."""
-        self._check_vertex(i)
-        seen = set()
-        stack = list(self._parents[i])
+    def _reach(self, starts, step) -> set:
+        """The starts plus every vertex reachable from them along ``step``,
+        which is ``self._parents`` or ``self._children``."""
+        seen = set(starts)
+        stack = list(seen)
         while stack:
-            v = stack.pop()
-            if v not in seen:
-                seen.add(v)
-                stack.extend(self._parents[v])
-        return frozenset(seen)
+            for u in step[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return seen
 
     def descendants(self, i: int) -> FrozenSet[int]:
         """All j with a directed path i -> ... -> j (excluding i)."""
         self._check_vertex(i)
-        seen = set()
-        stack = list(self._children[i])
-        while stack:
-            v = stack.pop()
-            if v not in seen:
-                seen.add(v)
-                stack.extend(self._children[v])
-        return frozenset(seen)
-
-    def closed_descendants(self, i: int) -> FrozenSet[int]:
-        return self.descendants(i) | {i}
-
-    def nondescendants(self, i: int) -> FrozenSet[int]:
-        return frozenset(range(self.p)) - self.closed_descendants(i)
+        return frozenset(self._reach(self._children[i], self._children))
 
     def adjacent(self, i: int, j: int) -> bool:
         return (i, j) in self.edges or (j, i) in self.edges
@@ -117,12 +103,6 @@ class Dag:
         """Position of i in the cached topological order."""
         self._check_vertex(i)
         return self._rank[i]
-
-    def is_sink(self, i: int) -> bool:
-        return not self.children(i)
-
-    def is_source(self, i: int) -> bool:
-        return not self.parents(i)
 
     # -- d-separation ---------------------------------------------------
 
@@ -143,14 +123,7 @@ class Dag:
         if left & right or left & given or right & given:
             raise GraphError("d-separation requires pairwise disjoint vertex sets")
         # closure of `given` under ancestors: colliders in it may be opened
-        anc_given = set(given)
-        stack = list(given)
-        while stack:
-            v = stack.pop()
-            for u in self._parents[v]:
-                if u not in anc_given:
-                    anc_given.add(u)
-                    stack.append(u)
+        anc_given = self._reach(given, self._parents)
         UP, DOWN = 0, 1  # direction of travel into a vertex
         visited = set()
         queue = deque((v, UP) for v in left)
@@ -175,41 +148,5 @@ class Dag:
                         queue.append((u, UP))
         return True
 
-    # -- equivalence-class structure -------------------------------------
-
     def skeleton(self) -> FrozenSet[FrozenSet[int]]:
         return frozenset(frozenset(e) for e in self.edges)
-
-    def v_structures(self) -> FrozenSet[Tuple[int, int, int]]:
-        """Triples (i, j, k), i < k, with i -> j <- k and i, k nonadjacent."""
-        out = set()
-        for j in range(self.p):
-            for i, k in combinations(sorted(self._parents[j]), 2):
-                if not self.adjacent(i, k):
-                    out.add((i, j, k))
-        return frozenset(out)
-
-    def is_covered(self, edge: Edge) -> bool:
-        """An edge i -> j is covered when pa(j) = pa(i) | {i}."""
-        i, j = edge
-        if edge not in self.edges:
-            raise GraphError(f"({i + 1}, {j + 1}) is not an edge")
-        return self._parents[j] == self._parents[i] | {i}
-
-
-def markov_equivalent(g: Dag, h: Dag) -> bool:
-    """Same skeleton and same v-structures."""
-    if g.p != h.p:
-        raise GraphError(f"vertex counts differ: {g.p} vs {h.p}")
-    return g.skeleton() == h.skeleton() and g.v_structures() == h.v_structures()
-
-
-def marginalize_sink(g: Dag, j: int):
-    """Remove the sink vertex j; returns the reduced Dag and the map from
-    surviving old indices to new ones."""
-    g._check_vertex(j)
-    if not g.is_sink(j):
-        raise GraphError(f"vertex {j + 1} is not a sink")
-    relabel = {v: (v if v < j else v - 1) for v in range(g.p) if v != j}
-    edges = [(relabel[a], relabel[b]) for a, b in g.edges if a != j and b != j]
-    return Dag(g.p - 1, edges), relabel

@@ -374,6 +374,10 @@ class _GreedySearch:
                 if settled == len(self.phases):
                     return self.state
 
+    def run(self) -> ColoredDag:
+        """Search, and return the final state as a colored DAG."""
+        return self._search().current
+
 
 class GecsSearch(_GreedySearch):
     """One greedy run over a dataset; exposes the score trace and final state."""
@@ -381,9 +385,6 @@ class GecsSearch(_GreedySearch):
     phases = PHASES
     _tiekey = staticmethod(_gecs_tiekey)
     min_p = 2
-
-    def run(self) -> ColoredDag:
-        return self._search().current
 
 
 def gecs(data: Dataset, *, move_budget: Optional[int] = None) -> ColoredDag:
@@ -396,16 +397,14 @@ def gecs(data: Dataset, *, move_budget: Optional[int] = None) -> ColoredDag:
 class BaselineSearch(_GreedySearch):
     """Hill climbing over uncolored DAGs with single-edge add/delete/reverse
     moves under the uncolored score (one parameter per node plus one per
-    edge).  GES-style stand-in for comparisons, searching DAG space rather
-    than essential graphs."""
+    edge), so every edge of its result is in a class of its own.  GES-style
+    stand-in for comparisons, searching DAG space rather than essential
+    graphs."""
 
     phases = (("climb", (("", _candidates_baseline),)),)
     _tiekey = staticmethod(_baseline_tiekey)
     min_p = 1
 
-    def run(self) -> Dag:
-        return self._search().graph
-
 
 def baseline_greedy(data: Dataset, *, move_budget: Optional[int] = None) -> Dag:
-    return BaselineSearch(data, move_budget=move_budget).run()
+    return BaselineSearch(data, move_budget=move_budget).run().graph

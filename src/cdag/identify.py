@@ -27,7 +27,7 @@ def is_vertex_identifying(g: Dag, i: int, candidate) -> bool:
     a = frozenset(candidate)
     if i in a:
         raise GraphError(f"candidate set for vertex {i + 1} may not contain it")
-    return g.parents(i) <= a and not (a & g.closed_descendants(i))
+    return g.parents(i) <= a and not (a & g.descendants(i))
 
 
 def is_zero_identifying(g: Dag, i: int, j: int, candidate) -> bool:
@@ -84,6 +84,8 @@ def _membership(g: Dag, target: Union[int, Edge]):
     i, j = target
     g._check_vertex(i)
     g._check_vertex(j)
+    if i == j:
+        raise GraphError(f"({i + 1}, {j + 1}) is a self-loop, not a vertex pair")
     universe = [v for v in range(g.p) if v != j]
     if (i, j) in g.edges:
         return universe, _edge_test(g, i, j)

@@ -7,11 +7,13 @@ on submatrices instead of minors.  These stay independent of the code paths
 they check.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 from cdag.dag import Dag
 from cdag.coloring import ColoredDag
-from cdag.errors import SizeGuardError
+from cdag.errors import GraphError, SizeGuardError
 
 TREK_GUARD_P = 8
 
@@ -76,6 +78,20 @@ def path_dsep(g: Dag, left, right, given) -> bool:
             if not blocked:
                 return False
     return True
+
+
+def v_structures(g: Dag):
+    """Triples (i, j, k), i < k, with i -> j <- k and i, k nonadjacent."""
+    return frozenset((i, j, k) for j in range(g.p)
+                     for i, k in combinations(sorted(g.parents(j)), 2)
+                     if not g.adjacent(i, k))
+
+
+def markov_equivalent(g: Dag, h: Dag) -> bool:
+    """Same skeleton and same v-structures."""
+    if g.p != h.p:
+        raise GraphError(f"vertex counts differ: {g.p} vs {h.p}")
+    return g.skeleton() == h.skeleton() and v_structures(g) == v_structures(h)
 
 
 def all_digraph_edge_sets(p):

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 summary; tolerances are pinned here and nowhere else.
 """
 
+import json
 import time
 from itertools import combinations
 
@@ -323,7 +324,7 @@ def test_criterion_9_property_suites():
     # serialization round trips
     for _ in range(20):
         cd = random_bpec_like(rng, int(rng.integers(3, 9)))
-        assert ColoredDag.from_json(cd.to_json()) == cd
+        assert ColoredDag.from_json_dict(json.loads(cd.to_json())) == cd
 
     # faithfulness scans
     for _ in range(20):

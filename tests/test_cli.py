@@ -7,16 +7,24 @@ import pytest
 
 from cdag.bench import random_bpec, sample
 from cdag.cli import main, params_from_json_dict, params_to_json_dict
-from cdag.coloring import ColoredDag, write_graph_json
+from cdag.coloring import ColoredDag, uncolored, write_graph_json
 from cdag.dag import Dag
 from cdag.files import write_matrix_csv
 from cdag.fit import Dataset
 from cdag.params import ModelParams, parametrize
 
+from test_gecs import BASELINE_EDGES, BASELINE_SCORES
+
 EX516_A = {"p": 6, "edges": [[1, 2], [1, 3], [2, 3], [1, 4], [4, 5], [4, 6], [5, 6]],
            "edge_colors": {"cyan": [[1, 2], [4, 5]]}, "vertex_colors": {}}
 EX516_B = {"p": 6, "edges": [[1, 2], [1, 3], [2, 3], [4, 1], [4, 5], [4, 6], [5, 6]],
            "edge_colors": {"cyan": [[1, 2], [4, 5]]}, "vertex_colors": {}}
+
+
+def _sweep(**fields):
+    """Sweep-config text of a one-cell sweep with the given fields replaced."""
+    return json.dumps({"p": 4, "rho": 0.5, "nc": 2, "n": 100, "replicates": 1,
+                       **fields})
 
 
 def run(capsys, *argv):
@@ -71,6 +79,19 @@ class TestSimulateLearnScore:
         assert code == 0
         final = trace.read_text().strip().splitlines()[-1].split(",")[3]
         assert float(final) == json.loads(out)["bic"]
+
+    def test_baseline_golden(self, workdir, capsys):
+        # on the uncentered data of test_gecs.TestGolden: stdout is the
+        # baseline's graph with every vertex and edge in its own class
+        truth, theta = random_bpec(10, 0.5, 2, seed=5)
+        data, trace = workdir / "d.csv", workdir / "t.csv"
+        sample(truth, theta, 1000, 6).to_csv(data)
+        code, out, _ = run(capsys, "learn", "--data", str(data), "--no-center",
+                           "--baseline", "--trace", str(trace))
+        assert code == 0
+        assert json.loads(out) == uncolored(Dag(10, BASELINE_EDGES)).to_json_dict()
+        final = trace.read_text().strip().splitlines()[-1].split(",")[3]
+        assert final == f"{BASELINE_SCORES[-1]:.17g}"
 
     def test_seed_reproducibility(self, workdir, capsys):
         args = ("simulate", "--p", "4", "--rho", "0.5", "--nc", "2",
@@ -294,6 +315,13 @@ class TestFileBoundary:
         ('{"p": 2, "edges": [[1, 2]], "edge_colors": 3}',
          "'edge_colors' to map names to lists of vertex pairs"),
         ('\udcff{"p": 2, "edges": []}', "g.json: not UTF-8 text"),
+        ('{"p": 3.7, "edges": [[1, 2]]}', "'p' holds 3.7, not an integer"),
+        ('{"p": true, "edges": []}', "'p' holds True, not an integer"),
+        ('{"p": 3, "edges": [[1.5, 2]]}', "'edges' holds 1.5, not an integer"),
+        ('{"p": 3, "edges": [[1, 2]], "edge_colors": {"a": [[1, 2.0]]}}',
+         "edge color 'a' holds 2.0, not an integer"),
+        ('{"p": 3, "edges": [], "vertex_colors": {"a": [1, 2.9]}}',
+         "vertex color 'a' holds 2.9, not an integer"),
     ])
     def test_bad_graph_json(self, workdir, capsys, text, expected):
         graph = workdir / "g.json"
@@ -372,6 +400,21 @@ class TestFileBoundary:
         ("bench", '{"p": "x", "rho": 0.5, "nc": 2, "n": 100, "replicates": 1}',
          "sweep config field 'p' needs int values, got 'x'"),
         ("bench", "[4]", "sweep config must be a JSON object"),
+        ("bench", _sweep(p=[4.9]), "field 'p' needs int values, got 4.9"),
+        ("bench", _sweep(nc=True), "field 'nc' needs int values, got True"),
+        ("bench", _sweep(replicates=1.8), "field 'replicates' needs int values, got 1.8"),
+        ("bench", _sweep(seed=2.0), "field 'seed' needs int values, got 2.0"),
+        ("bench", _sweep(p=[-3]), "field 'p' needs finite nonnegative values, got -3"),
+        ("bench", _sweep(nc=[2, -1]), "field 'nc' needs finite nonnegative values, got -1"),
+        ("bench", _sweep(n=-100), "field 'n' needs finite nonnegative values, got -100"),
+        ("bench", _sweep(replicates=-1),
+         "field 'replicates' needs finite nonnegative values, got -1"),
+        ("bench", _sweep(seed=-1), "field 'seed' needs finite nonnegative values, got -1"),
+        ("bench", _sweep(rho=-0.5), "field 'rho' needs finite nonnegative values, got -0.5"),
+        ("bench", _sweep(rho=[0.5, float("nan")]),
+         "field 'rho' needs finite nonnegative values, got nan"),
+        ("bench", _sweep(rho=float("inf")),
+         "field 'rho' needs finite nonnegative values, got inf"),
     ])
     def test_bad_params_and_sweep_json(self, workdir, capsys, command, text, expected):
         if command == "simulate":
@@ -392,6 +435,7 @@ class TestFileBoundary:
         (("identify", "--vertex", "0"), "vertex 0 out of range for p=3"),
         (("identify", "--vertex", "9"), "vertex 9 out of range for p=3"),
         (("identify", "--edge", "0,1"), "vertex 0 out of range for p=3"),
+        (("identify", "--edge", "2,2"), "(2, 2) is a self-loop"),
         (("check", "--global", "--budget", "-1"), "budget must be at least 1, got -1"),
         (("check", "--global", "--budget", "0"), "budget must be at least 1, got 0"),
         (("check", "--tol", "-1"), "tol must be nonnegative, got -1.0"),

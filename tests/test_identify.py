@@ -180,6 +180,7 @@ class TestSampling:
      "candidate set for pair (1, 3) may not contain 3"),
     (lambda: is_zero_identifying(P4, 0, 1, {0}),
      "(1, 2) is an edge; use is_edge_identifying"),
+    (lambda: enumerate_identifying_sets(P4, (1, 1)), "(2, 2) is a self-loop"),
 ])
 def test_messages_name_vertices_one_based(call, expected):
     with pytest.raises(GraphError, match=re.escape(expected)):
