@@ -9,6 +9,7 @@ are partitioned round-robin into at most ``nc`` classes of size at least two.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -164,7 +165,10 @@ class SweepConfig:
 
 
 def _cell_seed(root: int, p: int, rho: float, nc: int, n: int, rep: int) -> int:
-    ss = np.random.SeedSequence((root, p, int(round(rho * 1000)), nc, n, rep))
+    # rho * 1000 overflows past rho = 1.8e305; every such rho is an invalid
+    # edge probability whose cell reports an error, so they share one key
+    scaled = min(rho * 1000, sys.float_info.max)
+    ss = np.random.SeedSequence((root, p, int(round(scaled)), nc, n, rep))
     return int(ss.generate_state(1)[0])
 
 

@@ -1,27 +1,34 @@
 """Maximum likelihood and BIC for compatibly colored DAGs.
 
-One kernel, `family_ls`, fits one vertex color class, and every fit goes
-through it: `mle`, `bic_score` and `bic_components` call it once per class,
-and the greedy search once per candidate node.  Within a family, parents
-sharing an edge color contribute a single regressor column equal to the sum
-of their sample values, and the families of a class are stacked into one
-pooled system (a node lacking parents of some shared edge color contributes
-zero-filled rows for that column).  Data are treated as mean-zero; centering
-is the caller's decision.
+Every fit goes through one stacked least-squares kernel, `stacked_ls`,
+which solves many vertex color classes ("families") in one call:
+`fit_families` (behind `mle`, `bic_score` and `bic_components`) passes all
+classes of a graph at once, the greedy search passes every family a move's
+candidates need that it has not fitted before, and `family_ls` is the call
+for one family.  Within a family, parents sharing an edge color contribute
+a single regressor column equal to the sum of their sample values, and the
+families of a class are stacked into one pooled system (a node lacking
+parents of some shared edge color contributes zero-filled rows for that
+column).  Data are treated as mean-zero; centering is the caller's decision.
 
 The kernel reads no samples: it fits from the Gram matrix S = X^T X, which a
 `Dataset` computes once (`Dataset.gram`).  With A_j the indicator matrix of
 node j's regressor columns, the normal equations are G = sum_j A_j^T S A_j
-and b = sum_j A_j^T S[:, j], and RSS = sum_j S[j, j] - b^T G^-1 b.  G is
-factored by pivoted Cholesky after scaling it to unit diagonal, so each
-pivot is the share of a column's squared norm left unexplained by the
-columns before it.  One relative tolerance, `RESIDUAL_RTOL`, decides both
-failures: a column whose share falls to it is collinear with the others,
-and a response whose RSS falls to that share of its squared norm has zero
-residual variance.  A family with as many columns as samples is refused
-before it is solved, since it interpolates.  The columns are ordered
-canonically first, so a family fits to the same bits whichever order its
-caller lists them in.
+and b = sum_j A_j^T S[:, j], and RSS = sum_j S[j, j] - b^T G^-1 b.  Each G
+is scaled to unit diagonal and factored by Cholesky without pivoting, all
+families at once, so each squared pivot is the share of a column's squared
+norm left unexplained by the columns before it.  A family with fewer
+columns than the widest in the call is padded with identity columns, which
+leaves its solution exact, and its normal equations are formed by the same
+matrix products as when it is fitted alone, so its results do not depend
+on the rest of the call.  One relative tolerance, `RESIDUAL_RTOL`, decides
+both failures: a column whose share falls to it is collinear with the
+others, and a response whose RSS falls to that share of its squared norm
+has zero residual variance.  A family with as many columns as samples is
+refused, since it interpolates.  Each failure is reported for its own
+family only.  The kernel sorts each family's columns by their sorted edges
+before fitting, so a family fits to the same bits whichever order its
+caller lists them in, and hands the coefficients back in the caller's order.
 
 The score is the log-likelihood at the MLE minus ln(n)/2 per free parameter
 (`family_bic`), and it decomposes over vertex colors, which is what makes
@@ -33,10 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf, dtrtrs
 
 from .coloring import ColoredDag
 from .errors import CdagError, ColoringError, RankDeficientError
@@ -123,6 +129,126 @@ def _vertices(nodes: Sequence[int]) -> str:
     return "vertices " + ", ".join(str(k + 1) for k in nodes)
 
 
+def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[Edges]]],
+               *, n: int, coefficients: bool = True):
+    """Pooled least squares for many vertex color classes in one call, from
+    the Gram matrix ``S`` of ``n`` samples.
+
+    Each family is a pair ``(nodes, groups)`` as `family_ls` takes it.
+    Returns the coefficients (None unless ``coefficients``) as an array with
+    one row per family, whose first ``len(groups)`` entries are its own, in
+    its own column order, and the rest zero; the pooled residual sums of
+    squares; and per family either None or the `RankDeficientError` that
+    fitting it alone raises.  A family's results do not depend on the others
+    in the call, nor on the order of its columns: each is fitted with its
+    columns sorted by their sorted edges."""
+    N, p = len(families), S.shape[0]
+    norms = S.diagonal().tolist()
+    yy = np.array([sum(map(norms.__getitem__, nodes)) for nodes, _ in families])
+    # each family's columns in canonical order: sorted by their sorted edges
+    columns = [sorted(groups, key=sorted) for _, groups in families]
+    by_width: Dict[int, List[int]] = {}
+    for f, cols in enumerate(columns):
+        by_width.setdefault(len(cols), []).append(f)
+    M = max(by_width, default=0)
+    ii = np.arange(M)   # indexes the diagonal of M x M blocks
+
+    # normal equations: with A_j the indicator matrix of node j's regressor
+    # columns, G = sum_j A_j^T S A_j and b = sum_j A_j^T S[:, j].  They are
+    # formed per column count m, with the matrix products a lone family's
+    # fit makes, so its bits do not depend on the rest of the call; a family
+    # with fewer than M columns gets identity rows and columns after its own.
+    G = np.zeros((N, M, M))
+    G[:, ii, ii] = 1.0
+    b = np.zeros((N, M))
+    for m, fams in by_width.items():
+        if not m:
+            continue
+        # A is (family, node slot, parent, column); a family with fewer than
+        # K nodes has all-zero slots after its own, which add exact zeros
+        K = max(len(families[f][0]) for f in fams)
+        pad = [0] * K
+        ones, heads = [], []   # flat positions of A's ones; each slot's node
+        for first, f in zip(range(0, len(fams) * K, K), fams):
+            nodes = families[f][0]
+            slot = nodes.index
+            ones += [((first + slot(j)) * p + i) * m + a
+                     for a, col in enumerate(columns[f]) for i, j in col]
+            heads += nodes
+            heads += pad[len(nodes):]
+        A = np.zeros(len(fams) * K * p * m)
+        A[ones] = 1.0
+        A = A.reshape(len(fams), K, p, m)
+        SA = S @ A
+        GA = A.swapaxes(2, 3) @ SA
+        # row k of node k's slot of S A is A_k^T S[:, k]; a padding slot is zero
+        rows = np.arange(0, len(heads) * p, p) + heads
+        bA = SA.reshape(-1, m)[rows].reshape(len(fams), K, m)
+        G[fams, :m, :m] = GA[:, 0]
+        b[fams, :m] = bA[:, 0]
+        for s in range(1, K):
+            G[fams, :m, :m] += GA[:, s]
+            b[fams, :m] += bA[:, s]
+
+    # scale to unit diagonal (an all-zero column keeps its zero diagonal),
+    # then Cholesky without pivoting.  Each squared pivot, left on the
+    # diagonal, is the share of a column's squared norm unexplained by the
+    # columns before it; z solves U^T z = b, so RSS = yy - z^T z.
+    dg = G[:, ii, ii]
+    d = np.sqrt(np.where(dg > 0.0, dg, 1.0))
+    U = G / (d[:, :, None] * d[:, None, :])
+    z = b / d
+    for j in range(M):
+        # a pivot at or below the cutoff fails its family; clipping it
+        # only keeps the arithmetic finite
+        r = np.sqrt(np.fmax(U[:, j, j], RESIDUAL_RTOL))
+        row = U[:, j, j + 1:] * (1.0 / r)[:, None]
+        U[:, j, j + 1:] = row
+        z[:, j] /= r
+        U[:, j + 1:, j + 1:] -= row[:, :, None] * row[:, None, :]
+        z[:, j + 1:] -= row * z[:, j, None]
+    pivots = U[:, ii, ii]
+    collinear = ~(pivots > RESIDUAL_RTOL).all(axis=1)
+    # z^T z by the dot product of a lone family's length, as padding zeros
+    # could move its bits in a longer one
+    rss = yy.copy()
+    for m, fams in by_width.items():
+        if m:
+            zm = z[fams, :m, None]
+            rss[fams] -= (zm.swapaxes(1, 2) @ zm)[:, 0, 0]
+    coef = None
+    if coefficients:
+        # back-substitution; U is triangular, so the LU solve does no pivoting
+        U = np.triu(U)
+        U[:, ii, ii] = np.sqrt(np.fmax(pivots, RESIDUAL_RTOL))
+        fitted = np.linalg.solve(U, z[:, :, None])[:, :, 0] / d
+        coef = np.zeros((N, M))
+        for f, (_, groups) in enumerate(families):
+            # back to the caller's column order
+            order = sorted(range(len(groups)), key=lambda c: sorted(groups[c]))
+            coef[f, order] = fitted[f, :len(groups)]
+
+    errors: List[Optional[RankDeficientError]] = [None] * N
+    failed = collinear | (rss <= RESIDUAL_RTOL * yy)
+    for m, fams in by_width.items():
+        if m >= n:
+            failed[fams] = True
+    for f in np.flatnonzero(failed).tolist():
+        nodes, m = tuple(families[f][0]), len(families[f][1])
+        if m >= n:
+            # as many regressors as samples: the fit interpolates, and its
+            # residual is rounding noise rather than a variance estimate
+            msg = (f"the family of {_vertices(nodes)} has {m} regressor "
+                   f"columns but only {n} samples")
+        elif collinear[f]:
+            msg = f"collinear regressors in the family of {_vertices(nodes)}"
+        else:
+            msg = (f"zero residual variance at {_vertices(nodes)}; the model "
+                   f"interpolates the data")
+        errors[f] = RankDeficientError(msg, family=nodes)
+    return coef, rss, errors
+
+
 def family_ls(S: np.ndarray, nodes: Sequence[int], groups: Sequence[Edges], *, n: int):
     """Pooled least squares for one vertex color class, from the Gram matrix
     ``S`` of ``n`` samples.
@@ -132,45 +258,10 @@ def family_ls(S: np.ndarray, nodes: Sequence[int], groups: Sequence[Edges], *, n
     of the column is the sum of X[:, i] over its edges, or zeros if it has
     none.  The nodes' blocks are stacked into one system.  Returns the
     coefficients, one per column, and the pooled residual sum of squares."""
-    m = len(groups)
-    if m >= n:
-        # as many regressors as samples: the fit interpolates, and its
-        # residual is rounding noise rather than a variance estimate
-        raise RankDeficientError(
-            f"the family of {_vertices(nodes)} has {m} regressor columns "
-            f"but only {n} samples", family=tuple(nodes))
-    yy = sum(S[k, k] for k in nodes)
-    coef = np.zeros(m)
-    rss = yy
-    if m:
-        order = sorted(range(m), key=lambda c: sorted(groups[c]))
-        indicator = {k: np.zeros((S.shape[0], m)) for k in nodes}
-        for col, c in enumerate(order):
-            for i, j in groups[c]:
-                indicator[j][i, col] = 1.0
-        G = np.zeros((m, m))
-        b = np.zeros(m)
-        for k, A in indicator.items():
-            SA = S @ A
-            G += A.T @ SA
-            b += SA[k]
-        d = np.sqrt(np.diag(G))
-        rank = 0   # an all-zero column makes the design singular outright
-        if d.all():
-            U, piv, rank, _ = dpstrf(G / np.outer(d, d), tol=RESIDUAL_RTOL)
-        if rank < m:
-            raise RankDeficientError(
-                f"collinear regressors in the family of {_vertices(nodes)}",
-                family=tuple(nodes))
-        piv -= 1
-        z = dtrtrs(U, (b / d)[piv], trans=1)[0]
-        coef[np.array(order)[piv]] = dtrtrs(U, z)[0] / d[piv]
-        rss = yy - z @ z
-    if rss <= RESIDUAL_RTOL * yy:
-        raise RankDeficientError(
-            f"zero residual variance at {_vertices(nodes)}; the model "
-            f"interpolates the data", family=tuple(nodes))
-    return coef, float(rss)
+    coef, rss, errors = stacked_ls(S, [(nodes, groups)], n=n)
+    if errors[0] is not None:
+        raise errors[0]
+    return coef[0, :len(groups)], float(rss[0])
 
 
 def family_loglik(n: int, rss: float, nodes: Sequence[int]) -> float:
@@ -208,19 +299,23 @@ def fit_families(cd: ColoredDag, data: Dataset):
         raise ColoringError(
             "maximum likelihood requires a compatible coloring "
             "(same-colored edges must enter same-colored vertices)")
-    S = data.gram
-    omega = []
-    lam = [0.0] * len(cd.edge_classes)
-    families = []
-    for cid, grp in enumerate(cd.vertex_classes):
+    classes = []
+    for grp in cd.vertex_classes:
         nodes = tuple(sorted(grp))
-        colors = tuple(sorted({c for k in nodes for c in cd.parent_edge_colors(k)}))
-        coef, rss = family_ls(S, nodes, [tuple(sorted(cd.edge_classes[c])) for c in colors],
-                              n=data.n)
-        families.append(FamilyScore(cid, nodes, colors, family_loglik(data.n, rss, nodes)))
-        omega.append(rss / (data.n * len(nodes)))
-        for color, value in zip(colors, coef):
-            lam[color] = float(value)
+        classes.append((nodes, tuple(sorted({c for k in nodes for c in cd.parent_edge_colors(k)}))))
+    coef, rss, errors = stacked_ls(
+        data.gram, [(nodes, [cd.edge_classes[c] for c in colors]) for nodes, colors in classes],
+        n=data.n)
+    for error in errors:
+        if error is not None:
+            raise error
+    lam = [0.0] * len(cd.edge_classes)
+    omega, families = [], []
+    for cid, ((nodes, colors), r) in enumerate(zip(classes, rss.tolist())):
+        families.append(FamilyScore(cid, nodes, colors, family_loglik(data.n, r, nodes)))
+        omega.append(r / (data.n * len(nodes)))
+        for color, value in zip(colors, coef[cid].tolist()):
+            lam[color] = value
     return ModelParams(tuple(omega), tuple(lam)), tuple(families)
 
 

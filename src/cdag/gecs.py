@@ -11,6 +11,9 @@ one move over singleton parent groups.
 
 Scores decompose over families, so a candidate is the new parent groups of
 the one or two nodes it changes, and is evaluated by refitting just those.
+A move first lists its candidates, then fits every changed family not yet
+memoized in one stacked least-squares call (`stacked_ls`), and only then
+scores the candidates from the memo.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .coloring import ColoredDag
 from .dag import Dag
-from .errors import CdagError, GraphError, RankDeficientError, SearchBudgetError
-from .fit import Dataset, family_bic, family_loglik, family_ls
+from .errors import CdagError, GraphError, SearchBudgetError
+from .fit import Dataset, family_bic, family_loglik, stacked_ls
 
 Group = Tuple[int, ...]
 Families = Tuple[Tuple[Group, ...], ...]   # per node: its parent groups
@@ -91,26 +94,27 @@ class _FamilyScorer:
         self.n = data.n
         self._memo: Dict[Tuple[int, Tuple[Group, ...]], float] = {}
 
-    def component(self, k: int, groups: Tuple[Group, ...]) -> float:
-        """Score component of node k with the given parent groups; a
-        candidate family that cannot be fitted scores -inf, so no move
-        accepts it, but a parentless node that cannot be fitted is an error."""
-        key = (k, groups)
-        got = self._memo.get(key)
-        if got is None:
-            try:
-                edges = tuple(tuple((i, k) for i in grp) for grp in groups)
-                _, rss = family_ls(self.S, (k,), edges, n=self.n)
-                got = family_bic(family_loglik(self.n, rss, (k,)), self.n, len(groups))
-            except RankDeficientError:
-                if not groups:
-                    raise
-                got = -math.inf
-            self._memo[key] = got
-        return got
+    def fit(self, keys) -> None:
+        """Score every (node, parent groups) key not yet memoized, in one
+        stacked least-squares call.  A candidate family that cannot be
+        fitted scores -inf, so no move accepts it, but a parentless node
+        that cannot be fitted is an error."""
+        memo = self._memo
+        new = list({key: None for key in keys if key not in memo})
+        families = [((k,), [[(i, k) for i in grp] for grp in groups]) for k, groups in new]
+        _, rss, errors = stacked_ls(self.S, families, n=self.n, coefficients=False)
+        for (k, groups), r, error in zip(new, rss.tolist(), errors):
+            if error is None:
+                memo[k, groups] = family_bic(family_loglik(self.n, r, (k,)),
+                                             self.n, len(groups))
+            elif not groups:
+                raise error
+            else:
+                memo[k, groups] = -math.inf
 
     def state_from(self, families: Families) -> SearchState:
-        cache = tuple(self.component(k, groups) for k, groups in enumerate(families))
+        self.fit(enumerate(families))
+        cache = tuple(self._memo[key] for key in enumerate(families))
         return SearchState(families, math.fsum(cache), cache)
 
 
@@ -140,11 +144,14 @@ def _apply_best(state: SearchState, scorer: _FamilyScorer, candidates,
                 tiekey: Callable) -> SearchState:
     """Pick the best strictly improving candidate; ties go to the smallest
     ``tiekey`` so runs are reproducible."""
+    candidates = list(candidates)
+    scorer.fit(key for candidate in candidates for key in candidate)
+    memo, cache = scorer._memo, state.family_cache
     best = best_score = best_key = None
     for candidate in candidates:
         score = state.score
-        for k, groups in candidate:
-            score += scorer.component(k, groups) - state.family_cache[k]
+        for key in candidate:
+            score += memo[key] - cache[key[0]]
         if score <= state.score + SCORE_EPS:
             continue
         if best is None or score > best_score + SCORE_EPS:

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cdag.bench import (SweepConfig, color_sensitivity, random_bpec,
+from cdag.bench import (SweepConfig, _cell_seed, color_sensitivity, random_bpec,
                         run_sweep, sample, shd, write_results_csv)
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
@@ -149,6 +149,13 @@ class TestSweep:
         write_results_csv(rows, out)
         header = out.read_text().strip()
         assert header == "p,rho,nc,n,seed,method,shd,sensitivity,runtime,error"
+
+    def test_cell_seeds_are_pinned(self):
+        # a cell's seed keys rho by round(rho * 1000); past rho = 1.8e305
+        # that product overflows, and every such rho shares one key
+        assert [_cell_seed(7, 4, rho, 2, 200, 1) for rho in (0.0005, 0.5, 1e300)] == [
+            394619393, 2392041270, 2295437506]
+        assert _cell_seed(7, 4, 1e306, 2, 200, 1) == _cell_seed(7, 4, 1.7e308, 2, 200, 1)
 
     def test_failed_cell_gets_error_tag(self):
         # n=1 trips the fit precondition inside both methods

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior over the declared file formats."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cdag.coloring import ColoredDag, uncolored, write_graph_json
 from cdag.dag import Dag
 from cdag.files import write_matrix_csv
 from cdag.fit import Dataset
+from cdag.gecs import BaselineSearch, GecsSearch
 from cdag.params import ModelParams, parametrize
 
 from test_gecs import BASELINE_EDGES, BASELINE_SCORES
@@ -247,6 +249,21 @@ class TestEquivIdentifyBench:
         assert len(lines) == 3
 
 
+    def test_bench_rho_too_large_to_scale_gives_error_rows(self, workdir, capsys):
+        # the cell seed scales rho by 1000, which overflowed to a traceback
+        config = workdir / "sweep.json"
+        config.write_text(json.dumps({"p": 4, "rho": 1e306, "nc": 2, "n": 100,
+                                      "replicates": 1}))
+        out_csv = workdir / "results.csv"
+        code, out, err = run(capsys, "bench", "--config", str(config),
+                             "--out", str(out_csv))
+        assert code == 0 and "Traceback" not in err
+        rows = out_csv.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[5] for row in rows] == ["gecs", "baseline"]
+        assert all(row.endswith("edge probability must lie strictly between 0 and 1")
+                   for row in rows)
+
+
 class TestErrors:
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "identify", "--graph", "missing.json",
@@ -350,6 +367,39 @@ class TestFileBoundary:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err
+
+    @pytest.mark.parametrize("method", ["gecs", "baseline"])
+    def test_learn_refuses_only_the_families_of_a_duplicated_column(self, workdir,
+                                                                   capsys, method):
+        # vertex 6 is a negated copy of vertex 3, so a family fitting one
+        # from the other, or holding both in one color class (a zero column),
+        # cannot be fitted: it scores -inf in the move that proposes it and
+        # is never accepted, while the families fitted beside it are scored
+        # as usual
+        truth, theta = random_bpec(6, 0.5, 2, seed=3)
+        x = sample(truth, theta, 300, 4).X.copy()
+        x[:, 5] = -x[:, 2]
+        data, trace, graph = workdir / "d.csv", workdir / "t.csv", workdir / "g.json"
+        Dataset(x).to_csv(data)
+        flags = ["--baseline"] if method == "baseline" else []
+        code, out, err = run(capsys, "learn", "--data", str(data), "--trace", str(trace),
+                             *flags)
+        assert code == 0 and "Traceback" not in err
+        result = ColoredDag.from_json_dict(json.loads(out))
+        assert (result.is_bpec() if method == "gecs"
+                else all(len(c) == 1 for c in result.edge_classes))
+        graph.write_text(out)
+        code, out, _ = run(capsys, "score", "--graph", str(graph), "--data", str(data))
+        assert code == 0
+        final = float(trace.read_text().strip().splitlines()[-1].split(",")[3])
+        assert json.loads(out)["bic"] == pytest.approx(final, rel=1e-12)
+
+        search = (BaselineSearch if flags else GecsSearch)(Dataset(x).centered())
+        search.run()
+        refused = {key for key, score in search.scorer._memo.items() if score == -math.inf}
+        assert refused
+        assert not refused & set(enumerate(search.state.families))
+        assert all(math.isfinite(row.score) for row in search.trace)
 
     @pytest.mark.parametrize("text, expected", [
         ("0,1\n\nx,0\n", "row 3, column 1: 'x' is not a number"),

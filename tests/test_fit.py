@@ -9,7 +9,8 @@ import pytest
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, RankDeficientError
-from cdag.fit import Dataset, bic_components, bic_score, family_ls, mle
+from cdag.fit import (Dataset, bic_components, bic_score, family_ls, mle,
+                      stacked_ls)
 from cdag.params import ModelParams, parametrize, recover_lambda
 from cdag.bench import random_bpec, sample
 
@@ -262,6 +263,98 @@ class TestGramKernel:
                            match="zero residual variance at vertex 4") as exc:
             family_ls(x.T @ x, (3,), (((0, 3), (1, 3)), ((2, 3),)), n=200)
         assert exc.value.family == (3,)
+
+
+def _random_family(rng, p, n_nodes, max_edges):
+    """A random vertex color class of ``n_nodes`` nodes with its columns in
+    canonical order; in a pooled class some node may lack edges of a shared
+    color."""
+    nodes = tuple(sorted(rng.choice(p, size=n_nodes, replace=False).tolist()))
+    pool = [(i, k) for k in nodes for i in range(p) if i not in nodes]
+    pool = [pool[e] for e in rng.permutation(len(pool))[:rng.integers(0, max_edges + 1)]]
+    groups = []
+    while pool:
+        take = int(rng.integers(1, 4))
+        groups.append(tuple(sorted(pool[:take])))
+        pool = pool[take:]
+    return nodes, sorted(groups)
+
+
+class TestStackedKernel:
+    """`stacked_ls` fits many families in one call; each family's results
+    are those of its own one-family call."""
+
+    def _batch(self, rng, p, size):
+        return [_random_family(rng, p, 1 + int(rng.integers(0, 3)), 9)
+                for _ in range(size)]
+
+    def test_matches_normal_equations(self):
+        rng = np.random.default_rng(20)
+        widths, pooled = set(), 0
+        for _ in range(15):
+            p = int(rng.integers(4, 13))
+            n = int(rng.choice([50, 500, 5000]))
+            x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+            families = self._batch(rng, p, 12)
+            coef, rss, errors = stacked_ls(x.T @ x, families, n=n)
+            assert errors == [None] * len(families)
+            for f, (nodes, groups) in enumerate(families):
+                widths.add(len(groups))
+                pooled += len(nodes) > 1
+                design, y = _pooled_design(x, nodes, groups)
+                ref_coef, ref_rss = normal_equation_ls(design, y)
+                assert np.allclose(coef[f, :len(groups)], ref_coef, rtol=1e-8, atol=1e-10)
+                assert not coef[f, len(groups):].any()
+                assert rss[f] == pytest.approx(ref_rss, rel=1e-9)
+        assert len(widths) >= 4 and pooled > 0
+
+    def test_batch_equals_one_family_calls_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            p, n = 12, 400
+            x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+            S = x.T @ x
+            families = self._batch(rng, p, 20)
+            assert len({len(g) for _, g in families}) > 2
+            # the batch lists each family's columns in a shuffled order
+            orders = [rng.permutation(len(g)) for _, g in families]
+            shuffled = [(nodes, [groups[c] for c in order])
+                        for (nodes, groups), order in zip(families, orders)]
+            coef, rss, _ = stacked_ls(S, shuffled, n=n)
+            for f, (nodes, groups) in enumerate(families):
+                alone_coef, alone_rss = family_ls(S, nodes, groups, n=n)
+                assert rss[f] == alone_rss
+                assert coef[f, :len(groups)].tolist() == alone_coef[orders[f]].tolist()
+
+    def test_each_failure_stays_with_its_family(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((40, 6))
+        x[:, 1] = x[:, 0]                     # a duplicated column
+        x[:, 2] = 0.0                         # an all-zero column
+        x[:, 5] = x[:, 3] - 2.0 * x[:, 4]     # a response its parents fit exactly
+        good = [((3,), [((0, 3),), ((4, 3),)]), ((4,), []),
+                ((0,), [((3, 0), (4, 0))]), ((3, 5), [((0, 3), (0, 5)), ((4, 5),)])]
+        bad = {
+            "collinear regressors in the family of vertex 4": ((3,), [((0, 3),), ((1, 3),)]),
+            "collinear regressors in the family of vertex 1": ((0,), [((2, 0),), ((3, 0),)]),
+            "zero residual variance at vertex 6; the model interpolates the data":
+                ((5,), [((3, 5),), ((4, 5),)]),
+            "the family of vertex 1 has 40 regressor columns but only 40 samples":
+                ((0,), [((i % 5 + 1, 0),) for i in range(40)]),
+        }
+        families = good + list(bad.values())
+        order = rng.permutation(len(families))
+        shuffled = [families[f] for f in order]
+        _, rss, errors = stacked_ls(x.T @ x, shuffled, n=40)
+        for t, f in enumerate(order):
+            if f < len(good):
+                assert errors[t] is None and np.isfinite(rss[t]) and rss[t] > 0.0
+            else:
+                message = list(bad)[f - len(good)]
+                assert str(errors[t]) == message
+                assert errors[t].family == shuffled[t][0]
+                with pytest.raises(RankDeficientError, match=message):
+                    family_ls(x.T @ x, *shuffled[t], n=40)
 
 
 class TestBic:
