@@ -194,6 +194,13 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a nonnegative integer, as numpy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 TOL_HELP = ("bound on each relation's dimensionless residual: a partial "
             "correlation, or the relative difference of two conditional variances "
             "or regression coefficients (default 1e-7)")
@@ -214,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rho", type=float, help="edge probability for a random model")
     sim.add_argument("--nc", type=int, help="color classes per family for a random model")
     sim.add_argument("--n", type=int, required=True, help="sample count")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--out", required=True, help="output data CSV")
     sim.add_argument("--graph-out", help="also write the model graph JSON here")
     sim.add_argument("--params-out", help="also write the model parameters here")
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--budget", type=int, default=None,
                        help="with --global: sample this many global constraints "
                             "instead of enumerating")
-    check.add_argument("--seed", type=int, default=None,
+    check.add_argument("--seed", type=_seed, default=None,
                        help="with --global --budget: seed of the sampled "
                             "constraints (default 0)")
     check.set_defaults(func=cmd_check)
@@ -262,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     equiv.add_argument("--b", required=True)
     equiv.add_argument("--trials", type=int, default=20)
     equiv.add_argument("--tol", type=float, default=1e-7, help=TOL_HELP)
-    equiv.add_argument("--seed", type=int, default=0)
+    equiv.add_argument("--seed", type=_seed, default=0)
     equiv.set_defaults(func=cmd_equiv)
 
     benchp = sub.add_parser("bench", help="run a synthetic sweep")
@@ -281,10 +288,7 @@ def main(argv=None) -> int:
                 parser.error(f"check --{flag} needs --{needs}")
     try:
         return args.func(args)
-    except CdagError as exc:
-        _log(f"error: {exc}")
-        return 1
-    except OSError as exc:
+    except (CdagError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -349,6 +349,8 @@ class _Evaluator:
 def _require_tol(tol: float) -> None:
     if not tol >= 0:
         raise CdagError(f"tol must be nonnegative, got {tol}")
+    if np.isinf(tol):
+        raise CdagError("tol must be finite, got inf: every residual would pass")
 
 
 def _require_trials(trials: int) -> None:

@@ -10,7 +10,8 @@ joint fixed point.  The uncolored baseline runs through the same engine with
 one move over singleton parent groups.
 
 Scores decompose over families, so a candidate is the new parent groups of
-the one or two nodes it changes, and is evaluated by refitting just those.
+the one or two nodes it changes, in canonical form (each group sorted, then
+the groups), and is evaluated by refitting just those.
 A move first lists its candidates, then fits every changed family not yet
 memoized in one stacked least-squares call (`stacked_ls`), and only then
 scores the candidates from the memo.
@@ -118,8 +119,14 @@ class _FamilyScorer:
         return SearchState(families, math.fsum(cache), cache)
 
 
-def _canonical(groups) -> Tuple[Group, ...]:
-    return tuple(sorted(tuple(sorted(g)) for g in groups if g))
+def _edit(groups: Tuple[Group, ...], drop=(), add=()) -> Tuple[Group, ...]:
+    """Canonical form of a node's canonical ``groups`` without those at
+    positions ``drop`` and with the groups ``add``: the kept groups are
+    already sorted, so only the added ones are, and then the tuple."""
+    kept = [grp for t, grp in enumerate(groups) if t not in drop] if drop else list(groups)
+    kept += map(tuple, map(sorted, add))
+    kept.sort()
+    return tuple(kept)
 
 
 def _updated(families: Families, candidate: Candidate) -> Families:
@@ -168,68 +175,59 @@ def _apply_best(state: SearchState, scorer: _FamilyScorer, candidates,
 
 
 # -- the eight moves ---------------------------------------------------------
-# Only add_color, add_edge and reverse_edge add an edge, so only they can
-# close a cycle; they yield just the candidates that stay acyclic, judged by
-# reachability in the current graph.
+# Every move builds a changed node's new groups with `_edit`.  Only
+# add_color, add_edge and reverse_edge add an edge, so only they can close a
+# cycle: add_color and add_edge take new parents from `_new_parents`, and
+# reverse_edge asks `_reversal_acyclic`, both judged on the current graph.
+
+
+def _new_parents(g: Dag, desc: Sequence[FrozenSet[int]]) -> List[FrozenSet[int]]:
+    """Per node k, in increasing order of k, the vertices that can become a
+    new parent of k without closing a cycle: neither k, nor a parent of k,
+    nor a descendant of k (the descendants cover the children)."""
+    every = frozenset(range(g.p))
+    return [every.difference((k,), g.parents(k), desc[k]) for k in range(g.p)]
 
 
 def _candidates_add_color(state: SearchState):
     fams = state.families
     g = state.graph
-    desc = _descendant_table(g)
-    for i in range(g.p):
-        # a new parent of i closes a cycle iff it is a descendant of i
-        eligible = [j for j in range(g.p)
-                    if j != i and not g.adjacent(i, j) and j not in desc[i]]
-        for p1, p2 in combinations(eligible, 2):
-            yield ((i, _canonical(fams[i] + ((p1, p2),))),)
+    for i, eligible in enumerate(_new_parents(g, _descendant_table(g))):
+        for pair in combinations(sorted(eligible), 2):
+            yield ((i, _edit(fams[i], add=(pair,))),)
 
 
 def _candidates_split_color(state: SearchState):
-    fams = state.families
-    for i, groups in enumerate(fams):
+    for i, groups in enumerate(state.families):
         for gi, grp in enumerate(groups):
             if len(grp) < 4:
                 continue
             for a, b in combinations(grp, 2):
                 rest = tuple(v for v in grp if v not in (a, b))
-                new = groups[:gi] + (rest, (a, b)) + groups[gi + 1:]
-                yield ((i, _canonical(new)),)
+                yield ((i, _edit(groups, (gi,), (rest, (a, b)))),)
 
 
 def _candidates_add_edge(state: SearchState):
     fams = state.families
     g = state.graph
-    desc = _descendant_table(g)
-    for j in range(g.p):
+    for j, eligible in enumerate(_new_parents(g, _descendant_table(g))):
         groups = fams[j]
-        if not groups:
-            continue
-        parents = {v for grp in groups for v in grp}
-        for i in range(g.p):
-            if i == j or i in parents or i in desc[j]:
-                continue
-            for gi in range(len(groups)):
-                new = groups[:gi] + (groups[gi] + (i,),) + groups[gi + 1:]
-                yield ((j, _canonical(new)),)
+        for i in sorted(eligible):
+            for gi, grp in enumerate(groups):
+                yield ((j, _edit(groups, (gi,), (grp + (i,),))),)
 
 
 def _candidates_move_edge(state: SearchState):
-    fams = state.families
-    for i, groups in enumerate(fams):
-        if len(groups) < 2:
-            continue
+    for i, groups in enumerate(state.families):
         for g1, donor in enumerate(groups):
             if len(donor) <= 2:
                 continue
-            for g2 in range(len(groups)):
+            for g2, target in enumerate(groups):
                 if g2 == g1:
                     continue
                 for v in donor:
-                    new = list(groups)
-                    new[g1] = tuple(x for x in donor if x != v)
-                    new[g2] = groups[g2] + (v,)
-                    yield ((i, _canonical(new)),)
+                    rest = tuple(x for x in donor if x != v)
+                    yield ((i, _edit(groups, (g1, g2), (rest, target + (v,)))),)
 
 
 def _candidates_reverse_edge(state: SearchState):
@@ -243,39 +241,30 @@ def _candidates_reverse_edge(state: SearchState):
         gi = next(t for t, grp in enumerate(donor_groups) if i in grp)
         if len(donor_groups[gi]) < 3 or not _reversal_acyclic(g, desc, i, j):
             continue
-        shrunk = _canonical(donor_groups[:gi]
-                            + (tuple(v for v in donor_groups[gi] if v != i),)
-                            + donor_groups[gi + 1:])
-        for ti in range(len(fams[i])):
-            target = fams[i][:ti] + (fams[i][ti] + (j,),) + fams[i][ti + 1:]
-            yield (i, _canonical(target)), (j, shrunk)
+        shrunk = _edit(donor_groups, (gi,), (tuple(v for v in donor_groups[gi] if v != i),))
+        for ti, grp in enumerate(fams[i]):
+            yield (i, _edit(fams[i], (ti,), (grp + (j,),))), (j, shrunk)
 
 
 def _candidates_remove_edge(state: SearchState):
-    fams = state.families
-    for j, groups in enumerate(fams):
+    for j, groups in enumerate(state.families):
         for gi, grp in enumerate(groups):
             if len(grp) < 3:
                 continue
             for v in grp:
-                new = groups[:gi] + (tuple(x for x in grp if x != v),) + groups[gi + 1:]
-                yield ((j, _canonical(new)),)
+                yield ((j, _edit(groups, (gi,), (tuple(x for x in grp if x != v),))),)
 
 
 def _candidates_merge_colors(state: SearchState):
-    fams = state.families
-    for i, groups in enumerate(fams):
+    for i, groups in enumerate(state.families):
         for g1, g2 in combinations(range(len(groups)), 2):
-            new = [grp for t, grp in enumerate(groups) if t not in (g1, g2)]
-            new.append(groups[g1] + groups[g2])
-            yield ((i, _canonical(new)),)
+            yield ((i, _edit(groups, (g1, g2), (groups[g1] + groups[g2],))),)
 
 
 def _candidates_remove_color(state: SearchState):
-    fams = state.families
-    for i, groups in enumerate(fams):
+    for i, groups in enumerate(state.families):
         for gi in range(len(groups)):
-            yield ((i, _canonical(groups[:gi] + groups[gi + 1:])),)
+            yield ((i, _edit(groups, (gi,))),)
 
 
 PHASES = (
@@ -296,20 +285,22 @@ PHASES = (
 def _candidates_baseline(state: SearchState):
     """Every acyclic single-edge deletion, reversal and addition on the
     current graph, whose parent groups are all singletons, in (tail, head)
-    order; a reversal changes the head j first, then the tail i."""
+    order; a reversal changes the head j first, then the tail i.  Additions
+    take their tails from `_new_parents`.  The singleton groups are spliced
+    in place rather than through `_edit`, which costs more per candidate."""
     fams = state.families
     g = state.graph
     desc = _descendant_table(g)
+    new_parents = _new_parents(g, desc)
+    edges = g.edges
     for i in range(g.p):
         for j in range(g.p):
-            if i == j:
-                continue
-            if (i, j) in g.edges:
+            if (i, j) in edges:
                 removed = tuple(grp for grp in fams[j] if grp != (i,))
                 yield ((j, removed),)
                 if _reversal_acyclic(g, desc, i, j):
                     yield (j, removed), (i, tuple(sorted(fams[i] + ((j,),))))
-            elif i not in desc[j]:   # also excludes an existing j -> i
+            elif i in new_parents[j]:
                 yield ((j, tuple(sorted(fams[j] + ((i,),)))),)
 
 
@@ -371,7 +362,8 @@ class _GreedySearch:
             if self._accepted == before:
                 return self._accepted > start
 
-    def _search(self) -> SearchState:
+    def run(self) -> ColoredDag:
+        """Search, and return the final state as a colored DAG."""
         # a phase that accepts nothing leaves the state as it is, so the
         # search stops once every phase has run to a fixed point of it
         settled = 0
@@ -379,11 +371,7 @@ class _GreedySearch:
             for phase, moves in self.phases:
                 settled = 1 if self._modify(phase, moves) else settled + 1
                 if settled == len(self.phases):
-                    return self.state
-
-    def run(self) -> ColoredDag:
-        """Search, and return the final state as a colored DAG."""
-        return self._search().current
+                    return self.state.current
 
 
 class GecsSearch(_GreedySearch):

@@ -19,6 +19,8 @@ from .dag import Dag
 from .errors import ColoringError, NotPositiveDefiniteError
 from .files import write_matrix_csv  # noqa: F401  (re-exported for perfbench)
 
+SYMMETRY_TOL = 1e-12   # largest |sigma - sigma^T| entry, relative to 1 + max |sigma|
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -153,14 +155,14 @@ def recover_params(cd: ColoredDag, sigma: np.ndarray) -> ModelParams:
     return ModelParams(omega, tuple(lam))
 
 
-def is_positive_definite(sigma: np.ndarray, check_sym: float = 1e-12) -> bool:
+def is_positive_definite(sigma: np.ndarray) -> bool:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         return False
     if not np.isfinite(sigma).all():
         return False
     scale = 1.0 + float(np.abs(sigma).max(initial=0.0))
-    if float(np.abs(sigma - sigma.T).max(initial=0.0)) > check_sym * scale:
+    if float(np.abs(sigma - sigma.T).max(initial=0.0)) > SYMMETRY_TOL * scale:
         return False
     try:
         np.linalg.cholesky((sigma + sigma.T) / 2.0)

@@ -87,6 +87,12 @@ def v_structures(g: Dag):
                      if not g.adjacent(i, k))
 
 
+def canonical(groups):
+    """The canonical form of a node's parent groups: each group sorted, no
+    empty group, and the groups sorted."""
+    return tuple(sorted(tuple(sorted(grp)) for grp in groups if grp))
+
+
 def markov_equivalent(g: Dag, h: Dag) -> bool:
     """Same skeleton and same v-structures."""
     if g.p != h.p:

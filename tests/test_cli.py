@@ -493,20 +493,40 @@ class TestFileBoundary:
         (("equiv", "--tol", "-1"), "tol must be nonnegative, got -1.0"),
         (("learn", "--budget", "-3"), "move budget must be at least 0, got -3"),
         (("learn", "--baseline", "--budget", "-1"), "move budget must be at least 0, got -1"),
+        (("check", "--tol", "inf"), "tol must be finite, got inf"),
+        (("equiv", "--tol", "inf"), "tol must be finite, got inf"),
     ])
     def test_bad_argument(self, workdir, capsys, argv, expected):
-        cd = ColoredDag(Dag(3, [(0, 1), (1, 2)]))
-        graph, sigma = workdir / "g.json", workdir / "sigma.csv"
-        data = workdir / "d.csv"
-        write_graph_json(cd, graph)
-        write_matrix_csv(parametrize(cd, ModelParams((1.0, 1.0, 1.0), (0.5, 0.5))), sigma)
-        Dataset(np.random.default_rng(0).standard_normal((20, 3))).to_csv(data)
-        inputs = {"identify": ("--graph", str(graph)),
-                  "learn": ("--data", str(data)),
-                  "check": ("--graph", str(graph), "--sigma", str(sigma)),
-                  "equiv": ("--a", str(graph), "--b", str(graph))}
         command, *flags = argv
-        code, out, err = run(capsys, command, *inputs[command], *flags)
+        code, out, err = run(capsys, command, *_valid_inputs(workdir)[command], *flags)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate",), ("check", "--global", "--budget", "5"), ("equiv",),
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_a_usage_error(self, workdir, capsys, argv):
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, *_valid_inputs(workdir)[command], *flags, "--seed", "-1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert "argument --seed: must be a nonnegative integer, got '-1'" in out.err
+        assert not (workdir / "out.csv").exists()
+
+
+def _valid_inputs(workdir):
+    """Per command, input flags naming valid files written to ``workdir``."""
+    cd = ColoredDag(Dag(3, [(0, 1), (1, 2)]))
+    graph, sigma = workdir / "g.json", workdir / "sigma.csv"
+    data = workdir / "d.csv"
+    write_graph_json(cd, graph)
+    write_matrix_csv(parametrize(cd, ModelParams((1.0, 1.0, 1.0), (0.5, 0.5))), sigma)
+    Dataset(np.random.default_rng(0).standard_normal((20, 3))).to_csv(data)
+    return {"identify": ("--graph", str(graph)),
+            "learn": ("--data", str(data)),
+            "simulate": ("--graph", str(graph), "--n", "5", "--out", str(workdir / "out.csv")),
+            "check": ("--graph", str(graph), "--sigma", str(sigma)),
+            "equiv": ("--a", str(graph), "--b", str(graph))}

@@ -354,6 +354,16 @@ class TestArguments:
          "tol must be nonnegative, got -1.0"),
         (lambda: faithfulness_scan(uncolored(P4), tol=float("nan")),
          "tol must be nonnegative, got nan"),
+        (lambda: check_local_markov(np.eye(4), P4_COLORED, tol=float("inf")),
+         "tol must be finite, got inf"),
+        (lambda: check_global_markov(np.eye(4), uncolored(P4), tol=float("inf")),
+         "tol must be finite, got inf"),
+        (lambda: model_equivalent(EX48, EX48, tol=float("inf")),
+         "tol must be finite, got inf"),
+        (lambda: faithfulness_scan(uncolored(P4), tol=float("inf")),
+         "tol must be finite, got inf"),
+        (lambda: check_local_markov(np.eye(4), P4_COLORED, tol=-float("inf")),
+         "tol must be nonnegative, got -inf"),
     ])
     def test_numeric_arguments_out_of_range(self, call, expected):
         with pytest.raises(CdagError, match=re.escape(expected)):

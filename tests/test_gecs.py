@@ -14,7 +14,7 @@ from cdag.gecs import (PHASES, BaselineSearch, GecsSearch, SearchState,
 from cdag.params import ModelParams
 from cdag.bench import random_bpec, sample
 
-from oracles import markov_equivalent
+from oracles import canonical, markov_equivalent
 
 MOVES = dict(move for _, moves in PHASES for move in moves)
 
@@ -86,8 +86,7 @@ def _families_from(cd):
     by_node = [{} for _ in range(cd.p)]
     for e in sorted(cd.graph.edges):
         by_node[e[1]].setdefault(cd.edge_color(e), []).append(e[0])
-    return tuple(tuple(sorted(tuple(sorted(v)) for v in groups.values()))
-                 for groups in by_node)
+    return tuple(canonical(groups.values()) for groups in by_node)
 
 
 class TestGecs:
@@ -258,6 +257,33 @@ class TestAcyclicityFilter:
             assert got == [c for c in every if acyclic(state, c)]
             cyclic += len(every) - len(got)
         assert cyclic > 0
+
+
+class TestCandidateForm:
+    """Every generator yields canonical parent groups, and the new-parent
+    rule admits exactly the additions that stay acyclic."""
+
+    @pytest.mark.parametrize("colored", [True, False], ids=["colored", "uncolored"])
+    def test_every_candidate_family_is_canonical(self, colored):
+        families = 0
+        for state in _random_states(colored):
+            for generator in (*MOVES.values(), gecs_module._candidates_baseline):
+                for candidate in generator(state):
+                    for _, groups in candidate:
+                        assert groups == canonical(groups)
+                        families += 1
+        assert families > 0
+
+    @pytest.mark.parametrize("colored", [True, False], ids=["colored", "uncolored"])
+    def test_new_parents_are_the_acyclic_additions(self, colored):
+        for state in _random_states(colored):
+            g, fams = state.graph, state.families
+            new_parents = gecs_module._new_parents(g, gecs_module._descendant_table(g))
+            for k in range(g.p):
+                expected = [v for v in range(g.p) if v not in g.parents(k)
+                            and gecs_module._acyclic(g.p, gecs_module._updated(
+                                fams, ((k, fams[k] + ((v,),)),)))]
+                assert sorted(new_parents[k]) == expected
 
 
 # Search output on random_bpec(10, 0.5, 2, seed=5) with sample(n=1000, seed=6).
