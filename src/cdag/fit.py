@@ -97,8 +97,16 @@ class Dataset:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The p x p Gram matrix X^T X, from which every fit is computed."""
-        s = self.X.T @ self.X
+        """The p x p Gram matrix X^T X, from which every fit is computed.
+        Finite data whose products pass the float range are an error naming
+        the columns involved."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = self.X.T @ self.X
+        overflowed = np.flatnonzero(~np.isfinite(s).all(axis=0)).tolist()
+        if overflowed:
+            columns = ", ".join(str(j + 1) for j in overflowed)
+            raise CdagError(f"products of data column{'s' * (len(overflowed) > 1)} "
+                            f"{columns} overflow the float range; rescale the data")
         s.setflags(write=False)
         return s
 
@@ -142,6 +150,8 @@ def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[E
     fitting it alone raises.  A family's results do not depend on the others
     in the call, nor on the order of its columns: each is fitted with its
     columns sorted by their sorted edges."""
+    if not families:
+        return (np.zeros((0, 0)) if coefficients else None), np.zeros(0), []
     N, p = len(families), S.shape[0]
     norms = S.diagonal().tolist()
     yy = np.array([sum(map(norms.__getitem__, nodes)) for nodes, _ in families])

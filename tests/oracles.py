@@ -14,6 +14,7 @@ import numpy as np
 from cdag.dag import Dag
 from cdag.coloring import ColoredDag
 from cdag.errors import GraphError, SizeGuardError
+from cdag.gecs import SCORE_EPS, _edit, _new_parents, _updated
 
 TREK_GUARD_P = 8
 
@@ -272,3 +273,160 @@ def normalized_residual(kind, indices, given, sigma) -> float:
     i, j, k, l = indices
     return _relative_difference(_regression(sigma, j, a)[0][i],
                                 _regression(sigma, l, b)[0][k])
+
+
+# -- the greedy search's uncached scan -----------------------------------------
+# The search keeps each node's candidates and score deltas between tries.  The
+# reference below lists every candidate of a move afresh from the state, in
+# the search's scan order, fits the families not yet memoized and scores each
+# candidate from the memo, as the search did before it kept anything.
+
+
+def _descendant_table(g):
+    return [g.descendants(v) for v in range(g.p)]
+
+
+def _reversal_acyclic(g, desc, i, j):
+    # reversing i -> j closes a cycle when another child of i reaches j
+    return not any(j in desc[c] for c in g.children(i))
+
+
+def _candidates_add_color(state):
+    fams = state.families
+    g = state.graph
+    for i, eligible in enumerate(_new_parents(g, _descendant_table(g))):
+        for pair in combinations(sorted(eligible), 2):
+            yield ((i, _edit(fams[i], add=(pair,))),)
+
+
+def _candidates_split_color(state):
+    for i, groups in enumerate(state.families):
+        for gi, grp in enumerate(groups):
+            if len(grp) < 4:
+                continue
+            for a, b in combinations(grp, 2):
+                rest = tuple(v for v in grp if v not in (a, b))
+                yield ((i, _edit(groups, (gi,), (rest, (a, b)))),)
+
+
+def _candidates_add_edge(state):
+    fams = state.families
+    g = state.graph
+    for j, eligible in enumerate(_new_parents(g, _descendant_table(g))):
+        groups = fams[j]
+        for i in sorted(eligible):
+            for gi, grp in enumerate(groups):
+                yield ((j, _edit(groups, (gi,), (grp + (i,),))),)
+
+
+def _candidates_move_edge(state):
+    for i, groups in enumerate(state.families):
+        for g1, donor in enumerate(groups):
+            if len(donor) <= 2:
+                continue
+            for g2, target in enumerate(groups):
+                if g2 == g1:
+                    continue
+                for v in donor:
+                    rest = tuple(x for x in donor if x != v)
+                    yield ((i, _edit(groups, (g1, g2), (rest, target + (v,)))),)
+
+
+def _candidates_reverse_edge(state):
+    fams = state.families
+    g = state.graph
+    desc = _descendant_table(g)
+    for i, j in sorted(g.edges):
+        donor_groups = fams[j]
+        gi = next(t for t, grp in enumerate(donor_groups) if i in grp)
+        if len(donor_groups[gi]) < 3 or not _reversal_acyclic(g, desc, i, j):
+            continue
+        shrunk = _edit(donor_groups, (gi,), (tuple(v for v in donor_groups[gi] if v != i),))
+        for ti, grp in enumerate(fams[i]):
+            yield (i, _edit(fams[i], (ti,), (grp + (j,),))), (j, shrunk)
+
+
+def _candidates_remove_edge(state):
+    for j, groups in enumerate(state.families):
+        for gi, grp in enumerate(groups):
+            if len(grp) < 3:
+                continue
+            for v in grp:
+                yield ((j, _edit(groups, (gi,), (tuple(x for x in grp if x != v),))),)
+
+
+def _candidates_merge_colors(state):
+    for i, groups in enumerate(state.families):
+        for g1, g2 in combinations(range(len(groups)), 2):
+            yield ((i, _edit(groups, (g1, g2), (groups[g1] + groups[g2],))),)
+
+
+def _candidates_remove_color(state):
+    for i, groups in enumerate(state.families):
+        for gi in range(len(groups)):
+            yield ((i, _edit(groups, (gi,))),)
+
+
+def _candidates_baseline(state):
+    fams = state.families
+    g = state.graph
+    desc = _descendant_table(g)
+    new_parents = _new_parents(g, desc)
+    edges = g.edges
+    for i in range(g.p):
+        for j in range(g.p):
+            if (i, j) in edges:
+                removed = tuple(grp for grp in fams[j] if grp != (i,))
+                yield ((j, removed),)
+                if _reversal_acyclic(g, desc, i, j):
+                    yield (j, removed), (i, tuple(sorted(fams[i] + ((j,),))))
+            elif i in new_parents[j]:
+                yield ((j, tuple(sorted(fams[j] + ((i,),)))),)
+
+
+# per move name, as the searches name them, its uncached candidate listing
+CANDIDATES = {
+    "add_color": _candidates_add_color, "split_color": _candidates_split_color,
+    "add_edge": _candidates_add_edge, "move_edge": _candidates_move_edge,
+    "reverse_edge": _candidates_reverse_edge, "remove_edge": _candidates_remove_edge,
+    "merge_colors": _candidates_merge_colors, "remove_color": _candidates_remove_color,
+    "": _candidates_baseline,
+}
+
+
+def scan(state, scorer, candidates):
+    """Every candidate with its score, the state's plus each changed node's
+    memoized new component minus its current one, in candidate order."""
+    candidates = list(candidates)
+    scorer.fit(key for candidate in candidates for key in candidate)
+    memo, cache = scorer._memo, state.family_cache
+    scored = []
+    for candidate in candidates:
+        score = state.score
+        for key in candidate:
+            score += memo[key] - cache[key[0]]
+        scored.append((candidate, score))
+    return scored
+
+
+def apply_best(state, scorer, candidates, tiekey, ties=None):
+    """The state after the best strictly improving candidate, with ties
+    going to the smallest ``tiekey``; each tie-key comparison appends the
+    two scores to ``ties`` when it is a list."""
+    best = best_score = best_key = None
+    for candidate, score in scan(state, scorer, candidates):
+        if score <= state.score + SCORE_EPS:
+            continue
+        if best is None or score > best_score + SCORE_EPS:
+            best, best_score, best_key = candidate, score, None
+        elif abs(score - best_score) <= SCORE_EPS:
+            if ties is not None:
+                ties.append((best_score, score))
+            if best_key is None:
+                best_key = tiekey(state.families, best)
+            key = tiekey(state.families, candidate)
+            if key < best_key:
+                best, best_score, best_key = candidate, max(score, best_score), key
+    if best is None:
+        return state
+    return scorer.state_from(_updated(state.families, best))

@@ -368,6 +368,18 @@ class TestFileBoundary:
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err
 
+    @pytest.mark.parametrize("command", [["learn"], ["learn", "--baseline"], ["score"]])
+    def test_gram_overflow_names_the_column(self, workdir, capsys, command):
+        # finite values whose squares pass the float range
+        data, graph = workdir / "d.csv", workdir / "g.json"
+        data.write_text("a,b,c\n1e300,1,2\n-1e300,2,1\n1e300,0.5,3\n-1e300,1.5,0\n")
+        graph.write_text('{"p": 3, "edges": [[2, 3]]}')
+        argv = ["--data", str(data)] + (["--graph", str(graph)] if command == ["score"] else [])
+        code, out, err = run(capsys, *command, *argv)
+        assert code == 1 and out == ""
+        assert err == ("error: products of data column 1 overflow the float range; "
+                       "rescale the data\n")
+
     @pytest.mark.parametrize("method", ["gecs", "baseline"])
     def test_learn_refuses_only_the_families_of_a_duplicated_column(self, workdir,
                                                                    capsys, method):

@@ -78,6 +78,18 @@ class TestDataset:
         assert data.gram is data.gram
         assert np.array_equal(data.gram, x.T @ x)
 
+    @pytest.mark.parametrize("scale, named", [
+        ((1e300, 1.0, 1.0), "products of data column 1 overflow"),
+        ((1e200, 1.0, 1e200), "products of data columns 1, 3 overflow"),
+    ])
+    def test_gram_overflow_names_the_columns(self, scale, named):
+        # finite data whose products pass the float range, with no warning
+        x = np.array([[1.0, 2.0, -1.0], [-1.0, 0.5, 1.0], [1.0, 1.5, 2.0]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CdagError, match=named):
+                Dataset(x).gram
+
     def test_centering(self):
         data = Dataset(np.array([[1.0, 2.0], [3.0, 6.0]]))
         assert np.allclose(data.centered().X.mean(axis=0), 0.0)
@@ -325,6 +337,14 @@ class TestStackedKernel:
                 alone_coef, alone_rss = family_ls(S, nodes, groups, n=n)
                 assert rss[f] == alone_rss
                 assert coef[f, :len(groups)].tolist() == alone_coef[orders[f]].tolist()
+
+    def test_empty_batch(self):
+        S = np.eye(3)
+        coef, rss, errors = stacked_ls(S, [], n=10)
+        assert coef.shape == (0, 0) and rss.shape == (0,) and errors == []
+        assert rss.dtype == coef.dtype == np.float64
+        coef, rss, errors = stacked_ls(S, [], n=10, coefficients=False)
+        assert coef is None and rss.shape == (0,) and errors == []
 
     def test_each_failure_stays_with_its_family(self):
         rng = np.random.default_rng(22)

@@ -9,19 +9,21 @@ from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError, RankDeficientError, SearchBudgetError
 from cdag.fit import Dataset, bic_score
-from cdag.gecs import (PHASES, BaselineSearch, GecsSearch, SearchState,
-                       _apply_best, _gecs_tiekey, baseline_greedy, gecs)
+from cdag.gecs import (BASELINE_MOVE, PHASES, BaselineSearch, GecsSearch,
+                       SearchState, baseline_greedy, gecs)
 from cdag.params import ModelParams
 from cdag.bench import random_bpec, sample
 
+import oracles
 from oracles import canonical, markov_equivalent
 
 MOVES = dict(move for _, moves in PHASES for move in moves)
 
 
-def _apply_move(name, state, scorer):
+def _apply_move(name, state, search):
     """The state after the best strictly improving candidate of one move."""
-    return _apply_best(state, scorer, MOVES[name](state), _gecs_tiekey)
+    search.state = state
+    return search._apply_best(name, MOVES[name])
 
 
 class _CheckedSearch(GecsSearch):
@@ -44,7 +46,7 @@ class TestMoves:
     def test_add_color_finds_strong_collider(self):
         truth, data = _collider_data()
         search = GecsSearch(data)
-        new = _apply_move("add_color", search.state, search.scorer)
+        new = _apply_move("add_color", search.state, search)
         assert new.current.graph.edges == {(0, 2), (1, 2)}
         assert new.current.is_bpec()
 
@@ -55,7 +57,7 @@ class TestMoves:
         converged = search.state
         assert len(MOVES) == 8
         for name in MOVES:
-            after = _apply_move(name, converged, search.scorer)
+            after = _apply_move(name, converged, search)
             assert after.current == converged.current
             assert after.score == converged.score
 
@@ -69,7 +71,7 @@ class TestMoves:
         data = sample(truth, theta, 300, 4)
         search = GecsSearch(data)
         state = search.scorer.state_from(_families_from(truth))
-        assert _apply_move("remove_edge", state, search.scorer).current == state.current
+        assert _apply_move("remove_edge", state, search).current == state.current
 
     def test_reverse_edge_never_leaves_singleton_donor(self):
         rng = np.random.default_rng(5)
@@ -78,7 +80,7 @@ class TestMoves:
             data = sample(truth, theta, 400, seed + 50)
             search = GecsSearch(data)
             state = search.scorer.state_from(_families_from(truth))
-            after = _apply_move("reverse_edge", state, search.scorer)
+            after = _apply_move("reverse_edge", state, search)
             assert after.current.is_bpec()
 
 
@@ -215,44 +217,54 @@ class TestRankDeficiency:
 
 # `cdag.gecs` as an attribute is the gecs() function, not the module
 gecs_module = importlib.import_module("cdag.gecs")
-EDGE_ADDING = (gecs_module._candidates_add_color, gecs_module._candidates_add_edge,
-               gecs_module._candidates_reverse_edge, gecs_module._candidates_baseline)
+ALL_MOVES = {**MOVES, "baseline": BASELINE_MOVE}
+EDGE_ADDING = ("add_color", "add_edge", "reverse_edge", "baseline")
 
 
-def _unfiltered(monkeypatch, generator, state):
+def _listed(name, state, data):
+    """Every candidate of one move on ``state``, in the order the search
+    scans them, from a fresh search over ``data`` (so no block is kept, and
+    the state's graph queries are derived anew)."""
+    search = (BaselineSearch if name == "baseline" else GecsSearch)(data)
+    search.state = SearchState(state.families, state.score, state.family_cache)
+    return [candidate for candidate, _ in
+            search._scored("" if name == "baseline" else name, ALL_MOVES[name])]
+
+
+def _unfiltered(monkeypatch, name, state, data):
     """The same enumeration with every reachability test passing."""
     with monkeypatch.context() as m:
         m.setattr(gecs_module, "_descendant_table",
                   lambda g: [frozenset()] * g.p)
-        return list(generator(state))
+        return _listed(name, state, data)
 
 
 def _random_states(colored):
+    """Random BPEC-DAGs (or their uncolored graphs) as search states, each
+    with data sampled from the BPEC-DAG."""
     for p in (5, 8, 12):
         for seed in range(8):
             rho = (0.3, 0.6, 0.9)[seed % 3]
-            cd, _ = random_bpec(p, rho, 1 + seed % 2, seed=[p, seed])
+            cd, theta = random_bpec(p, rho, 1 + seed % 2, seed=[p, seed])
+            data = sample(cd, theta, 200, [p, seed, 1])
             cd = cd if colored else uncolored(cd.graph)
-            yield SearchState(_families_from(cd), 0.0, (0.0,) * p)
+            yield SearchState(_families_from(cd), 0.0, (0.0,) * p), data
 
 
 class TestAcyclicityFilter:
-    """The edge-adding generators yield exactly the acyclic candidates of
-    their unfiltered enumeration, in the same order."""
+    """The edge-adding moves scan exactly the acyclic candidates of their
+    unfiltered enumeration, in the same order."""
 
-    @pytest.mark.parametrize("generator", EDGE_ADDING,
-                             ids=lambda f: f.__name__[12:])
-    def test_generators_yield_exactly_the_acyclic_candidates(self, monkeypatch,
-                                                            generator):
+    @pytest.mark.parametrize("name", EDGE_ADDING)
+    def test_generators_yield_exactly_the_acyclic_candidates(self, monkeypatch, name):
         def acyclic(state, candidate):
             return gecs_module._acyclic(
                 state.graph.p, gecs_module._updated(state.families, candidate))
         cyclic = 0
         # the baseline climbs over uncolored graphs only
-        colored = generator is not gecs_module._candidates_baseline
-        for state in _random_states(colored):
-            got = list(generator(state))
-            every = _unfiltered(monkeypatch, generator, state)
+        for state, data in _random_states(colored=name != "baseline"):
+            got = _listed(name, state, data)
+            every = _unfiltered(monkeypatch, name, state, data)
             assert all(acyclic(state, c) for c in got)
             assert got == [c for c in every if acyclic(state, c)]
             cyclic += len(every) - len(got)
@@ -260,15 +272,15 @@ class TestAcyclicityFilter:
 
 
 class TestCandidateForm:
-    """Every generator yields canonical parent groups, and the new-parent
-    rule admits exactly the additions that stay acyclic."""
+    """Every move scans canonical parent groups, and the new-parent rule
+    admits exactly the additions that stay acyclic."""
 
     @pytest.mark.parametrize("colored", [True, False], ids=["colored", "uncolored"])
     def test_every_candidate_family_is_canonical(self, colored):
         families = 0
-        for state in _random_states(colored):
-            for generator in (*MOVES.values(), gecs_module._candidates_baseline):
-                for candidate in generator(state):
+        for state, data in _random_states(colored):
+            for name in ALL_MOVES:
+                for candidate in _listed(name, state, data):
                     for _, groups in candidate:
                         assert groups == canonical(groups)
                         families += 1
@@ -276,14 +288,125 @@ class TestCandidateForm:
 
     @pytest.mark.parametrize("colored", [True, False], ids=["colored", "uncolored"])
     def test_new_parents_are_the_acyclic_additions(self, colored):
-        for state in _random_states(colored):
+        for state, _ in _random_states(colored):
             g, fams = state.graph, state.families
-            new_parents = gecs_module._new_parents(g, gecs_module._descendant_table(g))
             for k in range(g.p):
                 expected = [v for v in range(g.p) if v not in g.parents(k)
                             and gecs_module._acyclic(g.p, gecs_module._updated(
                                 fams, ((k, fams[k] + ((v,),)),)))]
-                assert sorted(new_parents[k]) == expected
+                assert sorted(state.new_parents[k]) == expected
+
+
+class _OracleChecked:
+    """Checks every try of a move against the uncached reference scan of
+    `oracles.apply_best`: the same new families and the same score bits.
+    Counts the tries and collects the reference's tie-key comparisons."""
+
+    def __init__(self, data, **kwargs):
+        super().__init__(data, **kwargs)
+        self.tries, self.ties = 0, []
+
+    def _apply_best(self, name, move):
+        before = self.state
+        got = super()._apply_best(name, move)
+        want = oracles.apply_best(before, self.scorer, oracles.CANDIDATES[name](before),
+                                  self._tiekey, self.ties)
+        assert got.families == want.families
+        assert got.score.hex() == want.score.hex()
+        self.tries += 1
+        return got
+
+
+class _CheckedGecs(_OracleChecked, GecsSearch):
+    pass
+
+
+class _CheckedBaseline(_OracleChecked, BaselineSearch):
+    pass
+
+
+class TestIncrementalEngine:
+    """The search keeps each node's candidates and deltas between tries;
+    at every try it must choose what the uncached scan chooses."""
+
+    def test_searches_from_random_states(self):
+        # each state meets the data of another model with as many vertices,
+        # so the search travels far from where it starts
+        for colored, cls in ((True, _CheckedGecs), (False, _CheckedBaseline)):
+            states = list(_random_states(colored))
+            moves = 0
+            for t, (state, _) in enumerate(states):
+                search = cls(states[t // 8 * 8 + (t + 1) % 8][1])
+                search.state = search.scorer.state_from(state.families)
+                search.run()
+                moves += len(search.trace) - 1
+            assert moves > 100
+
+    def test_kept_blocks_scan_the_reference_listing(self):
+        # along a chain of states, each one move from the last, every move
+        # scans the reference listing of the current state, each candidate
+        # with the reference's score bits, from blocks kept or rebuilt
+        rng = np.random.default_rng(8)
+        for colored, cls in ((True, GecsSearch), (False, BaselineSearch)):
+            steps = ("add_color", "add_edge", "reverse_edge", "remove_edge") if colored else ("",)
+            kept = 0
+            for state, data in _random_states(colored):
+                search = cls(data)
+                state = search.scorer.state_from(state.families)
+                for _ in range(6):
+                    search.state = state
+                    for _, moves in search.phases:
+                        for name, move in moves:
+                            before = list(search._blocks[name])
+                            got = []
+                            for candidate, deltas in search._scored(name, move):
+                                score = state.score
+                                for delta in deltas:
+                                    score += delta
+                                got.append((candidate, score))
+                            assert got == oracles.scan(state, search.scorer,
+                                                       oracles.CANDIDATES[name](state))
+                            kept += sum(a is b for a, b in zip(before, search._blocks[name]))
+                    nearby = [c for name in steps for c in oracles.CANDIDATES[name](state)]
+                    if not nearby:
+                        break
+                    step = nearby[int(rng.integers(len(nearby)))]
+                    state = search.scorer.state_from(gecs_module._updated(state.families, step))
+            assert kept > 0
+
+    def test_searches_on_sampled_models(self):
+        for seed in range(4):
+            truth, theta = random_bpec(8, 0.6, 2, seed=[8, seed])
+            data = sample(truth, theta, 500, [8, seed, 1])
+            for cls in (_CheckedGecs, _CheckedBaseline):
+                search = cls(data)
+                search.run()
+                assert len(search.trace) > 1
+
+    def test_memoized_families_call_no_kernel(self, monkeypatch):
+        truth, theta = random_bpec(6, 0.5, 2, seed=[6, 1])
+        search = GecsSearch(sample(truth, theta, 200, [6, 1, 1]))
+        search.run()
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("stacked_ls called with nothing new to fit")
+        monkeypatch.setattr(gecs_module, "stacked_ls", kernel)
+        state = search.scorer.state_from(search.state.families)
+        assert state.score == search.state.score
+        for _, moves in search.phases:
+            for name, move in moves:
+                assert search._apply_best(name, move) is search.state
+
+    def test_exact_ties_take_the_tie_key(self):
+        # a duplicated column makes two vertices interchangeable as parents,
+        # so their candidates score exactly alike
+        truth, theta = random_bpec(7, 0.6, 2, seed=[7, 3])
+        x = sample(truth, theta, 500, [7, 3, 1]).X.copy()
+        x[:, 6] = x[:, 5]
+        for cls in (_CheckedGecs, _CheckedBaseline):
+            search = cls(Dataset(x))
+            search.run()
+            assert any(a == b for a, b in search.ties)
 
 
 # Search output on random_bpec(10, 0.5, 2, seed=5) with sample(n=1000, seed=6).
