@@ -6,19 +6,27 @@ triples, for independence minors, and the pairs of same-colored vertices
 and of same-colored edges, for coloring relations.  The local generators
 condition on parent sets; they are the denominator-cleared relations that
 cut out the model inside the positive definite cone.  The global relations
-range over d-separated triples and products of identifying sets.
-Evaluating them numerically yields Markov-property checks, a faithfulness
-diagnostic, and a sampling-based model-equivalence test.
+range over d-separated triples and products of identifying sets; the
+triples are split by one d-connection pass per (i, K), which answers every
+j at once.  Evaluating the relations numerically yields Markov-property
+checks, a faithfulness diagnostic, and a sampling-based model-equivalence
+test.
 
 Each relation kind names, in one table, the minors it is built from and
 two ways to combine them.  ``RelationPoly.__call__`` gives the paper's
 relation: a polynomial with denominators cleared (``cir``/``vcr``/``ecr``)
 or a difference of recovery quotients (``vcc``/``ecc``), evaluated on sigma
-itself.  The checks instead compile a relation list once into an
-``_Evaluator``.  It scales sigma to its correlation matrix
-R = D^-1/2 sigma D^-1/2, with D the diagonal of sigma, computes each
-distinct minor of R once (one stacked determinant call per minor size) and
-combines the minors into dimensionless residuals:
+itself.  The checks instead compile relations once into an ``_Evaluator``,
+in blocks: a block is one kind and one index tuple with a list of
+conditioning sets per term, and stands for every product of one set per
+term, first term outer.  A single relation is a 1 x 1 block, and a product
+of identifying sets A x B is compiled without building its relations: each
+term's minors are looked up once, then the slot ids are expanded in
+product order.  A ``RelationPoly`` is made only to report a relation.  The
+evaluator scales sigma to its correlation matrix R = D^-1/2 sigma D^-1/2,
+with D the diagonal of sigma, computes each distinct minor of R once (one
+stacked determinant call per minor size, for one covariance or a stack of
+them) and combines the minors into dimensionless residuals:
 
 - ``cir``: the partial correlation of i and j given K;
 - ``vcr``/``vcc``: the relative difference (a - b) / max(|a|, |b|), or 0
@@ -29,26 +37,32 @@ combines the minors into dimensionless residuals:
 A check's ``tol`` bounds these residuals, so c * sigma gets the verdicts of
 sigma for every c > 0, and the independence verdicts are unchanged by any
 positive rescaling of the variables.  A residual that is not finite (a
-minor that under- or overflows) is a ``CdagError``, never a pass.
+minor that under- or overflows) is a ``CdagError``, never a pass.  The
+equivalence test and the faithfulness scan evaluate their random trials in
+stacks, each matrix factored on its own, so a trial's residuals do not
+depend on the stack it is in.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
+from math import prod
 from typing import Callable, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import identify
 from .coloring import ColoredDag
-from .dag import Dag
+from .dag import Dag, bitmask
 from .errors import CdagError, GraphError, SizeGuardError
 from .params import minor, parametrize, random_params, require_positive_definite
 
 SCAN_GUARD_P = 8
 FULL_GLOBAL_GUARD_P = 8
+STACK_BYTES = 1 << 24   # working set of one stacked evaluation of random trials
 
 
 def _fmt_set(s) -> str:
@@ -57,8 +71,9 @@ def _fmt_set(s) -> str:
 
 # -- the relation kinds -------------------------------------------------------
 # A minor is a (rows, cols) pair of index tuples.  A relation combines one
-# term (cir) or two (the coloring kinds); a term lists its minors in a fixed
-# order, which its kind's combining functions read.
+# term (cir) or two (the coloring kinds); a term is a head, part of the
+# relation's indices, plus one conditioning set, and lists its minors in a
+# fixed order, which its kind's combining functions read.
 
 
 def _principal(s):
@@ -122,22 +137,22 @@ def _coefficients(m, x, var):
 
 
 class _Kind(NamedTuple):
-    terms: Callable       # (indices, given) -> the relation's terms
-    minors: Callable      # one term -> the (rows, cols) of its minors
+    heads: Callable       # indices -> the head of each term
+    minors: Callable      # (*head, given) -> the (rows, cols) of one term's minors
     polynomial: Callable  # minors of sigma -> the paper's relation
     residual: Callable    # (minors of R, index columns, variances) -> residuals
 
 
-def _one_term(x, g):
-    return [x + g]
+def _one_term(x):
+    return [x]
 
 
-def _vertex_terms(x, g):
-    return [(x[0], g[0]), (x[1], g[1])]
+def _vertex_terms(x):
+    return [x[:1], x[1:]]
 
 
-def _edge_terms(x, g):
-    return [(x[0], x[1], g[0]), (x[2], x[3], g[1])]
+def _edge_terms(x):
+    return [x[:2], x[2:]]
 
 
 _KINDS = {
@@ -170,8 +185,8 @@ class RelationPoly:
     def __call__(self, sigma: np.ndarray) -> float:
         kind = _KINDS[self.kind]
         return kind.polynomial([minor(sigma, rows, cols)
-                                for term in kind.terms(self.indices, self.given)
-                                for rows, cols in kind.minors(*term)])
+                                for head, given in zip(kind.heads(self.indices), self.given)
+                                for rows, cols in kind.minors(*head, given)])
 
     def label(self) -> str:
         """Human-readable 1-based rendering."""
@@ -195,6 +210,28 @@ class RelationPoly:
         }
 
 
+class _Block(NamedTuple):
+    """The relations kind(indices; given) for every choice of one sorted
+    conditioning set per term from ``sets``, in product order: the first
+    term outer."""
+
+    kind: str
+    indices: Tuple[int, ...]
+    sets: Tuple[Tuple[Tuple[int, ...], ...], ...]   # one list of sets per term
+
+    @property
+    def size(self) -> int:
+        return prod(map(len, self.sets))
+
+    def relation(self, t: int) -> RelationPoly:
+        """The block's t-th relation."""
+        given = []
+        for sets in reversed(self.sets):
+            t, pick = divmod(t, len(sets))
+            given.append(sets[pick])
+        return RelationPoly(self.kind, self.indices, tuple(reversed(given)))
+
+
 def _triples(p: int) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
     """Every (i, j, K) with i < j and K a set of the other vertices: by
     pair, then by the size of K."""
@@ -203,6 +240,26 @@ def _triples(p: int) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
         for r in range(len(others) + 1):
             for k in combinations(others, r):
                 yield i, j, k
+
+
+def _separation(g: Dag) -> Callable[[int, int, Tuple[int, ...]], bool]:
+    """A test of whether K d-separates i and j in g, made of one d-connection
+    pass per (i, K), kept for every j."""
+    connected = cache(lambda i, k: g.d_connected(1 << i, bitmask(k)))
+    return lambda i, j, k: not connected(i, k) >> j & 1
+
+
+def _separated_triples(g: Dag, separated: bool) -> List[tuple]:
+    """The (i, j, K) of ``_triples``, in order, whose K d-separates (or, with
+    ``separated`` False, d-connects) i and j."""
+    test = _separation(g)
+    return [t for t in _triples(g.p) if test(*t) == separated]
+
+
+def _cir_blocks(triples) -> List[_Block]:
+    """One independence block per run of triples of the same pair."""
+    return [_Block("cir", pair, (tuple(k for _, _, k in run),))
+            for pair, run in groupby(triples, key=lambda t: t[:2])]
 
 
 def _same_colored_pairs(cd: ColoredDag) -> Iterator[tuple]:
@@ -219,10 +276,10 @@ def _same_colored_pairs(cd: ColoredDag) -> Iterator[tuple]:
             yield "ec", e1 + e2, e1, e2
 
 
-def _parent_set(g: Dag, target) -> FrozenSet[int]:
-    """pa(i) of a vertex i, pa(j) of an edge i -> j: the conditioning set of
-    the target's local relations, and one of its identifying sets."""
-    return g.parents(target if isinstance(target, int) else target[1])
+def _vertex_of(target) -> int:
+    """A vertex itself, or the head j of an edge i -> j: pa(head) conditions
+    the target's local relations, and is one of its identifying sets."""
+    return target if isinstance(target, int) else target[1]
 
 
 def local_generators(cd: ColoredDag) -> List[RelationPoly]:
@@ -232,17 +289,23 @@ def local_generators(cd: ColoredDag) -> List[RelationPoly]:
     for every pair of same-colored vertices and every pair of same-colored
     edges (conditioned on parent sets).
     """
+    return [block.relation(0) for block in _local_blocks(cd)]
+
+
+def _local_blocks(cd: ColoredDag) -> List[_Block]:
+    """The local generators, in order, as 1 x 1 blocks."""
     g = cd.graph
-    gens: List[RelationPoly] = []
+    pa = [tuple(sorted(g.parents(v))) for v in range(g.p)]
+    blocks = []
     for a, b in combinations(range(g.p), 2):
         if g.adjacent(a, b):
             continue
         i, j = (a, b) if g.topo_rank(a) < g.topo_rank(b) else (b, a)
-        gens.append(RelationPoly("cir", (i, j), (g.parents(j),)))
+        blocks.append(_Block("cir", (i, j), ((pa[j],),)))
     for kind, indices, t1, t2 in _same_colored_pairs(cd):
-        gens.append(RelationPoly(kind + "r", indices,
-                                 (_parent_set(g, t1), _parent_set(g, t2))))
-    return gens
+        blocks.append(_Block(kind + "r", indices,
+                             ((pa[_vertex_of(t1)],), (pa[_vertex_of(t2)],))))
+    return blocks
 
 
 # -- Markov-property checks -------------------------------------------------
@@ -285,65 +348,137 @@ class MarkovReport:
 
 
 class _Evaluator:
-    """A relation list compiled once, then evaluated per covariance matrix.
+    """Blocks of relations compiled once, then evaluated per covariance
+    matrix or per stack of them.
 
     Every distinct minor gets one slot; a minor and its transpose share it,
-    since R is symmetric.  Evaluation fills the slots with one stacked
-    determinant call per minor size, then combines them kind by kind.
-    Relations over products of identifying sets repeat their terms, so the
-    slots are looked up once per distinct term.
+    since R is symmetric.  A term's slots are looked up once, however many
+    products it appears in, and each kind's slot-id table is expanded in
+    product order by array arithmetic.  Evaluation fills the slots with one
+    stacked determinant call per minor size, then combines them kind by
+    kind.
     """
 
-    def __init__(self, relations):
-        self.relations = list(relations)
-        slots, terms, by_kind = {}, {}, {}
-        for pos, rel in enumerate(self.relations):
-            kind = _KINDS[rel.kind]
-            ids = []
-            for term in kind.terms(rel.indices, rel.given):
-                key = kind.minors, term
-                if key not in terms:
-                    terms[key] = [slots.setdefault(min(m, m[::-1]), len(slots))
-                                  for m in kind.minors(*term)]
-                ids += terms[key]
-            by_kind.setdefault(rel.kind, []).append((pos, ids, rel.indices))
-        # per kind: positions, slot ids and indices, one column per relation
-        self._kinds = [(_KINDS[kind].residual, *(np.array(col).T for col in zip(*group)))
-                       for kind, group in by_kind.items()]
+    def __init__(self, blocks):
+        self.blocks, self._starts, n = [], [], 0
+        # per kind: each block's start and indices, its number of sets per
+        # term, and per term the slot ids of every set, block after block;
+        # a term's slot ids are looked up once per list of sets
+        slots, chunks, kinds = {}, {}, {}
+        for block in blocks:
+            size = block.size
+            if not size:
+                continue
+            kind = _KINDS[block.kind]
+            heads = kind.heads(block.indices)
+            if block.kind not in kinds:
+                kinds[block.kind] = [], [], [[] for _ in heads]
+            starts, counts, tables = kinds[block.kind]
+            starts += (n, *block.indices)
+            for head, sets, table in zip(heads, block.sets, tables):
+                counts.append(len(sets))
+                key = kind.minors, head, sets
+                chunk = chunks.get(key)
+                if chunk is None:
+                    chunk = chunks[key] = [
+                        slots.setdefault(min(m, m[::-1]), len(slots))
+                        for given in sets for m in kind.minors(*head, given)]
+                table += chunk
+            self.blocks.append(block)
+            self._starts.append(n)
+            n += size
+        self.size = n
+        self._kinds = [self._expand(name, *acc) for name, acc in kinds.items()]
         by_size = {}
         for (rows, cols), slot in slots.items():
-            by_size.setdefault(len(rows), []).append((slot, rows, cols))
+            ids, flat = by_size.setdefault(len(rows), ([], []))
+            ids.append(slot)
+            flat += rows + cols
         # per minor size: slot ids, and the stacked rows and columns
-        self._sizes = [tuple(np.array(col, dtype=int) for col in zip(*group))
-                       for group in by_size.values()]
+        self._sizes = [(np.array(ids), *np.array(flat, dtype=int).reshape(len(ids), 2, -1)
+                        .transpose(1, 0, 2))
+                       for ids, flat in by_size.values()]
         self._n_slots = len(slots)
+        # a bound on the float64 values held per covariance: the gathered
+        # submatrices of every minor size, the slots and a few arrays per relation
+        self._bytes = 8 * (sum(ids.size * (rows.shape[1] ** 2 + 1)
+                               for ids, rows, _ in self._sizes) + 8 * self.size)
+
+    @staticmethod
+    def _expand(name, starts, counts, tables):
+        """One kind's residual function, and its relations' positions, slot
+        ids (one column per relation) and indices (likewise), with every
+        block expanded in product order."""
+        counts = np.array(counts).reshape(-1, len(tables))
+        starts = np.array(starts).reshape(len(counts), -1)
+        sizes = counts.prod(axis=1)
+        which = np.repeat(np.arange(len(counts)), sizes)
+        local = np.arange(which.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        pos = starts[which, 0] + local
+        offsets = np.cumsum(counts, axis=0) - counts
+        parts = []
+        for t in reversed(range(len(tables))):
+            local, pick = np.divmod(local, counts[which, t])
+            table = np.array(tables[t]).reshape(counts[:, t].sum(), -1)
+            parts.append(table[offsets[which, t] + pick])
+        ids = np.concatenate(parts[::-1], axis=1).T
+        return _KINDS[name].residual, pos, ids, starts[which, 1:].T
+
+    def relation(self, t: int) -> RelationPoly:
+        """The t-th relation, in block order."""
+        b = bisect_right(self._starts, t) - 1
+        return self.blocks[b].relation(t - self._starts[b])
 
     def residuals(self, sigma: np.ndarray) -> np.ndarray:
-        """The dimensionless residual of every relation at sigma, in order."""
-        var = np.diag(sigma)
+        """The dimensionless residual of every relation, in order, at sigma
+        (shape (p, p) -> (size,)), or at each matrix of a stack (shape
+        (t, p, p) -> (t, size)).  A matrix's residuals do not depend on the
+        stack it is in.  Unchecked: ``finite`` refuses a non-finite one."""
+        var = np.diagonal(sigma, axis1=-2, axis2=-1)
         sd = np.sqrt(var)
-        r = sigma / sd[:, None] / sd[None, :]
-        m = np.empty(self._n_slots)
-        out = np.empty(len(self.relations))
-        # an under- or overflow surfaces as a non-finite residual, refused below
+        r = sigma / sd[..., :, None] / sd[..., None, :]
+        # minors and residuals keep the stack, if any, on a trailing axis
+        m = np.empty((self._n_slots,) + sigma.shape[:-2])
+        out = np.empty((self.size,) + sigma.shape[:-2])
+        # an under- or overflow surfaces as a non-finite residual, refused by `finite`
         with np.errstate(over="ignore", under="ignore", divide="ignore",
                          invalid="ignore"):
             for ids, rows, cols in self._sizes:
-                m[ids] = minor(r, rows, cols)
+                m[ids] = minor(r, rows, cols).T
             for residual, pos, ids, indices in self._kinds:
-                out[pos] = residual(m[ids], indices, var)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            raise CdagError(f"{self.relations[bad[0]].label()} has a non-finite "
-                            f"residual: the covariance matrix is too badly scaled "
-                            f"or too close to singular")
-        return out
+                out[pos] = residual(m[ids], indices, var.T)
+        return out.T
 
-    def violations(self, sigma: np.ndarray, tol: float) -> List[ConstraintViolation]:
-        """The relations whose residual at sigma exceeds tol, in order."""
-        res = self.residuals(sigma)
-        return [ConstraintViolation(self.relations[t], float(res[t]))
+    def finite(self, res: np.ndarray) -> np.ndarray:
+        """``res``, from ``residuals``, if every residual in it is finite;
+        otherwise a CdagError naming the first relation of the first matrix
+        that has a non-finite one."""
+        bad = np.flatnonzero(~np.isfinite(res))
+        if bad.size:
+            raise CdagError(f"{self.relation(bad[0] % self.size).label()} has a "
+                            f"non-finite residual: the covariance matrix is too badly "
+                            f"scaled or too close to singular")
+        return res
+
+    def violations(self, res: np.ndarray, tol: float) -> List[ConstraintViolation]:
+        """The relations whose residual in the row ``res`` exceeds tol, in
+        order, after refusing a non-finite one."""
+        res = self.finite(res)
+        return [ConstraintViolation(self.relation(t), float(res[t]))
                 for t in np.flatnonzero(np.abs(res) > tol)]
+
+    def trials(self, cd: ColoredDag, rng: np.random.Generator, count: int):
+        """(first trial, residuals) at ``count`` random points of the model
+        ``cd``, drawn in order: the first alone, so a test that fails at once
+        draws one point, then the rest in stacks that hold at most
+        ``STACK_BYTES`` of working set (or one point)."""
+        per = max(1, STACK_BYTES // max(1, self._bytes))
+        done = 0
+        while done < count:
+            size = 1 if done == 0 else min(per, count - done)
+            stack = [parametrize(cd, random_params(cd, rng)) for _ in range(size)]
+            yield done, self.residuals(np.array(stack))
+            done += size
 
 
 def _require_tol(tol: float) -> None:
@@ -371,9 +506,13 @@ def check_local_markov(sigma: np.ndarray, cd: ColoredDag,
     """Evaluate every local generator at sigma and report the violated ones."""
     _require_tol(tol)
     sigma = _model_sigma(sigma, cd)
-    gens = local_generators(cd)
-    return MarkovReport("local", "full", tol, len(gens),
-                        tuple(_Evaluator(gens).violations(sigma, tol)))
+    return _report("local", "full", tol, sigma, _local_blocks(cd))
+
+
+def _report(prop: str, mode: str, tol: float, sigma: np.ndarray, blocks) -> MarkovReport:
+    evaluator = _Evaluator(blocks)
+    return MarkovReport(prop, mode, tol, evaluator.size,
+                        tuple(evaluator.violations(evaluator.residuals(sigma), tol)))
 
 
 def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
@@ -400,15 +539,17 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
     @cache
     def sets_for(target):
         if small:
-            return sorted(identify.enumerate_identifying_sets(g, target), key=sorted)
-        return identify.sample_identifying_sets(g, target, _parent_set(g, target), rng,
-                                                want=max(2, int(np.sqrt(budget)) + 1))
+            found = sorted(identify.enumerate_identifying_sets(g, target), key=sorted)
+        else:
+            found = identify.sample_identifying_sets(
+                g, target, g.parents(_vertex_of(target)), rng,
+                want=max(2, int(np.sqrt(budget)) + 1))
+        return tuple(tuple(sorted(a)) for a in found)
 
     if small:
-        ci = [RelationPoly("cir", (i, j), (k,))
-              for i, j, k in _triples(g.p) if g.d_separated({i}, {j}, k)]
+        ci = _separated_triples(g, True)
     else:
-        ci, vertex_pairs = [], list(combinations(range(g.p), 2))
+        ci, vertex_pairs, separated = [], list(combinations(range(g.p), 2)), _separation(g)
         for _ in range(budget * 4):
             if len(ci) >= budget:
                 break
@@ -416,14 +557,13 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
             rest = [v for v in range(g.p) if v != i and v != j]
             mask = rng.random(len(rest)) < 0.5
             k = tuple(v for v, m in zip(rest, mask) if m)
-            if g.d_separated({i}, {j}, k):
-                ci.append(RelationPoly("cir", (i, j), (k,)))
+            if separated(i, j, k):
+                ci.append((i, j, k))
     pairs = list(_same_colored_pairs(cd))
     if budget is None:
         mode = "full"
-        coloring = [RelationPoly(kind + "c", indices, (a, b))
-                    for kind, indices, t1, t2 in pairs
-                    for a in sets_for(t1) for b in sets_for(t2)]
+        coloring = [_Block(kind + "c", indices, (sets_for(t1), sets_for(t2)))
+                    for kind, indices, t1, t2 in pairs]
     else:
         mode = f"sampled(budget={budget}, seed={seed})"
         if len(ci) > budget:
@@ -436,10 +576,8 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
             sets1, sets2 = sets_for(t1), sets_for(t2)
             a = sets1[rng.integers(len(sets1))]
             b = sets2[rng.integers(len(sets2))]
-            coloring.append(RelationPoly(kind + "c", indices, (a, b)))
-    gens = ci + coloring
-    return MarkovReport("global", mode, tol, len(gens),
-                        tuple(_Evaluator(gens).violations(sigma, tol)))
+            coloring.append(_Block(kind + "c", indices, ((a,), (b,))))
+    return _report("global", mode, tol, sigma, _cir_blocks(ci) + coloring)
 
 
 # -- faithfulness diagnostic --------------------------------------------------
@@ -460,12 +598,11 @@ def faithfulness_scan(cd: ColoredDag, trials: int = 20, tol: float = 1e-9,
     _require_trials(trials)
     _require_tol(tol)
     rng = np.random.default_rng(seed)
-    sigmas = [parametrize(cd, random_params(cd, rng)) for _ in range(trials)]
-    triples = [(i, j, k) for i, j, k in _triples(g.p) if not g.d_separated({i}, {j}, k)]
-    evaluator = _Evaluator(RelationPoly("cir", (i, j), (k,)) for i, j, k in triples)
+    triples = _separated_triples(g, False)
+    evaluator = _Evaluator(_cir_blocks(triples))
     vanishing = np.ones(len(triples), dtype=bool)
-    for sigma in sigmas:
-        vanishing &= np.abs(evaluator.residuals(sigma)) <= tol
+    for _, res in evaluator.trials(cd, rng, trials):
+        vanishing &= (np.abs(evaluator.finite(res)) <= tol).all(axis=0)
     return [(i, j, frozenset(k)) for (i, j, k), v in zip(triples, vanishing) if v]
 
 
@@ -514,13 +651,16 @@ def model_equivalent(cd1: ColoredDag, cd2: ColoredDag, trials: int = 20,
     _require_trials(trials)
     _require_tol(tol)
     rng = np.random.default_rng(seed)
-    pairs = ((1, local_generators(cd1), cd2), (2, local_generators(cd2), cd1))
+    pairs = ((1, _local_blocks(cd1), cd2), (2, _local_blocks(cd2), cd1))
     for side, gens, model in pairs:
         evaluator = _Evaluator(gens)
-        for t in range(trials):
-            sigma = parametrize(model, random_params(model, rng))
-            hits = evaluator.violations(sigma, tol)
-            if hits:
-                witness = EquivalenceWitness(hits[0].constraint, side, t, hits[0].residual)
+        for first, res in evaluator.trials(model, rng, trials):
+            # the first trial with a residual that is not within tol
+            flagged = np.flatnonzero(~(np.abs(res) <= tol).all(axis=1))
+            if flagged.size:
+                t = flagged[0]
+                hit = evaluator.violations(res[t], tol)[0]
+                witness = EquivalenceWitness(hit.constraint, side, int(first + t),
+                                             hit.residual)
                 return EquivalenceResult(False, trials, tol, witness)
     return EquivalenceResult(True, trials, tol)

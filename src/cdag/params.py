@@ -88,14 +88,15 @@ def minor(sigma: np.ndarray, rows, cols):
     """Determinant of the (rows, cols) submatrix; the empty minor is 1.
 
     Given two 2-d arrays, one index set per row, returns the array of the
-    stacked minors from one determinant call.
+    stacked minors from one determinant call; for a stack of matrices
+    (shape (t, p, p)) the minors come out with shape (t, rows).
     """
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     if rows.shape != cols.shape:
         raise ColoringError("minor needs index sets of equal size")
     if rows.ndim == 2:
-        return np.linalg.det(sigma[rows[:, :, None], cols[:, None, :]])
+        return np.linalg.det(sigma[..., rows[:, :, None], cols[:, None, :]])
     if not rows.size:
         return 1.0
     return float(np.linalg.det(sigma[np.ix_(rows, cols)]))

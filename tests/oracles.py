@@ -13,7 +13,10 @@ import numpy as np
 
 from cdag.dag import Dag
 from cdag.coloring import ColoredDag
+from cdag.constraints import _KINDS, RelationPoly, _same_colored_pairs
 from cdag.errors import GraphError, SizeGuardError
+from cdag.identify import enumerate_identifying_sets, sample_identifying_sets
+from cdag.params import minor
 from cdag.gecs import SCORE_EPS, _edit, _new_parents, _updated
 
 TREK_GUARD_P = 8
@@ -79,6 +82,29 @@ def path_dsep(g: Dag, left, right, given) -> bool:
             if not blocked:
                 return False
     return True
+
+
+def identifying_sets(g: Dag, target):
+    """Every identifying set of a vertex, edge or non-edge, from the
+    definitions: descendants by transitive closure, d-separation by path
+    enumeration, and for an edge i -> j the graph with the edge and de(j)
+    deleted and relabeled."""
+    reach = transitive_closure(g)
+    head = target if isinstance(target, int) else target[1]
+    universe = [v for v in range(g.p) if v != head]
+    subsets = [frozenset(a) for r in range(len(universe) + 1)
+               for a in combinations(universe, r)]
+    if isinstance(target, int):
+        return {a for a in subsets if g.parents(target) <= a and not a & reach[target]}
+    i, j = target
+    if (i, j) not in g.edges:
+        return {a for a in subsets if path_dsep(g, {i}, {j}, a - {i})}
+    keep = [v for v in range(g.p) if v not in reach[j]]
+    label = {v: pos for pos, v in enumerate(keep)}
+    sub = Dag(len(keep), [(label[a], label[b]) for a, b in g.edges
+                          if a in label and b in label and (a, b) != (i, j)])
+    return {a for a in subsets if i in a and not a & reach[j]
+            and path_dsep(sub, {label[i]}, {label[j]}, {label[v] for v in a - {i}})}
 
 
 def v_structures(g: Dag):
@@ -273,6 +299,116 @@ def normalized_residual(kind, indices, given, sigma) -> float:
     i, j, k, l = indices
     return _relative_difference(_regression(sigma, j, a)[0][i],
                                 _regression(sigma, l, b)[0][k])
+
+
+# -- the checkers' relation lists, one RelationPoly at a time -----------------
+# The checks compile products of identifying sets as blocks and build a
+# RelationPoly only to report one.  The reference below is the earlier code
+# path: every relation built as a RelationPoly, in the checks' order, and
+# compiled one relation at a time.
+
+
+def _terms(rel):
+    """The terms of a relation: (i, j, K), (vertex, set) or (i, j, set)."""
+    if rel.kind == "cir":
+        return [rel.indices + rel.given]
+    if rel.kind in ("vcr", "vcc"):
+        return [(rel.indices[0], rel.given[0]), (rel.indices[1], rel.given[1])]
+    return [rel.indices[:2] + rel.given[:1], rel.indices[2:] + rel.given[1:]]
+
+
+class ListEvaluator:
+    """A RelationPoly list compiled one relation at a time, each distinct
+    minor of the correlation matrix in one slot, evaluated at one sigma."""
+
+    def __init__(self, relations):
+        self.relations = list(relations)
+        slots, terms, by_kind = {}, {}, {}
+        for pos, rel in enumerate(self.relations):
+            kind = _KINDS[rel.kind]
+            ids = []
+            for term in _terms(rel):
+                key = kind.minors, term
+                if key not in terms:
+                    terms[key] = [slots.setdefault(min(m, m[::-1]), len(slots))
+                                  for m in kind.minors(*term)]
+                ids += terms[key]
+            by_kind.setdefault(rel.kind, []).append((pos, ids, rel.indices))
+        self._kinds = [(_KINDS[kind].residual, *(np.array(col).T for col in zip(*group)))
+                       for kind, group in by_kind.items()]
+        by_size = {}
+        for (rows, cols), slot in slots.items():
+            by_size.setdefault(len(rows), []).append((slot, rows, cols))
+        self._sizes = [tuple(np.array(col, dtype=int) for col in zip(*group))
+                       for group in by_size.values()]
+        self.n_slots = len(slots)
+
+    def residuals(self, sigma):
+        var = np.diag(sigma)
+        sd = np.sqrt(var)
+        r = sigma / sd[:, None] / sd[None, :]
+        m = np.empty(self.n_slots)
+        out = np.empty(len(self.relations))
+        with np.errstate(over="ignore", under="ignore", divide="ignore",
+                         invalid="ignore"):
+            for ids, rows, cols in self._sizes:
+                m[ids] = minor(r, rows, cols)
+            for residual, pos, ids, indices in self._kinds:
+                out[pos] = residual(m[ids], indices, var)
+        return out
+
+
+def global_relations(cd: ColoredDag, budget=None, seed=0):
+    """The global check's relations, in its order, as RelationPolys, with
+    d-separation queried one triple at a time."""
+    g = cd.graph
+    small = g.p <= 8
+    rng = np.random.default_rng(seed)
+    cache = {}
+
+    def sets_for(target):
+        if target not in cache:
+            if small:
+                cache[target] = sorted(enumerate_identifying_sets(g, target), key=sorted)
+            else:
+                head = target if isinstance(target, int) else target[1]
+                cache[target] = sample_identifying_sets(
+                    g, target, g.parents(head), rng, want=max(2, int(np.sqrt(budget)) + 1))
+        return cache[target]
+
+    if small:
+        ci = [RelationPoly("cir", (i, j), (k,))
+              for i, j in combinations(range(g.p), 2)
+              for r in range(g.p - 1)
+              for k in combinations([v for v in range(g.p) if v not in (i, j)], r)
+              if g.d_separated({i}, {j}, k)]
+    else:
+        ci, vertex_pairs = [], list(combinations(range(g.p), 2))
+        for _ in range(budget * 4):
+            if len(ci) >= budget:
+                break
+            i, j = vertex_pairs[rng.integers(len(vertex_pairs))]
+            rest = [v for v in range(g.p) if v != i and v != j]
+            mask = rng.random(len(rest)) < 0.5
+            k = tuple(v for v, m in zip(rest, mask) if m)
+            if g.d_separated({i}, {j}, k):
+                ci.append(RelationPoly("cir", (i, j), (k,)))
+    pairs = list(_same_colored_pairs(cd))
+    if budget is None:
+        return ci + [RelationPoly(kind + "c", indices, (a, b))
+                     for kind, indices, t1, t2 in pairs
+                     for a in sets_for(t1) for b in sets_for(t2)]
+    if len(ci) > budget:
+        keep = rng.choice(len(ci), size=budget, replace=False)
+        ci = [ci[t] for t in sorted(keep)]
+    coloring = []
+    for _ in range(budget if pairs else 0):
+        kind, indices, t1, t2 = pairs[rng.integers(len(pairs))]
+        sets1, sets2 = sets_for(t1), sets_for(t2)
+        a = sets1[rng.integers(len(sets1))]
+        b = sets2[rng.integers(len(sets2))]
+        coloring.append(RelationPoly(kind + "c", indices, (a, b)))
+    return ci + coloring
 
 
 # -- the greedy search's uncached scan -----------------------------------------

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior over the declared file formats."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from cdag import constraints
 from cdag.bench import random_bpec, sample
 from cdag.cli import main, params_from_json_dict, params_to_json_dict
 from cdag.coloring import ColoredDag, uncolored, write_graph_json
@@ -542,3 +544,98 @@ def _valid_inputs(workdir):
             "simulate": ("--graph", str(graph), "--n", "5", "--out", str(workdir / "out.csv")),
             "check": ("--graph", str(graph), "--sigma", str(sigma)),
             "equiv": ("--a", str(graph), "--b", str(graph))}
+
+
+# (exit code, SHA-256 of stdout) of each `_golden_runs` command, recorded
+# before the checks compiled products as blocks and stacked their trials
+GOLDEN_DIGESTS = {
+    "check exact7":
+        (0, "192120795a82f2789bfbb016de812267c1831e163a9c0d9c543cd7f0ea7c93de"),
+    "check --global exact7":
+        (0, "d2d9bd3220c6b2790987e85d9f21cbc282d413d2fd964c1dab36152b21131abf"),
+    "check perturbed8":
+        (1, "cc1cebf84400719d4a831dec1bf00f0e785f88ff9ebed971fab8ab176ee8fda9"),
+    "check --global perturbed8":
+        (1, "602d6fd505a7d6fc58be947aa6e0f6dbd209b4fec0d41fc380482e9face6e5c5"),
+    "check perturbed10":
+        (1, "7087ee783c90e942c6aff8048271efa757e63a15ceab00b3f44fc913d687b2d1"),
+    "check --global --budget perturbed10":
+        (1, "e73149d0a95a7518a62a7c39c43ad2f73ee77aa47155b9681784ec867101d5f1"),
+    "equiv self10":
+        (0, "f39a6c7b64ffe00f2b8cc9290b2edbcf3a689241e1dc9197e716565bfd567885"),
+    "equiv distinct6":
+        (0, "27a3416e4bbc0016704372c3ee5f246af8b897093d04f06c4b03905bcd28d9b7"),
+    "equiv late5":
+        (0, "1e640a3e44bef4c59153534bb8abcbec4329cfc9c35fce15284e97557fb4113e"),
+}
+
+
+class TestGoldenOutputs:
+    def test_check_and_equiv_stdout_is_unchanged(self, workdir, capsys):
+        assert _golden_digests(workdir, capsys) == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("stack_bytes", [1, 20_000])
+    def test_trials_beyond_one_stack_give_the_same_witness(self, workdir, capsys,
+                                                           monkeypatch, stack_bytes):
+        # one trial per stack, or a few: the late witness crosses stack bounds
+        monkeypatch.setattr(constraints, "STACK_BYTES", stack_bytes)
+        argv = _golden_runs(workdir)["equiv late5"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["witness"]["trial"] == 37
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS["equiv late5"][1]
+
+
+def _golden_runs(workdir):
+    """Named argvs of `check`, `check --global` and `equiv` on fixed
+    random_bpec models, with their input files written to ``workdir``: exact
+    covariances, a perturbed one that violates relations, a sampled global
+    check, a self pair, and distinct pairs whose witness comes at once and
+    at the 38th trial of the second side."""
+    runs = {}
+
+    def model(name, p, seed):
+        cd, theta = random_bpec(p, 0.5, 2, seed)
+        graph = workdir / f"{name}.json"
+        write_graph_json(cd, graph)
+        return cd, theta, str(graph)
+
+    def sigma_file(name, sigma):
+        path = workdir / f"{name}.sigma.csv"
+        write_matrix_csv(sigma, path)
+        return str(path)
+
+    for name, p, seed, perturb in (("exact7", 7, [15, 1], False),
+                                   ("perturbed8", 8, [15, 2], True),
+                                   ("perturbed10", 10, [15, 3], True)):
+        cd, theta, graph = model(name, p, seed)
+        sigma = parametrize(cd, theta)
+        if perturb:
+            a = np.eye(p) + 1e-3 * np.random.default_rng(p).standard_normal((p, p))
+            sigma = a @ sigma @ a.T
+        check = ["check", "--graph", graph, "--sigma", sigma_file(name, sigma)]
+        runs[f"check {name}"] = check
+        if p <= 8:
+            runs[f"check --global {name}"] = check + ["--global"]
+        else:
+            runs[f"check --global --budget {name}"] = check + ["--global", "--budget", "30",
+                                                              "--seed", "4"]
+    _, _, self10 = model("self10", 10, [15, 4])
+    runs["equiv self10"] = ["equiv", "--a", self10, "--b", self10]
+    _, _, a6 = model("a6", 6, [15, 5])
+    _, _, b6 = model("b6", 6, [15, 6])
+    runs["equiv distinct6"] = ["equiv", "--a", a6, "--b", b6, "--seed", "3"]
+    _, _, a5 = model("a5", 5, [19, 7])
+    _, _, b5 = model("b5", 5, [19, 8])
+    runs["equiv late5"] = ["equiv", "--a", b5, "--b", a5, "--seed", "19", "--tol", "1.3",
+                           "--trials", "60"]
+    return runs
+
+
+def _golden_digests(workdir, capsys):
+    """(exit code, SHA-256 of stdout) per golden run."""
+    out = {}
+    for name, argv in _golden_runs(workdir).items():
+        code = main(argv)
+        out[name] = code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return out

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cdag import constraints
 from cdag.bench import random_bpec
 from cdag.coloring import ColoredDag, uncolored
 from cdag.constraints import (check_global_markov, check_local_markov,
@@ -16,6 +17,7 @@ from cdag.errors import CdagError, NotPositiveDefiniteError, SizeGuardError
 from cdag.params import (ModelParams, almost_principal_minor, parametrize,
                          random_params)
 
+import oracles
 from oracles import all_dags, normalized_residual, random_colored_dag
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
@@ -368,3 +370,127 @@ class TestArguments:
     def test_numeric_arguments_out_of_range(self, call, expected):
         with pytest.raises(CdagError, match=re.escape(expected)):
             call()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestBlocksMatchTheRelationList:
+    """The global check compiles products of identifying sets as blocks; the
+    reference compiles the explicit RelationPoly list one relation at a time."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_p8(self, seed):
+        cd, _ = random_bpec(8, 0.5, 2, [15, seed])
+        sigma = _noise_sigma(8, seed)
+        report = check_global_markov(sigma, cd, tol=0.0)
+        relations = oracles.global_relations(cd)
+        assert report.n_checked == len(relations) == len(report.violations)
+        assert [v.constraint.describe() for v in report.violations] == \
+            [r.describe() for r in relations]
+        assert (_bits([v.residual for v in report.violations])
+                == _bits(oracles.ListEvaluator(relations).residuals(sigma))).all()
+
+    @pytest.mark.parametrize("p, budget, seed", [(6, 9, 1), (8, 40, 2), (10, 30, 3),
+                                                 (12, 50, 4)])
+    def test_sampled(self, p, budget, seed):
+        cd, _ = random_bpec(p, 0.5, 2, [16, seed])
+        sigma = _noise_sigma(p, seed)
+        report = check_global_markov(sigma, cd, tol=0.0, budget=budget, seed=seed)
+        relations = oracles.global_relations(cd, budget=budget, seed=seed)
+        assert [v.constraint for v in report.violations] == relations
+        assert (_bits([v.residual for v in report.violations])
+                == _bits(oracles.ListEvaluator(relations).residuals(sigma))).all()
+
+    def test_local(self):
+        for p in (5, 10, 20):
+            cd, _ = random_bpec(p, 0.5, 2, [17, p])
+            sigma = _noise_sigma(p, p)
+            report = check_local_markov(sigma, cd, tol=0.0)
+            relations = local_generators(cd)
+            assert [v.constraint for v in report.violations] == relations
+            assert (_bits([v.residual for v in report.violations])
+                    == _bits(oracles.ListEvaluator(relations).residuals(sigma))).all()
+
+
+class TestStackedTrials:
+    def test_stacked_residuals_equal_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(18)
+        for p in (2, 3, 6, 10, 15):
+            for _ in range(3):
+                cd, _ = random_bpec(p, 0.5, 2, [18, p, int(rng.integers(1000))])
+                evaluator = constraints._Evaluator(constraints._local_blocks(cd))
+                stack = np.array([parametrize(cd, random_params(cd, rng)) for _ in range(7)])
+                stack[3] = _noise_sigma(p, 3)
+                stacked = evaluator.residuals(stack)
+                assert stacked.shape == (7, evaluator.size)
+                for t in range(7):
+                    assert (_bits(stacked[t]) == _bits(evaluator.residuals(stack[t]))).all()
+
+    def test_stacked_global_residuals_equal_one_matrix_at_a_time(self):
+        cd, _ = random_bpec(7, 0.5, 2, [18, 7])
+        g = cd.graph
+        blocks = constraints._cir_blocks(constraints._separated_triples(g, True))
+        evaluator = constraints._Evaluator(blocks)
+        stack = np.array([_noise_sigma(7, s) for s in range(4)])
+        stacked = evaluator.residuals(stack)
+        for t in range(4):
+            assert (_bits(stacked[t]) == _bits(evaluator.residuals(stack[t]))).all()
+
+    def test_late_witness_is_the_recorded_one(self):
+        # recorded before trials were stacked: the second side fails first at trial 37
+        a, _ = random_bpec(5, 0.5, 2, [19, 7])
+        b, _ = random_bpec(5, 0.5, 2, [19, 8])
+        result = model_equivalent(b, a, trials=60, tol=1.3, seed=19)
+        w = result.witness
+        assert (w.side, w.trial, w.constraint.label(), w.residual.hex()) == \
+            (2, 37, "ecr(2->5,3->5; {2,3},{2,3})", "0x1.5c85e740130c6p+0")
+
+    def test_first_trial_witness_is_the_recorded_one(self):
+        a, _ = random_bpec(6, 0.5, 2, [15, 5])
+        b, _ = random_bpec(6, 0.5, 2, [15, 6])
+        w = model_equivalent(a, b, seed=3).witness
+        assert (w.side, w.trial, w.constraint.label(), w.residual.hex()) == \
+            (1, 0, "cir(1,4 | {2,3})", "-0x1.863a7e6f11138p-2")
+
+    @pytest.mark.parametrize("stack_bytes", [1, 10_000, constraints.STACK_BYTES])
+    def test_stack_size_does_not_change_the_answer(self, monkeypatch, stack_bytes):
+        monkeypatch.setattr(constraints, "STACK_BYTES", stack_bytes)
+        a, _ = random_bpec(5, 0.5, 2, [19, 7])
+        b, _ = random_bpec(5, 0.5, 2, [19, 8])
+        assert model_equivalent(b, a, trials=60, tol=1.3, seed=19).witness.trial == 37
+        assert model_equivalent(a, a, trials=45, seed=2).equivalent
+        assert faithfulness_scan(EX48, trials=25, seed=1) == [(0, 3, frozenset({4}))]
+
+    def test_stacks_are_bounded(self, monkeypatch):
+        # the first trial alone, then stacks within the byte budget
+        cd, _ = random_bpec(10, 0.5, 2, [19, 10])
+        evaluator = constraints._Evaluator(constraints._local_blocks(cd))
+        monkeypatch.setattr(constraints, "STACK_BYTES", 3 * evaluator._bytes)
+        rng = np.random.default_rng(0)
+        firsts, sizes = zip(*[(first, len(res)) for first, res in evaluator.trials(cd, rng, 10)])
+        assert firsts == (0, 1, 4, 7) and sizes == (1, 3, 3, 3)
+
+    def test_each_row_of_a_stack_is_checked_on_its_own(self):
+        # model_equivalent reads the rows up to its first flagged trial only, so
+        # a non-finite residual in a later row of the stack does not hide a witness
+        cd = P4_COLORED
+        evaluator = constraints._Evaluator(constraints._local_blocks(cd))
+        stack = np.array([_noise_sigma(4, 1), np.diag([1e-320, 1e300, 1.0, 1.0])])
+        res = evaluator.residuals(stack)
+        assert evaluator.violations(res[0], 1e-7)
+        with pytest.raises(CdagError, match=re.escape("ecr(1->2,3->4; {1},{3})")):
+            evaluator.finite(res)
+
+    def test_non_finite_error_names_the_first_matrix_then_the_first_relation(self):
+        evaluator = constraints._Evaluator(constraints._local_blocks(P4_COLORED))
+        labels = [r.label() for r in local_generators(P4_COLORED)]
+        res = np.zeros((3, 5))
+        res[1, 3], res[1, 4], res[2, 0] = np.inf, np.nan, np.nan
+        with pytest.raises(CdagError, match=re.escape(labels[3])):
+            evaluator.finite(res)
+        with pytest.raises(CdagError, match=re.escape(labels[0])):
+            evaluator.finite(res[2])
+        row = res[0]
+        assert evaluator.finite(row) is row

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cdag.dag import Dag
+from cdag.dag import Dag, bitmask, members
 from cdag.errors import GraphError
 
 from oracles import (all_dags, markov_equivalent, path_dsep, random_dag,
@@ -100,6 +100,59 @@ class TestDSeparation:
                         continue
                     assert g.d_separated(left, right, given) == \
                         path_dsep(g, left, right, given)
+
+
+def _connected_by_paths(g, left, given):
+    """The vertices d-connected to `left` given `given`, by path enumeration:
+    `left` itself and every other vertex outside `given` that no K blocks."""
+    return frozenset(left) | {v for v in range(g.p) if v not in left and v not in given
+                              and not path_dsep(g, left, {v}, given)}
+
+
+class TestDConnection:
+    def test_matches_path_enumeration_exhaustively(self):
+        # every DAG on up to 4 vertices, every left set with every disjoint given set
+        for p in (1, 2, 3, 4):
+            for g in all_dags(p):
+                for left_bits in range(1, 1 << p):
+                    rest = (1 << p) - 1 & ~left_bits
+                    given_bits = rest
+                    while True:
+                        left, given = members(left_bits), members(given_bits)
+                        assert members(g.d_connected(left_bits, given_bits)) == \
+                            _connected_by_paths(g, left, given)
+                        if not given_bits:
+                            break
+                        given_bits = (given_bits - 1) & rest
+
+    def test_matches_path_enumeration_on_random_dags(self):
+        rng = np.random.default_rng(21)
+        for p in (6, 7, 8):
+            for _ in range(4):
+                g = random_dag(rng, p, 0.4)
+                for _ in range(12):
+                    cells = rng.integers(0, 3, p)  # 0 free, 1 left, 2 given
+                    if not (cells == 1).any():
+                        cells[rng.integers(p)] = 1
+                    left = {v for v in range(p) if cells[v] == 1}
+                    given = {v for v in range(p) if cells[v] == 2}
+                    got = g.d_connected(bitmask(left), bitmask(given))
+                    assert members(got) == _connected_by_paths(g, left, given)
+
+    def test_one_pass_answers_every_right_hand_vertex(self):
+        # d_separated is a query on the pass: the pass's complement, given excluded
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            g = random_dag(rng, 7, 0.4)
+            for i in range(7):
+                given = {v for v in range(7) if v != i and rng.random() < 0.4}
+                reached = members(g.d_connected(1 << i, bitmask(given)))
+                for j in set(range(7)) - given - {i}:
+                    assert g.d_separated({i}, {j}, given) == (j not in reached)
+
+    def test_mask_helpers_round_trip(self):
+        for s in (set(), {0}, {3, 1, 7}, set(range(40))):
+            assert members(bitmask(s)) == frozenset(s)
 
 
 class TestEquivalence:

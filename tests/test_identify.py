@@ -15,7 +15,7 @@ from cdag.identify import (enumerate_identifying_sets, is_edge_identifying,
                            sample_identifying_sets)
 from cdag.params import parametrize, random_params, recover_lambda, recover_omega
 
-from oracles import path_dsep, random_dag
+from oracles import identifying_sets, path_dsep, random_dag
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
 EX48 = Dag(5, [(0, 4), (0, 2), (1, 4), (2, 3), (3, 4)])
@@ -90,6 +90,17 @@ class TestEnumeration:
                 built.clear()
                 assert enumerate_identifying_sets(g, (i, j)) == expected
                 assert len(built) == 1
+
+    def test_every_target_matches_the_definitions(self):
+        # vertices, edges and non-edges of random DAGs, against path enumeration
+        rng = np.random.default_rng(13)
+        for p in (2, 3, 4, 5, 6):
+            for _ in range(4):
+                g = random_dag(rng, p, 0.5)
+                targets = list(range(p)) + [(i, j) for i in range(p) for j in range(p) if i != j]
+                for target in targets:
+                    assert enumerate_identifying_sets(g, target) == \
+                        identifying_sets(g, target), target
 
     def test_isolated_vertex_all_subsets(self):
         got = enumerate_identifying_sets(Dag(4), 1)
