@@ -62,11 +62,15 @@ def params_to_json_dict(cd: ColoredDag, theta: ModelParams) -> dict:
 
 
 def params_from_json_dict(cd: ColoredDag, doc: dict) -> ModelParams:
+    if not isinstance(doc, dict):
+        raise CdagError("parameter JSON must be a JSON object")
+
     def values(field, kind, n_classes, what):
-        try:
-            entries = dict(doc[field])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CdagError(f"parameter JSON missing field: {exc}") from None
+        if field not in doc:
+            raise CdagError(f"parameter JSON missing field {field!r}")
+        entries = doc[field]
+        if not isinstance(entries, dict):
+            raise CdagError(f"parameter JSON field {field!r} must be a JSON object")
         out = []
         for c in range(n_classes):
             key = _param_key(cd, c, kind)

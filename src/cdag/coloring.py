@@ -193,6 +193,8 @@ class ColoredDag:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ColoredDag":
+        if not isinstance(doc, dict):
+            raise ColoringError("graph JSON must be a JSON object")
         try:
             p = _integer(doc["p"], "'p'")
             edges = [(_integer(i, "'edges'") - 1, _integer(j, "'edges'") - 1)

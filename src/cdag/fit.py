@@ -3,13 +3,13 @@
 Every fit goes through one stacked least-squares kernel, `stacked_ls`,
 which solves many vertex color classes ("families") in one call:
 `fit_families` (behind `mle`, `bic_score` and `bic_components`) passes all
-classes of a graph at once, the greedy search passes every family a move's
-candidates need that it has not fitted before, and `family_ls` is the call
-for one family.  Within a family, parents sharing an edge color contribute
-a single regressor column equal to the sum of their sample values, and the
-families of a class are stacked into one pooled system (a node lacking
-parents of some shared edge color contributes zero-filled rows for that
-column).  Data are treated as mean-zero; centering is the caller's decision.
+classes of a graph at once, and the greedy search passes every family a
+move's candidates need that it has not fitted before.  Within a family,
+parents sharing an edge color contribute a single regressor column equal to
+the sum of their sample values, and the families of a class are stacked
+into one pooled system (a node lacking parents of some shared edge color
+contributes zero-filled rows for that column).  Data are treated as
+mean-zero; centering is the caller's decision.
 
 The kernel reads no samples: it fits from the Gram matrix S = X^T X, which a
 `Dataset` computes once (`Dataset.gram`).  With A_j the indicator matrix of
@@ -142,7 +142,12 @@ def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[E
     """Pooled least squares for many vertex color classes in one call, from
     the Gram matrix ``S`` of ``n`` samples.
 
-    Each family is a pair ``(nodes, groups)`` as `family_ls` takes it.
+    Each family is a pair ``(nodes, groups)``: ``nodes`` are the class's
+    vertices and ``groups`` its regressor columns, each a tuple of edges
+    (i, j) with j in ``nodes``; node j's block of a column is the sum of
+    X[:, i] over its edges, or zeros if it has none, and the nodes' blocks
+    are stacked into one system.
+
     Returns the coefficients (None unless ``coefficients``) as an array with
     one row per family, whose first ``len(groups)`` entries are its own, in
     its own column order, and the rest zero; the pooled residual sums of
@@ -259,21 +264,6 @@ def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[E
     return coef, rss, errors
 
 
-def family_ls(S: np.ndarray, nodes: Sequence[int], groups: Sequence[Edges], *, n: int):
-    """Pooled least squares for one vertex color class, from the Gram matrix
-    ``S`` of ``n`` samples.
-
-    ``nodes`` are the class's vertices and ``groups`` its regressor columns:
-    each is a tuple of edges (i, j) with j in ``nodes``, and node j's block
-    of the column is the sum of X[:, i] over its edges, or zeros if it has
-    none.  The nodes' blocks are stacked into one system.  Returns the
-    coefficients, one per column, and the pooled residual sum of squares."""
-    coef, rss, errors = stacked_ls(S, [(nodes, groups)], n=n)
-    if errors[0] is not None:
-        raise errors[0]
-    return coef[0, :len(groups)], float(rss[0])
-
-
 def family_loglik(n: int, rss: float, nodes: Sequence[int]) -> float:
     """Gaussian log-likelihood of a vertex color class at its MLE."""
     m = n * len(nodes)
@@ -291,7 +281,6 @@ def family_bic(loglik: float, n: int, n_columns: int) -> float:
 class FamilyScore:
     """Score contribution of one vertex color class."""
 
-    vertex_class: int
     nodes: Tuple[int, ...]
     edge_colors: Tuple[int, ...]
     loglik: float
@@ -322,7 +311,7 @@ def fit_families(cd: ColoredDag, data: Dataset):
     lam = [0.0] * len(cd.edge_classes)
     omega, families = [], []
     for cid, ((nodes, colors), r) in enumerate(zip(classes, rss.tolist())):
-        families.append(FamilyScore(cid, nodes, colors, family_loglik(data.n, r, nodes)))
+        families.append(FamilyScore(nodes, colors, family_loglik(data.n, r, nodes)))
         omega.append(r / (data.n * len(nodes)))
         for color, value in zip(colors, coef[cid].tolist()):
             lam[color] = value

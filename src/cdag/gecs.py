@@ -77,7 +77,7 @@ class SearchState:
 
     @cached_property
     def descendants(self) -> List[FrozenSet[int]]:
-        return _descendant_table(self.graph)
+        return [self.graph.descendants(v) for v in range(self.graph.p)]
 
     @cached_property
     def new_parents(self) -> List[FrozenSet[int]]:
@@ -101,21 +101,12 @@ def _edges_of(families: Families):
 
 def _acyclic(p: int, families: Families) -> bool:
     """Reference acyclicity test that builds the whole graph; the search
-    itself filters candidates with `_descendant_table` instead."""
+    itself filters candidates with `SearchState.descendants` instead."""
     try:
         Dag(p, _edges_of(families))
     except GraphError:
         return False
     return True
-
-
-def _descendant_table(g: Dag) -> List[FrozenSet[int]]:
-    # children before parents, so each child's descendants are known
-    desc: List[FrozenSet[int]] = [frozenset()] * g.p
-    for v in reversed(g.topo):
-        children = g.children(v)
-        desc[v] = children.union(*map(desc.__getitem__, children))
-    return desc
 
 
 def _new_parents(g: Dag, desc: Sequence[FrozenSet[int]]) -> List[FrozenSet[int]]:

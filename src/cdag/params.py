@@ -8,6 +8,7 @@ solves; an explicit inverse is never formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -33,6 +34,10 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
         object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
+        for kind, values in (("error variances", self.omega), ("coefficients", self.lam)):
+            for v in values:
+                if not math.isfinite(v):
+                    raise ColoringError(f"{kind} must be finite, got {v}")
         for w in self.omega:
             if not w > 0:
                 raise ColoringError(f"error variances must be positive, got {w}")
@@ -87,19 +92,16 @@ def parametrize(cd: ColoredDag, theta: ModelParams) -> np.ndarray:
 def minor(sigma: np.ndarray, rows, cols):
     """Determinant of the (rows, cols) submatrix; the empty minor is 1.
 
-    Given two 2-d arrays, one index set per row, returns the array of the
-    stacked minors from one determinant call; for a stack of matrices
-    (shape (t, p, p)) the minors come out with shape (t, rows).
+    One indexed determinant call serves every shape: given two 2-d arrays,
+    one index set per row, it returns the array of the stacked minors, and
+    for a stack of matrices (shape (t, p, p)) the minors come out with the
+    stack's axis first, as shape (t,) or (t, rows).
     """
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     if rows.shape != cols.shape:
         raise ColoringError("minor needs index sets of equal size")
-    if rows.ndim == 2:
-        return np.linalg.det(sigma[..., rows[:, :, None], cols[:, None, :]])
-    if not rows.size:
-        return 1.0
-    return float(np.linalg.det(sigma[np.ix_(rows, cols)]))
+    return np.linalg.det(sigma[..., rows[..., :, None], cols[..., None, :]])
 
 
 def almost_principal_minor(sigma: np.ndarray, i: int, j: int, given=()) -> float:

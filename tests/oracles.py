@@ -4,7 +4,8 @@ Everything here is deliberately naive: path enumeration instead of
 ball-passing, transitive closure instead of DFS, trek-monomial sums instead
 of triangular solves, explicit normal equations instead of QR, linear solves
 on submatrices instead of minors.  These stay independent of the code paths
-they check.
+they check; `family_ls` alone is a shorthand over the fitting kernel, for
+tests that fit one family at a time.
 """
 
 from itertools import combinations
@@ -16,8 +17,9 @@ from cdag.coloring import ColoredDag
 from cdag.constraints import _KINDS, RelationPoly, _same_colored_pairs
 from cdag.errors import GraphError, SizeGuardError
 from cdag.identify import enumerate_identifying_sets, sample_identifying_sets
+from cdag.fit import stacked_ls
 from cdag.params import minor
-from cdag.gecs import SCORE_EPS, _edit, _new_parents, _updated
+from cdag.gecs import SCORE_EPS, _edit, _updated
 
 TREK_GUARD_P = 8
 
@@ -266,6 +268,16 @@ def normal_equation_ls(design: np.ndarray, y: np.ndarray):
     return coef, float(resid @ resid)
 
 
+def family_ls(S, nodes, groups, *, n):
+    """Pooled least squares for one vertex color class through `stacked_ls`,
+    raising its error: the coefficients, one per column of ``groups``, and
+    the pooled residual sum of squares."""
+    coef, rss, errors = stacked_ls(S, [(nodes, groups)], n=n)
+    if errors[0] is not None:
+        raise errors[0]
+    return coef[0, :len(groups)], float(rss[0])
+
+
 def _regression(sigma, target, given):
     """Coefficients and residual variance of `target` regressed on `given`,
     by a linear solve on the submatrices."""
@@ -420,6 +432,13 @@ def global_relations(cd: ColoredDag, budget=None, seed=0):
 
 def _descendant_table(g):
     return [g.descendants(v) for v in range(g.p)]
+
+
+def _new_parents(g, desc):
+    # v -> k is a new edge unless v is k or a parent of k, and adding it
+    # keeps the graph acyclic unless k reaches v
+    return [{v for v in range(g.p) if v != k and v not in g.parents(k) and v not in desc[k]}
+            for k in range(g.p)]
 
 
 def _reversal_acyclic(g, desc, i, j):

@@ -17,14 +17,14 @@ from cdag.constraints import (check_global_markov, check_local_markov,
                               faithfulness_scan, local_generators,
                               model_equivalent)
 from cdag.dag import Dag
-from cdag.fit import Dataset, bic_components, bic_score, family_ls, mle
+from cdag.fit import Dataset, bic_components, bic_score, mle
 from cdag.gecs import GecsSearch, baseline_greedy, gecs
 from cdag.identify import enumerate_identifying_sets
 from cdag.params import (almost_principal_minor, expand_params,
                          parametrize, random_params, recover_lambda,
                          recover_omega, recover_params)
 
-from oracles import (all_dags, all_natural_dags, normal_equation_ls,
+from oracles import (all_dags, all_natural_dags, family_ls, normal_equation_ls,
                      path_dsep, random_bpec_like, random_colored_dag,
                      random_dag, trek_covariance)
 

@@ -31,6 +31,13 @@ def _sweep(**fields):
                        **fields})
 
 
+def _params(v3="1", lam="0.5"):
+    """Parameter-JSON text for the path 1 -> 2 -> 3 with the given JSON
+    texts for the error variance of vertex 3 and the coefficient on 2 -> 3."""
+    return (f'{{"omega": {{"v1": 1, "v2": 1, "v3": {v3}}}, '
+            f'"lambda": {{"1->2": 0.5, "2->3": {lam}}}}}')
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -460,6 +467,17 @@ class TestFileBoundary:
         ("simulate", '{"omega": {"v1": 1}', "theta.json: invalid JSON at line 1"),
         ("simulate", '{"omega": {"v1": "a", "v2": 1, "v3": 1}, "lambda": {}}',
          "parameter JSON field 'omega': the value 'a' of class 'v1' is not a number"),
+        ("simulate", "null", "parameter JSON must be a JSON object"),
+        ("simulate", '[["omega", {}]]', "parameter JSON must be a JSON object"),
+        ("simulate", '{"omega": [1, 1, 1], "lambda": {}}',
+         "parameter JSON field 'omega' must be a JSON object"),
+        ("simulate", '{"omega": {"v1": 1, "v2": 1, "v3": 1}, "lambda": null}',
+         "parameter JSON field 'lambda' must be a JSON object"),
+        ("simulate", '{"lambda": {}}', "parameter JSON missing field 'omega'"),
+        ("simulate", _params(v3="Infinity"), "error variances must be finite, got inf"),
+        ("simulate", _params(v3='"nan"'), "error variances must be finite, got nan"),
+        ("simulate", _params(lam="NaN"), "coefficients must be finite, got nan"),
+        ("simulate", _params(lam='"-inf"'), "coefficients must be finite, got -inf"),
         ("bench", '{"p": [4],\n', "sweep.json: invalid JSON at line 2"),
         ("bench", '{"p": "x", "rho": 0.5, "nc": 2, "n": 100, "replicates": 1}',
          "sweep config field 'p' needs int values, got 'x'"),
@@ -483,7 +501,7 @@ class TestFileBoundary:
     def test_bad_params_and_sweep_json(self, workdir, capsys, command, text, expected):
         if command == "simulate":
             graph = workdir / "g.json"
-            write_graph_json(ColoredDag(Dag(3)), graph)
+            write_graph_json(ColoredDag(Dag(3, [(0, 1), (1, 2)])), graph)
             path = workdir / "theta.json"
             argv = ["--graph", str(graph), "--params", str(path), "--n", "10"]
         else:
@@ -494,6 +512,15 @@ class TestFileBoundary:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err
+
+    @pytest.mark.parametrize("text", ["null", "[[1, 2]]"])
+    def test_graph_json_that_is_not_an_object(self, workdir, capsys, text):
+        argv = _valid_inputs(workdir)["check"]
+        (workdir / "g.json").write_text(text)
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "graph JSON must be a JSON object" in err
 
     @pytest.mark.parametrize("argv, expected", [
         (("identify", "--vertex", "0"), "vertex 0 out of range for p=3"),

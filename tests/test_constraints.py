@@ -273,6 +273,12 @@ class TestScaleFreeResiduals:
                 assert check_local_markov(parametrize(cd, theta), cd).ok
                 assert model_equivalent(cd, cd, seed=seed).equivalent
 
+    @pytest.mark.parametrize("p", [60, 70])
+    def test_exact_covariances_pass_and_are_self_equivalent_above_p40(self, p):
+        cd, theta = random_bpec(p, 0.5, 2, [p, 0])
+        assert check_local_markov(parametrize(cd, theta), cd).ok
+        assert model_equivalent(cd, cd, seed=0).equivalent
+
     def test_perturbed_covariances_fail(self):
         # a 1e-3 relative perturbation, by congruence so it stays positive definite
         for p in (10, 20, 30):

@@ -9,12 +9,11 @@ import pytest
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, RankDeficientError
-from cdag.fit import (Dataset, bic_components, bic_score, family_ls, mle,
-                      stacked_ls)
+from cdag.fit import Dataset, bic_components, bic_score, mle, stacked_ls
 from cdag.params import ModelParams, parametrize, recover_lambda
 from cdag.bench import random_bpec, sample
 
-from oracles import normal_equation_ls, random_bpec_like
+from oracles import family_ls, normal_equation_ls, random_bpec_like
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
 P4_COLORED = ColoredDag(P4, vertex_classes=[[0, 2]],

@@ -234,8 +234,7 @@ def _listed(name, state, data):
 def _unfiltered(monkeypatch, name, state, data):
     """The same enumeration with every reachability test passing."""
     with monkeypatch.context() as m:
-        m.setattr(gecs_module, "_descendant_table",
-                  lambda g: [frozenset()] * g.p)
+        m.setattr(Dag, "descendants", lambda g, v: frozenset())
         return _listed(name, state, data)
 
 

@@ -1,5 +1,6 @@
 """Parametrization, the trek oracle, minors, and parameter recovery."""
 
+import math
 import re
 
 import numpy as np
@@ -60,6 +61,16 @@ class TestParametrize:
     def test_nonpositive_omega_rejected(self):
         with pytest.raises(ColoringError):
             ModelParams((1.0, -0.5, 1.0), (0.5, 0.7))
+
+    @pytest.mark.parametrize("omega, lam, expected", [
+        ((1.0, math.inf, 1.0), (0.5, 0.7), "error variances must be finite, got inf"),
+        ((1.0, math.nan, 1.0), (0.5, 0.7), "error variances must be finite, got nan"),
+        ((1.0, 1.0, 1.0), (-math.inf, 0.7), "coefficients must be finite, got -inf"),
+        ((1.0, 1.0, 1.0), (0.5, math.nan), "coefficients must be finite, got nan"),
+    ])
+    def test_non_finite_values_rejected(self, omega, lam, expected):
+        with pytest.raises(ColoringError, match=expected):
+            ModelParams(omega, lam)
 
 
 class TestTrekOracle:
