@@ -76,12 +76,16 @@ def params_from_json_dict(cd: ColoredDag, doc: dict) -> ModelParams:
             key = _param_key(cd, c, kind)
             if key not in entries:
                 raise CdagError(f"missing {what} for class {key!r}")
-            try:
-                out.append(float(entries[key]))
-            except (TypeError, ValueError):
+            value = entries[key]
+            # a JSON number: true and "2.5" would pass float()
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise CdagError(f"parameter JSON field {field!r}: the value "
-                                f"{entries[key]!r} of class {key!r} is not a "
-                                "number") from None
+                                f"{value!r} of class {key!r} is not a number")
+            try:
+                out.append(float(value))
+            except OverflowError:
+                raise CdagError(f"parameter JSON field {field!r}: the value of "
+                                f"class {key!r} is too large for a float") from None
         return tuple(out)
     return ModelParams(
         values("omega", "vertex", len(cd.vertex_classes), "error variance"),

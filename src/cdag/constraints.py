@@ -38,9 +38,10 @@ A check's ``tol`` bounds these residuals, so c * sigma gets the verdicts of
 sigma for every c > 0, and the independence verdicts are unchanged by any
 positive rescaling of the variables.  A residual that is not finite (a
 minor that under- or overflows) is a ``CdagError``, never a pass.  The
-equivalence test and the faithfulness scan evaluate their random trials in
-stacks, each matrix factored on its own, so a trial's residuals do not
-depend on the stack it is in.
+equivalence test and the faithfulness scan draw their random trials in
+stacks, through the model's ``params.Covariances`` kernel, and evaluate each
+stack at once, each matrix factored on its own, so a trial's residuals do
+not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from . import identify
 from .coloring import ColoredDag
 from .dag import Dag, bitmask
 from .errors import CdagError, GraphError, SizeGuardError
-from .params import minor, parametrize, random_params, require_positive_definite
+from .params import Covariances, minor, require_positive_definite
 
 SCAN_GUARD_P = 8
 FULL_GLOBAL_GUARD_P = 8
@@ -359,7 +360,7 @@ class _Evaluator:
     kind.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, p: int):
         self.blocks, self._starts, n = [], [], 0
         # per kind: each block's start and indices, its number of sets per
         # term, and per term the slot ids of every set, block after block;
@@ -399,10 +400,13 @@ class _Evaluator:
                         .transpose(1, 0, 2))
                        for ids, flat in by_size.values()]
         self._n_slots = len(slots)
-        # a bound on the float64 values held per covariance: the gathered
+        # a bound on the float64 values held per p x p covariance: three
+        # p x p arrays (at most that many are alive at once while the stack
+        # is drawn, or while it is scaled to correlations), the gathered
         # submatrices of every minor size, the slots and a few arrays per relation
-        self._bytes = 8 * (sum(ids.size * (rows.shape[1] ** 2 + 1)
-                               for ids, rows, _ in self._sizes) + 8 * self.size)
+        self._bytes = 8 * (3 * p * p + sum(ids.size * (rows.shape[1] ** 2 + 1)
+                                           for ids, rows, _ in self._sizes)
+                           + 8 * self.size)
 
     @staticmethod
     def _expand(name, starts, counts, tables):
@@ -473,11 +477,11 @@ class _Evaluator:
         draws one point, then the rest in stacks that hold at most
         ``STACK_BYTES`` of working set (or one point)."""
         per = max(1, STACK_BYTES // max(1, self._bytes))
+        model = Covariances(cd)
         done = 0
         while done < count:
             size = 1 if done == 0 else min(per, count - done)
-            stack = [parametrize(cd, random_params(cd, rng)) for _ in range(size)]
-            yield done, self.residuals(np.array(stack))
+            yield done, self.residuals(model.draw(rng, size))
             done += size
 
 
@@ -510,7 +514,7 @@ def check_local_markov(sigma: np.ndarray, cd: ColoredDag,
 
 
 def _report(prop: str, mode: str, tol: float, sigma: np.ndarray, blocks) -> MarkovReport:
-    evaluator = _Evaluator(blocks)
+    evaluator = _Evaluator(blocks, len(sigma))
     return MarkovReport(prop, mode, tol, evaluator.size,
                         tuple(evaluator.violations(evaluator.residuals(sigma), tol)))
 
@@ -599,7 +603,7 @@ def faithfulness_scan(cd: ColoredDag, trials: int = 20, tol: float = 1e-9,
     _require_tol(tol)
     rng = np.random.default_rng(seed)
     triples = _separated_triples(g, False)
-    evaluator = _Evaluator(_cir_blocks(triples))
+    evaluator = _Evaluator(_cir_blocks(triples), g.p)
     vanishing = np.ones(len(triples), dtype=bool)
     for _, res in evaluator.trials(cd, rng, trials):
         vanishing &= (np.abs(evaluator.finite(res)) <= tol).all(axis=0)
@@ -651,9 +655,10 @@ def model_equivalent(cd1: ColoredDag, cd2: ColoredDag, trials: int = 20,
     _require_trials(trials)
     _require_tol(tol)
     rng = np.random.default_rng(seed)
-    pairs = ((1, _local_blocks(cd1), cd2), (2, _local_blocks(cd2), cd1))
-    for side, gens, model in pairs:
-        evaluator = _Evaluator(gens)
+    for side, gens, model in ((1, cd1, cd2), (2, cd2, cd1)):
+        # equal models have the same generators: a self-pair compiles them once
+        if side == 1 or cd2 != cd1:
+            evaluator = _Evaluator(_local_blocks(gens), gens.p)
         for first, res in evaluator.trials(model, rng, trials):
             # the first trial with a residual that is not within tol
             flagged = np.flatnonzero(~(np.abs(res) <= tol).all(axis=1))

@@ -3,7 +3,8 @@
 The forward map sends per-class error variances and structural coefficients
 to the covariance matrix (I - L)^-T W (I - L)^-1.  Because I - L is
 triangular under a topological order, it is evaluated with two triangular
-solves; an explicit inverse is never formed.
+solves; an explicit inverse is never formed.  One compiled kernel,
+``Covariances``, evaluates it at one model point or at a stack of them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .coloring import ColoredDag
 from .dag import Dag
@@ -21,6 +22,7 @@ from .errors import ColoringError, NotPositiveDefiniteError
 from .files import write_matrix_csv  # noqa: F401  (re-exported for perfbench)
 
 SYMMETRY_TOL = 1e-12   # largest |sigma - sigma^T| entry, relative to 1 + max |sigma|
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -62,28 +64,84 @@ def expand_params(cd: ColoredDag, theta: ModelParams) -> Tuple[np.ndarray, np.nd
     return w, lam
 
 
+def _draw(rng: np.random.Generator, nv: int, ne: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The error variances and coefficients of one random model point, drawn
+    in this order: the variances, the coefficients' magnitudes, their signs."""
+    omega = rng.uniform(0.5, 2.0, size=nv)
+    # _SIGNS[rng.integers(0, 2, size)] is rng.choice(_SIGNS, size), draw for
+    # draw, at half the cost of its argument handling
+    lam = rng.uniform(0.25, 1.0, size=ne) * _SIGNS[rng.integers(0, 2, size=ne)]
+    return omega, lam
+
+
 def random_params(cd: ColoredDag, rng: np.random.Generator) -> ModelParams:
     """Coefficients uniform on (-1, -0.25] u [0.25, 1), variances uniform on
     [0.5, 2]: the magnitudes used throughout the synthetic experiments."""
-    nv, ne = len(cd.vertex_classes), len(cd.edge_classes)
-    omega = rng.uniform(0.5, 2.0, size=nv)
-    lam = rng.uniform(0.25, 1.0, size=ne) * rng.choice([-1.0, 1.0], size=ne)
+    omega, lam = _draw(rng, len(cd.vertex_classes), len(cd.edge_classes))
     return ModelParams(tuple(omega), tuple(lam))
+
+
+class Covariances:
+    """The forward map of one colored model, compiled once and evaluated at
+    a stack of model points.
+
+    Under the topological order M = I - L is unit upper triangular, and
+    sigma = M^-T diag(w) M^-1 takes two LAPACK triangular solves per point,
+    the calls ``scipy.linalg.solve_triangular(M.T, ..., lower=True,
+    unit_diagonal=True)`` makes.  The stack is then permuted back to vertex
+    order and symmetrized at once.
+    """
+
+    def __init__(self, cd: ColoredDag):
+        order = np.array(cd.graph.topo, dtype=int)
+        inv = np.empty_like(order)
+        inv[order] = np.arange(cd.p)
+        edges = sorted(cd.graph.edges)
+        # in topological coordinates: each vertex's class, and each edge's
+        # row, column and class in M
+        self._vertex = np.array([cd.vertex_color(v) for v in order], dtype=int)
+        self._rows = inv[np.array([i for i, _ in edges], dtype=int)]
+        self._cols = inv[np.array([j for _, j in edges], dtype=int)]
+        self._edge = np.array([cd.edge_color(e) for e in edges], dtype=int)
+        self._classes = len(cd.vertex_classes), len(cd.edge_classes)
+        # flat positions, in a topological p x p matrix, of each vertex-order entry
+        self._back = (inv[:, None] * cd.p + inv).ravel()
+        self.p = cd.p
+
+    def __call__(self, omega: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """The covariance at each point: error variances (t, classes) and
+        coefficients (t, classes) give shape (t, p, p)."""
+        t, p = len(omega), self.p
+        diag = np.arange(p)
+        m = np.zeros((t, p, p))
+        m[:, diag, diag] = 1.0
+        # 0.0 - x, not -x: the entries of I - L, signed zeros included
+        m[:, self._rows, self._cols] = 0.0 - lam[:, self._edge]
+        w = np.zeros((t, p, p))
+        w[:, diag, diag] = omega[:, self._vertex]
+        out = np.empty((t, p, p))
+        for k in range(t if p else 0):   # LAPACK refuses a 0 x 0 system
+            y, _ = dtrtrs(m[k].T, w[k], lower=1, unitdiag=1)
+            out[k], _ = dtrtrs(m[k].T, y.T, lower=1, unitdiag=1)
+        del m, w
+        # sigma, up to a transpose that the symmetrization undoes exactly,
+        # since a + b == b + a in floating point
+        sigma = np.take(out.reshape(t, p * p), self._back, axis=1).reshape(out.shape)
+        return (sigma + sigma.swapaxes(1, 2)) / 2.0
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The covariances at ``count`` random model points, drawn in the
+        order of that many ``random_params`` calls: shape (count, p, p)."""
+        omega, lam = np.empty((count, self._classes[0])), np.empty((count, self._classes[1]))
+        for t in range(count):
+            omega[t], lam[t] = _draw(rng, *self._classes)
+        return self(omega, lam)
 
 
 def parametrize(cd: ColoredDag, theta: ModelParams) -> np.ndarray:
     """Covariance matrix of the colored model at ``theta``."""
-    w, lam = expand_params(cd, theta)
-    order = np.array(cd.graph.topo, dtype=int)
-    m = np.eye(cd.p) - lam[np.ix_(order, order)]  # unit upper triangular
-    # sigma = M^-T diag(w) M^-1 via two triangular solves
-    y = solve_triangular(m.T, np.diag(w[order]), lower=True, unit_diagonal=True)
-    sigma_t = solve_triangular(m.T, y.T, lower=True, unit_diagonal=True)
-    inv = np.empty_like(order)
-    inv[order] = np.arange(cd.p)
-    sigma = sigma_t.T[np.ix_(inv, inv)]
-    sigma = (sigma + sigma.T) / 2.0
-    return sigma
+    check_params(cd, theta)
+    return Covariances(cd)(np.array([theta.omega]), np.array([theta.lam]))[0]
 
 
 # -- minors and rational recovery functions ------------------------------

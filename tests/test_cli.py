@@ -475,9 +475,21 @@ class TestFileBoundary:
          "parameter JSON field 'lambda' must be a JSON object"),
         ("simulate", '{"lambda": {}}', "parameter JSON missing field 'omega'"),
         ("simulate", _params(v3="Infinity"), "error variances must be finite, got inf"),
-        ("simulate", _params(v3='"nan"'), "error variances must be finite, got nan"),
+        ("simulate", _params(v3='"nan"'),
+         "parameter JSON field 'omega': the value 'nan' of class 'v3' is not a number"),
         ("simulate", _params(lam="NaN"), "coefficients must be finite, got nan"),
-        ("simulate", _params(lam='"-inf"'), "coefficients must be finite, got -inf"),
+        ("simulate", _params(lam='"-inf"'),
+         "parameter JSON field 'lambda': the value '-inf' of class '2->3' is not a number"),
+        ("simulate", _params(v3="true"),
+         "parameter JSON field 'omega': the value True of class 'v3' is not a number"),
+        ("simulate", _params(lam="false"),
+         "parameter JSON field 'lambda': the value False of class '2->3' is not a number"),
+        ("simulate", _params(v3='"1_0"'),
+         "parameter JSON field 'omega': the value '1_0' of class 'v3' is not a number"),
+        ("simulate", _params(lam='" 2.5 "'),
+         "parameter JSON field 'lambda': the value ' 2.5 ' of class '2->3' is not a number"),
+        ("simulate", _params(v3="1" + "0" * 400),
+         "parameter JSON field 'omega': the value of class 'v3' is too large for a float"),
         ("bench", '{"p": [4],\n', "sweep.json: invalid JSON at line 2"),
         ("bench", '{"p": "x", "rho": 0.5, "nc": 2, "n": 100, "replicates": 1}',
          "sweep config field 'p' needs int values, got 'x'"),

@@ -426,7 +426,7 @@ class TestStackedTrials:
         for p in (2, 3, 6, 10, 15):
             for _ in range(3):
                 cd, _ = random_bpec(p, 0.5, 2, [18, p, int(rng.integers(1000))])
-                evaluator = constraints._Evaluator(constraints._local_blocks(cd))
+                evaluator = constraints._Evaluator(constraints._local_blocks(cd), cd.p)
                 stack = np.array([parametrize(cd, random_params(cd, rng)) for _ in range(7)])
                 stack[3] = _noise_sigma(p, 3)
                 stacked = evaluator.residuals(stack)
@@ -438,7 +438,7 @@ class TestStackedTrials:
         cd, _ = random_bpec(7, 0.5, 2, [18, 7])
         g = cd.graph
         blocks = constraints._cir_blocks(constraints._separated_triples(g, True))
-        evaluator = constraints._Evaluator(blocks)
+        evaluator = constraints._Evaluator(blocks, g.p)
         stack = np.array([_noise_sigma(7, s) for s in range(4)])
         stacked = evaluator.residuals(stack)
         for t in range(4):
@@ -472,17 +472,45 @@ class TestStackedTrials:
     def test_stacks_are_bounded(self, monkeypatch):
         # the first trial alone, then stacks within the byte budget
         cd, _ = random_bpec(10, 0.5, 2, [19, 10])
-        evaluator = constraints._Evaluator(constraints._local_blocks(cd))
+        evaluator = constraints._Evaluator(constraints._local_blocks(cd), cd.p)
         monkeypatch.setattr(constraints, "STACK_BYTES", 3 * evaluator._bytes)
         rng = np.random.default_rng(0)
         firsts, sizes = zip(*[(first, len(res)) for first, res in evaluator.trials(cd, rng, 10)])
         assert firsts == (0, 1, 4, 7) and sizes == (1, 3, 3, 3)
 
+    def test_covariances_count_against_the_budget(self):
+        # a complete uncolored DAG has no local relation, so only the drawn
+        # covariances fill its stacks
+        p = 30
+        cd = ColoredDag(Dag(p, [(i, j) for j in range(p) for i in range(j)]))
+        evaluator = constraints._Evaluator(constraints._local_blocks(cd), cd.p)
+        assert evaluator.size == 0 and evaluator._bytes >= 16 * p * p
+        rng = np.random.default_rng(0)
+        sizes = [len(res) for _, res in evaluator.trials(cd, rng, 2000)]
+        assert sum(sizes) == 2000 and len(sizes) > 2
+        assert max(sizes) * evaluator._bytes <= constraints.STACK_BYTES
+
+    def test_a_self_pair_compiles_its_generators_once(self, monkeypatch):
+        built = []
+
+        class Counted(constraints._Evaluator):
+            def __init__(self, blocks, p):
+                built.append(p)
+                super().__init__(blocks, p)
+
+        monkeypatch.setattr(constraints, "_Evaluator", Counted)
+        a, _ = random_bpec(6, 0.5, 2, [21, 6])
+        twin = ColoredDag(Dag(a.p, a.graph.edges), edge_classes=a.edge_classes)
+        assert twin == a and twin is not a
+        assert model_equivalent(a, twin).equivalent and len(built) == 1
+        b = ColoredDag(Dag(a.p, a.graph.edges))
+        assert model_equivalent(a, b, tol=1e9).equivalent and len(built) == 3
+
     def test_each_row_of_a_stack_is_checked_on_its_own(self):
         # model_equivalent reads the rows up to its first flagged trial only, so
         # a non-finite residual in a later row of the stack does not hide a witness
         cd = P4_COLORED
-        evaluator = constraints._Evaluator(constraints._local_blocks(cd))
+        evaluator = constraints._Evaluator(constraints._local_blocks(cd), cd.p)
         stack = np.array([_noise_sigma(4, 1), np.diag([1e-320, 1e300, 1.0, 1.0])])
         res = evaluator.residuals(stack)
         assert evaluator.violations(res[0], 1e-7)
@@ -490,7 +518,7 @@ class TestStackedTrials:
             evaluator.finite(res)
 
     def test_non_finite_error_names_the_first_matrix_then_the_first_relation(self):
-        evaluator = constraints._Evaluator(constraints._local_blocks(P4_COLORED))
+        evaluator = constraints._Evaluator(constraints._local_blocks(P4_COLORED), P4_COLORED.p)
         labels = [r.label() for r in local_generators(P4_COLORED)]
         res = np.zeros((3, 5))
         res[1, 3], res[1, 4], res[2, 0] = np.inf, np.nan, np.nan

@@ -1,17 +1,19 @@
 """Parametrization, the trek oracle, minors, and parameter recovery."""
 
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
 
+from cdag.bench import random_bpec
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, SizeGuardError
 from cdag.files import read_matrix_csv, write_matrix_csv
-from cdag.params import (ModelParams, almost_principal_minor, expand_params,
-                         is_positive_definite, minor, parametrize,
+from cdag.params import (Covariances, ModelParams, almost_principal_minor,
+                         expand_params, is_positive_definite, minor, parametrize,
                          random_params, recover_lambda, recover_omega,
                          recover_params)
 
@@ -103,6 +105,45 @@ class TestTrekOracle:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             trek_covariance(Dag(9), [1.0] * 9, np.zeros((9, 9)))
+
+
+class TestStackedDraw:
+    MODELS = {
+        "p1": uncolored(Dag(1)),
+        "p2": random_bpec(2, 0.5, 2, [20, 2])[0],
+        "p5": random_bpec(5, 0.9, 2, [20, 5])[0],
+        "p15": random_bpec(15, 0.5, 2, [20, 15])[0],
+        "edgeless": uncolored(Dag(4)),
+        "vertex-colored": ColoredDag(Dag(5, [(0, 1), (0, 2), (3, 4), (2, 4)]),
+                                     vertex_classes=[[0, 3, 4], [1, 2]],
+                                     edge_classes=[[(0, 1), (3, 4)]]),
+        "p0": uncolored(Dag(0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_stack_is_the_sequence_of_single_points(self, name, seed):
+        cd = self.MODELS[name]
+        one, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [parametrize(cd, random_params(cd, one)) for _ in range(6)]
+        model = Covariances(cd)
+        first, rest = model.draw(stacked, 1), model.draw(stacked, 5)
+        assert rest.shape == (5, cd.p, cd.p) and rest.flags.c_contiguous
+        assert np.concatenate([first, rest]).tobytes() == np.array(expected).tobytes()
+        assert stacked.bit_generator.state == one.bit_generator.state
+
+    def test_pinned_bits(self):
+        # recorded before the kernel was stacked: fixed and random points of
+        # three models keep every bit of their covariances
+        h = hashlib.sha256()
+        for p in (2, 5, 15):
+            cd, theta = random_bpec(p, 0.5, 2, [17, p])
+            rng = np.random.default_rng(p)
+            h.update(parametrize(cd, theta).tobytes())
+            for _ in range(3):
+                h.update(parametrize(cd, random_params(cd, rng)).tobytes())
+        assert h.hexdigest() == \
+            "bb4ecc0d34e0aa3cafb72c423c083ebcd183efc47b178abb8332fe5ecfd0701a"
 
 
 class TestMinors:
