@@ -16,13 +16,16 @@ Each relation kind names, in one table, the minors it is built from and
 two ways to combine them.  ``RelationPoly.__call__`` gives the paper's
 relation: a polynomial with denominators cleared (``cir``/``vcr``/``ecr``)
 or a difference of recovery quotients (``vcc``/``ecc``), evaluated on sigma
-itself.  The checks instead compile relations once into an ``_Evaluator``,
-in blocks: a block is one kind and one index tuple with a list of
-conditioning sets per term, and stands for every product of one set per
-term, first term outer.  A single relation is a 1 x 1 block, and a product
-of identifying sets A x B is compiled without building its relations: each
-term's minors are looked up once, then the slot ids are expanded in
-product order.  A ``RelationPoly`` is made only to report a relation.  The
+itself.  The checks instead list their relations as arrays, in a
+``_Relations``: per kind, each relation's indices and, per term, its pick
+among the term's candidate (head, conditioning set) pairs, with the sets
+interned in a table that holds each distinct set once.  The local
+generators are listed straight from the parent sets, and a product of
+identifying sets A x B lists each set once per term, its relations picking
+them in product order, first term outer.  An ``_Evaluator`` compiles the
+arrays once, in bulk: every candidate's minors get integer keys over
+bitmasks of the sets, and ``np.unique`` on the keys finds the distinct
+minors.  A ``RelationPoly`` is made only to report a relation.  The
 evaluator scales sigma to its correlation matrix R = D^-1/2 sigma D^-1/2,
 with D the diagonal of sigma, computes each distinct minor of R once (one
 stacked determinant call per minor size, for one covariance or a stack of
@@ -49,8 +52,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, groupby
-from math import prod
+from itertools import chain, combinations, groupby
 from typing import Callable, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -74,7 +76,10 @@ def _fmt_set(s) -> str:
 # A minor is a (rows, cols) pair of index tuples.  A relation combines one
 # term (cir) or two (the coloring kinds); a term is a head, part of the
 # relation's indices, plus one conditioning set, and lists its minors in a
-# fixed order, which its kind's combining functions read.
+# fixed order, which its kind's combining functions read.  Each kind's
+# minors are written once, over a set algebra ``m``: ``_Tuples`` spells out
+# one relation's minors as index tuples, and ``_SetTable`` keys the minors
+# of many terms at once, with one array entry per term.
 
 
 def _principal(s):
@@ -87,21 +92,37 @@ def _almost_principal(i, j, given):
     return (i,) + k, (j,) + k
 
 
-def _independence_minors(i, j, k):
+class _Tuples:
+    """The set algebra of one relation: sets are tuples, minors are (rows,
+    cols) index tuples."""
+
+    principal = staticmethod(_principal)
+    almost = staticmethod(_almost_principal)
+
+    @staticmethod
+    def add(s, v):
+        return (v,) + tuple(s)
+
+    @staticmethod
+    def remove(s, v):
+        return set(s) - {v}
+
+
+def _independence_minors(m, i, j, k):
     """|S_{ij|K}|, |S_{iK}|, |S_{jK}|."""
-    return _almost_principal(i, j, k), _principal((i,) + k), _principal((j,) + k)
+    return m.almost(i, j, k), m.principal(m.add(k, i)), m.principal(m.add(k, j))
 
 
-def _variance_minors(i, a):
+def _variance_minors(m, i, a):
     """|S_{iA}| and |S_A|, whose quotient is the conditional variance of i
     given A."""
-    return _principal((i,) + a), _principal(a)
+    return m.principal(m.add(a, i)), m.principal(a)
 
 
-def _coefficient_minors(i, j, a):
+def _coefficient_minors(m, i, j, a):
     """|S_{ij|A \\ i}| and |S_A|, whose quotient is the regression
     coefficient of i -> j given A."""
-    return _almost_principal(i, j, set(a) - {i}), _principal(a)
+    return m.almost(i, j, m.remove(a, i)), m.principal(a)
 
 
 def _cleared(m):
@@ -138,8 +159,8 @@ def _coefficients(m, x, var):
 
 
 class _Kind(NamedTuple):
-    heads: Callable       # indices -> the head of each term
-    minors: Callable      # (*head, given) -> the (rows, cols) of one term's minors
+    heads: Callable       # indices (or index columns) -> the head of each term
+    minors: Callable      # (algebra, *head, given) -> one term's minors
     polynomial: Callable  # minors of sigma -> the paper's relation
     residual: Callable    # (minors of R, index columns, variances) -> residuals
 
@@ -183,11 +204,16 @@ class RelationPoly:
             raise ValueError(f"unknown relation kind {self.kind!r}")
         object.__setattr__(self, "given", tuple(tuple(sorted(s)) for s in self.given))
 
-    def __call__(self, sigma: np.ndarray) -> float:
+    def minors(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """The (rows, cols) of the relation's minors, term after term, in
+        the order its kind combines them."""
         kind = _KINDS[self.kind]
-        return kind.polynomial([minor(sigma, rows, cols)
-                                for head, given in zip(kind.heads(self.indices), self.given)
-                                for rows, cols in kind.minors(*head, given)])
+        return [m for head, given in zip(kind.heads(self.indices), self.given)
+                for m in kind.minors(_Tuples, *head, given)]
+
+    def __call__(self, sigma: np.ndarray) -> float:
+        return _KINDS[self.kind].polynomial([minor(sigma, rows, cols)
+                                             for rows, cols in self.minors()])
 
     def label(self) -> str:
         """Human-readable 1-based rendering."""
@@ -211,26 +237,163 @@ class RelationPoly:
         }
 
 
-class _Block(NamedTuple):
-    """The relations kind(indices; given) for every choice of one sorted
-    conditioning set per term from ``sets``, in product order: the first
-    term outer."""
+class _Relations:
+    """A check's relations, in order, as arrays.  A part is relations of one
+    kind: an index row each and, per term, a pick among the term's
+    candidates, which are (index row, set id) pairs.  The set ids index
+    ``sets``, which holds each distinct set once, as a sorted tuple.  A
+    product lists each candidate once, however many relations pick it."""
 
-    kind: str
-    indices: Tuple[int, ...]
-    sets: Tuple[Tuple[Tuple[int, ...], ...], ...]   # one list of sets per term
+    def __init__(self, p: int):
+        self.p = p
+        self.sets: List[Tuple[int, ...]] = []
+        self._ids = {}
+        self._parts = []     # (kind, indices (n, k), per term (rows, set ids, picks))
+        self._starts = []    # each part's first position
+        self.size = 0
 
-    @property
-    def size(self) -> int:
-        return prod(map(len, self.sets))
+    def intern(self, sets) -> np.ndarray:
+        """The ids of sorted sets, each distinct set stored once."""
+        ids = [self._ids.setdefault(s, len(self._ids)) for s in sets]
+        self.sets += list(self._ids)[len(self.sets):]
+        return np.array(ids, dtype=int)
+
+    def _add(self, kind: str, indices: np.ndarray, terms) -> None:
+        self._starts.append(self.size)
+        self._parts.append((kind, indices, terms))
+        self.size += len(indices)
+
+    def add(self, kind: str, indices, *given) -> None:
+        """Relations of one kind, in order: index rows, and per term an array
+        of set ids."""
+        n = len(given[0])
+        if n:
+            indices = np.asarray(indices, dtype=int).reshape(n, -1)
+            self._add(kind, indices, [(indices, sids, np.arange(n)) for sids in given])
+
+    def add_product(self, kind: str, indices, *sets) -> None:
+        """kind(indices; given) for every choice of one sorted set per term
+        from ``sets``, in product order: the first term outer."""
+        ids = [self.intern(s) for s in sets]
+        picks = np.meshgrid(*(np.arange(len(sids)) for sids in ids), indexing="ij")
+        if picks[0].size:
+            self._add(kind, np.broadcast_to(indices, (picks[0].size, len(indices))),
+                      [(np.tile(indices, (len(sids), 1)), sids, pick.ravel())
+                       for sids, pick in zip(ids, picks)])
+
+    def add_triples(self, triples) -> None:
+        """cir(i, j | K) for each (i, j, K), in order."""
+        self.add("cir", [t[:2] for t in triples], self.intern([t[2] for t in triples]))
+
+    def by_kind(self):
+        """Per kind, in order of first appearance: its relations' positions
+        and index rows and, per term, the candidates' index rows and set ids
+        and each relation's pick among them."""
+        chunks = {}
+        for start, (kind, indices, terms) in zip(self._starts, self._parts):
+            chunks.setdefault(kind, []).append(
+                (np.arange(start, start + len(indices)), indices, terms))
+        out = {}
+        for kind, parts in chunks.items():
+            pos, indices, terms = zip(*parts)
+            merged = []
+            for term in zip(*terms):
+                rows, sids, picks = zip(*term)
+                offsets = np.cumsum([0] + [len(s) for s in sids[:-1]])
+                merged.append((np.concatenate(rows), np.concatenate(sids),
+                               np.concatenate([pick + at for pick, at in zip(picks, offsets)])))
+            out[kind] = np.concatenate(pos), np.concatenate(indices), merged
+        return out
 
     def relation(self, t: int) -> RelationPoly:
-        """The block's t-th relation."""
-        given = []
-        for sets in reversed(self.sets):
-            t, pick = divmod(t, len(sets))
-            given.append(sets[pick])
-        return RelationPoly(self.kind, self.indices, tuple(reversed(given)))
+        """The t-th relation."""
+        b = bisect_right(self._starts, t) - 1
+        kind, indices, terms = self._parts[b]
+        row = t - self._starts[b]
+        return RelationPoly(kind, tuple(indices[row].tolist()),
+                            tuple(self.sets[sids[pick[row]]] for _, sids, pick in terms))
+
+
+def _word_bit(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The bitmask word of each vertex in ``v``, and its bit in that word."""
+    return v // 64, np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
+
+
+class _SetTable:
+    """The set algebra of a compile: vertex sets as rows of bitmask words,
+    64 vertices a word, so any p fits.  The interned conditioning sets come
+    first; ``add`` and ``remove`` append one derived set per array entry.
+    A minor is requested as its set's row and a code of the two vertices
+    that head it (0 for a principal minor); ``keys`` numbers equal sets
+    alike first, so equal minors get equal keys."""
+
+    def __init__(self, sets, p: int):
+        self.p = p
+        flat = np.fromiter(chain.from_iterable(sets), dtype=int)
+        row = np.repeat(np.arange(len(sets)), np.array([len(s) for s in sets], dtype=int))
+        words = np.zeros((len(sets), max(1, -(-p // 64))), dtype=np.uint64)
+        word, bit = _word_bit(flat)
+        np.bitwise_or.at(words, (row, word), bit)
+        self._rows, self._n = [words], len(sets)
+
+    def _derive(self, s, v, member: bool):
+        words = self._rows[0][s]
+        word, bit = _word_bit(v)
+        at = np.arange(len(s)), word
+        words[at] = words[at] | bit if member else words[at] & ~bit
+        self._rows.append(words)
+        self._n += len(s)
+        return np.arange(self._n - len(s), self._n)
+
+    def add(self, s, v):
+        return self._derive(s, v, True)
+
+    def remove(self, s, v):
+        return self._derive(s, v, False)
+
+    @staticmethod
+    def principal(s):
+        return s, np.zeros_like(s)
+
+    def almost(self, i, j, s):
+        # rows from the lower head: a minor and its transpose share a key
+        return s, (np.minimum(i, j) + 1) * (self.p + 1) + np.maximum(i, j) + 1
+
+    def keys(self, minors) -> Tuple[np.ndarray, np.ndarray]:
+        """The key of every requested minor, request after request, and the
+        bitmask words of every set by its number: key = set * (p + 1)^2 +
+        head code."""
+        words = np.concatenate(self._rows)
+        number = np.unique(words[:, 0], return_inverse=True)[1]
+        for col in words.T[1:]:   # refine the numbering by each further word
+            rank = np.unique(col, return_inverse=True)[1]
+            number = np.unique(number * len(words) + rank, return_inverse=True)[1]
+        table = np.empty((number.max(initial=-1) + 1, words.shape[1]), dtype=np.uint64)
+        table[number] = words
+        rows = np.concatenate([np.empty(0, dtype=int), *(s for s, _ in minors)])
+        heads = np.concatenate([np.empty(0, dtype=int), *(h for _, h in minors)])
+        return number[rows] * (self.p + 1) ** 2 + heads, table
+
+    def decode(self, keys, table):
+        """The (rows, cols) of each key's minor, padded to p columns, and its
+        size."""
+        q = self.p + 1
+        at, heads = np.divmod(keys, q * q)
+        lo, hi = np.divmod(heads, q)
+        lo, hi = lo - 1, hi - 1
+        almost = lo >= 0
+        # vertex v is bit v of the row's bytes, least significant byte first
+        member = np.unpackbits(table[at].astype("<u8").view(np.uint8), axis=1,
+                               bitorder="little")
+        r, c = np.divmod(np.flatnonzero(member), member.shape[1])
+        count = np.bincount(r, minlength=len(keys))
+        # each set's members in ascending order, after the head of an
+        # almost-principal minor
+        rows = np.zeros((len(keys), self.p), dtype=int)
+        rows[r, np.arange(r.size) - np.repeat(np.cumsum(count) - count, count) + almost[r]] = c
+        cols = rows.copy()
+        rows[almost, :1], cols[almost, :1] = lo[almost, None], hi[almost, None]
+        return rows, cols, count + almost
 
 
 def _triples(p: int) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
@@ -257,24 +420,33 @@ def _separated_triples(g: Dag, separated: bool) -> List[tuple]:
     return [t for t in _triples(g.p) if test(*t) == separated]
 
 
-def _cir_blocks(triples) -> List[_Block]:
-    """One independence block per run of triples of the same pair."""
-    return [_Block("cir", pair, (tuple(k for _, _, k in run),))
-            for pair, run in groupby(triples, key=lambda t: t[:2])]
+def _class_pairs(classes, width: int) -> np.ndarray:
+    """Every pair of members of one class, the pair's two rows side by side:
+    class after class, each class's members sorted by their last entry, then
+    by the one before, and paired in ``combinations`` order.  A member is a
+    vertex (``width`` 1) or an edge (i, j) (``width`` 2), ordered head first."""
+    classes = [grp for grp in classes if len(grp) > 1]
+    if not classes:
+        return np.empty((0, 2 * width), dtype=int)
+    sizes = np.array([len(grp) for grp in classes], dtype=int)
+    flat = chain.from_iterable(classes)
+    members = np.fromiter(chain.from_iterable(flat) if width > 1 else flat,
+                          dtype=int).reshape(-1, width)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    members = members[np.lexsort((*members.T, label))]
+    # a member pairs with each later member of its class
+    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(members)) - 1
+    a = np.repeat(np.arange(len(members)), later)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+    return np.concatenate([members[a], members[b]], axis=1)
 
 
-def _same_colored_pairs(cd: ColoredDag) -> Iterator[tuple]:
-    """(kind, indices, t1, t2) for every pair t1, t2 of same-colored vertices
-    (kind "vc"), then of same-colored edges (kind "ec"), in class order; the
-    edges of a class are ordered head first.  The local relation's kind adds
-    "r" to the pair's kind, the global one "c"."""
-    for grp in cd.vertex_classes:
-        for i, j in combinations(sorted(grp), 2):
-            yield "vc", (i, j), i, j
-    for grp in cd.edge_classes:
-        members = sorted(grp, key=lambda e: (e[1], e[0]))
-        for e1, e2 in combinations(members, 2):
-            yield "ec", e1 + e2, e1, e2
+def _same_colored_pairs(cd: ColoredDag) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs of same-colored vertices, as rows (i, j), and of
+    same-colored edges, as rows (i, j, k, l) for i -> j and k -> l, in class
+    order; the edges of a class are ordered head first.  The local relation
+    of a pair is a ``vcr`` or ``ecr``, the global ones ``vcc`` or ``ecc``."""
+    return _class_pairs(cd.vertex_classes, 1), _class_pairs(cd.edge_classes, 2)
 
 
 def _vertex_of(target) -> int:
@@ -290,23 +462,29 @@ def local_generators(cd: ColoredDag) -> List[RelationPoly]:
     for every pair of same-colored vertices and every pair of same-colored
     edges (conditioned on parent sets).
     """
-    return [block.relation(0) for block in _local_blocks(cd)]
+    relations = _local_relations(cd)
+    return [relations.relation(t) for t in range(relations.size)]
 
 
-def _local_blocks(cd: ColoredDag) -> List[_Block]:
-    """The local generators, in order, as 1 x 1 blocks."""
-    g = cd.graph
-    pa = [tuple(sorted(g.parents(v))) for v in range(g.p)]
-    blocks = []
-    for a, b in combinations(range(g.p), 2):
-        if g.adjacent(a, b):
-            continue
-        i, j = (a, b) if g.topo_rank(a) < g.topo_rank(b) else (b, a)
-        blocks.append(_Block("cir", (i, j), ((pa[j],),)))
-    for kind, indices, t1, t2 in _same_colored_pairs(cd):
-        blocks.append(_Block(kind + "r", indices,
-                             ((pa[_vertex_of(t1)],), (pa[_vertex_of(t2)],))))
-    return blocks
+def _local_relations(cd: ColoredDag) -> _Relations:
+    """The local generators, in order, listed from the parent sets: the
+    non-adjacent pairs, then the vertex pairs, then the edge pairs."""
+    g, p = cd.graph, cd.p
+    relations = _Relations(p)
+    pa = relations.intern([tuple(sorted(g.parents(v))) for v in range(p)])
+    adjacent = np.zeros((p, p), dtype=bool)
+    edges = np.array(list(g.edges), dtype=int).reshape(-1, 2)
+    adjacent[edges[:, 0], edges[:, 1]] = adjacent[edges[:, 1], edges[:, 0]] = True
+    rank = np.empty(p, dtype=int)
+    rank[list(g.topo)] = np.arange(p)
+    a, b = np.nonzero(np.triu(~adjacent, 1))   # the non-adjacent pairs a < b, in order
+    first = rank[a] < rank[b]
+    i, j = np.where(first, a, b), np.where(first, b, a)
+    relations.add("cir", np.column_stack([i, j]), pa[j])
+    vertex, edge = _same_colored_pairs(cd)
+    relations.add("vcr", vertex, pa[vertex[:, 0]], pa[vertex[:, 1]])
+    relations.add("ecr", edge, pa[edge[:, 1]], pa[edge[:, 3]])
+    return relations
 
 
 # -- Markov-property checks -------------------------------------------------
@@ -349,57 +527,53 @@ class MarkovReport:
 
 
 class _Evaluator:
-    """Blocks of relations compiled once, then evaluated per covariance
-    matrix or per stack of them.
+    """Relations compiled once, then evaluated per covariance matrix or per
+    stack of them.
 
     Every distinct minor gets one slot; a minor and its transpose share it,
-    since R is symmetric.  A term's slots are looked up once, however many
-    products it appears in, and each kind's slot-id table is expanded in
-    product order by array arithmetic.  Evaluation fills the slots with one
-    stacked determinant call per minor size, then combines them kind by
-    kind.
+    since R is symmetric.  The compile works on the relations' arrays, kind
+    by kind, with no Python step per relation: each kind's recipe keys the
+    minors of all its terms' candidates at once over a ``_SetTable``, one
+    ``np.unique`` call numbers the distinct keys as slots, the relations'
+    picks gather their slot ids, and the keys are decoded into stacked rows
+    and columns per minor size.  Evaluation fills
+    the slots with one stacked determinant call per minor size, then
+    combines them kind by kind.
     """
 
-    def __init__(self, blocks, p: int):
-        self.blocks, self._starts, n = [], [], 0
-        # per kind: each block's start and indices, its number of sets per
-        # term, and per term the slot ids of every set, block after block;
-        # a term's slot ids are looked up once per list of sets
-        slots, chunks, kinds = {}, {}, {}
-        for block in blocks:
-            size = block.size
-            if not size:
-                continue
-            kind = _KINDS[block.kind]
-            heads = kind.heads(block.indices)
-            if block.kind not in kinds:
-                kinds[block.kind] = [], [], [[] for _ in heads]
-            starts, counts, tables = kinds[block.kind]
-            starts += (n, *block.indices)
-            for head, sets, table in zip(heads, block.sets, tables):
-                counts.append(len(sets))
-                key = kind.minors, head, sets
-                chunk = chunks.get(key)
-                if chunk is None:
-                    chunk = chunks[key] = [
-                        slots.setdefault(min(m, m[::-1]), len(slots))
-                        for given in sets for m in kind.minors(*head, given)]
-                table += chunk
-            self.blocks.append(block)
-            self._starts.append(n)
-            n += size
-        self.size = n
-        self._kinds = [self._expand(name, *acc) for name, acc in kinds.items()]
-        by_size = {}
-        for (rows, cols), slot in slots.items():
-            ids, flat = by_size.setdefault(len(rows), ([], []))
-            ids.append(slot)
-            flat += rows + cols
+    def __init__(self, relations: _Relations):
+        self.relations, self.size, p = relations, relations.size, relations.p
+        sets = _SetTable(relations.sets, p)
+        # per kind: its residual function, positions and index columns and,
+        # per term, the number of minors and of candidates, and each
+        # relation's pick; every candidate's minors are requested once
+        kinds, requests = [], []
+        for name, (pos, indices, terms) in relations.by_kind().items():
+            kind = _KINDS[name]
+            picks = []
+            for t, (rows, sids, pick) in enumerate(terms):
+                minors = kind.minors(sets, *kind.heads(rows.T)[t], sids)
+                picks.append((len(minors), len(sids), pick))
+                requests += minors
+            kinds.append((kind.residual, pos, indices.T, picks))
+        keys, table = sets.keys(requests)
+        distinct, slot = np.unique(keys, return_inverse=True)
+        # each relation's slot ids, one row per minor it reads
+        self._kinds, at = [], 0
+        for residual, pos, indices, picks in kinds:
+            ids = []
+            for count, candidates, pick in picks:
+                ids.append(slot[at:at + count * candidates].reshape(count, -1)[:, pick])
+                at += count * candidates
+            self._kinds.append((residual, pos, np.concatenate(ids), indices))
+        rows, cols, size = sets.decode(distinct, table)
         # per minor size: slot ids, and the stacked rows and columns
-        self._sizes = [(np.array(ids), *np.array(flat, dtype=int).reshape(len(ids), 2, -1)
-                        .transpose(1, 0, 2))
-                       for ids, flat in by_size.values()]
-        self._n_slots = len(slots)
+        order = np.argsort(size, kind="stable")
+        rows, cols, size = rows[order], cols[order], size[order]
+        cuts = [0, *(np.flatnonzero(np.diff(size)) + 1).tolist(), size.size]
+        self._sizes = [(order[a:b], rows[a:b, :size[a]], cols[a:b, :size[a]])
+                       for a, b in zip(cuts, cuts[1:]) if b > a]
+        self._n_slots = distinct.size
         # a bound on the float64 values held per p x p covariance: three
         # p x p arrays (at most that many are alive at once while the stack
         # is drawn, or while it is scaled to correlations), the gathered
@@ -408,30 +582,9 @@ class _Evaluator:
                                            for ids, rows, _ in self._sizes)
                            + 8 * self.size)
 
-    @staticmethod
-    def _expand(name, starts, counts, tables):
-        """One kind's residual function, and its relations' positions, slot
-        ids (one column per relation) and indices (likewise), with every
-        block expanded in product order."""
-        counts = np.array(counts).reshape(-1, len(tables))
-        starts = np.array(starts).reshape(len(counts), -1)
-        sizes = counts.prod(axis=1)
-        which = np.repeat(np.arange(len(counts)), sizes)
-        local = np.arange(which.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        pos = starts[which, 0] + local
-        offsets = np.cumsum(counts, axis=0) - counts
-        parts = []
-        for t in reversed(range(len(tables))):
-            local, pick = np.divmod(local, counts[which, t])
-            table = np.array(tables[t]).reshape(counts[:, t].sum(), -1)
-            parts.append(table[offsets[which, t] + pick])
-        ids = np.concatenate(parts[::-1], axis=1).T
-        return _KINDS[name].residual, pos, ids, starts[which, 1:].T
-
     def relation(self, t: int) -> RelationPoly:
-        """The t-th relation, in block order."""
-        b = bisect_right(self._starts, t) - 1
-        return self.blocks[b].relation(t - self._starts[b])
+        """The t-th relation."""
+        return self.relations.relation(t)
 
     def residuals(self, sigma: np.ndarray) -> np.ndarray:
         """The dimensionless residual of every relation, in order, at sigma
@@ -510,11 +663,12 @@ def check_local_markov(sigma: np.ndarray, cd: ColoredDag,
     """Evaluate every local generator at sigma and report the violated ones."""
     _require_tol(tol)
     sigma = _model_sigma(sigma, cd)
-    return _report("local", "full", tol, sigma, _local_blocks(cd))
+    return _report("local", "full", tol, sigma, _local_relations(cd))
 
 
-def _report(prop: str, mode: str, tol: float, sigma: np.ndarray, blocks) -> MarkovReport:
-    evaluator = _Evaluator(blocks, len(sigma))
+def _report(prop: str, mode: str, tol: float, sigma: np.ndarray,
+            relations: _Relations) -> MarkovReport:
+    evaluator = _Evaluator(relations)
     return MarkovReport(prop, mode, tol, evaluator.size,
                         tuple(evaluator.violations(evaluator.residuals(sigma), tol)))
 
@@ -563,25 +717,33 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
             k = tuple(v for v, m in zip(rest, mask) if m)
             if separated(i, j, k):
                 ci.append((i, j, k))
-    pairs = list(_same_colored_pairs(cd))
+    # (kind, indices, target, target) per same-colored pair
+    vertex, edge = _same_colored_pairs(cd)
+    pairs = ([("vcc", (i, j), i, j) for i, j in vertex.tolist()]
+             + [("ecc", (i, j, k, l), (i, j), (k, l)) for i, j, k, l in edge.tolist()])
+    if budget is not None and len(ci) > budget:
+        keep = rng.choice(len(ci), size=budget, replace=False)
+        ci = [ci[t] for t in sorted(keep)]
+    relations = _Relations(g.p)
+    relations.add_triples(ci)
     if budget is None:
         mode = "full"
-        coloring = [_Block(kind + "c", indices, (sets_for(t1), sets_for(t2)))
-                    for kind, indices, t1, t2 in pairs]
+        for kind, indices, t1, t2 in pairs:
+            relations.add_product(kind, indices, sets_for(t1), sets_for(t2))
     else:
         mode = f"sampled(budget={budget}, seed={seed})"
-        if len(ci) > budget:
-            keep = rng.choice(len(ci), size=budget, replace=False)
-            ci = [ci[t] for t in sorted(keep)]
         # draw (A, B) products without materializing the full family
-        coloring = []
+        draws = []
         for _ in range(budget if pairs else 0):
             kind, indices, t1, t2 = pairs[rng.integers(len(pairs))]
             sets1, sets2 = sets_for(t1), sets_for(t2)
             a = sets1[rng.integers(len(sets1))]
             b = sets2[rng.integers(len(sets2))]
-            coloring.append(_Block(kind + "c", indices, ((a,), (b,))))
-    return _report("global", mode, tol, sigma, _cir_blocks(ci) + coloring)
+            draws.append((kind, indices, a, b))
+        for kind, run in groupby(draws, key=lambda draw: draw[0]):
+            _, indices, a, b = zip(*run)
+            relations.add(kind, indices, relations.intern(a), relations.intern(b))
+    return _report("global", mode, tol, sigma, relations)
 
 
 # -- faithfulness diagnostic --------------------------------------------------
@@ -603,7 +765,9 @@ def faithfulness_scan(cd: ColoredDag, trials: int = 20, tol: float = 1e-9,
     _require_tol(tol)
     rng = np.random.default_rng(seed)
     triples = _separated_triples(g, False)
-    evaluator = _Evaluator(_cir_blocks(triples), g.p)
+    relations = _Relations(g.p)
+    relations.add_triples(triples)
+    evaluator = _Evaluator(relations)
     vanishing = np.ones(len(triples), dtype=bool)
     for _, res in evaluator.trials(cd, rng, trials):
         vanishing &= (np.abs(evaluator.finite(res)) <= tol).all(axis=0)
@@ -658,7 +822,7 @@ def model_equivalent(cd1: ColoredDag, cd2: ColoredDag, trials: int = 20,
     for side, gens, model in ((1, cd1, cd2), (2, cd2, cd1)):
         # equal models have the same generators: a self-pair compiles them once
         if side == 1 or cd2 != cd1:
-            evaluator = _Evaluator(_local_blocks(gens), gens.p)
+            evaluator = _Evaluator(_local_relations(gens))
         for first, res in evaluator.trials(model, rng, trials):
             # the first trial with a residual that is not within tol
             flagged = np.flatnonzero(~(np.abs(res) <= tol).all(axis=1))

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .coloring import ColoredDag
 from .dag import Dag
-from .errors import ColoringError, NotPositiveDefiniteError
+from .errors import ColoringError, GraphError, NotPositiveDefiniteError
 from .files import write_matrix_csv  # noqa: F401  (re-exported for perfbench)
 
 SYMMETRY_TOL = 1e-12   # largest |sigma - sigma^T| entry, relative to 1 + max |sigma|
@@ -89,7 +88,9 @@ class Covariances:
     sigma = M^-T diag(w) M^-1 takes two LAPACK triangular solves per point,
     the calls ``scipy.linalg.solve_triangular(M.T, ..., lower=True,
     unit_diagonal=True)`` makes.  The stack is then permuted back to vertex
-    order and symmetrized at once.
+    order and symmetrized at once.  SciPy's LAPACK wrappers are imported on
+    the first evaluation, not with the package: they take a large share of
+    start-up time and memory, and only covariance evaluations need them.
     """
 
     def __init__(self, cd: ColoredDag):
@@ -111,6 +112,8 @@ class Covariances:
     def __call__(self, omega: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """The covariance at each point: error variances (t, classes) and
         coefficients (t, classes) give shape (t, p, p)."""
+        from scipy.linalg.lapack import dtrtrs
+
         t, p = len(omega), self.p
         diag = np.arange(p)
         m = np.zeros((t, p, p))
@@ -153,7 +156,9 @@ def minor(sigma: np.ndarray, rows, cols):
     One indexed determinant call serves every shape: given two 2-d arrays,
     one index set per row, it returns the array of the stacked minors, and
     for a stack of matrices (shape (t, p, p)) the minors come out with the
-    stack's axis first, as shape (t,) or (t, rows).
+    stack's axis first, as shape (t,) or (t, rows).  The indices are not
+    checked: this is the checkers' evaluation path, which builds them
+    itself, so a negative index wraps around as in numpy.
     """
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
@@ -162,10 +167,25 @@ def minor(sigma: np.ndarray, rows, cols):
     return np.linalg.det(sigma[..., rows[..., :, None], cols[..., None, :]])
 
 
+def _vertices(sigma: np.ndarray, vertices) -> List[int]:
+    """``vertices`` as indices of sigma: integers, not bools, in 0..p-1;
+    otherwise a GraphError that names the first bad one, 1-based."""
+    p = np.shape(sigma)[-1]
+    out = []
+    for v in vertices:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise GraphError(f"vertex index {v!r} is not an integer")
+        if not 0 <= v < p:
+            raise GraphError(f"vertex {v + 1} out of range for p={p}")
+        out.append(int(v))
+    return out
+
+
 def almost_principal_minor(sigma: np.ndarray, i: int, j: int, given=()) -> float:
     """|Sigma_{ij|K}|: rows i,K against columns j,K.  Vanishes exactly when
     X_i and X_j are conditionally independent given X_K."""
-    k = sorted(given)
+    i, j, *k = _vertices(sigma, [i, j, *given])
+    k = sorted(k)
     if i in k or j in k:
         raise ColoringError("conditioning set may not contain i or j")
     return minor(sigma, [i] + k, [j] + k)
@@ -174,9 +194,10 @@ def almost_principal_minor(sigma: np.ndarray, i: int, j: int, given=()) -> float
 def recover_omega(sigma: np.ndarray, graph: Optional[Dag], i: int, given=None) -> float:
     """The conditional variance |Sigma_{iA}| / |Sigma_A|; with A = pa(i)
     (the default) this returns the error variance of i on any model point."""
+    (i,) = _vertices(sigma, [i])
     if given is None:
         given = graph.parents(i)
-    a = sorted(set(given))
+    a = sorted(set(_vertices(sigma, given)))
     if i in a:
         raise ColoringError(f"identifying set for vertex {i + 1} may not contain it")
     den = minor(sigma, a, a)
@@ -190,9 +211,10 @@ def recover_lambda(sigma: np.ndarray, graph: Optional[Dag], i: int, j: int,
                    given=None) -> float:
     """The regression quotient |Sigma_{ij|A \\ i}| / |Sigma_A|; with A = pa(j)
     (the default) this returns the coefficient on i -> j on any model point."""
+    i, j = _vertices(sigma, [i, j])
     if given is None:
         given = graph.parents(j)
-    a = sorted(set(given))
+    a = sorted(set(_vertices(sigma, given)))
     if j in a:
         raise ColoringError(f"identifying set for edge ({i + 1}, {j + 1}) "
                             f"may not contain {j + 1}")

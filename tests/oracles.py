@@ -14,7 +14,7 @@ import numpy as np
 
 from cdag.dag import Dag
 from cdag.coloring import ColoredDag
-from cdag.constraints import _KINDS, RelationPoly, _same_colored_pairs
+from cdag.constraints import _KINDS, RelationPoly
 from cdag.errors import GraphError, SizeGuardError
 from cdag.identify import enumerate_identifying_sets, sample_identifying_sets
 from cdag.fit import stacked_ls
@@ -314,19 +314,10 @@ def normalized_residual(kind, indices, given, sigma) -> float:
 
 
 # -- the checkers' relation lists, one RelationPoly at a time -----------------
-# The checks compile products of identifying sets as blocks and build a
-# RelationPoly only to report one.  The reference below is the earlier code
-# path: every relation built as a RelationPoly, in the checks' order, and
-# compiled one relation at a time.
-
-
-def _terms(rel):
-    """The terms of a relation: (i, j, K), (vertex, set) or (i, j, set)."""
-    if rel.kind == "cir":
-        return [rel.indices + rel.given]
-    if rel.kind in ("vcr", "vcc"):
-        return [(rel.indices[0], rel.given[0]), (rel.indices[1], rel.given[1])]
-    return [rel.indices[:2] + rel.given[:1], rel.indices[2:] + rel.given[1:]]
+# The checks list their relations as arrays, compile them in bulk and build
+# a RelationPoly only to report one.  The reference below is the earlier
+# code path: every relation built as a RelationPoly, in the checks' order,
+# and compiled one relation at a time.
 
 
 class ListEvaluator:
@@ -335,16 +326,9 @@ class ListEvaluator:
 
     def __init__(self, relations):
         self.relations = list(relations)
-        slots, terms, by_kind = {}, {}, {}
+        slots, by_kind = {}, {}
         for pos, rel in enumerate(self.relations):
-            kind = _KINDS[rel.kind]
-            ids = []
-            for term in _terms(rel):
-                key = kind.minors, term
-                if key not in terms:
-                    terms[key] = [slots.setdefault(min(m, m[::-1]), len(slots))
-                                  for m in kind.minors(*term)]
-                ids += terms[key]
+            ids = [slots.setdefault(min(m, m[::-1]), len(slots)) for m in rel.minors()]
             by_kind.setdefault(rel.kind, []).append((pos, ids, rel.indices))
         self._kinds = [(_KINDS[kind].residual, *(np.array(col).T for col in zip(*group)))
                        for kind, group in by_kind.items()]
@@ -368,6 +352,35 @@ class ListEvaluator:
             for residual, pos, ids, indices in self._kinds:
                 out[pos] = residual(m[ids], indices, var)
         return out
+
+
+def _same_colored_pairs(cd: ColoredDag):
+    """(kind, indices, t1, t2) for every pair t1, t2 of same-colored vertices
+    (kind "vc"), then of same-colored edges (kind "ec"), in class order; the
+    edges of a class are ordered head first."""
+    for grp in cd.vertex_classes:
+        for i, j in combinations(sorted(grp), 2):
+            yield "vc", (i, j), i, j
+    for grp in cd.edge_classes:
+        members = sorted(grp, key=lambda e: (e[1], e[0]))
+        for e1, e2 in combinations(members, 2):
+            yield "ec", e1 + e2, e1, e2
+
+
+def local_relations(cd: ColoredDag):
+    """The local generators, in the checks' order, one RelationPoly at a time."""
+    g = cd.graph
+    pa = [tuple(sorted(g.parents(v))) for v in range(g.p)]
+    rank = {v: r for r, v in enumerate(g.topo)}
+    out = []
+    for a, b in combinations(range(g.p), 2):
+        if (a, b) not in g.edges and (b, a) not in g.edges:
+            i, j = (a, b) if rank[a] < rank[b] else (b, a)
+            out.append(RelationPoly("cir", (i, j), (pa[j],)))
+    for kind, indices, t1, t2 in _same_colored_pairs(cd):
+        heads = [t if isinstance(t, int) else t[1] for t in (t1, t2)]
+        out.append(RelationPoly(kind + "r", indices, tuple(pa[h] for h in heads)))
+    return out
 
 
 def global_relations(cd: ColoredDag, budget=None, seed=0):

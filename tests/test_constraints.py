@@ -383,8 +383,9 @@ def _bits(values):
 
 
 class TestBlocksMatchTheRelationList:
-    """The global check compiles products of identifying sets as blocks; the
-    reference compiles the explicit RelationPoly list one relation at a time."""
+    """The checks list their relations as arrays and compile them in bulk;
+    the reference compiles the explicit RelationPoly list one relation at a
+    time."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_full_p8(self, seed):
@@ -410,14 +411,76 @@ class TestBlocksMatchTheRelationList:
                 == _bits(oracles.ListEvaluator(relations).residuals(sigma))).all()
 
     def test_local(self):
-        for p in (5, 10, 20):
+        for p in (5, 10, 20, 30, 60):
             cd, _ = random_bpec(p, 0.5, 2, [17, p])
             sigma = _noise_sigma(p, p)
             report = check_local_markov(sigma, cd, tol=0.0)
-            relations = local_generators(cd)
+            relations = oracles.local_relations(cd)
+            assert local_generators(cd) == relations
             assert [v.constraint for v in report.violations] == relations
+            assert [v.constraint.label() for v in report.violations] == \
+                [r.label() for r in relations]
             assert (_bits([v.residual for v in report.violations])
                     == _bits(oracles.ListEvaluator(relations).residuals(sigma))).all()
+
+
+def _minor_set(sizes):
+    return {(tuple(r), tuple(c)) for _, rows, cols in sizes
+            for r, c in zip(rows.tolist(), cols.tolist())}
+
+
+def _tinted(cd):
+    """cd with four vertex color classes added to its edge classes."""
+    return ColoredDag(cd.graph, vertex_classes=[range(c, cd.p, 4) for c in range(4)],
+                      edge_classes=cd.edge_classes)
+
+
+class TestCompileParity:
+    """The bulk compile finds exactly the distinct minors, one slot each, that
+    compiling the RelationPoly list one relation at a time finds."""
+
+    @staticmethod
+    def _assert_same_minors(evaluator, relations):
+        reference = oracles.ListEvaluator(relations)
+        assert evaluator.size == len(relations)
+        assert evaluator._n_slots == reference.n_slots
+        assert _minor_set(evaluator._sizes) == _minor_set(reference._sizes)
+        slots = np.concatenate([ids for ids, _, _ in evaluator._sizes])
+        assert sorted(slots.tolist()) == list(range(evaluator._n_slots))
+
+    @staticmethod
+    def _global_evaluator(monkeypatch, cd, **options):
+        built = []
+
+        class Kept(constraints._Evaluator):
+            def __init__(self, relations):
+                super().__init__(relations)
+                built.append(self)
+
+        monkeypatch.setattr(constraints, "_Evaluator", Kept)
+        check_global_markov(_noise_sigma(cd.p, 0), cd, tol=0.0, **options)
+        (evaluator,) = built
+        return evaluator
+
+    @pytest.mark.parametrize("p", [10, 30, 60, 70])
+    def test_local(self, p):
+        # p = 70 needs two bitmask words per set
+        cd, _ = random_bpec(p, 0.5, 2, [22, p])
+        for model in (cd, _tinted(cd)):
+            evaluator = constraints._Evaluator(constraints._local_relations(model))
+            self._assert_same_minors(evaluator, oracles.local_relations(model))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_full_global_p8(self, monkeypatch, seed):
+        cd, _ = random_bpec(8, 0.5, 2, [23, seed])
+        for model in (cd, _tinted(cd)):
+            self._assert_same_minors(self._global_evaluator(monkeypatch, model),
+                                     oracles.global_relations(model))
+
+    def test_sampled_global_p10(self, monkeypatch):
+        cd = _tinted(random_bpec(10, 0.5, 2, [24, 10])[0])
+        evaluator = self._global_evaluator(monkeypatch, cd, budget=40, seed=5)
+        self._assert_same_minors(evaluator, oracles.global_relations(cd, budget=40, seed=5))
 
 
 class TestStackedTrials:
@@ -426,7 +489,7 @@ class TestStackedTrials:
         for p in (2, 3, 6, 10, 15):
             for _ in range(3):
                 cd, _ = random_bpec(p, 0.5, 2, [18, p, int(rng.integers(1000))])
-                evaluator = constraints._Evaluator(constraints._local_blocks(cd), cd.p)
+                evaluator = constraints._Evaluator(constraints._local_relations(cd))
                 stack = np.array([parametrize(cd, random_params(cd, rng)) for _ in range(7)])
                 stack[3] = _noise_sigma(p, 3)
                 stacked = evaluator.residuals(stack)
@@ -437,8 +500,9 @@ class TestStackedTrials:
     def test_stacked_global_residuals_equal_one_matrix_at_a_time(self):
         cd, _ = random_bpec(7, 0.5, 2, [18, 7])
         g = cd.graph
-        blocks = constraints._cir_blocks(constraints._separated_triples(g, True))
-        evaluator = constraints._Evaluator(blocks, g.p)
+        relations = constraints._Relations(g.p)
+        relations.add_triples(constraints._separated_triples(g, True))
+        evaluator = constraints._Evaluator(relations)
         stack = np.array([_noise_sigma(7, s) for s in range(4)])
         stacked = evaluator.residuals(stack)
         for t in range(4):
@@ -472,7 +536,7 @@ class TestStackedTrials:
     def test_stacks_are_bounded(self, monkeypatch):
         # the first trial alone, then stacks within the byte budget
         cd, _ = random_bpec(10, 0.5, 2, [19, 10])
-        evaluator = constraints._Evaluator(constraints._local_blocks(cd), cd.p)
+        evaluator = constraints._Evaluator(constraints._local_relations(cd))
         monkeypatch.setattr(constraints, "STACK_BYTES", 3 * evaluator._bytes)
         rng = np.random.default_rng(0)
         firsts, sizes = zip(*[(first, len(res)) for first, res in evaluator.trials(cd, rng, 10)])
@@ -483,7 +547,7 @@ class TestStackedTrials:
         # covariances fill its stacks
         p = 30
         cd = ColoredDag(Dag(p, [(i, j) for j in range(p) for i in range(j)]))
-        evaluator = constraints._Evaluator(constraints._local_blocks(cd), cd.p)
+        evaluator = constraints._Evaluator(constraints._local_relations(cd))
         assert evaluator.size == 0 and evaluator._bytes >= 16 * p * p
         rng = np.random.default_rng(0)
         sizes = [len(res) for _, res in evaluator.trials(cd, rng, 2000)]
@@ -494,9 +558,9 @@ class TestStackedTrials:
         built = []
 
         class Counted(constraints._Evaluator):
-            def __init__(self, blocks, p):
-                built.append(p)
-                super().__init__(blocks, p)
+            def __init__(self, relations):
+                built.append(relations.p)
+                super().__init__(relations)
 
         monkeypatch.setattr(constraints, "_Evaluator", Counted)
         a, _ = random_bpec(6, 0.5, 2, [21, 6])
@@ -510,7 +574,7 @@ class TestStackedTrials:
         # model_equivalent reads the rows up to its first flagged trial only, so
         # a non-finite residual in a later row of the stack does not hide a witness
         cd = P4_COLORED
-        evaluator = constraints._Evaluator(constraints._local_blocks(cd), cd.p)
+        evaluator = constraints._Evaluator(constraints._local_relations(cd))
         stack = np.array([_noise_sigma(4, 1), np.diag([1e-320, 1e300, 1.0, 1.0])])
         res = evaluator.residuals(stack)
         assert evaluator.violations(res[0], 1e-7)
@@ -518,7 +582,7 @@ class TestStackedTrials:
             evaluator.finite(res)
 
     def test_non_finite_error_names_the_first_matrix_then_the_first_relation(self):
-        evaluator = constraints._Evaluator(constraints._local_blocks(P4_COLORED), P4_COLORED.p)
+        evaluator = constraints._Evaluator(constraints._local_relations(P4_COLORED))
         labels = [r.label() for r in local_generators(P4_COLORED)]
         res = np.zeros((3, 5))
         res[1, 3], res[1, 4], res[2, 0] = np.inf, np.nan, np.nan

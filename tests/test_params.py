@@ -10,7 +10,7 @@ import pytest
 from cdag.bench import random_bpec
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
-from cdag.errors import CdagError, ColoringError, SizeGuardError
+from cdag.errors import CdagError, ColoringError, GraphError, SizeGuardError
 from cdag.files import read_matrix_csv, write_matrix_csv
 from cdag.params import (Covariances, ModelParams, almost_principal_minor,
                          expand_params, is_positive_definite, minor, parametrize,
@@ -208,6 +208,38 @@ class TestRecovery:
     def test_explicit_set_overrides_parents(self):
         # omega_{3|{1,2}} also identifies vertex 3's variance on the chain
         assert recover_omega(P4_SIGMA, P4, 2, given=[0, 1]) == pytest.approx(1.0)
+
+
+S3 = np.array([[2.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.5]])
+
+
+class TestRecoveryRejectsBadVertices:
+    # a negative index would wrap around, a float would be truncated, and a
+    # bool would read as vertex 0 or 1
+    @pytest.mark.parametrize("call", [
+        lambda v: recover_omega(S3, None, v, given=[0]),
+        lambda v: recover_omega(S3, None, 1, given=[v]),
+        lambda v: recover_lambda(S3, None, v, 2, given=[0, 1]),
+        lambda v: recover_lambda(S3, None, 0, v, given=[0]),
+        lambda v: recover_lambda(S3, None, 0, 2, given=[v]),
+        lambda v: almost_principal_minor(S3, v, 2, [1]),
+        lambda v: almost_principal_minor(S3, 0, v, [1]),
+        lambda v: almost_principal_minor(S3, 0, 2, [v]),
+    ], ids=["omega-i", "omega-given", "lambda-i", "lambda-j", "lambda-given",
+            "minor-i", "minor-j", "minor-given"])
+    @pytest.mark.parametrize("bad, message", [
+        (-1, "vertex 0 out of range for p=3"),
+        (1.5, "vertex index 1.5 is not an integer"),
+        (5, "vertex 6 out of range for p=3"),
+        (True, "vertex index True is not an integer"),
+    ], ids=["negative", "float", "too-large", "bool"])
+    def test_bad_vertex_is_a_graph_error(self, call, bad, message):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            call(bad)
+
+    def test_numpy_integers_are_vertices(self):
+        assert recover_omega(S3, None, np.int64(1), given=np.array([0])) == \
+            recover_omega(S3, None, 1, given=[0])
 
 
 class TestCsv:
