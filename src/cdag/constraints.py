@@ -6,9 +6,13 @@ triples, for independence minors, and the pairs of same-colored vertices
 and of same-colored edges, for coloring relations.  The local generators
 condition on parent sets; they are the denominator-cleared relations that
 cut out the model inside the positive definite cone.  The global relations
-range over d-separated triples and products of identifying sets; the
-triples are split by one d-connection pass per (i, K), which answers every
-j at once.  Evaluating the relations numerically yields Markov-property
+range over d-separated triples and products of identifying sets.  In full,
+one stacked d-connection pass over every (i, K) at once splits the
+triples, each row answering every j, and each target's identifying sets
+come from one stacked test of every candidate (see ``identify``); the
+stacked passes hold one vertex a bit in an int64, and the guards keep p
+far below that.  The sampled check queries Python ints, so it runs at any
+p.  Evaluating the relations numerically yields Markov-property
 checks, a faithfulness diagnostic, and a sampling-based model-equivalence
 test.
 
@@ -53,13 +57,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, groupby
-from typing import Callable, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import identify
 from .coloring import ColoredDag
-from .dag import Dag, bitmask
+from .dag import Dag, bitmask, ordered_sets
 from .errors import CdagError, GraphError, SizeGuardError
 from .params import Covariances, minor, require_positive_definite
 
@@ -396,28 +400,32 @@ class _SetTable:
         return rows, cols, count + almost
 
 
-def _triples(p: int) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
-    """Every (i, j, K) with i < j and K a set of the other vertices: by
-    pair, then by the size of K."""
-    for i, j in combinations(range(p), 2):
-        others = [v for v in range(p) if v != i and v != j]
-        for r in range(len(others) + 1):
-            for k in combinations(others, r):
-                yield i, j, k
-
-
 def _separation(g: Dag) -> Callable[[int, int, Tuple[int, ...]], bool]:
     """A test of whether K d-separates i and j in g, made of one d-connection
-    pass per (i, K), kept for every j."""
+    pass per (i, K), kept for every j; on Python ints, so for any p."""
     connected = cache(lambda i, k: g.d_connected(1 << i, bitmask(k)))
     return lambda i, j, k: not connected(i, k) >> j & 1
 
 
 def _separated_triples(g: Dag, separated: bool) -> List[tuple]:
-    """The (i, j, K) of ``_triples``, in order, whose K d-separates (or, with
-    ``separated`` False, d-connects) i and j."""
-    test = _separation(g)
-    return [t for t in _triples(g.p) if test(*t) == separated]
+    """Every (i, j, K) with i < j and K a sorted tuple of the other vertices,
+    by pair, then by the size of K, then in ``combinations`` order, whose K
+    d-separates (or, with ``separated`` False, d-connects) i and j.  One
+    stacked d-connection pass answers every (i, K) at once, and each
+    triple reads bit j of its (i, K) row."""
+    p = g.p
+    # the pass, over every K that avoids i, as a (vertex, set) table
+    i, k = np.nonzero((np.arange(1 << p) >> np.arange(p)[:, None] & 1) == 0)
+    reached = np.zeros((p, 1 << p), dtype=np.int64)
+    reached[i, k] = g.d_connected(1 << i, k)
+    # every triple in order: the sets, kept in their order, that avoid a pair
+    sets, tuples = ordered_sets(np.arange(1 << p), p, by_size=True)
+    a, b = np.triu_indices(p, 1)
+    pair, at = np.nonzero((sets & (1 << a | 1 << b)[:, None]) == 0)
+    i, j = a[pair], b[pair]
+    keep = (reached[i, sets[at]] >> j & 1) != separated
+    return [(x, y, tuples[t]) for x, y, t in zip(i[keep].tolist(), j[keep].tolist(),
+                                                 at[keep].tolist())]
 
 
 def _class_pairs(classes, width: int) -> np.ndarray:
@@ -697,11 +705,9 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
     @cache
     def sets_for(target):
         if small:
-            found = sorted(identify.enumerate_identifying_sets(g, target), key=sorted)
-        else:
-            found = identify.sample_identifying_sets(
-                g, target, g.parents(_vertex_of(target)), rng,
-                want=max(2, int(np.sqrt(budget)) + 1))
+            return tuple(identify.identifying_sets(g, target))
+        found = identify.sample_identifying_sets(g, target, g.parents(_vertex_of(target)), rng,
+                                                 want=max(2, int(np.sqrt(budget)) + 1))
         return tuple(tuple(sorted(a)) for a in found)
 
     if small:

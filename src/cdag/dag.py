@@ -4,17 +4,33 @@ Vertices are dense 0-based integers ``0..p-1``; files, CLI output and error
 messages render them 1-based.  A :class:`Dag` is immutable after
 construction, caches its topological order and parent/child sets, and all
 queries are pure.  The reachability queries (descendants, d-connection) run
-on bitmasks, bit v standing for vertex v, built on first use.
+on bitmasks, bit v standing for vertex v, built on first use; d-connection
+also answers a stack of queries, given as numpy arrays of bitmasks, in one
+pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
+
+import numpy as np
 
 from .errors import GraphError
 
 Edge = Tuple[int, int]
+
+
+def vertex(v, p: int) -> int:
+    """``v`` as a vertex of a graph on p vertices: an integer, not a bool, in
+    0..p-1; otherwise a GraphError that names it, 1-based."""
+    if type(v) is not int:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, np.integer):
+            raise GraphError(f"vertex index {v!r} is not an integer")
+        v = int(v)
+    if not 0 <= v < p:
+        raise GraphError(f"vertex {v + 1} out of range for p={p}")
+    return v
 
 
 def bitmask(vertices: Iterable[int]) -> int:
@@ -32,10 +48,54 @@ def members(bits: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
+def ordered_sets(masks: np.ndarray, p: int,
+                 by_size: bool = False) -> Tuple[np.ndarray, List[Tuple[int, ...]]]:
+    """Vertex sets given as an array of bitmasks over p vertices, sorted as
+    their sorted member lists sort, a set before its extensions (or by size
+    first, and then so), and each of them as a sorted tuple."""
+    member = (masks[:, None] >> np.arange(p) & 1).astype(bool)
+    rows = np.where(member, np.arange(p), p)
+    rows.sort(axis=1)               # the members, ascending, then p
+    size = member.sum(axis=1)
+    keys = [*np.where(rows < p, rows, -1).T[::-1]] + ([size] if by_size else [])
+    order = np.lexsort(keys)
+    return masks[order], [tuple(row[:n]) for row, n in zip(rows[order].tolist(),
+                                                           size[order].tolist())]
+
+
+def _span(bits) -> int:
+    """The union of a bitmask, or of an array of them, as an int."""
+    if isinstance(bits, np.ndarray):
+        return int(np.bitwise_or.reduce(bits, axis=None, initial=0))
+    return bits
+
+
+def _union_by_bits(masks, bits: int) -> int:
+    """The union of ``masks[v]`` over the vertices v of the bitmask ``bits``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _union_by_bytes(tables: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The same union for each bitmask of an array, gathered byte by byte:
+    ``tables[b, x]`` is the union for the byte value x in byte b."""
+    if len(tables) == 1:
+        return tables[0][bits]
+    out = tables[0][bits & 255]
+    for b in range(1, len(tables)):
+        out = out | tables[b][bits >> 8 * b & 255]
+    return out
+
+
 class Dag:
     """DAG on vertex set ``{0, ..., p-1}`` with edges ``(i, j)`` meaning i -> j."""
 
-    __slots__ = ("p", "edges", "topo", "_parents", "_children", "_rank", "_bits")
+    __slots__ = ("p", "edges", "topo", "_parents", "_children", "_rank", "_bits",
+                 "_tables")
 
     def __init__(self, p: int, edges: Iterable[Edge] = ()):
         if p < 0:
@@ -83,9 +143,8 @@ class Dag:
 
     # -- basic queries -------------------------------------------------
 
-    def _check_vertex(self, i: int) -> None:
-        if not (0 <= i < self.p):
-            raise GraphError(f"vertex {i + 1} out of range for p={self.p}")
+    def _check_vertex(self, i: int) -> int:
+        return vertex(i, self.p)
 
     def parents(self, i: int) -> FrozenSet[int]:
         self._check_vertex(i)
@@ -133,7 +192,28 @@ class Dag:
 
     # -- d-separation ---------------------------------------------------
 
-    def d_connected(self, left: int, given: int = 0) -> int:
+    def _byte_tables(self) -> np.ndarray:
+        """The parent, child and ancestor masks as per-byte union tables, for
+        stacked queries: ``[m, b, x]`` is the union of mask m over the
+        vertices 8b + t for the set bits t of the byte value x.  Built on the
+        first stacked query."""
+        try:
+            return self._tables
+        except AttributeError:
+            pass
+        if self.p > 64:
+            raise GraphError(f"stacked d-connection needs p <= 64, got p={self.p}")
+        pa, ch, anc, _ = self._masks()
+        masks = np.zeros((3, max(1, -(-self.p // 8)), 8, 1), dtype=np.uint64)
+        masks.reshape(3, -1)[:, :self.p] = pa, ch, anc
+        # the byte values 2^t to 2^(t+1) - 1: those below 2^t, with bit t added
+        tables = np.zeros((3, masks.shape[1], 256), dtype=np.uint64)
+        for t in range(8):
+            np.bitwise_or(tables[..., :1 << t], masks[:, :, t], out=tables[..., 1 << t:2 << t])
+        object.__setattr__(self, "_tables", tables)
+        return tables
+
+    def d_connected(self, left, given=0):
         """Every vertex d-connected to the set ``left`` given the disjoint set
         ``given``, all three as bitmasks: the vertices outside ``given``
         that an unblocked path reaches from ``left``, ``left`` included.
@@ -144,53 +224,68 @@ class Dag:
         (from a parent) goes on to the children of a vertex outside
         ``given``, and back up to the parents of a vertex in the ancestor
         closure of ``given`` (an opened collider).
-        """
-        pa, ch, anc, _ = self._masks()
-        opens = 0
-        bits = given
-        while bits:
-            low = bits & -bits
-            opens |= anc[low.bit_length() - 1]
-            bits ^= low
-        up, down = left, 0
-        new_up, new_down = left, 0
-        while new_up or new_down:
-            passed = new_up & ~given
-            to_up = to_down = 0
-            bits = passed | new_down & opens
-            while bits:
-                low = bits & -bits
-                to_up |= pa[low.bit_length() - 1]
-                bits ^= low
-            bits = passed | new_down & ~given
-            while bits:
-                low = bits & -bits
-                to_down |= ch[low.bit_length() - 1]
-                bits ^= low
-            new_up, new_down = to_up & ~up, to_down & ~down
-            up |= new_up
-            down |= new_down
-        return (up | down) & ~given
 
-    def d_separated(self, left, right, given=()) -> bool:
+        ``left`` and ``given`` may also be int64 or uint64 arrays of
+        bitmasks (narrower integers widen to int64), which broadcast: one
+        pass then answers every row, and returns one bitmask per row.  The
+        rules are the same expressions on ints and on arrays; only the union of the parents (children,
+        ancestors) of a set differs, a loop over its bits for an int and a
+        gather from per-byte tables for an array.  An array holds one bit
+        per vertex, so a stacked query needs p <= 63 with int64 masks and
+        p <= 64 with uint64; the checks that stack queries are guarded far
+        below that.  Python ints serve any p.
+        """
+        stacked = [x for x in (left, given) if isinstance(x, np.ndarray)]
+        if stacked:
+            dtype = np.result_type(*stacked)
+            if dtype.kind not in "iu":
+                raise TypeError(f"stacked bitmasks must be integers, got {dtype}")
+            dtype = dtype if dtype == np.uint64 else np.dtype(np.int64)
+            left, given = np.asarray(left, dtype), np.asarray(given, dtype)
+            pa, ch, anc = self._byte_tables().view(dtype)
+            union, live = _union_by_bytes, lambda bits: bits.any()
+        else:
+            pa, ch, anc, _ = self._masks()
+            union, live = _union_by_bits, bool
+        free, opens = ~given, union(anc, given)
+        up, down = left, left & 0
+        new_up, new_down = up, down
+        while live(new_up | new_down):
+            passed = new_up & free
+            to_up = union(pa, passed | new_down & opens)
+            to_down = union(ch, passed | new_down & free)
+            new_up, new_down = to_up & ~up, to_down & ~down
+            up, down = up | new_up, down | new_down
+        return (up | down) & free
+
+    def d_separated(self, left, right, given=()):
         """True iff every path between ``left`` and ``right`` is blocked by
         ``given``: each path must contain a non-collider in ``given`` or a
         collider outside ``given`` with no descendant in ``given``.
+
+        ``given`` may also be an int64 or uint64 array of bitmasks, a stack
+        of conditioning sets, answered by one stacked pass with a bool per
+        set (see :meth:`d_connected` for the bound on p).
 
         A query on :meth:`d_connected`, after checking the vertex sets; the
         naive path enumerator used to validate it lives in the test tree.
         """
         left, right, given = (self._bits_of(s) for s in (left, right, given))
-        if left & right or left & given or right & given:
+        if left & right or (left | right) & _span(given):
             raise GraphError("d-separation requires pairwise disjoint vertex sets")
-        return not self.d_connected(left, given) & right
+        return (self.d_connected(left, given) & right) == 0
 
-    def _bits_of(self, vertices) -> int:
-        """The bitmask of a set of this graph's vertices, checked."""
+    def _bits_of(self, vertices):
+        """The bitmask of a set of this graph's vertices, checked; an array
+        of bitmasks is checked and returned as it is."""
+        if isinstance(vertices, np.ndarray):
+            beyond = _span(vertices) >> self.p
+            if beyond:
+                self._check_vertex(self.p + (beyond & -beyond).bit_length() - 1)
+            return vertices
         bits = 0
         for v in vertices:
-            self._check_vertex(v)
-            bits |= 1 << v
+            bits |= 1 << self._check_vertex(v)
         return bits
 
     def skeleton(self) -> FrozenSet[FrozenSet[int]]:

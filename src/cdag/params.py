@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .coloring import ColoredDag
-from .dag import Dag
-from .errors import ColoringError, GraphError, NotPositiveDefiniteError
+from .dag import Dag, vertex
+from .errors import ColoringError, NotPositiveDefiniteError
 from .files import write_matrix_csv  # noqa: F401  (re-exported for perfbench)
 
 SYMMETRY_TOL = 1e-12   # largest |sigma - sigma^T| entry, relative to 1 + max |sigma|
@@ -171,14 +171,7 @@ def _vertices(sigma: np.ndarray, vertices) -> List[int]:
     """``vertices`` as indices of sigma: integers, not bools, in 0..p-1;
     otherwise a GraphError that names the first bad one, 1-based."""
     p = np.shape(sigma)[-1]
-    out = []
-    for v in vertices:
-        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-            raise GraphError(f"vertex index {v!r} is not an integer")
-        if not 0 <= v < p:
-            raise GraphError(f"vertex {v + 1} out of range for p={p}")
-        out.append(int(v))
-    return out
+    return [vertex(v, p) for v in vertices]
 
 
 def almost_principal_minor(sigma: np.ndarray, i: int, j: int, given=()) -> float:

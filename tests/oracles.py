@@ -383,6 +383,16 @@ def local_relations(cd: ColoredDag):
     return out
 
 
+def separated_triples(g: Dag, separated: bool):
+    """Every (i, j, K), i < j, by pair, then by the size of K, then in
+    ``combinations`` order, whose K d-separates (or, with ``separated``
+    False, d-connects) i and j, queried one triple at a time."""
+    return [(i, j, k) for i, j in combinations(range(g.p), 2)
+            for r in range(g.p - 1)
+            for k in combinations([v for v in range(g.p) if v not in (i, j)], r)
+            if g.d_separated({i}, {j}, k) == separated]
+
+
 def global_relations(cd: ColoredDag, budget=None, seed=0):
     """The global check's relations, in its order, as RelationPolys, with
     d-separation queried one triple at a time."""
@@ -402,11 +412,7 @@ def global_relations(cd: ColoredDag, budget=None, seed=0):
         return cache[target]
 
     if small:
-        ci = [RelationPoly("cir", (i, j), (k,))
-              for i, j in combinations(range(g.p), 2)
-              for r in range(g.p - 1)
-              for k in combinations([v for v in range(g.p) if v not in (i, j)], r)
-              if g.d_separated({i}, {j}, k)]
+        ci = [RelationPoly("cir", (i, j), (k,)) for i, j, k in separated_triples(g, True)]
     else:
         ci, vertex_pairs = [], list(combinations(range(g.p), 2))
         for _ in range(budget * 4):

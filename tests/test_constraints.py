@@ -1,5 +1,7 @@
 """Constraint generators, Markov checks, faithfulness, and model equivalence."""
 
+import hashlib
+import json
 import re
 import warnings
 
@@ -256,6 +258,58 @@ class TestGlobalGolden:
             "ecc(1->2,6->7; {1},{6})", "ecc(1->2,6->7; {1},{1,2,6})",
             "ecc(1->2,6->7; {1},{6})", "ecc(1->2,6->7; {1},{1,3,4,6})",
             "vcc(2,7; {1},{1,4,5,6})", "ecc(3->4,8->9; {3},{3,4,6,8})"]
+
+
+def global_reports_digest():
+    """SHA-256 over full global checks at p = 2..8: every relation's label,
+    in order, and ``checked`` on a noise covariance at tol = 0, and the
+    verdict and ``checked`` on the exact covariance."""
+    h = hashlib.sha256()
+    for p in range(2, 9):
+        for rho in (0.3, 0.7):
+            for s in range(2):
+                cd, theta = random_bpec(p, rho, 2, [31, p, s])
+                noise = check_global_markov(_noise_sigma(p, s), cd, tol=0.0)
+                exact = check_global_markov(parametrize(cd, theta), cd)
+                h.update(json.dumps([noise.n_checked,
+                                     [v.constraint.label() for v in noise.violations],
+                                     exact.n_checked, exact.ok]).encode())
+    return h.hexdigest()
+
+
+def faithfulness_digest():
+    """SHA-256 over faithfulness scans at p = 2..6, at a tolerance loose
+    enough that weak dependences are reported too, and of EX48."""
+    h = hashlib.sha256()
+    for cd, tol, seed in [(random_bpec(p, 0.5, 2, [32, p, s])[0], 0.2, s)
+                          for p in range(2, 7) for s in range(3)] + [(EX48, 1e-9, 1)]:
+        found = faithfulness_scan(cd, trials=3, tol=tol, seed=seed)
+        h.update(json.dumps([(i, j, sorted(k)) for i, j, k in found]).encode())
+    return h.hexdigest()
+
+
+class TestSeparatedTriples:
+    def test_stacked_split_equals_the_per_triple_oracle(self):
+        rng = np.random.default_rng(25)
+        graphs = [Dag(p) for p in range(5)] + [Dag(8, [(0, 1), (1, 2)])]
+        graphs += [oracles.random_dag(rng, p, float(rng.uniform(0.2, 0.8)))
+                   for p in range(1, 9) for _ in range(3)]
+        for g in graphs:
+            for separated in (True, False):
+                assert constraints._separated_triples(g, separated) == \
+                    oracles.separated_triples(g, separated)
+
+
+class TestPinnedOutputs:
+    """Digests recorded before the d-separation queries were stacked."""
+
+    def test_global_reports(self):
+        assert global_reports_digest() == \
+            "a1e0805139456067264e17b272494d1409be76d7d931e2eacd0c6f2954053e63"
+
+    def test_faithfulness_scans(self):
+        assert faithfulness_digest() == \
+            "d2a8a8dca5b81f5149b4b762ab6e956349270d9477f856a609139f6f98957a04"
 
 
 def _residuals(check, sigma, cd, **kwargs):

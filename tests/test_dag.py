@@ -1,5 +1,6 @@
 """Graph queries, d-separation, and Markov-equivalence structure."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -149,6 +150,79 @@ class TestDConnection:
                 reached = members(g.d_connected(1 << i, bitmask(given)))
                 for j in set(range(7)) - given - {i}:
                     assert g.d_separated({i}, {j}, given) == (j not in reached)
+
+    @staticmethod
+    def _stacked_cases(rng):
+        # random DAGs at p = 1..8, with an edgeless graph and one whose last
+        # vertices are isolated at each size
+        for p in range(1, 9):
+            yield Dag(p)
+            yield Dag(p, random_dag(rng, max(1, p - 2), 0.5).edges)
+            for _ in range(3):
+                yield random_dag(rng, p, float(rng.uniform(0.2, 0.8)))
+
+    def test_stacked_pass_equals_the_scalar_pass_row_by_row(self):
+        rng = np.random.default_rng(23)
+        for g in self._stacked_cases(rng):
+            # every (i, K) with K avoiding i, and random disjoint left sets
+            i, k = np.nonzero((np.arange(1 << g.p) >> np.arange(g.p)[:, None] & 1) == 0)
+            lefts = np.concatenate([1 << i, rng.integers(1, 1 << g.p, len(k))])
+            givens = np.concatenate([k, rng.integers(0, 1 << g.p, len(k))])
+            givens[len(k):] &= ~lefts[len(k):]
+            expected = [g.d_connected(a, b) for a, b in zip(lefts.tolist(), givens.tolist())]
+            for dtype in (np.int64, np.uint64):
+                got = g.d_connected(lefts.astype(dtype), givens.astype(dtype))
+                assert got.dtype == dtype and got.tolist() == expected
+            # one left set against a stack of given sets broadcasts
+            rows = i == 0
+            assert g.d_connected(1, k[rows]).tolist() == expected[:rows.sum()]
+            got = g.d_connected(lefts.astype(np.int32), givens.astype(np.uint8))
+            assert got.dtype == np.int64 and got.tolist() == expected
+        with pytest.raises(TypeError, match="must be integers"):
+            P4.d_connected(1, np.zeros(2))
+        with pytest.raises(TypeError, match="must be integers"):
+            P4.d_connected(np.ones(2, dtype=np.uint64), np.zeros(2, dtype=np.int64))
+
+    def test_stacked_separation_equals_the_scalar_query(self):
+        rng = np.random.default_rng(24)
+        for g in self._stacked_cases(rng):
+            for i, j in combinations(range(g.p), 2):
+                given = np.arange(1 << g.p)
+                given = given[(given >> i & 1 | given >> j & 1) == 0]
+                got = g.d_separated({i}, {j}, given)
+                assert got.dtype == bool
+                assert got.tolist() == [g.d_separated({i}, {j}, members(b))
+                                        for b in given.tolist()]
+
+    def test_stacked_separation_refuses_what_the_scalar_one_refuses(self):
+        given = np.array([0b0100, 0b0001, 0b0000])
+        with pytest.raises(GraphError, match="pairwise disjoint"):
+            P4.d_separated({0}, {1}, given)
+        with pytest.raises(GraphError, match="pairwise disjoint"):
+            P4.d_separated({2}, {3}, given)
+        with pytest.raises(GraphError, match=re.escape("vertex 5 out of range for p=4")):
+            P4.d_separated({0}, {3}, np.array([0b0010, 0b10010]))
+        with pytest.raises(GraphError, match=re.escape("vertex 5 out of range for p=4")):
+            P4.d_separated({0}, {3}, np.array([-1]))
+        with pytest.raises(GraphError, match=re.escape("vertex 64 out of range for p=4")):
+            P4.d_separated({0}, {3}, np.array([1 << 63], dtype=np.uint64))
+        assert P4.d_separated({0}, {3}, given[1:] << 1).tolist() == [True, False]
+        assert P4.d_separated({0}, {3}, np.array([], dtype=np.uint64)).tolist() == []
+
+    def test_stacked_pass_needs_p_at_most_64(self):
+        g = Dag(65, [(0, 64)])
+        assert g.d_connected(1, 0) == 1 | 1 << 64
+        with pytest.raises(GraphError, match="p <= 64"):
+            g.d_connected(1, np.zeros(2, dtype=np.uint64))
+
+    def test_vertices_must_be_integers(self):
+        for bad, message in ((True, "vertex index True is not an integer"),
+                             (1.0, "vertex index 1.0 is not an integer")):
+            with pytest.raises(GraphError, match=re.escape(message)):
+                P4.d_separated({0}, {3}, {bad})
+            with pytest.raises(GraphError, match=re.escape(message)):
+                P4.parents(bad)
+        assert P4.parents(np.int64(2)) == {1}
 
     def test_mask_helpers_round_trip(self):
         for s in (set(), {0}, {3, 1, 7}, set(range(40))):

@@ -1,5 +1,6 @@
 """Identifying-set membership, enumeration, and numeric soundness."""
 
+import hashlib
 import re
 from itertools import combinations
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from cdag import identify
-from cdag.coloring import uncolored
+from cdag.bench import random_bpec
+from cdag.cli import main
+from cdag.coloring import uncolored, write_graph_json
 from cdag.dag import Dag
 from cdag.errors import GraphError, SizeGuardError
 from cdag.identify import (enumerate_identifying_sets, is_edge_identifying,
@@ -102,6 +105,29 @@ class TestEnumeration:
                     assert enumerate_identifying_sets(g, target) == \
                         identifying_sets(g, target), target
 
+    def test_stacked_tests_equal_the_per_candidate_tests_up_to_p8(self):
+        # every vertex, edge and non-edge target, every candidate, one at a time
+        rng = np.random.default_rng(14)
+        for p in range(1, 9):
+            for _ in range(2 if p < 8 else 1):
+                g = random_dag(rng, p, 0.5)
+                for target in list(range(p)) + [(i, j) for i in range(p) for j in range(p)
+                                                if i != j]:
+                    head = target if isinstance(target, int) else target[1]
+                    universe = [v for v in range(p) if v != head]
+                    if isinstance(target, int):
+                        test = lambda a: is_vertex_identifying(g, target, a)
+                    elif target in g.edges:
+                        test = lambda a: is_edge_identifying(g, *target, a)
+                    else:
+                        test = lambda a: is_zero_identifying(g, *target, a)
+                    expected = {a for r in range(p) for a in map(frozenset,
+                                                                 combinations(universe, r))
+                                if test(a)}
+                    assert enumerate_identifying_sets(g, target) == expected, target
+                    assert identify.identifying_sets(g, target) == \
+                        sorted(map(tuple, map(sorted, expected))), target
+
     def test_isolated_vertex_all_subsets(self):
         got = enumerate_identifying_sets(Dag(4), 1)
         assert len(got) == 8  # every subset of the other three vertices
@@ -180,6 +206,36 @@ class TestSampling:
                 assert set(got) <= enumerate_identifying_sets(g, target)
 
 
+def test_numpy_integer_targets_are_vertices():
+    assert enumerate_identifying_sets(P4, np.int64(2)) == enumerate_identifying_sets(P4, 2)
+    assert enumerate_identifying_sets(P4, (np.int64(0), np.int32(1))) == {frozenset({0})}
+    assert is_zero_identifying(P4, np.int64(0), np.int64(2), [1])
+
+
+def identify_digest(workdir, capsys):
+    """SHA-256 of ``cdag identify`` stdout for every vertex and every
+    ordered vertex pair of a p = 8 model."""
+    cd, _ = random_bpec(8, 0.5, 2, [33, 8])
+    graph = str(workdir / "g8.json")
+    write_graph_json(cd, graph)
+    h = hashlib.sha256()
+    for v in range(1, 9):
+        assert main(["identify", "--graph", graph, "--vertex", str(v)]) == 0
+        h.update(capsys.readouterr().out.encode())
+    for i in range(1, 9):
+        for j in range(1, 9):
+            if i != j:
+                assert main(["identify", "--graph", graph, "--edge", f"{i},{j}"]) == 0
+                h.update(capsys.readouterr().out.encode())
+    return h.hexdigest()
+
+
+def test_identify_output_is_pinned(tmp_path, capsys):
+    # recorded before the enumeration tested its candidates in stacks
+    assert identify_digest(tmp_path, capsys) == \
+        "1403e63ae840be6fe5fb62f57b4eeaf0d4cb6f6fffbfed6b38002545b79acb0e"
+
+
 @pytest.mark.parametrize("call, expected", [
     (lambda: is_vertex_identifying(P4, 1, {1}),
      "candidate set for vertex 2 may not contain it"),
@@ -192,6 +248,25 @@ class TestSampling:
     (lambda: is_zero_identifying(P4, 0, 1, {0}),
      "(1, 2) is an edge; use is_edge_identifying"),
     (lambda: enumerate_identifying_sets(P4, (1, 1)), "(2, 2) is a self-loop"),
+    (lambda: is_zero_identifying(P4, 2, 2, []), "(3, 3) is a self-loop"),
+    (lambda: is_edge_identifying(P4, 2, 2, []), "(3, 3) is a self-loop"),
+    (lambda: enumerate_identifying_sets(P4, True), "vertex index True is not an integer"),
+    (lambda: enumerate_identifying_sets(P4, 1.0), "vertex index 1.0 is not an integer"),
+    (lambda: enumerate_identifying_sets(P4, (0, 1.0)), "vertex index 1.0 is not an integer"),
+    (lambda: enumerate_identifying_sets(P4, [0, 1]), "vertex index [0, 1] is not an integer"),
+    (lambda: enumerate_identifying_sets(P4, (0, 1, 2)),
+     "target (1, 2, 3) is neither a vertex nor a vertex pair"),
+    (lambda: enumerate_identifying_sets(P4, ()),
+     "target () is neither a vertex nor a vertex pair"),
+    (lambda: enumerate_identifying_sets(P4, 4), "vertex 5 out of range for p=4"),
+    (lambda: enumerate_identifying_sets(P4, (0, -1)), "vertex 0 out of range for p=4"),
+    (lambda: is_vertex_identifying(P4, False, []), "vertex index False is not an integer"),
+    (lambda: is_vertex_identifying(P4, (0, 1), []), "vertex index (0, 1) is not an integer"),
+    (lambda: is_zero_identifying(P4, 0, 2.0, []), "vertex index 2.0 is not an integer"),
+    (lambda: is_edge_identifying(P4, True, 1, []), "vertex index True is not an integer"),
+    (lambda: is_vertex_identifying(P4, 1, {0.0}), "vertex index 0.0 is not an integer"),
+    (lambda: sample_identifying_sets(P4, 2.5, [], np.random.default_rng(0), 2),
+     "vertex index 2.5 is not an integer"),
 ])
 def test_messages_name_vertices_one_based(call, expected):
     with pytest.raises(GraphError, match=re.escape(expected)):
