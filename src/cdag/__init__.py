@@ -15,10 +15,10 @@ from .dag import Dag
 from .errors import (CdagError, ColoringError, GraphError,
                      NotPositiveDefiniteError, RankDeficientError,
                      SearchBudgetError, SizeGuardError)
-from .fit import Dataset, bic_components, bic_score, fit_families, mle
+from .fit import Dataset, bic_score, fit_families, mle
 from .gecs import GecsSearch, SearchState, baseline_greedy, gecs
-from .identify import (enumerate_identifying_sets, is_edge_identifying,
-                       is_vertex_identifying, is_zero_identifying)
+from .identify import (identifying_sets, is_edge_identifying, is_vertex_identifying,
+                       is_zero_identifying)
 from .params import (ModelParams, almost_principal_minor, minor, parametrize,
                      random_params, recover_lambda, recover_omega,
                      recover_params)
@@ -30,9 +30,9 @@ __all__ = [
     "GecsSearch", "GraphError", "ModelParams", "NotPositiveDefiniteError",
     "RankDeficientError", "RelationPoly", "SearchBudgetError", "SearchState",
     "SizeGuardError",
-    "almost_principal_minor", "baseline_greedy", "bic_components", "bic_score",
+    "almost_principal_minor", "baseline_greedy", "bic_score",
     "check_global_markov", "check_local_markov", "color_sensitivity",
-    "enumerate_identifying_sets", "faithfulness_scan", "fit_families", "gecs",
+    "faithfulness_scan", "fit_families", "gecs", "identifying_sets",
     "is_edge_identifying", "is_vertex_identifying", "is_zero_identifying",
     "local_generators", "minor", "mle", "model_equivalent", "parametrize",
     "random_bpec", "random_params", "read_graph_json", "recover_lambda",

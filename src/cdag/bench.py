@@ -76,16 +76,23 @@ def random_bpec(p: int, rho: float, nc: int,
 
 
 def sample(cd: ColoredDag, theta: ModelParams, n: int, seed) -> Dataset:
-    """n independent draws by forward simulation along the topological order."""
+    """n independent draws by forward simulation along the topological order;
+    a CdagError naming the first vertex, in that order, whose draws overflow."""
     if n < 1:
         raise CdagError("sample size must be at least 1")
     rng = np.random.default_rng(seed)
     w, lam = expand_params(cd, theta)
     x = np.zeros((n, cd.p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in cd.graph.topo:
+            x[:, j] = rng.normal(0.0, np.sqrt(w[j]), size=n)
+            for i in cd.graph.parents(j):
+                x[:, j] += lam[i, j] * x[:, i]
+    # a non-finite draw spreads only to descendants, so the first is its source
+    finite = np.isfinite(x).all(axis=0)
     for j in cd.graph.topo:
-        x[:, j] = rng.normal(0.0, np.sqrt(w[j]), size=n)
-        for i in cd.graph.parents(j):
-            x[:, j] += lam[i, j] * x[:, i]
+        if not finite[j]:
+            raise CdagError(f"samples of vertex {j + 1} overflow: the coefficients are too large")
     return Dataset(x)
 
 

@@ -24,7 +24,7 @@ from .errors import CdagError
 from .files import read_json, read_matrix_csv
 from .fit import Dataset, fit_families
 from .gecs import BaselineSearch, GecsSearch
-from .identify import enumerate_identifying_sets
+from .identify import identifying_sets
 from .params import ModelParams, random_params
 
 
@@ -177,10 +177,8 @@ def cmd_identify(args) -> int:
             raise CdagError("--edge expects two comma-separated vertices, e.g. 1,2")
         target = (i - 1, j - 1)
         label = {"edge": [i, j]}
-    sets = enumerate_identifying_sets(cd.graph, target)
-    _emit({**label,
-           "sets": sorted((sorted(v + 1 for v in s) for s in sets),
-                          key=lambda s: (len(s), s))})
+    sets = [[v + 1 for v in s] for s in identifying_sets(cd.graph, target)]
+    _emit({**label, "sets": sorted(sets, key=lambda s: (len(s), s))})
     return 0
 
 

@@ -400,13 +400,6 @@ class _SetTable:
         return rows, cols, count + almost
 
 
-def _separation(g: Dag) -> Callable[[int, int, Tuple[int, ...]], bool]:
-    """A test of whether K d-separates i and j in g, made of one d-connection
-    pass per (i, K), kept for every j; on Python ints, so for any p."""
-    connected = cache(lambda i, k: g.d_connected(1 << i, bitmask(k)))
-    return lambda i, j, k: not connected(i, k) >> j & 1
-
-
 def _separated_triples(g: Dag, separated: bool) -> List[tuple]:
     """Every (i, j, K) with i < j and K a sorted tuple of the other vertices,
     by pair, then by the size of K, then in ``combinations`` order, whose K
@@ -590,10 +583,6 @@ class _Evaluator:
                                            for ids, rows, _ in self._sizes)
                            + 8 * self.size)
 
-    def relation(self, t: int) -> RelationPoly:
-        """The t-th relation."""
-        return self.relations.relation(t)
-
     def residuals(self, sigma: np.ndarray) -> np.ndarray:
         """The dimensionless residual of every relation, in order, at sigma
         (shape (p, p) -> (size,)), or at each matrix of a stack (shape
@@ -620,7 +609,7 @@ class _Evaluator:
         that has a non-finite one."""
         bad = np.flatnonzero(~np.isfinite(res))
         if bad.size:
-            raise CdagError(f"{self.relation(bad[0] % self.size).label()} has a "
+            raise CdagError(f"{self.relations.relation(bad[0] % self.size).label()} has a "
                             f"non-finite residual: the covariance matrix is too badly "
                             f"scaled or too close to singular")
         return res
@@ -629,7 +618,7 @@ class _Evaluator:
         """The relations whose residual in the row ``res`` exceeds tol, in
         order, after refusing a non-finite one."""
         res = self.finite(res)
-        return [ConstraintViolation(self.relation(t), float(res[t]))
+        return [ConstraintViolation(self.relations.relation(t), float(res[t]))
                 for t in np.flatnonzero(np.abs(res) > tol)]
 
     def trials(self, cd: ColoredDag, rng: np.random.Generator, count: int):
@@ -705,15 +694,14 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
     @cache
     def sets_for(target):
         if small:
-            return tuple(identify.identifying_sets(g, target))
-        found = identify.sample_identifying_sets(g, target, g.parents(_vertex_of(target)), rng,
-                                                 want=max(2, int(np.sqrt(budget)) + 1))
-        return tuple(tuple(sorted(a)) for a in found)
+            return identify.identifying_sets(g, target)
+        return identify.sample_identifying_sets(g, target, g.parents(_vertex_of(target)), rng,
+                                                want=max(2, int(np.sqrt(budget)) + 1))
 
     if small:
         ci = _separated_triples(g, True)
     else:
-        ci, vertex_pairs, separated = [], list(combinations(range(g.p), 2)), _separation(g)
+        ci, vertex_pairs = [], list(combinations(range(g.p), 2))
         for _ in range(budget * 4):
             if len(ci) >= budget:
                 break
@@ -721,7 +709,7 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
             rest = [v for v in range(g.p) if v != i and v != j]
             mask = rng.random(len(rest)) < 0.5
             k = tuple(v for v, m in zip(rest, mask) if m)
-            if separated(i, j, k):
+            if not g.d_connected(1 << i, bitmask(k)) >> j & 1:
                 ci.append((i, j, k))
     # (kind, indices, target, target) per same-colored pair
     vertex, edge = _same_colored_pairs(cd)

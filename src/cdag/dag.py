@@ -94,8 +94,7 @@ def _union_by_bytes(tables: np.ndarray, bits: np.ndarray) -> np.ndarray:
 class Dag:
     """DAG on vertex set ``{0, ..., p-1}`` with edges ``(i, j)`` meaning i -> j."""
 
-    __slots__ = ("p", "edges", "topo", "_parents", "_children", "_rank", "_bits",
-                 "_tables")
+    __slots__ = ("p", "edges", "topo", "_parents", "_children", "_bits", "_tables")
 
     def __init__(self, p: int, edges: Iterable[Edge] = ()):
         if p < 0:
@@ -116,12 +115,7 @@ class Dag:
         object.__setattr__(self, "edges", edge_set)
         object.__setattr__(self, "_parents", tuple(frozenset(s) for s in parents))
         object.__setattr__(self, "_children", tuple(frozenset(s) for s in children))
-        topo = self._toposort()
-        object.__setattr__(self, "topo", topo)
-        rank = [0] * p
-        for pos, v in enumerate(topo):
-            rank[v] = pos
-        object.__setattr__(self, "_rank", tuple(rank))
+        object.__setattr__(self, "topo", self._toposort())
 
     def __setattr__(self, name, value):
         raise AttributeError("Dag is immutable")
@@ -181,14 +175,6 @@ class Dag:
         """All j with a directed path i -> ... -> j (excluding i)."""
         self._check_vertex(i)
         return members(self._masks()[3][i] & ~(1 << i))
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges or (j, i) in self.edges
-
-    def topo_rank(self, i: int) -> int:
-        """Position of i in the cached topological order."""
-        self._check_vertex(i)
-        return self._rank[i]
 
     # -- d-separation ---------------------------------------------------
 

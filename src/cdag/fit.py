@@ -2,7 +2,7 @@
 
 Every fit goes through one stacked least-squares kernel, `stacked_ls`,
 which solves many vertex color classes ("families") in one call:
-`fit_families` (behind `mle`, `bic_score` and `bic_components`) passes all
+`fit_families` (behind `mle` and `bic_score`) passes all
 classes of a graph at once, and the greedy search passes every family a
 move's candidates need that it has not fitted before.  Within a family,
 parents sharing an edge color contribute a single regressor column equal to
@@ -324,12 +324,7 @@ def mle(cd: ColoredDag, data: Dataset) -> Tuple[ModelParams, float]:
     return params, math.fsum(f.loglik for f in families)
 
 
-def bic_components(cd: ColoredDag, data: Dataset) -> Tuple[FamilyScore, ...]:
-    """Per-vertex-color score components; their sum is ``bic_score``."""
-    return fit_families(cd, data)[1]
-
-
 def bic_score(cd: ColoredDag, data: Dataset) -> float:
     """Log-likelihood at the MLE minus ln(n)/2 per free parameter (higher
-    is better)."""
-    return math.fsum(f.score(data.n) for f in bic_components(cd, data))
+    is better): the sum of the vertex color classes' family scores."""
+    return math.fsum(f.score(data.n) for f in fit_families(cd, data)[1])

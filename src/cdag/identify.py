@@ -12,12 +12,14 @@ sets as bitmasks: a Python int for one candidate, or an int64 array of
 them for many.  Enumeration applies it to every subset of the universe at
 once: mask arithmetic for a vertex, and one stacked d-separation query for
 an edge or a non-edge.  The bitmasks bound the graph to p <= 63, far above
-the enumeration guard; one candidate as an int works at any p.
+the enumeration guard; one candidate as an int works at any p.  Both
+enumeration and sampling hand out sets in one form: sorted tuples, in
+sorted order (a set before its extensions).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Set, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .dag import Dag, Edge, bitmask, members, ordered_sets, vertex
 from .errors import GraphError, SizeGuardError
 
 ENUM_GUARD_P = 12
+SAMPLE_TRIES = 200
 
 
 def is_vertex_identifying(g: Dag, i: int, candidate) -> bool:
@@ -127,8 +130,8 @@ def _membership(g: Dag, target: Union[int, Edge]):
 
 def identifying_sets(g: Dag, target: Union[int, Edge]) -> List[Tuple[int, ...]]:
     """All identifying sets for a vertex or for a (present or absent) edge,
-    as sorted tuples, in ``sorted(key=sorted)`` order: every subset of the
-    universe is tested at once.
+    as sorted tuples in sorted order: every subset of the universe is
+    tested at once.
 
     Enumeration is exponential in p and guarded accordingly.
     """
@@ -140,29 +143,19 @@ def identifying_sets(g: Dag, target: Union[int, Edge]) -> List[Tuple[int, ...]]:
     return ordered_sets(subsets[test(subsets)], g.p)[1]
 
 
-def enumerate_identifying_sets(g: Dag,
-                               target: Union[int, Edge]) -> Set[FrozenSet[int]]:
-    """All identifying sets for a vertex or for a (present or absent) edge.
-
-    Enumeration is exponential in p and guarded accordingly.
-    """
-    return set(map(frozenset, identifying_sets(g, target)))
-
-
 def sample_identifying_sets(g: Dag, target: Union[int, Edge], witness,
-                            rng: np.random.Generator, want: int,
-                            tries: int = 200) -> List[FrozenSet[int]]:
-    """Up to ``want`` identifying sets, sorted, from ``tries`` random supersets
-    of ``witness``, a known identifying set that is always included; for
-    graphs too large to enumerate."""
+                            rng: np.random.Generator, want: int) -> List[Tuple[int, ...]]:
+    """Up to ``want`` identifying sets, as sorted tuples in sorted order, from
+    ``SAMPLE_TRIES`` random supersets of ``witness``, a known identifying set
+    that is always included; for graphs too large to enumerate."""
     head, test = _membership(g, target)
     universe = [v for v in range(g.p) if v != head]
-    found, always = {frozenset(witness)}, bitmask(witness)
-    for _ in range(tries):
+    found, always = {tuple(sorted(witness))}, bitmask(witness)
+    for _ in range(SAMPLE_TRIES):
         if len(found) >= want:
             break
         mask = rng.random(len(universe)) < 0.5
         cand = bitmask(v for v, m in zip(universe, mask) if m) | always
         if test(cand):
-            found.add(members(cand))
-    return sorted(found, key=sorted)
+            found.add(tuple(sorted(members(cand))))
+    return sorted(found)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coloring import ColoredDag
 from .dag import Dag, vertex
-from .errors import ColoringError, NotPositiveDefiniteError
+from .errors import CdagError, ColoringError, NotPositiveDefiniteError
 from .files import write_matrix_csv  # noqa: F401  (re-exported for perfbench)
 
 SYMMETRY_TOL = 1e-12   # largest |sigma - sigma^T| entry, relative to 1 + max |sigma|
@@ -142,9 +142,14 @@ class Covariances:
 
 
 def parametrize(cd: ColoredDag, theta: ModelParams) -> np.ndarray:
-    """Covariance matrix of the colored model at ``theta``."""
+    """Covariance matrix of the colored model at ``theta``; a CdagError if
+    it overflows."""
     check_params(cd, theta)
-    return Covariances(cd)(np.array([theta.omega]), np.array([theta.lam]))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = Covariances(cd)(np.array([theta.omega]), np.array([theta.lam]))[0]
+    if not np.isfinite(sigma).all():
+        raise CdagError("the covariance matrix overflows: the coefficients are too large")
+    return sigma
 
 
 # -- minors and rational recovery functions ------------------------------

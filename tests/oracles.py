@@ -16,7 +16,7 @@ from cdag.dag import Dag
 from cdag.coloring import ColoredDag
 from cdag.constraints import _KINDS, RelationPoly
 from cdag.errors import GraphError, SizeGuardError
-from cdag.identify import enumerate_identifying_sets, sample_identifying_sets
+from cdag.identify import identifying_sets as enumerated_sets, sample_identifying_sets
 from cdag.fit import stacked_ls
 from cdag.params import minor
 from cdag.gecs import SCORE_EPS, _edit, _updated
@@ -113,7 +113,7 @@ def v_structures(g: Dag):
     """Triples (i, j, k), i < k, with i -> j <- k and i, k nonadjacent."""
     return frozenset((i, j, k) for j in range(g.p)
                      for i, k in combinations(sorted(g.parents(j)), 2)
-                     if not g.adjacent(i, k))
+                     if (i, k) not in g.edges and (k, i) not in g.edges)
 
 
 def canonical(groups):
@@ -404,7 +404,7 @@ def global_relations(cd: ColoredDag, budget=None, seed=0):
     def sets_for(target):
         if target not in cache:
             if small:
-                cache[target] = sorted(enumerate_identifying_sets(g, target), key=sorted)
+                cache[target] = enumerated_sets(g, target)
             else:
                 head = target if isinstance(target, int) else target[1]
                 cache[target] = sample_identifying_sets(

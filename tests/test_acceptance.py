@@ -17,9 +17,9 @@ from cdag.constraints import (check_global_markov, check_local_markov,
                               faithfulness_scan, local_generators,
                               model_equivalent)
 from cdag.dag import Dag
-from cdag.fit import Dataset, bic_components, bic_score, mle
+from cdag.fit import Dataset, bic_score, fit_families, mle
 from cdag.gecs import GecsSearch, baseline_greedy, gecs
-from cdag.identify import enumerate_identifying_sets
+from cdag.identify import identifying_sets
 from cdag.params import (almost_principal_minor, expand_params,
                          parametrize, random_params, recover_lambda,
                          recover_omega, recover_params)
@@ -97,11 +97,11 @@ def test_criterion_3_identifying_set_soundness():
         sigmas = [parametrize(cd, t) for t in points]
 
         def check(target, recover, true_value):
-            members = enumerate_identifying_sets(g, target)
+            members = set(identifying_sets(g, target))
             avoid = target if isinstance(target, int) else target[1]
             universe = [v for v in range(p) if v != avoid]
             for r in range(len(universe) + 1):
-                for a in map(frozenset, combinations(universe, r)):
+                for a in combinations(universe, r):
                     errs = [abs(recover(s, a) - true_value(t))
                             for t, s in zip(points, sigmas)]
                     if a in members:
@@ -243,8 +243,8 @@ def test_criterion_6_mle_correctness():
         cd2 = ColoredDag(cd1.graph, edge_classes=merged)
         if cd2 == cd1:
             continue
-        fams1 = {f.nodes: f for f in bic_components(cd1, data)}
-        fams2 = {f.nodes: f for f in bic_components(cd2, data)}
+        fams1 = {f.nodes: f for f in fit_families(cd1, data)[1]}
+        fams2 = {f.nodes: f for f in fit_families(cd2, data)[1]}
         total = bic_score(cd2, data) - bic_score(cd1, data)
         local = fams2[(head,)].score(data.n) - fams1[(head,)].score(data.n)
         assert total == pytest.approx(local, abs=1e-9)

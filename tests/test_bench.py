@@ -1,5 +1,6 @@
 """Random model generation, sampling, metrics, and the sweep runner."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,7 @@ from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError
 from cdag.fit import mle
-from cdag.params import parametrize
+from cdag.params import ModelParams, parametrize
 
 from oracles import random_dag
 
@@ -73,6 +74,19 @@ class TestSample:
         corr = np.corrcoef(data.X, rowvar=False)
         off = corr[~np.eye(4, dtype=bool)]
         assert np.abs(off).max() < 0.02
+
+    def test_overflow_names_the_first_vertex_that_overflows(self):
+        # x2 = 1e200 x1 + e2 is finite; x3 = 1e200 x2 + e3 is not
+        path = ColoredDag(Dag(3, [(0, 1), (1, 2)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CdagError, match="samples of vertex 3 overflow: "
+                                                "the coefficients are too large"):
+                sample(path, ModelParams((1.0,) * 3, (1e200, 1e200)), 10, seed=0)
+            # the same vertex, whichever label it has
+            swapped = ColoredDag(Dag(3, [(2, 1), (1, 0)]))
+            with pytest.raises(CdagError, match="samples of vertex 1 overflow"):
+                sample(swapped, ModelParams((1.0,) * 3, (1e200, 1e200)), 10, seed=0)
 
     def test_single_row_refused_by_fit(self):
         cd, theta = random_bpec(4, 0.9, 2, seed=6)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ class TestSimulateLearnScore:
                            "--seed", "1", "--out", str(out_csv))
         assert code == 0
         assert out_csv.exists()
+
+    def test_simulate_names_the_vertex_whose_samples_overflow(self, workdir, capsys):
+        graph, params = workdir / "g.json", workdir / "theta.json"
+        write_graph_json(ColoredDag(Dag(3, [(0, 1), (1, 2)])), graph)
+        params.write_text('{"omega": {"v1": 1, "v2": 1, "v3": 1}, '
+                          '"lambda": {"1->2": 1e200, "2->3": 1e200}}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "simulate", "--graph", str(graph), "--params",
+                                 str(params), "--n", "10", "--out", str(workdir / "d.csv"))
+        assert code == 1 and out == ""
+        assert err == "error: samples of vertex 3 overflow: the coefficients are too large\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (workdir / "d.csv").exists()
 
 
 class TestCheck:

@@ -58,7 +58,7 @@ class TestBasicQueries:
         for _ in range(20):
             g = random_dag(rng, 6)
             for i, j in g.edges:
-                assert g.topo_rank(i) < g.topo_rank(j)
+                assert g.topo.index(i) < g.topo.index(j)
 
 
 class TestDSeparation:

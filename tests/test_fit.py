@@ -9,7 +9,7 @@ import pytest
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, RankDeficientError
-from cdag.fit import Dataset, bic_components, bic_score, mle, stacked_ls
+from cdag.fit import Dataset, bic_score, fit_families, mle, stacked_ls
 from cdag.params import ModelParams, parametrize, recover_lambda
 from cdag.bench import random_bpec, sample
 
@@ -382,7 +382,7 @@ class TestBic:
         for _ in range(30):
             cd1 = random_bpec_like(rng, 6)
             data = _random_data(rng, 80, 6)
-            fams1 = {f.nodes: f for f in bic_components(cd1, data)}
+            fams1 = {f.nodes: f for f in fit_families(cd1, data)[1]}
             # perturb one family: merge its classes into one
             groups = [sorted(grp) for grp in cd1.edge_classes]
             heads = sorted({grp[0][1] for grp in groups
@@ -394,7 +394,7 @@ class TestBic:
             merged.append(sorted([e for grp in groups if grp[0][1] == head
                                   for e in grp]))
             cd2 = ColoredDag(cd1.graph, edge_classes=merged)
-            fams2 = {f.nodes: f for f in bic_components(cd2, data)}
+            fams2 = {f.nodes: f for f in fit_families(cd2, data)[1]}
             total_delta = bic_score(cd2, data) - bic_score(cd1, data)
             local_delta = (fams2[(head,)].score(data.n)
                            - fams1[(head,)].score(data.n))

@@ -13,15 +13,19 @@ from cdag.cli import main
 from cdag.coloring import uncolored, write_graph_json
 from cdag.dag import Dag
 from cdag.errors import GraphError, SizeGuardError
-from cdag.identify import (enumerate_identifying_sets, is_edge_identifying,
-                           is_vertex_identifying, is_zero_identifying,
-                           sample_identifying_sets)
+from cdag.identify import (is_edge_identifying, is_vertex_identifying,
+                           is_zero_identifying, sample_identifying_sets)
 from cdag.params import parametrize, random_params, recover_lambda, recover_omega
 
 from oracles import identifying_sets, path_dsep, random_dag
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
 EX48 = Dag(5, [(0, 4), (0, 2), (1, 4), (2, 3), (3, 4)])
+
+
+def ordered(sets):
+    """Vertex sets in the package's one form: sorted tuples, in sorted order."""
+    return sorted(tuple(sorted(a)) for a in sets)
 
 
 class TestVertexSets:
@@ -73,11 +77,10 @@ class TestEdgeSets:
 
 class TestEnumeration:
     def test_chain_vertex_sets(self):
-        assert enumerate_identifying_sets(P4, 2) == {
-            frozenset({1}), frozenset({0, 1})}
+        assert identify.identifying_sets(P4, 2) == [(0, 1), (1,)]
 
     def test_chain_edge_sets(self):
-        assert enumerate_identifying_sets(P4, (0, 1)) == {frozenset({0})}
+        assert identify.identifying_sets(P4, (0, 1)) == [(0,)]
 
     def test_edge_sets_share_one_pruned_graph(self, monkeypatch):
         built = []
@@ -87,11 +90,11 @@ class TestEnumeration:
             g = random_dag(rng, 6, 0.5)
             for i, j in sorted(g.edges):
                 universe = [v for v in range(g.p) if v != j]
-                expected = {a for r in range(len(universe) + 1)
-                            for a in map(frozenset, combinations(universe, r))
-                            if is_edge_identifying(g, i, j, a)}
+                expected = sorted(a for r in range(len(universe) + 1)
+                                  for a in combinations(universe, r)
+                                  if is_edge_identifying(g, i, j, a))
                 built.clear()
-                assert enumerate_identifying_sets(g, (i, j)) == expected
+                assert identify.identifying_sets(g, (i, j)) == expected
                 assert len(built) == 1
 
     def test_every_target_matches_the_definitions(self):
@@ -102,8 +105,8 @@ class TestEnumeration:
                 g = random_dag(rng, p, 0.5)
                 targets = list(range(p)) + [(i, j) for i in range(p) for j in range(p) if i != j]
                 for target in targets:
-                    assert enumerate_identifying_sets(g, target) == \
-                        identifying_sets(g, target), target
+                    assert identify.identifying_sets(g, target) == \
+                        ordered(identifying_sets(g, target)), target
 
     def test_stacked_tests_equal_the_per_candidate_tests_up_to_p8(self):
         # every vertex, edge and non-edge target, every candidate, one at a time
@@ -124,17 +127,17 @@ class TestEnumeration:
                     expected = {a for r in range(p) for a in map(frozenset,
                                                                  combinations(universe, r))
                                 if test(a)}
-                    assert enumerate_identifying_sets(g, target) == expected, target
-                    assert identify.identifying_sets(g, target) == \
-                        sorted(map(tuple, map(sorted, expected))), target
+                    assert identify.identifying_sets(g, target) == ordered(expected), target
 
     def test_isolated_vertex_all_subsets(self):
-        got = enumerate_identifying_sets(Dag(4), 1)
-        assert len(got) == 8  # every subset of the other three vertices
+        got = identify.identifying_sets(Dag(4), 1)
+        # every subset of the other three vertices
+        assert got == ordered(a for r in range(4) for a in combinations((0, 2, 3), r))
+        assert len(got) == 8
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
-            enumerate_identifying_sets(Dag(13), 0)
+            identify.identifying_sets(Dag(13), 0)
 
 
 class TestNumericSoundness:
@@ -155,11 +158,10 @@ class TestNumericSoundness:
             cd = uncolored(g)
             points = self._points(g, 20, rng)
             for i in range(g.p):
-                members = enumerate_identifying_sets(g, i)
+                members = set(identify.identifying_sets(g, i))
                 universe = [v for v in range(g.p) if v != i]
-                from itertools import combinations
                 for r in range(len(universe) + 1):
-                    for a in map(frozenset, combinations(universe, r)):
+                    for a in combinations(universe, r):
                         errs = [abs(recover_omega(s, g, i, a)
                                     - theta.omega[cd.vertex_color(i)])
                                 for theta, s in points]
@@ -177,11 +179,10 @@ class TestNumericSoundness:
             cd = uncolored(g)
             points = self._points(g, 20, rng)
             for i, j in sorted(g.edges):
-                members = enumerate_identifying_sets(g, (i, j))
+                members = set(identify.identifying_sets(g, (i, j)))
                 universe = [v for v in range(g.p) if v != j]
-                from itertools import combinations
                 for r in range(len(universe) + 1):
-                    for a in map(frozenset, combinations(universe, r)):
+                    for a in combinations(universe, r):
                         errs = [abs(recover_lambda(s, g, i, j, a)
                                     - theta.lam[cd.edge_color((i, j))])
                                 for theta, s in points]
@@ -201,21 +202,34 @@ class TestSampling:
                 head = target if isinstance(target, int) else target[1]
                 witness = g.parents(head)
                 got = sample_identifying_sets(g, target, witness, rng, want=6)
-                assert frozenset(witness) in got
-                assert len(got) <= 6 and got == sorted(got, key=sorted)
-                assert set(got) <= enumerate_identifying_sets(g, target)
+                # sorted tuples, in sorted order, the witness among them
+                assert all(type(a) is tuple and list(a) == sorted(a) for a in got)
+                assert got == sorted(got) and len(set(got)) == len(got) <= 6
+                assert tuple(sorted(witness)) in got
+                assert set(got) <= set(identify.identifying_sets(g, target))
+
+    def test_samples_beyond_the_enumeration_guard_are_identifying(self):
+        rng = np.random.default_rng(5)
+        g = random_dag(rng, identify.ENUM_GUARD_P + 3, 0.3)
+        for target in list(range(g.p)) + sorted(g.edges):
+            head = target if isinstance(target, int) else target[1]
+            got = sample_identifying_sets(g, target, g.parents(head), rng, want=4)
+            assert got == ordered(got) and tuple(sorted(g.parents(head))) in got
+            for a in got:
+                assert (is_vertex_identifying(g, target, a) if isinstance(target, int)
+                        else is_edge_identifying(g, *target, a)), (target, a)
 
 
 def test_numpy_integer_targets_are_vertices():
-    assert enumerate_identifying_sets(P4, np.int64(2)) == enumerate_identifying_sets(P4, 2)
-    assert enumerate_identifying_sets(P4, (np.int64(0), np.int32(1))) == {frozenset({0})}
+    assert identify.identifying_sets(P4, np.int64(2)) == identify.identifying_sets(P4, 2)
+    assert identify.identifying_sets(P4, (np.int64(0), np.int32(1))) == [(0,)]
     assert is_zero_identifying(P4, np.int64(0), np.int64(2), [1])
 
 
-def identify_digest(workdir, capsys):
+def identify_digest(workdir, capsys, rho=0.5, seed=(33, 8)):
     """SHA-256 of ``cdag identify`` stdout for every vertex and every
-    ordered vertex pair of a p = 8 model."""
-    cd, _ = random_bpec(8, 0.5, 2, [33, 8])
+    ordered vertex pair of a p = 8 model: its edges and its non-edges."""
+    cd, _ = random_bpec(8, rho, 2, list(seed))
     graph = str(workdir / "g8.json")
     write_graph_json(cd, graph)
     h = hashlib.sha256()
@@ -234,6 +248,9 @@ def test_identify_output_is_pinned(tmp_path, capsys):
     # recorded before the enumeration tested its candidates in stacks
     assert identify_digest(tmp_path, capsys) == \
         "1403e63ae840be6fe5fb62f57b4eeaf0d4cb6f6fffbfed6b38002545b79acb0e"
+    # a denser model (23 edges), recorded while the sets were frozensets
+    assert identify_digest(tmp_path, capsys, 0.8, (33, 9)) == \
+        "5d741df6cd42a87d59dbfbcb035044f7f6f1e0c15c87fa189fc339c565b33f89"
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -247,19 +264,19 @@ def test_identify_output_is_pinned(tmp_path, capsys):
      "candidate set for pair (1, 3) may not contain 3"),
     (lambda: is_zero_identifying(P4, 0, 1, {0}),
      "(1, 2) is an edge; use is_edge_identifying"),
-    (lambda: enumerate_identifying_sets(P4, (1, 1)), "(2, 2) is a self-loop"),
+    (lambda: identify.identifying_sets(P4, (1, 1)), "(2, 2) is a self-loop"),
     (lambda: is_zero_identifying(P4, 2, 2, []), "(3, 3) is a self-loop"),
     (lambda: is_edge_identifying(P4, 2, 2, []), "(3, 3) is a self-loop"),
-    (lambda: enumerate_identifying_sets(P4, True), "vertex index True is not an integer"),
-    (lambda: enumerate_identifying_sets(P4, 1.0), "vertex index 1.0 is not an integer"),
-    (lambda: enumerate_identifying_sets(P4, (0, 1.0)), "vertex index 1.0 is not an integer"),
-    (lambda: enumerate_identifying_sets(P4, [0, 1]), "vertex index [0, 1] is not an integer"),
-    (lambda: enumerate_identifying_sets(P4, (0, 1, 2)),
+    (lambda: identify.identifying_sets(P4, True), "vertex index True is not an integer"),
+    (lambda: identify.identifying_sets(P4, 1.0), "vertex index 1.0 is not an integer"),
+    (lambda: identify.identifying_sets(P4, (0, 1.0)), "vertex index 1.0 is not an integer"),
+    (lambda: identify.identifying_sets(P4, [0, 1]), "vertex index [0, 1] is not an integer"),
+    (lambda: identify.identifying_sets(P4, (0, 1, 2)),
      "target (1, 2, 3) is neither a vertex nor a vertex pair"),
-    (lambda: enumerate_identifying_sets(P4, ()),
+    (lambda: identify.identifying_sets(P4, ()),
      "target () is neither a vertex nor a vertex pair"),
-    (lambda: enumerate_identifying_sets(P4, 4), "vertex 5 out of range for p=4"),
-    (lambda: enumerate_identifying_sets(P4, (0, -1)), "vertex 0 out of range for p=4"),
+    (lambda: identify.identifying_sets(P4, 4), "vertex 5 out of range for p=4"),
+    (lambda: identify.identifying_sets(P4, (0, -1)), "vertex 0 out of range for p=4"),
     (lambda: is_vertex_identifying(P4, False, []), "vertex index False is not an integer"),
     (lambda: is_vertex_identifying(P4, (0, 1), []), "vertex index (0, 1) is not an integer"),
     (lambda: is_zero_identifying(P4, 0, 2.0, []), "vertex index 2.0 is not an integer"),

@@ -1,5 +1,6 @@
 """The package's public names, and what importing and running it loads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -53,3 +54,36 @@ def test_only_covariance_evaluations_load_scipy_linalg(tmp_path):
               "cd, theta = bench.random_bpec(4, 0.5, 2, 0)\n"
               "mark()\nparametrize(cd, theta)\nmark()\n")
     assert _scipy_linalg_loaded(script) == [False, True]
+
+
+# Names that no package code reads but that stay, each for its reason.
+UNREAD_BUT_KEPT = {
+    "gecs._acyclic": "perfbench's acyclicity check reads it, until it moves to the test oracles",
+    "coloring.ColoredDag.is_vertex_colored": "one of the paper's model classes, as a predicate",
+    "coloring.ColoredDag.is_bpec": "one of the paper's model classes, as a predicate",
+}
+
+
+def test_the_package_ships_only_what_it_reads():
+    # every module-level function and class, and every method but the dunder
+    # ones, must be exported or referenced, by name or as an attribute, in src
+    definitions, referenced = [], set()
+    for path in sorted((SRC / "cdag").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{path.stem}.{node.name}.{item.name}", item.name)
+                                for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and not (item.name.startswith("__") and item.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unread = [qualified for qualified, name in definitions
+              if name not in referenced and name not in cdag.__all__]
+    assert sorted(set(unread) - UNREAD_BUT_KEPT.keys()) == []
+    assert sorted(UNREAD_BUT_KEPT.keys() - set(unread)) == []   # no stale entry

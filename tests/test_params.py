@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ class TestParametrize:
     def test_non_finite_values_rejected(self, omega, lam, expected):
         with pytest.raises(ColoringError, match=expected):
             ModelParams(omega, lam)
+
+    def test_overflowing_covariance_is_an_error(self):
+        # on the path 1 -> 2 -> 3, var(3) grows as the product of the squared
+        # coefficients: 1e100 past the float range, 1e200 at 1e50
+        path = ColoredDag(Dag(3, [(0, 1), (1, 2)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CdagError, match="the covariance matrix overflows: "
+                                                "the coefficients are too large"):
+                parametrize(path, ModelParams((1.0,) * 3, (1e200, 1e200)))
+            sigma = parametrize(path, ModelParams((1.0,) * 3, (1e50, 1e50)))
+        assert np.isfinite(sigma).all() and sigma[2, 2] == pytest.approx(1e200)
 
 
 class TestTrekOracle:
