@@ -8,11 +8,12 @@ condition on parent sets; they are the denominator-cleared relations that
 cut out the model inside the positive definite cone.  The global relations
 range over d-separated triples and products of identifying sets.  In full,
 one stacked d-connection pass over every (i, K) at once splits the
-triples, each row answering every j, and each target's identifying sets
-come from one stacked test of every candidate (see ``identify``); the
-stacked passes hold one vertex a bit in an int64, and the guards keep p
-far below that.  The sampled check queries Python ints, so it runs at any
-p.  Evaluating the relations numerically yields Markov-property
+triples, each row answering every j, and the identifying sets of every
+same-colored vertex and edge come from one call that tests every
+candidate of every target with one stacked d-separation query (see
+``identify``); the stacked passes hold one vertex a bit in an int64, and
+the guards keep p far below that.  The sampled check queries Python ints,
+so it runs at any p.  Evaluating the relations numerically yields Markov-property
 checks, a faithfulness diagnostic, and a sampling-based model-equivalence
 test.
 
@@ -690,17 +691,23 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
     if budget is not None and budget < 1:
         raise CdagError(f"budget must be at least 1, got {budget}")
     rng = np.random.default_rng(seed)
-
-    @cache
-    def sets_for(target):
-        if small:
-            return identify.identifying_sets(g, target)
-        return identify.sample_identifying_sets(g, target, g.parents(_vertex_of(target)), rng,
-                                                want=max(2, int(np.sqrt(budget)) + 1))
+    # (kind, indices, target, target) per same-colored pair
+    vertex, edge = _same_colored_pairs(cd)
+    pairs = ([("vcc", (i, j), i, j) for i, j in vertex.tolist()]
+             + [("ecc", (i, j, k, l), (i, j), (k, l)) for i, j, k, l in edge.tolist()])
 
     if small:
+        # every target's identifying sets at once
+        targets = list(dict.fromkeys(t for _, _, t1, t2 in pairs for t in (t1, t2)))
+        sets_for = dict(zip(targets, identify.identifying_sets_for(g, targets))).__getitem__
         ci = _separated_triples(g, True)
     else:
+        @cache
+        def sets_for(target):
+            return identify.sample_identifying_sets(
+                g, target, g.parents(_vertex_of(target)), rng,
+                want=max(2, int(np.sqrt(budget)) + 1))
+
         ci, vertex_pairs = [], list(combinations(range(g.p), 2))
         for _ in range(budget * 4):
             if len(ci) >= budget:
@@ -711,10 +718,6 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
             k = tuple(v for v, m in zip(rest, mask) if m)
             if not g.d_connected(1 << i, bitmask(k)) >> j & 1:
                 ci.append((i, j, k))
-    # (kind, indices, target, target) per same-colored pair
-    vertex, edge = _same_colored_pairs(cd)
-    pairs = ([("vcc", (i, j), i, j) for i, j in vertex.tolist()]
-             + [("ecc", (i, j, k, l), (i, j), (k, l)) for i, j, k, l in edge.tolist()])
     if budget is not None and len(ci) > budget:
         keep = rng.choice(len(ci), size=budget, replace=False)
         ci = [ci[t] for t in sorted(keep)]

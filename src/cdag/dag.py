@@ -12,7 +12,7 @@ pass.
 from __future__ import annotations
 
 from collections import deque
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,16 +48,19 @@ def members(bits: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def ordered_sets(masks: np.ndarray, p: int,
-                 by_size: bool = False) -> Tuple[np.ndarray, List[Tuple[int, ...]]]:
+def ordered_sets(masks: np.ndarray, p: int, by_size: bool = False,
+                 groups: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, List[Tuple[int, ...]]]:
     """Vertex sets given as an array of bitmasks over p vertices, sorted as
     their sorted member lists sort, a set before its extensions (or by size
-    first, and then so), and each of them as a sorted tuple."""
+    first, and then so; or by ``groups``, a key per set, first of all), and
+    each of them as a sorted tuple."""
     member = (masks[:, None] >> np.arange(p) & 1).astype(bool)
     rows = np.where(member, np.arange(p), p)
     rows.sort(axis=1)               # the members, ascending, then p
     size = member.sum(axis=1)
-    keys = [*np.where(rows < p, rows, -1).T[::-1]] + ([size] if by_size else [])
+    keys = ([*np.where(rows < p, rows, -1).T[::-1]] + ([size] if by_size else [])
+            + ([groups] if groups is not None else []))
     order = np.lexsort(keys)
     return masks[order], [tuple(row[:n]) for row, n in zip(rows[order].tolist(),
                                                            size[order].tolist())]
@@ -68,6 +71,19 @@ def _span(bits) -> int:
     if isinstance(bits, np.ndarray):
         return int(np.bitwise_or.reduce(bits, axis=None, initial=0))
     return bits
+
+
+def _stack_dtype(*sets):
+    """The one dtype of a stacked query's bitmask arrays: uint64 for uint64
+    stacks, int64 for other integer stacks (mixing uint64 and signed ones
+    is refused); None when none of ``sets`` is an array."""
+    stacked = [x for x in sets if isinstance(x, np.ndarray)]
+    if not stacked:
+        return None
+    dtype = np.result_type(*stacked)
+    if dtype.kind not in "iu":
+        raise TypeError(f"stacked bitmasks must be integers, got {dtype}")
+    return dtype if dtype == np.uint64 else np.dtype(np.int64)
 
 
 def _union_by_bits(masks, bits: int) -> int:
@@ -221,12 +237,8 @@ class Dag:
         p <= 64 with uint64; the checks that stack queries are guarded far
         below that.  Python ints serve any p.
         """
-        stacked = [x for x in (left, given) if isinstance(x, np.ndarray)]
-        if stacked:
-            dtype = np.result_type(*stacked)
-            if dtype.kind not in "iu":
-                raise TypeError(f"stacked bitmasks must be integers, got {dtype}")
-            dtype = dtype if dtype == np.uint64 else np.dtype(np.int64)
+        dtype = _stack_dtype(left, given)
+        if dtype is not None:
             left, given = np.asarray(left, dtype), np.asarray(given, dtype)
             pa, ch, anc = self._byte_tables().view(dtype)
             union, live = _union_by_bytes, lambda bits: bits.any()
@@ -249,15 +261,19 @@ class Dag:
         ``given``: each path must contain a non-collider in ``given`` or a
         collider outside ``given`` with no descendant in ``given``.
 
-        ``given`` may also be an int64 or uint64 array of bitmasks, a stack
-        of conditioning sets, answered by one stacked pass with a bool per
-        set (see :meth:`d_connected` for the bound on p).
+        Any of the three may also be an int64 or uint64 array of bitmasks;
+        they broadcast to a stack of queries, answered by one stacked pass
+        with a bool per row (see :meth:`d_connected` for the bound on p).
+        The sets must be disjoint within each row.
 
         A query on :meth:`d_connected`, after checking the vertex sets; the
         naive path enumerator used to validate it lives in the test tree.
         """
         left, right, given = (self._bits_of(s) for s in (left, right, given))
-        if left & right or (left | right) & _span(given):
+        dtype = _stack_dtype(left, right, given)
+        if dtype is not None:
+            left, right, given = (np.asarray(s, dtype) for s in (left, right, given))
+        if _span(left & right | (left | right) & given):
             raise GraphError("d-separation requires pairwise disjoint vertex sets")
         return (self.d_connected(left, given) & right) == 0
 

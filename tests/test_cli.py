@@ -640,6 +640,38 @@ class TestGoldenOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS["equiv late5"][1]
 
 
+# (exit code, SHA-256 of stdout) of sampled global checks beyond the full
+# check's guard, recorded before their membership tests used one sink per
+# target
+SAMPLED_GLOBAL_DIGESTS = {
+    "exact12":
+        (0, "bb52b4a5e96117b7b93a3363fe92a5dedabac009f89a4b4b79dddb55d54a622f"),
+    "perturbed12":
+        (1, "1a63210e2ddfd3a4b008a1908032b5f00108e5cce6e71338705604de9d02d882"),
+    "exact15":
+        (0, "c66bcfbe8f50b336c3f2bf00b917b861df374a0c831f9460fcdbcd474d2c008a"),
+    "perturbed15":
+        (1, "6fb38c46fa3131d7afb36c12300ace1b9c39354cad9aec3a639687c77f8b659a"),
+}
+
+
+def test_sampled_global_checks_are_unchanged(workdir, capsys):
+    got = {}
+    for p in (12, 15):
+        cd, theta = random_bpec(p, 0.5, 2, [16, p])
+        graph = workdir / f"g{p}.json"
+        write_graph_json(cd, graph)
+        exact = parametrize(cd, theta)
+        a = np.eye(p) + 1e-3 * np.random.default_rng(p).standard_normal((p, p))
+        for name, sigma in ((f"exact{p}", exact), (f"perturbed{p}", a @ exact @ a.T)):
+            path = workdir / f"{name}.sigma.csv"
+            write_matrix_csv(sigma, path)
+            code = main(["check", "--graph", str(graph), "--sigma", str(path), "--global",
+                         "--budget", "30", "--seed", "4"])
+            got[name] = code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == SAMPLED_GLOBAL_DIGESTS
+
+
 def _golden_runs(workdir):
     """Named argvs of `check`, `check --global` and `equiv` on fixed
     random_bpec models, with their input files written to ``workdir``: exact

@@ -209,6 +209,35 @@ class TestDConnection:
         assert P4.d_separated({0}, {3}, given[1:] << 1).tolist() == [True, False]
         assert P4.d_separated({0}, {3}, np.array([], dtype=np.uint64)).tolist() == []
 
+    def test_per_row_sets_equal_the_scalar_queries_row_by_row(self):
+        rng = np.random.default_rng(27)
+        for g in self._stacked_cases(rng):
+            # per row, each vertex is in the left, the right or the given set, or none
+            cells = rng.integers(0, 4, (40, g.p))
+            left, right, given = ((cells == c) @ (1 << np.arange(g.p)) for c in (1, 2, 3))
+            expected = [g.d_separated(members(a), members(b), members(c))
+                        for a, b, c in zip(left.tolist(), right.tolist(), given.tolist())]
+            for dtype in (np.int64, np.uint64):
+                got = g.d_separated(*(x.astype(dtype) for x in (left, right, given)))
+                assert got.dtype == bool and got.tolist() == expected
+            # a set of vertices broadcasts against the stacks
+            rows = (left | right) & 1 == 0
+            assert g.d_separated(left[rows], right[rows], {0}).tolist() == \
+                [g.d_separated(members(a), members(b), {0})
+                 for a, b in zip(left[rows].tolist(), right[rows].tolist())]
+
+    def test_a_row_whose_sets_overlap_is_refused(self):
+        with pytest.raises(GraphError, match="pairwise disjoint"):
+            P4.d_separated(np.array([0b0001, 0b0001]), np.array([0b1000, 0b1001]), ())
+        with pytest.raises(GraphError, match="pairwise disjoint"):
+            P4.d_separated(np.array([0b0001, 0b0001]), np.array([0b1000, 0b0100]),
+                           np.array([0b0010, 0b0100]))
+        with pytest.raises(GraphError, match="pairwise disjoint"):
+            P4.d_separated({0}, np.array([0b1000, 0b0100]), np.array([0b0001, 0b0010]))
+        # disjoint within each row, though not across rows
+        assert P4.d_separated(np.array([0b0001, 0b0100]), np.array([0b0100, 0b0001]),
+                              np.array([0b0010, 0b1000])).tolist() == [True, False]
+
     def test_stacked_pass_needs_p_at_most_64(self):
         g = Dag(65, [(0, 64)])
         assert g.d_connected(1, 0) == 1 | 1 << 64

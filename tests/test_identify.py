@@ -1,6 +1,7 @@
 """Identifying-set membership, enumeration, and numeric soundness."""
 
 import hashlib
+import json
 import re
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from cdag.identify import (is_edge_identifying, is_vertex_identifying,
                            is_zero_identifying, sample_identifying_sets)
 from cdag.params import parametrize, random_params, recover_lambda, recover_omega
 
-from oracles import identifying_sets, path_dsep, random_dag
+from oracles import all_dags, identifying_sets, path_dsep, random_dag
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
 EX48 = Dag(5, [(0, 4), (0, 2), (1, 4), (2, 3), (3, 4)])
@@ -26,6 +27,11 @@ EX48 = Dag(5, [(0, 4), (0, 2), (1, 4), (2, 3), (3, 4)])
 def ordered(sets):
     """Vertex sets in the package's one form: sorted tuples, in sorted order."""
     return sorted(tuple(sorted(a)) for a in sets)
+
+
+def all_targets(p):
+    """Every vertex, then every ordered pair of distinct vertices."""
+    return list(range(p)) + [(i, j) for i in range(p) for j in range(p) if i != j]
 
 
 class TestVertexSets:
@@ -82,20 +88,28 @@ class TestEnumeration:
     def test_chain_edge_sets(self):
         assert identify.identifying_sets(P4, (0, 1)) == [(0,)]
 
-    def test_edge_sets_share_one_pruned_graph(self, monkeypatch):
+    def test_edge_targets_share_one_augmented_graph(self, monkeypatch):
         built = []
         monkeypatch.setattr(identify, "Dag", lambda *args: built.append(args) or Dag(*args))
         rng = np.random.default_rng(12)
         for _ in range(5):
             g = random_dag(rng, 6, 0.5)
-            for i, j in sorted(g.edges):
+            edges = sorted(g.edges)
+            expected = []
+            for i, j in edges:
                 universe = [v for v in range(g.p) if v != j]
-                expected = sorted(a for r in range(len(universe) + 1)
-                                  for a in combinations(universe, r)
-                                  if is_edge_identifying(g, i, j, a))
-                built.clear()
-                assert identify.identifying_sets(g, (i, j)) == expected
-                assert len(built) == 1
+                expected.append(sorted(a for r in range(len(universe) + 1)
+                                       for a in combinations(universe, r)
+                                       if is_edge_identifying(g, i, j, a)))
+            built.clear()
+            assert identify.identifying_sets_for(g, edges) == expected
+            assert len(built) == (1 if edges else 0)
+            # vertices and non-edges are queried on the graph itself
+            others = list(range(g.p)) + [(i, j) for i in range(g.p) for j in range(g.p)
+                                         if i != j and (i, j) not in g.edges]
+            built.clear()
+            identify.identifying_sets_for(g, others)
+            assert built == []
 
     def test_every_target_matches_the_definitions(self):
         # vertices, edges and non-edges of random DAGs, against path enumeration
@@ -128,6 +142,40 @@ class TestEnumeration:
                                                                  combinations(universe, r))
                                 if test(a)}
                     assert identify.identifying_sets(g, target) == ordered(expected), target
+
+    def test_one_call_on_every_dag_up_to_p4_matches_the_definitions(self):
+        for p in range(1, 5):
+            targets = all_targets(p)
+            for g in all_dags(p):
+                assert identify.identifying_sets_for(g, targets) == \
+                    [ordered(identifying_sets(g, t)) for t in targets], g.edges
+
+    def test_one_call_equals_per_target_calls(self):
+        # every target, repeated and shuffled; at p = 8 the 56 pairs take two chunks
+        rng = np.random.default_rng(28)
+        for p in range(5, 9):
+            for _ in range(3):
+                g = random_dag(rng, p, float(rng.uniform(0.2, 0.8)))
+                targets = all_targets(p) * 2
+                targets = [targets[t] for t in rng.permutation(len(targets))]
+                assert identify.identifying_sets_for(g, targets) == \
+                    [identify.identifying_sets(g, t) for t in targets]
+        assert identify.identifying_sets_for(P4, []) == []
+
+    def test_targets_at_the_guard_take_chunks(self, monkeypatch):
+        # digests of the per-target results, recorded while each edge target
+        # built a pruned graph of its own
+        built = []
+        monkeypatch.setattr(identify, "Dag", lambda *args: built.append(args) or Dag(*args))
+        complete = Dag(12, combinations(range(12), 2))
+        got = identify.identifying_sets_for(complete, sorted(complete.edges))
+        assert len(built) == 2      # 66 sinks, at most 51 a graph
+        assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == \
+            "119ef6b6ebf1cac7ab6ee264e26b3af067932209bddae22fec94ffa4a20595bb"
+        g = random_dag(np.random.default_rng(26), 12, 0.6)
+        got = identify.identifying_sets_for(g, all_targets(12))
+        assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == \
+            "bdbb5a100d0a719c4c73e8ba4cc3a0f9067205bae4831c2d59c8f59f42648173"
 
     def test_isolated_vertex_all_subsets(self):
         got = identify.identifying_sets(Dag(4), 1)
@@ -208,6 +256,20 @@ class TestSampling:
                 assert tuple(sorted(witness)) in got
                 assert set(got) <= set(identify.identifying_sets(g, target))
 
+    def test_a_witness_that_does_not_identify_is_refused(self):
+        chain = Dag(3, [(0, 1), (1, 2)])
+        rng = np.random.default_rng(6)
+        for target, witness, message in (
+                (2, {0}, "witness {1} does not identify vertex 3"),
+                (1, {1}, "witness {2} does not identify vertex 2"),
+                ((1, 2), {0}, "witness {1} does not identify edge (2, 3)"),
+                ((2, 0), (), "witness {} does not identify pair (3, 1)")):
+            with pytest.raises(GraphError, match=re.escape(message)):
+                sample_identifying_sets(chain, target, witness, rng, want=3)
+        assert not is_vertex_identifying(chain, 2, {0})
+        assert not is_zero_identifying(chain, 2, 0, ())
+        assert sample_identifying_sets(chain, 2, {1}, rng, want=3) == [(0, 1), (1,)]
+
     def test_samples_beyond_the_enumeration_guard_are_identifying(self):
         rng = np.random.default_rng(5)
         g = random_dag(rng, identify.ENUM_GUARD_P + 3, 0.3)
@@ -226,18 +288,19 @@ def test_numpy_integer_targets_are_vertices():
     assert is_zero_identifying(P4, np.int64(0), np.int64(2), [1])
 
 
-def identify_digest(workdir, capsys, rho=0.5, seed=(33, 8)):
+def identify_digest(workdir, capsys, rho=0.5, seed=(33, 8), p=8):
     """SHA-256 of ``cdag identify`` stdout for every vertex and every
-    ordered vertex pair of a p = 8 model: its edges and its non-edges."""
-    cd, _ = random_bpec(8, rho, 2, list(seed))
-    graph = str(workdir / "g8.json")
+    ordered vertex pair of a model on p vertices: its edges and its
+    non-edges."""
+    cd, _ = random_bpec(p, rho, 2, list(seed))
+    graph = str(workdir / f"g{p}.json")
     write_graph_json(cd, graph)
     h = hashlib.sha256()
-    for v in range(1, 9):
+    for v in range(1, p + 1):
         assert main(["identify", "--graph", graph, "--vertex", str(v)]) == 0
         h.update(capsys.readouterr().out.encode())
-    for i in range(1, 9):
-        for j in range(1, 9):
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
             if i != j:
                 assert main(["identify", "--graph", graph, "--edge", f"{i},{j}"]) == 0
                 h.update(capsys.readouterr().out.encode())
@@ -251,6 +314,13 @@ def test_identify_output_is_pinned(tmp_path, capsys):
     # a denser model (23 edges), recorded while the sets were frozensets
     assert identify_digest(tmp_path, capsys, 0.8, (33, 9)) == \
         "5d741df6cd42a87d59dbfbcb035044f7f6f1e0c15c87fa189fc339c565b33f89"
+
+
+def test_identify_output_at_p10_is_pinned(tmp_path, capsys):
+    # all 100 targets of a p = 10 model, recorded while each edge target
+    # built a pruned graph of its own
+    assert identify_digest(tmp_path, capsys, 0.5, (33, 10), p=10) == \
+        "9463849878d2b41c81e63d7b88129f73fb19594805dbfd070b020931553408f2"
 
 
 @pytest.mark.parametrize("call, expected", [
