@@ -22,19 +22,20 @@ two ways to combine them.  ``RelationPoly.__call__`` gives the paper's
 relation: a polynomial with denominators cleared (``cir``/``vcr``/``ecr``)
 or a difference of recovery quotients (``vcc``/``ecc``), evaluated on sigma
 itself.  The checks instead list their relations as arrays, in a
-``_Relations``: per kind, each relation's indices and, per term, its pick
-among the term's candidate (head, conditioning set) pairs, with the sets
-interned in a table that holds each distinct set once.  The local
-generators are listed straight from the parent sets, and a product of
-identifying sets A x B lists each set once per term, its relations picking
-them in product order, first term outer.  An ``_Evaluator`` compiles the
-arrays once, in bulk: every candidate's minors get integer keys over
-bitmasks of the sets, and ``np.unique`` on the keys finds the distinct
-minors.  A ``RelationPoly`` is made only to report a relation.  The
-evaluator scales sigma to its correlation matrix R = D^-1/2 sigma D^-1/2,
-with D the diagonal of sigma, computes each distinct minor of R once (one
-stacked determinant call per minor size, for one covariance or a stack of
-them) and combines the minors into dimensionless residuals:
+``_Relations``: per kind, each relation's indices and, per term, the id of
+its conditioning set in a table that holds each distinct set once.  Every
+producer lists them the same way: the local generators from the parent
+sets, the triples, and the products of identifying sets A x B of all
+same-colored pairs of a kind at once, pair after pair, first term outer.
+No producer removes duplicates; an ``_Evaluator`` compiles the arrays once,
+in bulk: ``np.unique`` finds each term's distinct (head, set) pairs, their
+minors get integer keys over bitmasks of the sets, and ``np.unique`` on the
+keys finds the distinct minors.  A ``RelationPoly`` is made only to report
+a relation.  The evaluator scales sigma to its correlation matrix
+R = D^-1/2 sigma D^-1/2, with D the diagonal of sigma, computes each
+distinct minor of R once (one stacked determinant call per minor size, for
+one covariance or a stack of them) and combines the minors into
+dimensionless residuals:
 
 - ``cir``: the partial correlation of i and j given K;
 - ``vcr``/``vcc``: the relative difference (a - b) / max(|a|, |b|), or 0
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import identify
 from .coloring import ColoredDag
-from .dag import Dag, bitmask, ordered_sets
+from .dag import Dag, bitmask, ordered_sets, require_integer
 from .errors import CdagError, GraphError, SizeGuardError
 from .params import Covariances, minor, require_positive_definite
 
@@ -244,47 +245,33 @@ class RelationPoly:
 
 class _Relations:
     """A check's relations, in order, as arrays.  A part is relations of one
-    kind: an index row each and, per term, a pick among the term's
-    candidates, which are (index row, set id) pairs.  The set ids index
-    ``sets``, which holds each distinct set once, as a sorted tuple.  A
-    product lists each candidate once, however many relations pick it."""
+    kind: an index row each and, per term, a set id each.  The set ids index
+    ``sets``, which holds each distinct set once, as a sorted tuple."""
 
     def __init__(self, p: int):
         self.p = p
         self.sets: List[Tuple[int, ...]] = []
         self._ids = {}
-        self._parts = []     # (kind, indices (n, k), per term (rows, set ids, picks))
+        self._parts = []     # (kind, indices (n, k), per term set ids (n,))
         self._starts = []    # each part's first position
         self.size = 0
 
     def intern(self, sets) -> np.ndarray:
         """The ids of sorted sets, each distinct set stored once."""
-        ids = [self._ids.setdefault(s, len(self._ids)) for s in sets]
-        self.sets += list(self._ids)[len(self.sets):]
-        return np.array(ids, dtype=int)
-
-    def _add(self, kind: str, indices: np.ndarray, terms) -> None:
-        self._starts.append(self.size)
-        self._parts.append((kind, indices, terms))
-        self.size += len(indices)
+        for s in sets:
+            if s not in self._ids:
+                self._ids[s] = len(self.sets)
+                self.sets.append(s)
+        return np.array([self._ids[s] for s in sets], dtype=int)
 
     def add(self, kind: str, indices, *given) -> None:
         """Relations of one kind, in order: index rows, and per term an array
         of set ids."""
         n = len(given[0])
         if n:
-            indices = np.asarray(indices, dtype=int).reshape(n, -1)
-            self._add(kind, indices, [(indices, sids, np.arange(n)) for sids in given])
-
-    def add_product(self, kind: str, indices, *sets) -> None:
-        """kind(indices; given) for every choice of one sorted set per term
-        from ``sets``, in product order: the first term outer."""
-        ids = [self.intern(s) for s in sets]
-        picks = np.meshgrid(*(np.arange(len(sids)) for sids in ids), indexing="ij")
-        if picks[0].size:
-            self._add(kind, np.broadcast_to(indices, (picks[0].size, len(indices))),
-                      [(np.tile(indices, (len(sids), 1)), sids, pick.ravel())
-                       for sids, pick in zip(ids, picks)])
+            self._starts.append(self.size)
+            self._parts.append((kind, np.asarray(indices, dtype=int).reshape(n, -1), given))
+            self.size += n
 
     def add_triples(self, triples) -> None:
         """cir(i, j | K) for each (i, j, K), in order."""
@@ -292,31 +279,25 @@ class _Relations:
 
     def by_kind(self):
         """Per kind, in order of first appearance: its relations' positions
-        and index rows and, per term, the candidates' index rows and set ids
-        and each relation's pick among them."""
+        and index rows and, per term, their set ids."""
         chunks = {}
-        for start, (kind, indices, terms) in zip(self._starts, self._parts):
+        for start, (kind, indices, given) in zip(self._starts, self._parts):
             chunks.setdefault(kind, []).append(
-                (np.arange(start, start + len(indices)), indices, terms))
+                (np.arange(start, start + len(indices)), indices, given))
         out = {}
         for kind, parts in chunks.items():
-            pos, indices, terms = zip(*parts)
-            merged = []
-            for term in zip(*terms):
-                rows, sids, picks = zip(*term)
-                offsets = np.cumsum([0] + [len(s) for s in sids[:-1]])
-                merged.append((np.concatenate(rows), np.concatenate(sids),
-                               np.concatenate([pick + at for pick, at in zip(picks, offsets)])))
-            out[kind] = np.concatenate(pos), np.concatenate(indices), merged
+            pos, indices, given = zip(*parts)
+            out[kind] = (np.concatenate(pos), np.concatenate(indices),
+                         [np.concatenate(sids) for sids in zip(*given)])
         return out
 
     def relation(self, t: int) -> RelationPoly:
         """The t-th relation."""
         b = bisect_right(self._starts, t) - 1
-        kind, indices, terms = self._parts[b]
+        kind, indices, given = self._parts[b]
         row = t - self._starts[b]
         return RelationPoly(kind, tuple(indices[row].tolist()),
-                            tuple(self.sets[sids[pick[row]]] for _, sids, pick in terms))
+                            tuple(self.sets[sids[row]] for sids in given))
 
 
 def _word_bit(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -534,12 +515,13 @@ class _Evaluator:
 
     Every distinct minor gets one slot; a minor and its transpose share it,
     since R is symmetric.  The compile works on the relations' arrays, kind
-    by kind, with no Python step per relation: each kind's recipe keys the
-    minors of all its terms' candidates at once over a ``_SetTable``, one
-    ``np.unique`` call numbers the distinct keys as slots, the relations'
-    picks gather their slot ids, and the keys are decoded into stacked rows
-    and columns per minor size.  Evaluation fills
-    the slots with one stacked determinant call per minor size, then
+    by kind, with no Python step per relation: per term, ``np.unique`` over
+    a code of (head, set id) gives the distinct pairs and each relation's
+    pick among them, and the kind's recipe keys the minors of all of them at
+    once over a ``_SetTable``.  One ``np.unique`` call numbers the distinct
+    keys as slots, the picks gather each relation's slot ids, and the keys
+    are decoded into stacked rows and columns per minor size.  Evaluation
+    fills the slots with one stacked determinant call per minor size, then
     combines them kind by kind.
     """
 
@@ -547,15 +529,20 @@ class _Evaluator:
         self.relations, self.size, p = relations, relations.size, relations.p
         sets = _SetTable(relations.sets, p)
         # per kind: its residual function, positions and index columns and,
-        # per term, the number of minors and of candidates, and each
-        # relation's pick; every candidate's minors are requested once
+        # per term, the number of minors and of distinct (head, set) pairs,
+        # and each relation's pick among them
         kinds, requests = [], []
-        for name, (pos, indices, terms) in relations.by_kind().items():
+        for name, (pos, indices, given) in relations.by_kind().items():
             kind = _KINDS[name]
             picks = []
-            for t, (rows, sids, pick) in enumerate(terms):
-                minors = kind.minors(sets, *kind.heads(rows.T)[t], sids)
-                picks.append((len(minors), len(sids), pick))
+            for head, sids in zip(kind.heads(indices.T), given):
+                # one integer per (head, set) pair
+                code = sids
+                for v in head:
+                    code = code * p + v
+                _, first, pick = np.unique(code, return_index=True, return_inverse=True)
+                minors = kind.minors(sets, *(v[first] for v in head), sids[first])
+                picks.append((len(minors), first.size, pick))
                 requests += minors
             kinds.append((kind.residual, pos, indices.T, picks))
         keys, table = sets.keys(requests)
@@ -564,9 +551,9 @@ class _Evaluator:
         self._kinds, at = [], 0
         for residual, pos, indices, picks in kinds:
             ids = []
-            for count, candidates, pick in picks:
-                ids.append(slot[at:at + count * candidates].reshape(count, -1)[:, pick])
-                at += count * candidates
+            for count, n, pick in picks:
+                ids.append(slot[at:at + count * n].reshape(count, -1)[:, pick])
+                at += count * n
             self._kinds.append((residual, pos, np.concatenate(ids), indices))
         rows, cols, size = sets.decode(distinct, table)
         # per minor size: slot ids, and the stacked rows and columns
@@ -643,11 +630,6 @@ def _require_tol(tol: float) -> None:
         raise CdagError("tol must be finite, got inf: every residual would pass")
 
 
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise CdagError(f"trials must be at least 1, got {trials}")
-
-
 def _model_sigma(sigma: np.ndarray, cd: ColoredDag) -> np.ndarray:
     """A positive definite covariance matrix of the graph's p variables."""
     if np.shape(sigma) != (cd.p, cd.p):
@@ -688,8 +670,9 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
     if budget is None and not small:
         raise SizeGuardError(
             f"full global check is limited to p <= {FULL_GLOBAL_GUARD_P}; pass a budget")
-    if budget is not None and budget < 1:
-        raise CdagError(f"budget must be at least 1, got {budget}")
+    if budget is not None:
+        budget = require_integer("budget", budget, 1)
+    seed = require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # (kind, indices, target, target) per same-colored pair
     vertex, edge = _same_colored_pairs(cd)
@@ -725,8 +708,14 @@ def check_global_markov(sigma: np.ndarray, cd: ColoredDag, tol: float = 1e-7,
     relations.add_triples(ci)
     if budget is None:
         mode = "full"
-        for kind, indices, t1, t2 in pairs:
-            relations.add_product(kind, indices, sets_for(t1), sets_for(t2))
+        ids = {t: relations.intern(sets_for(t)) for t in targets}
+        for kind, run in groupby(pairs, key=lambda pair: pair[0]):
+            _, indices, t1, t2 = zip(*run)
+            a, b = [ids[t] for t in t1], [ids[t] for t in t2]
+            # every pair's products in one call, pair after pair, first term outer
+            relations.add(kind, np.repeat(indices, [x.size * y.size for x, y in zip(a, b)], axis=0),
+                          np.concatenate([np.repeat(x, y.size) for x, y in zip(a, b)]),
+                          np.concatenate([np.tile(y, x.size) for x, y in zip(a, b)]))
     else:
         mode = f"sampled(budget={budget}, seed={seed})"
         # draw (A, B) products without materializing the full family
@@ -758,7 +747,8 @@ def faithfulness_scan(cd: ColoredDag, trials: int = 20, tol: float = 1e-9,
     g = cd.graph
     if g.p > SCAN_GUARD_P:
         raise SizeGuardError(f"faithfulness scan is limited to p <= {SCAN_GUARD_P}")
-    _require_trials(trials)
+    trials = require_integer("trials", trials, 1)
+    seed = require_integer("seed", seed, 0)
     _require_tol(tol)
     rng = np.random.default_rng(seed)
     triples = _separated_triples(g, False)
@@ -813,7 +803,8 @@ def model_equivalent(cd1: ColoredDag, cd2: ColoredDag, trials: int = 20,
     """
     if cd1.p != cd2.p:
         raise GraphError(f"vertex counts differ: {cd1.p} vs {cd2.p}")
-    _require_trials(trials)
+    trials = require_integer("trials", trials, 1)
+    seed = require_integer("seed", seed, 0)
     _require_tol(tol)
     rng = np.random.default_rng(seed)
     for side, gens, model in ((1, cd1, cd2), (2, cd2, cd1)):

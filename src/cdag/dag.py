@@ -16,7 +16,7 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import CdagError, GraphError
 
 Edge = Tuple[int, int]
 
@@ -31,6 +31,16 @@ def vertex(v, p: int) -> int:
     if not 0 <= v < p:
         raise GraphError(f"vertex {v + 1} out of range for p={p}")
     return v
+
+
+def require_integer(name: str, value, least: int) -> int:
+    """``value`` as an int if it is an integer, Python's or numpy's and not a
+    bool, of at least ``least``; otherwise a CdagError that names it."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise CdagError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise CdagError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def bitmask(vertices: Iterable[int]) -> int:

@@ -40,7 +40,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from .coloring import ColoredDag
-from .dag import Dag
+from .dag import Dag, require_integer
 from .errors import CdagError, GraphError, SearchBudgetError
 from .fit import Dataset, family_bic, family_loglik, stacked_ls
 
@@ -396,9 +396,8 @@ class _GreedySearch:
             raise CdagError(f"search needs p >= {self.min_p}, got p={data.p}")
         if data.n < 2:
             raise CdagError("search needs at least two samples")
-        if move_budget is not None and move_budget < 0:
-            raise CdagError(f"move budget must be at least 0, got {move_budget}")
-        self.budget = move_budget if move_budget is not None else 10 * data.p ** 3
+        self.budget = (10 * data.p ** 3 if move_budget is None
+                       else require_integer("move budget", move_budget, 0))
         self.scorer = _FamilyScorer(data)
         empty = tuple(() for _ in range(data.p))
         self.state = self.scorer.state_from(empty)

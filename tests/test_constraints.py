@@ -277,6 +277,27 @@ def global_reports_digest():
     return h.hexdigest()
 
 
+def global_residuals_digest():
+    """SHA-256 over full and budget-40 global checks at p = 2..8, of BPEC
+    models and of their ``_tinted`` vertex-colored forms, so products of
+    both kinds are covered: every relation's label and residual bits, in
+    order, on a noise covariance at tol = 0."""
+    h = hashlib.sha256()
+    for p in range(2, 9):
+        for rho in (0.3, 0.7):
+            for s in range(2):
+                cd, _ = random_bpec(p, rho, 2, [33, p, s])
+                sigma = _noise_sigma(p, s)
+                for model in (cd, _tinted(cd)):
+                    for options in ({}, {"budget": 40, "seed": s}):
+                        report = check_global_markov(sigma, model, tol=0.0, **options)
+                        assert report.n_checked == len(report.violations)
+                        h.update(json.dumps([report.mode] + [
+                            (v.constraint.label(), v.residual.hex())
+                            for v in report.violations]).encode())
+    return h.hexdigest()
+
+
 def faithfulness_digest():
     """SHA-256 over faithfulness scans at p = 2..6, at a tolerance loose
     enough that weak dependences are reported too, and of EX48."""
@@ -306,6 +327,11 @@ class TestPinnedOutputs:
     def test_global_reports(self):
         assert global_reports_digest() == \
             "a1e0805139456067264e17b272494d1409be76d7d931e2eacd0c6f2954053e63"
+
+    def test_global_residuals(self):
+        # recorded before the products were listed in one call per kind
+        assert global_residuals_digest() == \
+            "07a28b06df7f4ba19431583784cfdc2101d7af5afca23a684529d27d5d7dbefd"
 
     def test_faithfulness_scans(self):
         assert faithfulness_digest() == \
@@ -426,10 +452,42 @@ class TestArguments:
          "tol must be finite, got inf"),
         (lambda: check_local_markov(np.eye(4), P4_COLORED, tol=-float("inf")),
          "tol must be nonnegative, got -inf"),
+        (lambda: model_equivalent(EX48, EX48, trials=2.5), "trials must be an integer, got 2.5"),
+        (lambda: model_equivalent(EX48, EX48, trials=True),
+         "trials must be an integer, got True"),
+        (lambda: faithfulness_scan(uncolored(P4), trials=2.5),
+         "trials must be an integer, got 2.5"),
+        (lambda: faithfulness_scan(uncolored(P4), trials=np.float64(3.0)),
+         "trials must be an integer, got np.float64(3.0)"),
+        (lambda: check_global_markov(np.eye(4), uncolored(P4), budget=2.5),
+         "budget must be an integer, got 2.5"),
+        (lambda: check_global_markov(np.eye(4), uncolored(P4), budget=True),
+         "budget must be an integer, got True"),
+        (lambda: check_global_markov(np.eye(4), uncolored(P4), budget=np.bool_(True)),
+         "budget must be an integer, got np.True_"),
+        (lambda: check_global_markov(np.eye(4), uncolored(P4), seed=-1),
+         "seed must be at least 0, got -1"),
+        (lambda: check_global_markov(np.eye(4), uncolored(P4), budget=5, seed=-1),
+         "seed must be at least 0, got -1"),
+        (lambda: model_equivalent(EX48, EX48, seed=-1), "seed must be at least 0, got -1"),
+        (lambda: faithfulness_scan(uncolored(P4), seed=-1), "seed must be at least 0, got -1"),
+        (lambda: model_equivalent(EX48, EX48, seed=1.0), "seed must be an integer, got 1.0"),
+        (lambda: faithfulness_scan(uncolored(P4), seed=None),
+         "seed must be an integer, got None"),
+        (lambda: check_global_markov(np.eye(4), uncolored(P4), seed=[1, 2]),
+         "seed must be an integer, got [1, 2]"),
     ])
     def test_numeric_arguments_out_of_range(self, call, expected):
         with pytest.raises(CdagError, match=re.escape(expected)):
             call()
+
+    def test_numpy_integers_are_integers(self):
+        result = model_equivalent(EX48, EX48, trials=np.int64(2), seed=np.uint8(1))
+        assert json.loads(json.dumps(result.to_json_dict()))["trials"] == 2
+        report = check_global_markov(np.eye(4), uncolored(P4), budget=np.int32(3),
+                                     seed=np.int64(4))
+        assert report.mode == "sampled(budget=3, seed=4)"
+        assert faithfulness_scan(uncolored(P4), trials=np.int16(2), seed=np.int64(0)) == []
 
 
 def _bits(values):
@@ -485,7 +543,8 @@ def _minor_set(sizes):
 
 def _tinted(cd):
     """cd with four vertex color classes added to its edge classes."""
-    return ColoredDag(cd.graph, vertex_classes=[range(c, cd.p, 4) for c in range(4)],
+    return ColoredDag(cd.graph, vertex_classes=[range(c, cd.p, 4)
+                                                for c in range(min(4, cd.p))],
                       edge_classes=cd.edge_classes)
 
 
@@ -535,6 +594,46 @@ class TestCompileParity:
         cd = _tinted(random_bpec(10, 0.5, 2, [24, 10])[0])
         evaluator = self._global_evaluator(monkeypatch, cd, budget=40, seed=5)
         self._assert_same_minors(evaluator, oracles.global_relations(cd, budget=40, seed=5))
+
+
+class TestDistinctRequests:
+    """The compile requests each term's minors once per distinct (head, set)
+    pair, however many relations share the pair."""
+
+    MINORS = {"cir": 3, "vcc": 2, "ecc": 2}
+    HEADS = {"cir": [[0, 1]], "vcc": [[0], [1]], "ecc": [[0, 1], [2, 3]]}
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_full_global_p8(self, monkeypatch, k):
+        requested, built = [], []
+
+        class Counted(constraints._SetTable):
+            def keys(self, minors):
+                requested.append(sum(len(s) for s, _ in minors))
+                return super().keys(minors)
+
+        class Kept(constraints._Evaluator):
+            def __init__(self, relations):
+                built.append(relations)
+                super().__init__(relations)
+
+        monkeypatch.setattr(constraints, "_SetTable", Counted)
+        monkeypatch.setattr(constraints, "_Evaluator", Kept)
+        cd, _ = random_bpec(8, 0.5, 2, [41, k, 0])
+        for model in (cd, _tinted(cd)):
+            requested.clear()
+            built.clear()
+            check_global_markov(_noise_sigma(8, k), model, tol=0.0)
+            (relations,) = built
+            needed = every = 0
+            for kind, (_, indices, given) in relations.by_kind().items():
+                for cols, sids in zip(self.HEADS[kind], given):
+                    pairs = {(*row, sid) for row, sid in
+                             zip(indices[:, cols].tolist(), sids.tolist())}
+                    needed += self.MINORS[kind] * len(pairs)
+                    every += self.MINORS[kind] * len(sids)
+            assert requested == [needed]
+            assert every > 4 * needed
 
 
 class TestStackedTrials:

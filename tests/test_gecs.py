@@ -1,6 +1,7 @@
 """Greedy edge-colored search: moves, invariants, and the baseline climber."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ class TestGecs:
         for cls in (GecsSearch, BaselineSearch):
             with pytest.raises(CdagError, match="move budget must be at least 0, got -3"):
                 cls(Dataset(x), move_budget=-3)
+
+    @pytest.mark.parametrize("budget, expected", [
+        (2.5, "move budget must be an integer, got 2.5"),
+        (True, "move budget must be an integer, got True"),
+        ("3", "move budget must be an integer, got '3'"),
+    ])
+    def test_non_integer_budget_refused_before_fitting(self, budget, expected):
+        x = np.random.default_rng(23).standard_normal((50, 3))
+        x[:, 1] = 0.0
+        for cls in (GecsSearch, BaselineSearch):
+            with pytest.raises(CdagError, match=re.escape(expected)):
+                cls(Dataset(x), move_budget=budget)
+        with pytest.raises(CdagError, match=re.escape(expected)):
+            gecs(Dataset(x), move_budget=budget)
+
+    def test_numpy_integer_budget(self):
+        x = np.random.default_rng(24).standard_normal((50, 3))
+        budget = GecsSearch(Dataset(x), move_budget=np.int64(4)).budget
+        assert budget == 4 and type(budget) is int
 
     def test_preconditions(self):
         rng = np.random.default_rng(13)
