@@ -257,6 +257,11 @@ def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[E
                    f"columns but only {n} samples")
         elif collinear[f]:
             msg = f"collinear regressors in the family of {_vertices(nodes)}"
+        elif yy[f] == 0.0:
+            # no fit is to blame: there is no variance to explain
+            columns = "its data column is" if len(nodes) == 1 else "their data columns are"
+            msg = (f"zero residual variance at {_vertices(nodes)}; {columns} all zero "
+                   f"(a constant column is, once centered)")
         else:
             msg = (f"zero residual variance at {_vertices(nodes)}; the model "
                    f"interpolates the data")

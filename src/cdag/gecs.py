@@ -14,6 +14,12 @@ the one or two nodes it changes, in canonical form (each group sorted, then
 the groups), and its score is the state's plus one delta per changed node:
 the memoized score of the node's new family minus its current one.
 
+What the moves read of a state's graph (parents, children, descendants, the
+vertices that may become a new parent of a node and the children whose
+edge may be reversed) is derived as Python-int bitmasks in one pass over
+its parent groups, so no `Dag` is built while searching: only the result,
+`SearchState.current`, builds one.
+
 A move lists its candidates in blocks, one per node, and the search keeps
 only the latest block of each (move, node) pair with each candidate's
 deltas: at most 8 p blocks for GECS and p for the baseline.  A block is
@@ -25,9 +31,13 @@ and each child's parent groups.  Each try of a move rebuilds only the
 blocks whose key changed, fits the families they need that are not yet
 memoized in one stacked least-squares call (`stacked_ls`), and then scans
 the deltas of all blocks in a fixed order: node by node, except that the
-baseline visits edges in (tail, head) order.  A candidate's score is the
-same sum in the same order whether its block was kept or rebuilt, so the
-search chooses exactly what a fresh listing of every candidate would.
+baseline visits edges in (tail, head) order.  An add_color or add_edge
+block keeps, per candidate, the mask of the new parents it adds; when its
+node kept its parent groups and only lost new parents, the block is
+filtered to the candidates that add none of the lost ones instead of being
+rebuilt.  A candidate's score is the same sum in the same order whether its
+block was kept, filtered or rebuilt, so the search chooses exactly what a
+fresh listing of every candidate would.
 """
 
 from __future__ import annotations
@@ -35,9 +45,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
-from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from itertools import chain, combinations, compress
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from .coloring import ColoredDag
 from .dag import Dag, require_integer
@@ -49,49 +59,91 @@ Families = Tuple[Tuple[Group, ...], ...]   # per node: its parent groups
 # (node, its new canonical parent groups) per changed node, in the order
 # their score components are summed
 Candidate = Tuple[Tuple[int, Tuple[Group, ...]], ...]
-# a block's key, its candidates, and per candidate its deltas in that order
-Block = Tuple[object, List[Candidate], List[List[float]]]
 
 SCORE_EPS = 1e-9   # strict-improvement margin; stops float-noise cycling
+
+
+class _Masks(NamedTuple):
+    """A state's graph, one Python-int bitmask per vertex (bit v stands for
+    vertex v, so any p fits)."""
+
+    parents: List[int]
+    children: List[int]
+    descendants: List[int]
+    new_parents: List[int]   # may become a new parent without closing a cycle
+    reversible: List[int]    # children whose edge may be reversed likewise
+
+
+def _masks(families: Families) -> _Masks:
+    """One pass over the parent groups gives every vertex's parents and
+    children; then, in reverse Kahn order, its descendants are its children
+    with theirs.  A vertex may become a new parent of k unless it is k, a
+    parent of k or a descendant of k (the descendants cover the children).
+    Reversing i -> j closes a cycle exactly when another child of i reaches
+    j, so the reversible children of i are those that no child of i reaches
+    (j itself needs no exclusion, as a vertex is not its own descendant)."""
+    p = len(families)
+    parents, children = [0] * p, [0] * p
+    kids: List[List[int]] = [[] for _ in range(p)]
+    unplaced = [0] * p   # per vertex, its parents not yet in Kahn order
+    for j, groups in enumerate(families):
+        bit = 1 << j
+        for grp in groups:
+            for i in grp:
+                parents[j] |= 1 << i
+                children[i] |= bit
+                kids[i].append(j)
+            unplaced[j] += len(grp)
+    order = [v for v in range(p) if not unplaced[v]]
+    for v in order:   # the list grows as vertices get their last parent placed
+        for c in kids[v]:
+            unplaced[c] -= 1
+            if not unplaced[c]:
+                order.append(c)
+    if len(order) < p:
+        raise GraphError("graph contains a directed cycle")
+    descendants, reversible = [0] * p, [0] * p
+    for v in reversed(order):
+        below = 0
+        for c in kids[v]:
+            below |= descendants[c]
+        descendants[v] = children[v] | below
+        reversible[v] = children[v] & ~below
+    every = (1 << p) - 1
+    new_parents = [every & ~(1 << k | parents[k] | descendants[k]) for k in range(p)]
+    return _Masks(parents, children, descendants, new_parents, reversible)
+
+
+def _members(mask: int) -> List[int]:
+    """The vertices of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
 class SearchState:
     """Canonical parent groups of every node with the score and per-node
-    score components; the graph and what the moves read of it are built
-    when first read."""
+    score components.  The graph's bitmasks are derived when first read;
+    only `current`, the search's result, builds a `Dag`."""
 
     families: Families
     score: float
     family_cache: Tuple[float, ...]
 
     @cached_property
-    def graph(self) -> Dag:
-        return Dag(len(self.families), _edges_of(self.families))
+    def masks(self) -> _Masks:
+        return _masks(self.families)
 
     @cached_property
     def current(self) -> ColoredDag:
         edge_classes = [[(i, j) for i in grp]
                         for j, groups in enumerate(self.families) for grp in groups]
-        return ColoredDag(self.graph, edge_classes=edge_classes)
-
-    @cached_property
-    def descendants(self) -> List[FrozenSet[int]]:
-        return [self.graph.descendants(v) for v in range(self.graph.p)]
-
-    @cached_property
-    def new_parents(self) -> List[FrozenSet[int]]:
-        return _new_parents(self.graph, self.descendants)
-
-    @cached_property
-    def reversible(self) -> List[FrozenSet[int]]:
-        """Per node i, the children j for which reversing i -> j keeps the
-        graph acyclic: it closes a cycle exactly when another child of i
-        reaches j (j itself needs no exclusion, as a vertex is not its own
-        descendant)."""
-        g, desc = self.graph, self.descendants
-        return [g.children(i).difference(*map(desc.__getitem__, g.children(i)))
-                for i in range(g.p)]
+        return ColoredDag(Dag(len(self.families), _edges_of(self.families)),
+                          edge_classes=edge_classes)
 
 
 def _edges_of(families: Families):
@@ -101,20 +153,12 @@ def _edges_of(families: Families):
 
 def _acyclic(p: int, families: Families) -> bool:
     """Reference acyclicity test that builds the whole graph; the search
-    itself filters candidates with `SearchState.descendants` instead."""
+    itself filters candidates with `SearchState.masks` instead."""
     try:
         Dag(p, _edges_of(families))
     except GraphError:
         return False
     return True
-
-
-def _new_parents(g: Dag, desc: Sequence[FrozenSet[int]]) -> List[FrozenSet[int]]:
-    """Per node k, in increasing order of k, the vertices that can become a
-    new parent of k without closing a cycle: neither k, nor a parent of k,
-    nor a descendant of k (the descendants cover the children)."""
-    every = frozenset(range(g.p))
-    return [every.difference((k,), g.parents(k), desc[k]) for k in range(g.p)]
 
 
 class _FamilyScorer:
@@ -125,6 +169,10 @@ class _FamilyScorer:
         self.S = data.gram
         self.n = data.n
         self._memo: Dict[Tuple[int, Tuple[Group, ...]], float] = {}
+        # per node, the edge column of each parent group, built once and
+        # shared by every family that holds the group (never modified)
+        self._columns: List[Dict[Group, List[Tuple[int, int]]]] = [
+            {} for _ in range(data.p)]
 
     def fit(self, keys) -> None:
         """Score every (node, parent groups) key not yet memoized, in one
@@ -135,16 +183,24 @@ class _FamilyScorer:
         new = list({key: None for key in keys if key not in memo})
         if not new:
             return
-        families = [((k,), [[(i, k) for i in grp] for grp in groups]) for k, groups in new]
+        families = []
+        for k, groups in new:
+            columns, family = self._columns[k], []
+            for grp in groups:
+                column = columns.get(grp)
+                if column is None:
+                    column = columns[grp] = [(i, k) for i in grp]
+                family.append(column)
+            families.append(((k,), family))
         _, rss, errors = stacked_ls(self.S, families, n=self.n, coefficients=False)
-        for (k, groups), r, error in zip(new, rss.tolist(), errors):
+        for key, r, error in zip(new, rss.tolist(), errors):
             if error is None:
-                memo[k, groups] = family_bic(family_loglik(self.n, r, (k,)),
-                                             self.n, len(groups))
-            elif not groups:
+                memo[key] = family_bic(family_loglik(self.n, r, (key[0],)),
+                                       self.n, len(key[1]))
+            elif not key[1]:
                 raise error
             else:
-                memo[k, groups] = -math.inf
+                memo[key] = -math.inf
 
     def state_from(self, families: Families) -> SearchState:
         self.fit(enumerate(families))
@@ -204,27 +260,57 @@ def _select(state: SearchState, scored: Iterable[Tuple[Candidate, List[float]]],
     return best
 
 
+class _Block(NamedTuple):
+    """One node's candidates of one move with each one's deltas, under the
+    key they were built from.  A block whose candidates add new parents of
+    the node holds, per candidate, the mask of those it adds (``uses``),
+    and its key is (the node's parent groups, its new-parent mask)."""
+
+    key: object
+    candidates: List[Candidate]
+    deltas: List[List[float]]
+    uses: Optional[List[int]]
+
+    def filtered(self, key) -> Optional["_Block"]:
+        """The block under ``key`` if the node kept its parent groups and
+        only lost new parents: the candidates that add none of the lost
+        ones, in order, with their deltas (the node's family, and with it
+        every delta, is unchanged).  None if the block must be rebuilt."""
+        if self.uses is None:
+            return None
+        groups, allowed = key
+        if groups != self.key[0] or allowed & ~self.key[1]:
+            return None
+        keep = [not used & ~allowed for used in self.uses]
+        return _Block(key, list(compress(self.candidates, keep)),
+                      list(compress(self.deltas, keep)), list(compress(self.uses, keep)))
+
+
 # -- the eight moves ---------------------------------------------------------
 # A move lists one node's block of candidates at a time.  Every move builds a
 # changed node's new groups with `_edit`.  Only add_color, add_edge and
 # reverse_edge add an edge, so only they can close a cycle: add_color and
-# add_edge take new parents from `_new_parents`, and reverse_edge asks
-# `SearchState.reversible`, both judged on the current graph.
+# add_edge take new parents from the state's `new_parents` mask, and
+# reverse_edge asks its `reversible` mask, both judged on the current graph.
 
 
-def _node_by_node(state: SearchState, blocks: List[Block]):
-    return chain.from_iterable(zip(cands, deltas) for _, cands, deltas in blocks)
+def _node_by_node(state: SearchState, blocks: List[_Block]):
+    return chain.from_iterable(zip(b.candidates, b.deltas) for b in blocks)
 
 
 class _Move(NamedTuple):
     """``block(state, k)`` lists node k's candidates, and ``key(state, k)``
     is everything that block is built from.  ``order(state, blocks)`` pairs
-    every candidate with its deltas, in the order the search scans them."""
+    every candidate with its deltas, in the order the search scans them.  A
+    move that ``adds`` new parents returns its candidates and, per
+    candidate, the mask of the new parents it adds, so that its blocks can
+    be filtered."""
 
     block: Callable[[SearchState, int], Iterable[Candidate]]
     key: Callable[[SearchState, int], object]
-    order: Callable[[SearchState, List[Block]],
+    order: Callable[[SearchState, List[_Block]],
                     Iterable[Tuple[Candidate, List[float]]]] = _node_by_node
+    adds: bool = False
 
 
 def _groups(state: SearchState, k: int):
@@ -232,13 +318,14 @@ def _groups(state: SearchState, k: int):
 
 
 def _groups_and_new_parents(state: SearchState, k: int):
-    return state.families[k], state.new_parents[k]
+    return state.families[k], state.masks.new_parents[k]
 
 
 def _add_color(state: SearchState, i: int):
     groups = state.families[i]
-    for pair in combinations(sorted(state.new_parents[i]), 2):
-        yield ((i, _edit(groups, add=(pair,))),)
+    pairs = list(combinations(_members(state.masks.new_parents[i]), 2))
+    return ([((i, _edit(groups, add=(pair,))),) for pair in pairs],
+            [1 << a | 1 << b for a, b in pairs])
 
 
 def _split_color(state: SearchState, i: int):
@@ -253,9 +340,10 @@ def _split_color(state: SearchState, i: int):
 
 def _add_edge(state: SearchState, j: int):
     groups = state.families[j]
-    for i in sorted(state.new_parents[j]):
-        for gi, grp in enumerate(groups):
-            yield ((j, _edit(groups, (gi,), (grp + (i,),))),)
+    new = _members(state.masks.new_parents[j])
+    return ([((j, _edit(groups, (gi,), (grp + (i,),))),)
+             for i in new for gi, grp in enumerate(groups)],
+            [1 << i for i in new for _ in groups])
 
 
 def _move_edge(state: SearchState, i: int):
@@ -272,20 +360,20 @@ def _move_edge(state: SearchState, i: int):
 
 
 def _reverse_edge_key(state: SearchState, i: int):
-    fams = state.families
-    return fams[i], state.reversible[i], tuple(
-        (j, fams[j]) for j in sorted(state.graph.children(i)))
+    fams, masks = state.families, state.masks
+    return fams[i], masks.reversible[i], tuple(
+        (j, fams[j]) for j in _members(masks.children[i]))
 
 
 def _reverse_edge(state: SearchState, i: int):
     # the edges out of i, by head.  Keeping the donor class at size >= 2
     # after the removal preserves a properly colored state, so only classes
     # of size >= 3 donate.
-    fams = state.families
-    for j in sorted(state.graph.children(i)):
+    fams, masks = state.families, state.masks
+    for j in _members(masks.children[i]):
         donor_groups = fams[j]
         gi = next(t for t, grp in enumerate(donor_groups) if i in grp)
-        if len(donor_groups[gi]) < 3 or j not in state.reversible[i]:
+        if len(donor_groups[gi]) < 3 or not masks.reversible[i] >> j & 1:
             continue
         shrunk = _edit(donor_groups, (gi,), (tuple(v for v in donor_groups[gi] if v != i),))
         for ti, grp in enumerate(fams[i]):
@@ -314,9 +402,9 @@ def _remove_color(state: SearchState, i: int):
 
 
 PHASES = (
-    ("phase1", (("add_color", _Move(_add_color, _groups_and_new_parents)),
+    ("phase1", (("add_color", _Move(_add_color, _groups_and_new_parents, adds=True)),
                 ("split_color", _Move(_split_color, _groups)))),
-    ("phase2", (("add_edge", _Move(_add_edge, _groups_and_new_parents)),
+    ("phase2", (("add_edge", _Move(_add_edge, _groups_and_new_parents, adds=True)),
                 ("move_edge", _Move(_move_edge, _groups)),
                 ("reverse_edge", _Move(_reverse_edge, _reverse_edge_key)),
                 ("remove_edge", _Move(_remove_edge, _groups)))),
@@ -327,42 +415,46 @@ PHASES = (
 
 # -- uncolored baseline move -------------------------------------------------
 # Node k's block holds, at position v, k's parent set with v toggled: the
-# removal of a parent, the addition of a vertex from `_new_parents` or of a
-# child whose edge may be reversed, or () where v can be neither.  The
-# singleton groups are spliced in place rather than through `_edit`, which
-# costs more per candidate.
+# removal of a parent, the addition of a vertex from the `new_parents` mask
+# or of a child whose edge may be reversed, or () where v can be neither.
+# The singleton groups are spliced in place rather than through `_edit`,
+# which costs more per candidate.  Its blocks are rebuilt, not filtered, as
+# the scan reads them by position.
 
 
 def _toggle_key(state: SearchState, k: int):
-    return state.families[k], state.new_parents[k] | state.reversible[k]
+    masks = state.masks
+    return state.families[k], masks.new_parents[k] | masks.reversible[k]
 
 
 def _toggles(state: SearchState, k: int):
     groups, addable = _toggle_key(state, k)
-    parents = state.graph.parents(k)
+    parents = state.masks.parents[k]
     for v in range(len(state.families)):
-        if v in parents:
+        if parents >> v & 1:
             yield ((k, tuple(grp for grp in groups if grp != (v,))),)
-        elif v in addable:
+        elif addable >> v & 1:
             yield ((k, tuple(sorted(groups + ((v,),)))),)
         else:
             yield ()
 
 
-def _edge_by_edge(state: SearchState, blocks: List[Block]):
+def _edge_by_edge(state: SearchState, blocks: List[_Block]):
     """Every acyclic single-edge deletion, reversal and addition, in (tail,
     head) order; a reversal changes the head j first, then the tail i."""
-    edges, reversible, new_parents = state.graph.edges, state.reversible, state.new_parents
+    masks = state.masks
+    parents, new_parents = masks.parents, masks.new_parents
     p = len(blocks)
     for i in range(p):
+        bit, reversible = 1 << i, masks.reversible[i]
         for j in range(p):
-            if (i, j) in edges:
-                removal, d = blocks[j][1][i], blocks[j][2][i]
+            if parents[j] & bit:
+                removal, d = blocks[j].candidates[i], blocks[j].deltas[i]
                 yield removal, d
-                if j in reversible[i]:
-                    yield removal + blocks[i][1][j], d + blocks[i][2][j]
-            elif i in new_parents[j]:
-                yield blocks[j][1][i], blocks[j][2][i]
+                if reversible >> j & 1:
+                    yield removal + blocks[i].candidates[j], d + blocks[i].deltas[j]
+            elif new_parents[j] & bit:
+                yield blocks[j].candidates[i], blocks[j].deltas[i]
 
 
 BASELINE_MOVE = _Move(_toggles, _toggle_key, _edge_by_edge)
@@ -404,26 +496,34 @@ class _GreedySearch:
         self.trace: List[TraceRow] = [TraceRow(0, "init", "", self.state.score)]
         self._accepted = 0
         # per move name, the latest block of each node
-        self._blocks: Dict[str, List[Optional[Block]]] = {
+        self._blocks: Dict[str, List[Optional[_Block]]] = {
             name: [None] * data.p for _, moves in self.phases for name, _ in moves}
 
     def _scored(self, name: str, move: _Move):
         """Every candidate of the move on the current state with its
         deltas, in scan order; only the blocks whose key changed since the
-        move was last tried are listed and fitted again."""
+        move was last tried are filtered, or listed and fitted again."""
         state, blocks = self.state, self._blocks[name]
         stale = []
         for k, block in enumerate(blocks):
             key = move.key(state, k)
-            if block is None or block[0] != key:
-                stale.append((k, key, list(move.block(state, k))))
+            if block is not None and block.key == key:
+                continue
+            kept = None if block is None else block.filtered(key)
+            if kept is not None:
+                blocks[k] = kept
+            elif move.adds:
+                stale.append((k, key, *move.block(state, k)))
+            else:
+                stale.append((k, key, list(move.block(state, k)), None))
         if stale:
-            self.scorer.fit(family for _, _, cands in stale
+            self.scorer.fit(family for _, _, cands, _ in stale
                             for candidate in cands for family in candidate)
             memo, cache = self.scorer._memo, state.family_cache
-            for k, key, cands in stale:
-                blocks[k] = (key, cands, [[memo[family] - cache[family[0]]
-                                           for family in candidate] for candidate in cands])
+            for k, key, cands, uses in stale:
+                blocks[k] = _Block(key, cands, [[memo[family] - cache[family[0]]
+                                                 for family in candidate]
+                                                for candidate in cands], uses)
         return move.order(state, blocks)
 
     def _apply_best(self, name: str, move: _Move) -> SearchState:

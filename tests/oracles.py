@@ -449,6 +449,12 @@ def global_relations(cd: ColoredDag, budget=None, seed=0):
 # candidate from the memo, as the search did before it kept anything.
 
 
+def state_graph(state):
+    """The search state's graph, built from its parent groups."""
+    fams = state.families
+    return Dag(len(fams), [(i, j) for j, groups in enumerate(fams) for grp in groups for i in grp])
+
+
 def _descendant_table(g):
     return [g.descendants(v) for v in range(g.p)]
 
@@ -467,7 +473,7 @@ def _reversal_acyclic(g, desc, i, j):
 
 def _candidates_add_color(state):
     fams = state.families
-    g = state.graph
+    g = state_graph(state)
     for i, eligible in enumerate(_new_parents(g, _descendant_table(g))):
         for pair in combinations(sorted(eligible), 2):
             yield ((i, _edit(fams[i], add=(pair,))),)
@@ -485,7 +491,7 @@ def _candidates_split_color(state):
 
 def _candidates_add_edge(state):
     fams = state.families
-    g = state.graph
+    g = state_graph(state)
     for j, eligible in enumerate(_new_parents(g, _descendant_table(g))):
         groups = fams[j]
         for i in sorted(eligible):
@@ -508,7 +514,7 @@ def _candidates_move_edge(state):
 
 def _candidates_reverse_edge(state):
     fams = state.families
-    g = state.graph
+    g = state_graph(state)
     desc = _descendant_table(g)
     for i, j in sorted(g.edges):
         donor_groups = fams[j]
@@ -543,7 +549,7 @@ def _candidates_remove_color(state):
 
 def _candidates_baseline(state):
     fams = state.families
-    g = state.graph
+    g = state_graph(state)
     desc = _descendant_table(g)
     new_parents = _new_parents(g, desc)
     edges = g.edges

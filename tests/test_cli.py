@@ -393,6 +393,21 @@ class TestFileBoundary:
         assert expected in err
 
     @pytest.mark.parametrize("command", [["learn"], ["learn", "--baseline"], ["score"]])
+    def test_constant_column_names_its_cause(self, workdir, capsys, command):
+        # column 3 is all 5.0, so centered it is all zero: no fit is to
+        # blame, whether vertex 3 has parents (score) or none (learn)
+        x = np.random.default_rng(24).standard_normal((50, 3))
+        x[:, 2] = 5.0
+        data, graph = workdir / "d.csv", workdir / "g.json"
+        Dataset(x).to_csv(data)
+        graph.write_text('{"p": 3, "edges": [[1, 3], [2, 3]]}')
+        argv = ["--data", str(data)] + (["--graph", str(graph)] if command == ["score"] else [])
+        code, out, err = run(capsys, *command, *argv)
+        assert code == 1 and out == ""
+        assert err == ("error: zero residual variance at vertex 3; its data column is all "
+                       "zero (a constant column is, once centered)\n")
+
+    @pytest.mark.parametrize("command", [["learn"], ["learn", "--baseline"], ["score"]])
     def test_gram_overflow_names_the_column(self, workdir, capsys, command):
         # finite values whose squares pass the float range
         data, graph = workdir / "d.csv", workdir / "g.json"
@@ -725,3 +740,34 @@ def _golden_digests(workdir, capsys):
         code = main(argv)
         out[name] = code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     return out
+
+
+# (exit code, SHA-256 of stdout, SHA-256 of the --trace CSV) of `learn` and
+# `learn --baseline` on random_bpec(p, 0.5, 2, [24, p]) data, n = 1000 at
+# p = 15 and n = 500 at p = 20, recorded before the search state derived its
+# reachability as bitmasks
+LEARN_DIGESTS = {
+    "gecs15": (0, "e7bbf0a13bebe310936a68388894792195f33683eb7f1c50b4cb364ae6805959",
+               "0b46a80c5bb99d1a8d621c48051dffb6126343b410b25ad75c6085333dfb178e"),
+    "baseline15": (0, "82671d54175d0c169ce020a2a6f16d32031644fcf4c5e6fc054ad7d9fbfabb6c",
+                   "257e192d630444cccbb7bd69e6440e5e0c67682a015cdd1f640d448f15aa9a75"),
+    "gecs20": (0, "5e8547a21fbc15904f29ffc6210051e3d9f07968495b5619da39a8f9c741e3ec",
+               "8153045ec01dc4c42496a2d7dc047624d401f9f1da10fd9fba1b3e268513e4c8"),
+    "baseline20": (0, "8398bd5e725ae565d9e84cab4124aefb187d7737b43287cfeeba897f21499c5e",
+                   "ab3f3257e0eb0bb7672c72a207b84297346299593547081b69f570b8b8c235b8"),
+}
+
+
+def test_learn_outputs_are_unchanged(workdir, capsys):
+    got = {}
+    for p, n in ((15, 1000), (20, 500)):
+        truth, theta = random_bpec(p, 0.5, 2, seed=[24, p])
+        data, trace = workdir / f"d{p}.csv", workdir / "t.csv"
+        sample(truth, theta, n, [24, p, 1]).to_csv(data)
+        for flags in ([], ["--baseline"]):
+            code = main(["learn", "--data", str(data), "--trace", str(trace), *flags])
+            out = capsys.readouterr().out
+            got[f"{'baseline' if flags else 'gecs'}{p}"] = (
+                code, hashlib.sha256(out.encode()).hexdigest(),
+                hashlib.sha256(trace.read_bytes()).hexdigest())
+    assert got == LEARN_DIGESTS

@@ -276,6 +276,23 @@ class TestGramKernel:
         assert exc.value.family == (3,)
 
 
+    def test_all_zero_response_names_its_column(self):
+        # nothing is left to explain, so the message blames the data, not
+        # a fit; a response its parents fit exactly keeps the fit's message
+        x = np.random.default_rng(14).standard_normal((60, 5))
+        x[:, 2] = x[:, 3] = 0.0
+        S = x.T @ x
+        families = [((2,), []), ((2,), [((0, 2),), ((1, 2),)]),
+                    ((2, 3), [((0, 2), (0, 3))])]
+        _, _, errors = stacked_ls(S, families, n=60)
+        assert [str(e) for e in errors] == [
+            "zero residual variance at vertex 3; its data column is all zero "
+            "(a constant column is, once centered)",
+            "zero residual variance at vertex 3; its data column is all zero "
+            "(a constant column is, once centered)",
+            "zero residual variance at vertices 3, 4; their data columns are all zero "
+            "(a constant column is, once centered)"]
+
 def _random_family(rng, p, n_nodes, max_edges):
     """A random vertex color class of ``n_nodes`` nodes with its columns in
     canonical order; in a pooled class some node may lack edges of a shared

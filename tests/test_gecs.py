@@ -8,7 +8,7 @@ import pytest
 
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
-from cdag.errors import CdagError, RankDeficientError, SearchBudgetError
+from cdag.errors import CdagError, GraphError, RankDeficientError, SearchBudgetError
 from cdag.fit import Dataset, bic_score
 from cdag.gecs import (BASELINE_MOVE, PHASES, BaselineSearch, GecsSearch,
                        SearchState, baseline_greedy, gecs)
@@ -241,21 +241,34 @@ ALL_MOVES = {**MOVES, "baseline": BASELINE_MOVE}
 EDGE_ADDING = ("add_color", "add_edge", "reverse_edge", "baseline")
 
 
-def _listed(name, state, data):
+def _listed(name, state, data, masks=None):
     """Every candidate of one move on ``state``, in the order the search
     scans them, from a fresh search over ``data`` (so no block is kept, and
-    the state's graph queries are derived anew)."""
+    the state's masks are derived anew, or are ``masks`` if given)."""
     search = (BaselineSearch if name == "baseline" else GecsSearch)(data)
     search.state = SearchState(state.families, state.score, state.family_cache)
+    if masks is not None:
+        search.state.__dict__["masks"] = masks
     return [candidate for candidate, _ in
             search._scored("" if name == "baseline" else name, ALL_MOVES[name])]
 
 
-def _unfiltered(monkeypatch, name, state, data):
-    """The same enumeration with every reachability test passing."""
-    with monkeypatch.context() as m:
-        m.setattr(Dag, "descendants", lambda g, v: frozenset())
-        return _listed(name, state, data)
+def _unfiltered(name, state, data):
+    """The same enumeration with every reachability test passing: the
+    state's descendant masks cleared, and the new parents and reversible
+    children that the masks give without descendants."""
+    masks = gecs_module._masks(state.families)
+    p = len(state.families)
+    every = (1 << p) - 1
+    cleared = masks._replace(
+        descendants=[0] * p,
+        new_parents=[every & ~(1 << k | masks.parents[k]) for k in range(p)],
+        reversible=list(masks.children))
+    return _listed(name, state, data, cleared)
+
+
+def _members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def _random_states(colored):
@@ -275,15 +288,15 @@ class TestAcyclicityFilter:
     unfiltered enumeration, in the same order."""
 
     @pytest.mark.parametrize("name", EDGE_ADDING)
-    def test_generators_yield_exactly_the_acyclic_candidates(self, monkeypatch, name):
+    def test_generators_yield_exactly_the_acyclic_candidates(self, name):
         def acyclic(state, candidate):
             return gecs_module._acyclic(
-                state.graph.p, gecs_module._updated(state.families, candidate))
+                len(state.families), gecs_module._updated(state.families, candidate))
         cyclic = 0
         # the baseline climbs over uncolored graphs only
         for state, data in _random_states(colored=name != "baseline"):
             got = _listed(name, state, data)
-            every = _unfiltered(monkeypatch, name, state, data)
+            every = _unfiltered(name, state, data)
             assert all(acyclic(state, c) for c in got)
             assert got == [c for c in every if acyclic(state, c)]
             cyclic += len(every) - len(got)
@@ -308,12 +321,45 @@ class TestCandidateForm:
     @pytest.mark.parametrize("colored", [True, False], ids=["colored", "uncolored"])
     def test_new_parents_are_the_acyclic_additions(self, colored):
         for state, _ in _random_states(colored):
-            g, fams = state.graph, state.families
+            g, fams = oracles.state_graph(state), state.families
             for k in range(g.p):
                 expected = [v for v in range(g.p) if v not in g.parents(k)
                             and gecs_module._acyclic(g.p, gecs_module._updated(
                                 fams, ((k, fams[k] + ((v,),)),)))]
-                assert sorted(state.new_parents[k]) == expected
+                assert _members(state.masks.new_parents[k]) == expected
+
+
+class TestMasks:
+    """The state's bitmasks hold what the oracles define, past 64 vertices
+    too (so no fixed-width integer can hold them)."""
+
+    @pytest.mark.parametrize("colored", [True, False], ids=["colored", "uncolored"])
+    def test_masks_match_the_oracles(self, colored):
+        high = 0
+        for p in (5, 9, 17, 33, 64, 65, 70):
+            for seed in range(3):
+                cd, _ = random_bpec(p, (0.2, 0.5, 0.8)[seed], 2, seed=[p, seed, 24])
+                cd = cd if colored else uncolored(cd.graph)
+                state = SearchState(_families_from(cd), 0.0, (0.0,) * p)
+                g = oracles.state_graph(state)
+                desc = oracles._descendant_table(g)
+                new_parents = oracles._new_parents(g, desc)
+                masks = state.masks
+                for k in range(p):
+                    assert _members(masks.parents[k]) == sorted(g.parents(k))
+                    assert _members(masks.children[k]) == sorted(g.children(k))
+                    assert _members(masks.descendants[k]) == sorted(desc[k])
+                    assert _members(masks.new_parents[k]) == sorted(new_parents[k])
+                    assert _members(masks.reversible[k]) == [
+                        j for j in sorted(g.children(k))
+                        if oracles._reversal_acyclic(g, desc, k, j)]
+                high += any(m >> 64 for m in masks.descendants + masks.reversible)
+        assert high > 0
+
+    def test_a_cycle_is_refused(self):
+        state = SearchState((((2,),), ((0,),), ((1,),)), 0.0, (0.0,) * 3)
+        with pytest.raises(GraphError, match="directed cycle"):
+            state.masks
 
 
 class _OracleChecked:
@@ -392,6 +438,46 @@ class TestIncrementalEngine:
                     step = nearby[int(rng.integers(len(nearby)))]
                     state = search.scorer.state_from(gecs_module._updated(state.families, step))
             assert kept > 0
+
+    def test_filtered_blocks_equal_a_fresh_listing(self):
+        # adding an edge u -> w takes w and its descendants from the new
+        # parents of u and of each ancestor of u, whose parent groups stay
+        # as they were, so their add_color and add_edge blocks are filtered
+        # from the kept ones; each move must still scan what a fresh search
+        # on the new state lists, with the same delta bits in the same order
+        rng = np.random.default_rng(24)
+        names = ("add_color", "add_edge")
+        filtered = 0
+        for state, data in _random_states(colored=True):
+            search = GecsSearch(data)
+            state = search.scorer.state_from(state.families)
+            for _ in range(4):
+                search.state = state
+                for name in names:
+                    list(search._scored(name, MOVES[name]))
+                before = {name: list(search._blocks[name]) for name in names}
+                steps = [c for name in names for c in oracles.CANDIDATES[name](state)]
+                if not steps:
+                    break
+                step = steps[int(rng.integers(len(steps)))]
+                state = search.scorer.state_from(gecs_module._updated(state.families, step))
+                search.state = state
+                fresh = GecsSearch(data)
+                fresh.state = SearchState(state.families, state.score, state.family_cache)
+                for name in names:
+                    got, want = ([(c, [d.hex() for d in ds]) for c, ds in s._scored(name, MOVES[name])]
+                                 for s in (search, fresh))
+                    assert got == want
+                    for old, new in zip(before[name], search._blocks[name]):
+                        (groups, allowed), (new_groups, new_allowed) = old.key, new.key
+                        if groups != new_groups or new_allowed & ~allowed:
+                            continue   # the node's groups changed, or it gained new parents
+                        if new_allowed != allowed:
+                            # it only lost new parents: the kept candidates, filtered
+                            kept = set(map(id, old.candidates))
+                            assert all(id(c) in kept for c in new.candidates)
+                            filtered += 1
+        assert filtered > 0
 
     def test_searches_on_sampled_models(self):
         for seed in range(4):
