@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .coloring import ColoredDag
-from .dag import Dag
+from .dag import Dag, require_integer
 from .errors import CdagError
 from .fit import Dataset
 from .gecs import BaselineSearch, GecsSearch
@@ -39,12 +39,10 @@ def random_bpec(p: int, rho: float, nc: int,
     split into min(nc, floor(|pa|/2)) classes; class coefficients are drawn
     from (-1, -0.25] u [0.25, 1) and error variances from [0.5, 2].
     """
-    if p < 2:
-        raise CdagError("random_bpec needs p >= 2")
+    p = require_integer("p", p, 2)
     if not (0.0 < rho < 1.0):
         raise CdagError("edge probability must lie strictly between 0 and 1")
-    if nc < 1:
-        raise CdagError("nc must be a positive integer")
+    nc = require_integer("nc", nc, 1)
     rng = np.random.default_rng(seed)
     parents = [[] for _ in range(p)]
     for i in range(p):
@@ -78,15 +76,19 @@ def random_bpec(p: int, rho: float, nc: int,
 def sample(cd: ColoredDag, theta: ModelParams, n: int, seed) -> Dataset:
     """n independent draws by forward simulation along the topological order;
     a CdagError naming the first vertex, in that order, whose draws overflow."""
-    if n < 1:
-        raise CdagError("sample size must be at least 1")
+    n = require_integer("sample size", n, 1)
     rng = np.random.default_rng(seed)
     w, lam = expand_params(cd, theta)
     x = np.zeros((n, cd.p))
+    # each node's terms are summed in the order of the set of its parents
+    # built from the edge set, so the draws of a seed keep every bit
+    parents = [set() for _ in range(cd.p)]
+    for i, j in cd.graph.edges:
+        parents[j].add(i)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in cd.graph.topo:
             x[:, j] = rng.normal(0.0, np.sqrt(w[j]), size=n)
-            for i in cd.graph.parents(j):
+            for i in frozenset(parents[j]):
                 x[:, j] += lam[i, j] * x[:, i]
     # a non-finite draw spreads only to descendants, so the first is its source
     finite = np.isfinite(x).all(axis=0)

@@ -1,18 +1,19 @@
 """Directed acyclic graphs and the purely graph-theoretic queries.
 
 Vertices are dense 0-based integers ``0..p-1``; files, CLI output and error
-messages render them 1-based.  A :class:`Dag` is immutable after
-construction, caches its topological order and parent/child sets, and all
-queries are pure.  The reachability queries (descendants, d-connection) run
-on bitmasks, bit v standing for vertex v, built on first use; d-connection
-also answers a stack of queries, given as numpy arrays of bitmasks, in one
-pass.
+messages render them 1-based.  One function, :func:`closure`, derives what
+every query reads from each vertex's parents: the Kahn order and, as
+bitmasks (bit v standing for vertex v), the parents, children and
+descendants of every vertex.  A :class:`Dag` builds it on construction and
+the greedy search (`cdag.gecs`) on each of its states, so the graph is
+derived once, one way.  A Dag is immutable and all queries are pure;
+d-connection also answers a stack of queries, given as numpy arrays of
+bitmasks, in one pass.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,14 +21,23 @@ from .errors import CdagError, GraphError
 
 Edge = Tuple[int, int]
 
+STACK_BITS = 63   # vertices of a stacked query: one bit each of an int64
 
-def vertex(v, p: int) -> int:
-    """``v`` as a vertex of a graph on p vertices: an integer, not a bool, in
-    0..p-1; otherwise a GraphError that names it, 1-based."""
+
+def _index(v) -> int:
+    """``v`` as an int if it is an integer, Python's or numpy's and not a
+    bool; otherwise a GraphError that names it."""
     if type(v) is not int:
         if isinstance(v, (bool, np.bool_)) or not isinstance(v, np.integer):
             raise GraphError(f"vertex index {v!r} is not an integer")
         v = int(v)
+    return v
+
+
+def vertex(v, p: int) -> int:
+    """``v`` as a vertex of a graph on p vertices: an integer, not a bool, in
+    0..p-1; otherwise a GraphError that names it, 1-based."""
+    v = _index(v)
     if not 0 <= v < p:
         raise GraphError(f"vertex {v + 1} out of range for p={p}")
     return v
@@ -48,14 +58,65 @@ def bitmask(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in vertices)
 
 
-def members(bits: int) -> FrozenSet[int]:
-    """The vertex set of a bitmask."""
+def members(bits: int) -> List[int]:
+    """The vertices of a bitmask, in increasing order."""
     out = []
     while bits:
         low = bits & -bits
         out.append(low.bit_length() - 1)
         bits ^= low
-    return frozenset(out)
+    return out
+
+
+class Closure(NamedTuple):
+    """A DAG's structure: its Kahn order and, per vertex, Python-int
+    bitmasks (bit v stands for vertex v, so any p fits)."""
+
+    order: List[int]
+    parents: List[int]
+    children: List[int]
+    descendants: List[int]   # without the vertex itself
+    reversible: List[int]    # the children that no other child reaches
+
+
+def closure(parents: Sequence[Iterable[int]]) -> Closure:
+    """The closure of the graph in which ``parents[j]`` lists the parents of
+    vertex j, each once; a GraphError if the graph has a directed cycle.
+
+    One pass over the parents gives every vertex's parents and children.
+    Kahn's order (Kahn 1962) starts from the sources in increasing order
+    and places each vertex's children, in increasing order, first in first
+    out.  In reverse Kahn order, a vertex's descendants are its children
+    with theirs, and its reversible children are those outside the
+    descendants of its children: reversing i -> j closes a cycle exactly
+    when another child of i reaches j."""
+    p = len(parents)
+    pa, ch = [0] * p, [0] * p
+    kids: List[List[int]] = [[] for _ in range(p)]
+    for j, vs in enumerate(parents):
+        bit, mask = 1 << j, 0
+        for i in vs:
+            mask |= 1 << i
+            ch[i] |= bit
+            kids[i].append(j)
+        pa[j] = mask
+    unplaced = [bits.bit_count() for bits in pa]   # parents not yet in Kahn order
+    order = [v for v in range(p) if not unplaced[v]]
+    for v in order:   # the list grows as vertices get their last parent placed
+        for c in kids[v]:
+            unplaced[c] -= 1
+            if not unplaced[c]:
+                order.append(c)
+    if len(order) < p:
+        raise GraphError("graph contains a directed cycle")
+    desc, reversible = [0] * p, [0] * p
+    for v in reversed(order):
+        below = 0
+        for c in kids[v]:
+            below |= desc[c]
+        desc[v] = ch[v] | below
+        reversible[v] = ch[v] & ~below
+    return Closure(order, pa, ch, desc, reversible)
 
 
 def ordered_sets(masks: np.ndarray, p: int, by_size: bool = False,
@@ -83,17 +144,14 @@ def _span(bits) -> int:
     return bits
 
 
-def _stack_dtype(*sets):
-    """The one dtype of a stacked query's bitmask arrays: uint64 for uint64
-    stacks, int64 for other integer stacks (mixing uint64 and signed ones
-    is refused); None when none of ``sets`` is an array."""
+def _stacked(*sets) -> bool:
+    """Whether any of ``sets`` is an array of bitmasks, that is, a stacked
+    query; a TypeError unless the arrays cast safely to int64."""
     stacked = [x for x in sets if isinstance(x, np.ndarray)]
-    if not stacked:
-        return None
-    dtype = np.result_type(*stacked)
-    if dtype.kind not in "iu":
-        raise TypeError(f"stacked bitmasks must be integers, got {dtype}")
-    return dtype if dtype == np.uint64 else np.dtype(np.int64)
+    if stacked and not np.can_cast(np.result_type(*stacked), np.int64):
+        raise TypeError("stacked bitmasks must be integers that cast safely to int64, "
+                        f"got {np.result_type(*stacked)}")
+    return bool(stacked)
 
 
 def _union_by_bits(masks, bits: int) -> int:
@@ -120,46 +178,32 @@ def _union_by_bytes(tables: np.ndarray, bits: np.ndarray) -> np.ndarray:
 class Dag:
     """DAG on vertex set ``{0, ..., p-1}`` with edges ``(i, j)`` meaning i -> j."""
 
-    __slots__ = ("p", "edges", "topo", "_parents", "_children", "_bits", "_tables")
+    __slots__ = ("p", "edges", "topo", "_parents", "_children", "_descendants",
+                 "_ancestors", "_tables")
 
     def __init__(self, p: int, edges: Iterable[Edge] = ()):
-        if p < 0:
-            raise GraphError(f"vertex count must be nonnegative, got {p}")
-        edge_list = [(int(i), int(j)) for i, j in edges]
+        p = require_integer("vertex count", p, 0)
+        edge_list = [(_index(i), _index(j)) for i, j in edges]
         for i, j in edge_list:
             if not (0 <= i < p and 0 <= j < p):
                 raise GraphError(f"edge ({i + 1}, {j + 1}) out of range for p={p}")
             if i == j:
                 raise GraphError(f"self-loop at vertex {i + 1}")
         edge_set = frozenset(edge_list)
-        parents = [set() for _ in range(p)]
-        children = [set() for _ in range(p)]
+        parents: List[List[int]] = [[] for _ in range(p)]
         for i, j in edge_set:
-            parents[j].add(i)
-            children[i].add(j)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "edges", edge_set)
-        object.__setattr__(self, "_parents", tuple(frozenset(s) for s in parents))
-        object.__setattr__(self, "_children", tuple(frozenset(s) for s in children))
-        object.__setattr__(self, "topo", self._toposort())
+            parents[j].append(i)
+        order, pa, ch, desc, _ = closure(parents)
+        anc = [0] * p   # per vertex, itself with its ancestors
+        for v in order:
+            anc[v] = 1 << v | _union_by_bits(anc, pa[v])
+        for name, value in (("p", p), ("edges", edge_set), ("topo", tuple(order)),
+                            ("_parents", pa), ("_children", ch),
+                            ("_descendants", desc), ("_ancestors", anc)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dag is immutable")
-
-    def _toposort(self) -> Tuple[int, ...]:
-        indeg = [len(self._parents[v]) for v in range(self.p)]
-        queue = deque(v for v in range(self.p) if indeg[v] == 0)
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in sorted(self._children[v]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != self.p:
-            raise GraphError("graph contains a directed cycle")
-        return tuple(order)
 
     # -- basic queries -------------------------------------------------
 
@@ -167,40 +211,14 @@ class Dag:
         return vertex(i, self.p)
 
     def parents(self, i: int) -> FrozenSet[int]:
-        self._check_vertex(i)
-        return self._parents[i]
+        return frozenset(members(self._parents[self._check_vertex(i)]))
 
     def children(self, i: int) -> FrozenSet[int]:
-        self._check_vertex(i)
-        return self._children[i]
-
-    def _masks(self):
-        """Per vertex, as bitmasks: its parents, its children, itself with its
-        ancestors, and itself with its descendants.  Built on the first
-        reachability query, so graphs that are only built pay nothing."""
-        try:
-            return self._bits
-        except AttributeError:
-            pass
-        pa = [bitmask(s) for s in self._parents]
-        ch = [bitmask(s) for s in self._children]
-        anc, desc = [0] * self.p, [0] * self.p
-        for v in self.topo:
-            for u in self._parents[v]:
-                anc[v] |= anc[u]
-            anc[v] |= 1 << v
-        for v in reversed(self.topo):
-            for u in self._children[v]:
-                desc[v] |= desc[u]
-            desc[v] |= 1 << v
-        bits = (pa, ch, anc, desc)
-        object.__setattr__(self, "_bits", bits)
-        return bits
+        return frozenset(members(self._children[self._check_vertex(i)]))
 
     def descendants(self, i: int) -> FrozenSet[int]:
         """All j with a directed path i -> ... -> j (excluding i)."""
-        self._check_vertex(i)
-        return members(self._masks()[3][i] & ~(1 << i))
+        return frozenset(members(self._descendants[self._check_vertex(i)]))
 
     # -- d-separation ---------------------------------------------------
 
@@ -213,13 +231,12 @@ class Dag:
             return self._tables
         except AttributeError:
             pass
-        if self.p > 64:
-            raise GraphError(f"stacked d-connection needs p <= 64, got p={self.p}")
-        pa, ch, anc, _ = self._masks()
-        masks = np.zeros((3, max(1, -(-self.p // 8)), 8, 1), dtype=np.uint64)
-        masks.reshape(3, -1)[:, :self.p] = pa, ch, anc
+        if self.p > STACK_BITS:
+            raise GraphError(f"stacked d-connection needs p <= {STACK_BITS}, got p={self.p}")
+        masks = np.zeros((3, max(1, -(-self.p // 8)), 8, 1), dtype=np.int64)
+        masks.reshape(3, -1)[:, :self.p] = self._parents, self._children, self._ancestors
         # the byte values 2^t to 2^(t+1) - 1: those below 2^t, with bit t added
-        tables = np.zeros((3, masks.shape[1], 256), dtype=np.uint64)
+        tables = np.zeros((3, masks.shape[1], 256), dtype=np.int64)
         for t in range(8):
             np.bitwise_or(tables[..., :1 << t], masks[:, :, t], out=tables[..., 1 << t:2 << t])
         object.__setattr__(self, "_tables", tables)
@@ -237,23 +254,22 @@ class Dag:
         ``given``, and back up to the parents of a vertex in the ancestor
         closure of ``given`` (an opened collider).
 
-        ``left`` and ``given`` may also be int64 or uint64 arrays of
-        bitmasks (narrower integers widen to int64), which broadcast: one
-        pass then answers every row, and returns one bitmask per row.  The
-        rules are the same expressions on ints and on arrays; only the union of the parents (children,
-        ancestors) of a set differs, a loop over its bits for an int and a
-        gather from per-byte tables for an array.  An array holds one bit
-        per vertex, so a stacked query needs p <= 63 with int64 masks and
-        p <= 64 with uint64; the checks that stack queries are guarded far
-        below that.  Python ints serve any p.
+        ``left`` and ``given`` may also be arrays of bitmasks that cast
+        safely to int64 (other arrays are a TypeError), which broadcast: one
+        pass then answers every row, and returns one int64 bitmask per row.
+        The rules are the same expressions on ints and on arrays; only the
+        union of the parents (children, ancestors) of a set differs, a loop
+        over its bits for an int and a gather from per-byte tables for an
+        array.  An int64 holds one bit per vertex, so a stacked query needs
+        p <= ``STACK_BITS`` (63); the checks that stack queries are guarded
+        far below that.  Python ints serve any p.
         """
-        dtype = _stack_dtype(left, given)
-        if dtype is not None:
-            left, given = np.asarray(left, dtype), np.asarray(given, dtype)
-            pa, ch, anc = self._byte_tables().view(dtype)
+        if _stacked(left, given):
+            left, given = np.asarray(left, np.int64), np.asarray(given, np.int64)
+            pa, ch, anc = self._byte_tables()
             union, live = _union_by_bytes, lambda bits: bits.any()
         else:
-            pa, ch, anc, _ = self._masks()
+            pa, ch, anc = self._parents, self._children, self._ancestors
             union, live = _union_by_bits, bool
         free, opens = ~given, union(anc, given)
         up, down = left, left & 0
@@ -271,18 +287,19 @@ class Dag:
         ``given``: each path must contain a non-collider in ``given`` or a
         collider outside ``given`` with no descendant in ``given``.
 
-        Any of the three may also be an int64 or uint64 array of bitmasks;
-        they broadcast to a stack of queries, answered by one stacked pass
-        with a bool per row (see :meth:`d_connected` for the bound on p).
+        Any of the three may also be an array of bitmasks, as
+        :meth:`d_connected` takes them; they broadcast to a stack of
+        queries, answered by one stacked pass with a bool per row (see
+        :meth:`d_connected` for the bound on p).
         The sets must be disjoint within each row.
 
         A query on :meth:`d_connected`, after checking the vertex sets; the
         naive path enumerator used to validate it lives in the test tree.
         """
+        stacked = _stacked(left, right, given)
         left, right, given = (self._bits_of(s) for s in (left, right, given))
-        dtype = _stack_dtype(left, right, given)
-        if dtype is not None:
-            left, right, given = (np.asarray(s, dtype) for s in (left, right, given))
+        if stacked:
+            left, right, given = (np.asarray(s, np.int64) for s in (left, right, given))
         if _span(left & right | (left | right) & given):
             raise GraphError("d-separation requires pairwise disjoint vertex sets")
         return (self.d_connected(left, given) & right) == 0

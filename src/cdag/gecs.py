@@ -14,11 +14,12 @@ the one or two nodes it changes, in canonical form (each group sorted, then
 the groups), and its score is the state's plus one delta per changed node:
 the memoized score of the node's new family minus its current one.
 
-What the moves read of a state's graph (parents, children, descendants, the
-vertices that may become a new parent of a node and the children whose
-edge may be reversed) is derived as Python-int bitmasks in one pass over
-its parent groups, so no `Dag` is built while searching: only the result,
-`SearchState.current`, builds one.
+What the moves read of a state's graph (parents, children, descendants and
+the children whose edge may be reversed) is the graph's `dag.closure`, the
+same derivation a `Dag` makes, read from the state's parent groups; the
+search adds only the vertices that may become a new parent of a node.  No
+`Dag` is built while searching: only the result, `SearchState.current`,
+builds one.
 
 A move lists its candidates in blocks, one per node, and the search keeps
 only the latest block of each (move, node) pair with each candidate's
@@ -50,7 +51,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
 from .coloring import ColoredDag
-from .dag import Dag, require_integer
+from .dag import Dag, closure, members, require_integer
 from .errors import CdagError, GraphError, SearchBudgetError
 from .fit import Dataset, family_bic, family_loglik, stacked_ls
 
@@ -70,58 +71,21 @@ class _Masks(NamedTuple):
     parents: List[int]
     children: List[int]
     descendants: List[int]
-    new_parents: List[int]   # may become a new parent without closing a cycle
-    reversible: List[int]    # children whose edge may be reversed likewise
+    reversible: List[int]    # children whose edge may be reversed without a cycle
+    new_parents: List[int]   # may become a new parent likewise
 
 
 def _masks(families: Families) -> _Masks:
-    """One pass over the parent groups gives every vertex's parents and
-    children; then, in reverse Kahn order, its descendants are its children
-    with theirs.  A vertex may become a new parent of k unless it is k, a
-    parent of k or a descendant of k (the descendants cover the children).
-    Reversing i -> j closes a cycle exactly when another child of i reaches
-    j, so the reversible children of i are those that no child of i reaches
-    (j itself needs no exclusion, as a vertex is not its own descendant)."""
-    p = len(families)
-    parents, children = [0] * p, [0] * p
-    kids: List[List[int]] = [[] for _ in range(p)]
-    unplaced = [0] * p   # per vertex, its parents not yet in Kahn order
-    for j, groups in enumerate(families):
-        bit = 1 << j
-        for grp in groups:
-            for i in grp:
-                parents[j] |= 1 << i
-                children[i] |= bit
-                kids[i].append(j)
-            unplaced[j] += len(grp)
-    order = [v for v in range(p) if not unplaced[v]]
-    for v in order:   # the list grows as vertices get their last parent placed
-        for c in kids[v]:
-            unplaced[c] -= 1
-            if not unplaced[c]:
-                order.append(c)
-    if len(order) < p:
-        raise GraphError("graph contains a directed cycle")
-    descendants, reversible = [0] * p, [0] * p
-    for v in reversed(order):
-        below = 0
-        for c in kids[v]:
-            below |= descendants[c]
-        descendants[v] = children[v] | below
-        reversible[v] = children[v] & ~below
-    every = (1 << p) - 1
-    new_parents = [every & ~(1 << k | parents[k] | descendants[k]) for k in range(p)]
-    return _Masks(parents, children, descendants, new_parents, reversible)
-
-
-def _members(mask: int) -> List[int]:
-    """The vertices of a bitmask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The closure of the state's graph, read from its parent groups, and
+    its new parents: a vertex may become a new parent of k unless it is k,
+    a parent of k or a descendant of k (the descendants cover the
+    children)."""
+    _, parents, children, descendants, reversible = closure(
+        [chain.from_iterable(groups) for groups in families])
+    every = (1 << len(families)) - 1
+    new_parents = [every & ~(1 << k | pa | desc)
+                   for k, (pa, desc) in enumerate(zip(parents, descendants))]
+    return _Masks(parents, children, descendants, reversible, new_parents)
 
 
 @dataclass(frozen=True)
@@ -323,7 +287,7 @@ def _groups_and_new_parents(state: SearchState, k: int):
 
 def _add_color(state: SearchState, i: int):
     groups = state.families[i]
-    pairs = list(combinations(_members(state.masks.new_parents[i]), 2))
+    pairs = list(combinations(members(state.masks.new_parents[i]), 2))
     return ([((i, _edit(groups, add=(pair,))),) for pair in pairs],
             [1 << a | 1 << b for a, b in pairs])
 
@@ -340,7 +304,7 @@ def _split_color(state: SearchState, i: int):
 
 def _add_edge(state: SearchState, j: int):
     groups = state.families[j]
-    new = _members(state.masks.new_parents[j])
+    new = members(state.masks.new_parents[j])
     return ([((j, _edit(groups, (gi,), (grp + (i,),))),)
              for i in new for gi, grp in enumerate(groups)],
             [1 << i for i in new for _ in groups])
@@ -362,7 +326,7 @@ def _move_edge(state: SearchState, i: int):
 def _reverse_edge_key(state: SearchState, i: int):
     fams, masks = state.families, state.masks
     return fams[i], masks.reversible[i], tuple(
-        (j, fams[j]) for j in _members(masks.children[i]))
+        (j, fams[j]) for j in members(masks.children[i]))
 
 
 def _reverse_edge(state: SearchState, i: int):
@@ -370,7 +334,7 @@ def _reverse_edge(state: SearchState, i: int):
     # after the removal preserves a properly colored state, so only classes
     # of size >= 3 donate.
     fams, masks = state.families, state.masks
-    for j in _members(masks.children[i]):
+    for j in members(masks.children[i]):
         donor_groups = fams[j]
         gi = next(t for t, grp in enumerate(donor_groups) if i in grp)
         if len(donor_groups[gi]) < 3 or not masks.reversible[i] >> j & 1:

@@ -35,12 +35,11 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dag import Dag, Edge, bitmask, members, ordered_sets, vertex
+from .dag import STACK_BITS, Dag, Edge, bitmask, members, ordered_sets, vertex
 from .errors import GraphError, SizeGuardError
 
 ENUM_GUARD_P = 12
 SAMPLE_TRIES = 200
-STACK_BITS = 63     # vertices and sinks of an augmented graph: one bit each of an int64
 
 
 class _Rule(NamedTuple):
@@ -98,16 +97,15 @@ def _rule(g: Dag, target, edge: Optional[bool] = None) -> _Rule:
     """The rule of a vertex, an edge or a non-edge; ``edge`` says which of
     the last two a pair must be, if it matters."""
     target = _target(g, target)
-    pa, _, _, desc = g._masks()
     if isinstance(target, int):
-        return _Rule(f"vertex {target + 1}", target, pa[target], desc[target] & ~(1 << target))
+        return _Rule(f"vertex {target + 1}", target, g._parents[target], g._descendants[target])
     i, j = target
     present = (i, j) in g.edges
     if edge is not None and present != edge:
         raise GraphError(f"({i + 1}, {j + 1}) is an edge; use is_edge_identifying" if present
                          else f"({i + 1}, {j + 1}) is not an edge; use is_zero_identifying")
     if present:
-        return _Rule(f"edge ({i + 1}, {j + 1})", j, 1 << i, desc[j] & ~(1 << j), i, True)
+        return _Rule(f"edge ({i + 1}, {j + 1})", j, 1 << i, g._descendants[j], i, True)
     return _Rule(f"pair ({i + 1}, {j + 1})", j, 0, 0, i)
 
 
@@ -198,7 +196,7 @@ def sample_identifying_sets(g: Dag, target: Union[int, Edge], witness,
     rule = _rule(g, target)
     test = _test(g, rule)
     always = g._bits_of(witness)
-    given = tuple(sorted(members(always)))
+    given = tuple(members(always))
     if always >> rule.head & 1 or not test(always):
         shown = ",".join(str(v + 1) for v in given)
         raise GraphError(f"witness {{{shown}}} does not identify {rule.name}")
@@ -210,5 +208,5 @@ def sample_identifying_sets(g: Dag, target: Union[int, Edge], witness,
         mask = rng.random(len(universe)) < 0.5
         cand = bitmask(v for v, m in zip(universe, mask) if m) | always
         if test(cand):
-            found.add(tuple(sorted(members(cand))))
+            found.add(tuple(members(cand)))
     return sorted(found)

@@ -8,6 +8,7 @@ they check; `family_ls` alone is a shorthand over the fitting kernel, for
 tests that fit one family at a time.
 """
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +39,31 @@ def transitive_closure(g: Dag):
                 reach[i] |= extra
                 changed = True
     return reach
+
+
+def kahn_order(p, edges):
+    """Reference topological order of the graph on p vertices with
+    ``edges``: Kahn's algorithm over vertex sets with a first-in first-out
+    queue, the sources in increasing order and each vertex's children in
+    increasing order; a GraphError if the graph has a directed cycle."""
+    parents = [set() for _ in range(p)]
+    children = [set() for _ in range(p)]
+    for i, j in edges:
+        parents[j].add(i)
+        children[i].add(j)
+    indeg = [len(parents[v]) for v in range(p)]
+    queue = deque(v for v in range(p) if indeg[v] == 0)
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in sorted(children[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    if len(order) != p:
+        raise GraphError("graph contains a directed cycle")
+    return tuple(order)
 
 
 def _simple_paths(g: Dag, start, targets):

@@ -1,5 +1,7 @@
 """Random model generation, sampling, metrics, and the sweep runner."""
 
+import hashlib
+import re
 import warnings
 from itertools import combinations
 
@@ -52,6 +54,17 @@ class TestRandomBpec:
         with pytest.raises(CdagError):
             random_bpec(4, 1.5, 2, seed=0)
 
+    @pytest.mark.parametrize("p, nc, message", [
+        (5.0, 2, "p must be an integer, got 5.0"),
+        (True, 2, "p must be an integer, got True"),
+        (5, 1.5, "nc must be an integer, got 1.5"),
+        (5, True, "nc must be an integer, got True"),
+        (5, 0, "nc must be at least 1, got 0"),
+    ])
+    def test_sizes_must_be_integers(self, p, nc, message):
+        with pytest.raises(CdagError, match=re.escape(message)):
+            random_bpec(p, 0.5, nc, seed=0)
+
 
 class TestSample:
     def test_sample_covariance_converges(self):
@@ -87,6 +100,28 @@ class TestSample:
             swapped = ColoredDag(Dag(3, [(2, 1), (1, 0)]))
             with pytest.raises(CdagError, match="samples of vertex 1 overflow"):
                 sample(swapped, ModelParams((1.0,) * 3, (1e200, 1e200)), 10, seed=0)
+
+    def test_draws_keep_their_bits(self):
+        # p = 15 models whose nodes have parents that share a hash slot, so
+        # the digest pins the order in which each node's terms are summed;
+        # recorded before Dag derived its parent sets from bitmasks
+        h = hashlib.sha256()
+        for k in range(8):
+            cd, theta = random_bpec(15, 0.5, 2, [41, k])
+            h.update(sample(cd, theta, 50, [41, k, 1]).X.tobytes())
+        assert h.hexdigest() == \
+            "4563366cfa51828907cc0b0f8c8e0db3e69ff6e791842d864f5f56f64a6c4cff"
+
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "sample size must be an integer, got 2.5"),
+        (True, "sample size must be an integer, got True"),
+        (0, "sample size must be at least 1, got 0"),
+    ])
+    def test_sample_size_must_be_an_integer(self, n, message):
+        cd, theta = random_bpec(4, 0.5, 2, seed=0)
+        with pytest.raises(CdagError, match=re.escape(message)):
+            sample(cd, theta, n, seed=1)
+        assert sample(cd, theta, np.int64(3), seed=1).n == 3
 
     def test_single_row_refused_by_fit(self):
         cd, theta = random_bpec(4, 0.9, 2, seed=6)
