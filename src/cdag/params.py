@@ -85,12 +85,9 @@ class Covariances:
     a stack of model points.
 
     Under the topological order M = I - L is unit upper triangular, and
-    sigma = M^-T diag(w) M^-1 takes two LAPACK triangular solves per point,
-    the calls ``scipy.linalg.solve_triangular(M.T, ..., lower=True,
-    unit_diagonal=True)`` makes.  The stack is then permuted back to vertex
-    order and symmetrized at once.  SciPy's LAPACK wrappers are imported on
-    the first evaluation, not with the package: they take a large share of
-    start-up time and memory, and only covariance evaluations need them.
+    sigma = M^-T diag(w) M^-1 takes two batched solves against M^T.  While
+    every |coefficient| < 1 their LU exchanges no rows, so each is a forward
+    substitution.  The stack is then permuted back and symmetrized at once.
     """
 
     def __init__(self, cd: ColoredDag):
@@ -112,21 +109,18 @@ class Covariances:
     def __call__(self, omega: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """The covariance at each point: error variances (t, classes) and
         coefficients (t, classes) give shape (t, p, p)."""
-        from scipy.linalg.lapack import dtrtrs
-
         t, p = len(omega), self.p
         diag = np.arange(p)
-        m = np.zeros((t, p, p))
-        m[:, diag, diag] = 1.0
-        # 0.0 - x, not -x: the entries of I - L, signed zeros included
-        m[:, self._rows, self._cols] = 0.0 - lam[:, self._edge]
+        mt = np.zeros((t, p, p))
+        mt[:, diag, diag] = 1.0
+        # 0.0 - x, not -x: the entries of (I - L)^T, signed zeros included
+        mt[:, self._cols, self._rows] = 0.0 - lam[:, self._edge]
         w = np.zeros((t, p, p))
         w[:, diag, diag] = omega[:, self._vertex]
-        out = np.empty((t, p, p))
-        for k in range(t if p else 0):   # LAPACK refuses a 0 x 0 system
-            y, _ = dtrtrs(m[k].T, w[k], lower=1, unitdiag=1)
-            out[k], _ = dtrtrs(m[k].T, y.T, lower=1, unitdiag=1)
-        del m, w
+        # rebinding w frees its input: three p x p stacks at most, as _Evaluator assumes
+        w = np.linalg.solve(mt, w)
+        out = np.linalg.solve(mt, w.swapaxes(1, 2))
+        del mt, w
         # sigma, up to a transpose that the symmetrization undoes exactly,
         # since a + b == b + a in floating point
         sigma = np.take(out.reshape(t, p * p), self._back, axis=1).reshape(out.shape)
@@ -146,7 +140,10 @@ def parametrize(cd: ColoredDag, theta: ModelParams) -> np.ndarray:
     it overflows."""
     check_params(cd, theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = Covariances(cd)(np.array([theta.omega]), np.array([theta.lam]))[0]
+        try:
+            sigma = Covariances(cd)(np.array([theta.omega]), np.array([theta.lam]))[0]
+        except np.linalg.LinAlgError:   # past the float range a pivot can underflow to 0
+            sigma = np.inf
     if not np.isfinite(sigma).all():
         raise CdagError("the covariance matrix overflows: the coefficients are too large")
     return sigma
@@ -189,19 +186,28 @@ def almost_principal_minor(sigma: np.ndarray, i: int, j: int, given=()) -> float
     return minor(sigma, [i] + k, [j] + k)
 
 
+def _identifying_set(sigma: np.ndarray, graph: Optional[Dag], v: int, given, contains_v: str):
+    """``given``, by default pa(v), as sorted indices, and its principal minor;
+    a ColoringError with message ``contains_v`` if it contains v."""
+    if given is None:
+        if graph is None:
+            raise CdagError("a graph or an identifying set is needed")
+        given = graph.parents(v)
+    a = sorted(set(_vertices(sigma, given)))
+    if v in a:
+        raise ColoringError(contains_v)
+    den = minor(sigma, a, a)
+    if den == 0.0:
+        raise NotPositiveDefiniteError(f"singular principal minor at {[u + 1 for u in a]}")
+    return a, den
+
+
 def recover_omega(sigma: np.ndarray, graph: Optional[Dag], i: int, given=None) -> float:
     """The conditional variance |Sigma_{iA}| / |Sigma_A|; with A = pa(i)
     (the default) this returns the error variance of i on any model point."""
     (i,) = _vertices(sigma, [i])
-    if given is None:
-        given = graph.parents(i)
-    a = sorted(set(_vertices(sigma, given)))
-    if i in a:
-        raise ColoringError(f"identifying set for vertex {i + 1} may not contain it")
-    den = minor(sigma, a, a)
-    if den == 0.0:
-        raise NotPositiveDefiniteError(
-            f"singular principal minor at {[v + 1 for v in a]}")
+    a, den = _identifying_set(sigma, graph, i, given,
+                              f"identifying set for vertex {i + 1} may not contain it")
     return minor(sigma, [i] + a, [i] + a) / den
 
 
@@ -210,16 +216,8 @@ def recover_lambda(sigma: np.ndarray, graph: Optional[Dag], i: int, j: int,
     """The regression quotient |Sigma_{ij|A \\ i}| / |Sigma_A|; with A = pa(j)
     (the default) this returns the coefficient on i -> j on any model point."""
     i, j = _vertices(sigma, [i, j])
-    if given is None:
-        given = graph.parents(j)
-    a = sorted(set(_vertices(sigma, given)))
-    if j in a:
-        raise ColoringError(f"identifying set for edge ({i + 1}, {j + 1}) "
-                            f"may not contain {j + 1}")
-    den = minor(sigma, a, a)
-    if den == 0.0:
-        raise NotPositiveDefiniteError(
-            f"singular principal minor at {[v + 1 for v in a]}")
+    a, den = _identifying_set(sigma, graph, j, given, f"identifying set for edge "
+                              f"({i + 1}, {j + 1}) may not contain {j + 1}")
     return almost_principal_minor(sigma, i, j, [v for v in a if v != i]) / den
 
 

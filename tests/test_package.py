@@ -23,37 +23,50 @@ def test_every_exported_name_imports():
     assert len(set(cdag.__all__)) == len(cdag.__all__)
 
 
-def _scipy_linalg_loaded(script: str) -> list:
-    """Run ``script`` in a fresh interpreter and return, for each ``mark()``
-    call in it, whether scipy.linalg had been imported by then."""
-    probe = ("import json, sys\n"
-             "marks = []\n"
-             "def mark():\n"
-             "    marks.append('scipy.linalg' in sys.modules)\n"
-             + script + "\nprint(json.dumps(marks))\n")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, timeout=120, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def test_only_covariance_evaluations_load_scipy_linalg(tmp_path):
+def test_no_command_needs_scipy(tmp_path):
+    # numpy is the only runtime dependency: with SciPy unimportable, every
+    # command and the library's covariance calls run, and none loads it
     truth, theta = random_bpec(5, 0.5, 2, seed=1)
-    data, graph, sigma = tmp_path / "d.csv", tmp_path / "g.json", tmp_path / "s.csv"
+    other, _ = random_bpec(5, 0.5, 2, seed=2)
+    data, sigma = str(tmp_path / "d.csv"), str(tmp_path / "s.csv")
+    graph, distinct = str(tmp_path / "g.json"), str(tmp_path / "h.json")
     sample(truth, theta, 200, 2).to_csv(data)
     write_graph_json(truth, graph)
+    write_graph_json(other, distinct)
     write_matrix_csv(parametrize(truth, theta), sigma)
-    runs = [["learn", "--data", str(data)],
-            ["score", "--graph", str(graph), "--data", str(data)],
-            ["check", "--graph", str(graph), "--sigma", str(sigma), "--global"]]
-    script = "import cdag\nmark()\nfrom cdag.cli import main\n" + "".join(
-        f"assert main({argv!r}) == 0\nmark()\n" for argv in runs)
-    assert _scipy_linalg_loaded(script) == [False] * 4
-    script = ("from cdag import bench, parametrize\n"
+    runs = [["simulate", "--p", "5", "--rho", "0.5", "--nc", "2", "--n", "50",
+             "--out", str(tmp_path / "sim.csv")],
+            ["learn", "--data", data],
+            ["learn", "--data", data, "--baseline"],
+            ["score", "--graph", graph, "--data", data],
+            ["check", "--graph", graph, "--sigma", sigma, "--global"],
+            ["identify", "--graph", graph, "--vertex", "5"],
+            ["equiv", "--a", graph, "--b", graph],
+            ["equiv", "--a", graph, "--b", distinct]]
+    script = ("import contextlib, io, json, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from cdag import bench, parametrize\n"
+              "from cdag.cli import main\n"
+              "from cdag.constraints import faithfulness_scan\n"
+              "outputs = []\n"
+              f"for argv in {runs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "        assert main(argv) == 0, argv\n"
+              "    outputs.append(out.getvalue())\n"
               "cd, theta = bench.random_bpec(4, 0.5, 2, 0)\n"
-              "mark()\nparametrize(cd, theta)\nmark()\n")
-    assert _scipy_linalg_loaded(script) == [False, True]
+              "parametrize(cd, theta)\n"
+              "faithfulness_scan(cd, trials=2)\n"
+              "loaded = [m for m, mod in sys.modules.items()\n"
+              "          if m.partition('.')[0] == 'scipy' and mod is not None]\n"
+              "print(json.dumps({'loaded': loaded, 'outputs': outputs}))\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["loaded"] == []
+    assert [json.loads(o)["verdict"] for o in result["outputs"][-2:]] == ["equivalent", "distinct"]
 
 
 # Names that no package code reads but that stay, each for its reason.

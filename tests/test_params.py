@@ -10,6 +10,7 @@ import pytest
 
 from cdag.bench import random_bpec
 from cdag.coloring import ColoredDag, uncolored
+from cdag.constraints import check_local_markov
 from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, GraphError, SizeGuardError
 from cdag.files import read_matrix_csv, write_matrix_csv
@@ -119,6 +120,21 @@ class TestTrekOracle:
         with pytest.raises(SizeGuardError):
             trek_covariance(Dag(9), [1.0] * 9, np.zeros((9, 9)))
 
+    def test_matches_parametrize_past_unit_coefficients(self):
+        # with |coefficient| > 1 the LU of (I - L)^T exchanges rows, so the
+        # solves are no longer plain substitution; sigma must still be the
+        # model's, and pass the model's own local Markov check
+        rng = np.random.default_rng(26)
+        for _ in range(30):
+            cd = random_colored_dag(rng, int(rng.integers(4, 9)), rho=0.6)
+            ne = len(cd.edge_classes)
+            lam = rng.uniform(1.5, 4.0, ne) * rng.choice([-1.0, 1.0], ne)
+            theta = ModelParams(rng.uniform(0.5, 2.0, len(cd.vertex_classes)), lam)
+            sigma = parametrize(cd, theta)
+            expected = trek_covariance(cd.graph, *expand_params(cd, theta))
+            assert np.abs(sigma - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert check_local_markov(sigma, cd).ok
+
 
 class TestStackedDraw:
     MODELS = {
@@ -221,6 +237,13 @@ class TestRecovery:
     def test_explicit_set_overrides_parents(self):
         # omega_{3|{1,2}} also identifies vertex 3's variance on the chain
         assert recover_omega(P4_SIGMA, P4, 2, given=[0, 1]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("call", [lambda: recover_omega(P4_SIGMA, None, 2),
+                                      lambda: recover_lambda(P4_SIGMA, None, 1, 2)],
+                             ids=["omega", "lambda"])
+    def test_default_set_needs_a_graph(self, call):
+        with pytest.raises(CdagError, match="a graph or an identifying set is needed"):
+            call()
 
 
 S3 = np.array([[2.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.5]])
