@@ -17,8 +17,7 @@ from .errors import (CdagError, ColoringError, GraphError,
                      SearchBudgetError, SizeGuardError)
 from .fit import Dataset, bic_score, fit_families, mle
 from .gecs import GecsSearch, SearchState, baseline_greedy, gecs
-from .identify import (identifying_sets, is_edge_identifying, is_vertex_identifying,
-                       is_zero_identifying)
+from .identify import identifying_sets, is_identifying
 from .params import (ModelParams, almost_principal_minor, minor, parametrize,
                      random_params, recover_lambda, recover_omega,
                      recover_params)
@@ -33,9 +32,8 @@ __all__ = [
     "almost_principal_minor", "baseline_greedy", "bic_score",
     "check_global_markov", "check_local_markov", "color_sensitivity",
     "faithfulness_scan", "fit_families", "gecs", "identifying_sets",
-    "is_edge_identifying", "is_vertex_identifying", "is_zero_identifying",
-    "local_generators", "minor", "mle", "model_equivalent", "parametrize",
-    "random_bpec", "random_params", "read_graph_json", "recover_lambda",
-    "recover_omega", "recover_params", "run_sweep", "sample", "shd",
-    "uncolored", "write_graph_json",
+    "is_identifying", "local_generators", "minor", "mle", "model_equivalent",
+    "parametrize", "random_bpec", "random_params", "read_graph_json",
+    "recover_lambda", "recover_omega", "recover_params", "run_sweep", "sample",
+    "shd", "uncolored", "write_graph_json",
 ]

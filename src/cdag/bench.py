@@ -28,6 +28,14 @@ RESULT_COLUMNS = ("p", "rho", "nc", "n", "seed", "method", "shd",
                   "sensitivity", "runtime", "error")
 
 
+def _seed(seed):
+    """``seed`` for numpy: a nonnegative integer, or a list or tuple of them;
+    otherwise a CdagError that names it."""
+    if isinstance(seed, (list, tuple)):
+        return [require_integer("seed", s, 0) for s in seed]
+    return require_integer("seed", seed, 0)
+
+
 def random_bpec(p: int, rho: float, nc: int,
                 seed) -> Tuple[ColoredDag, ModelParams]:
     """Random BPEC-DAG and model parameters.
@@ -43,7 +51,7 @@ def random_bpec(p: int, rho: float, nc: int,
     if not (0.0 < rho < 1.0):
         raise CdagError("edge probability must lie strictly between 0 and 1")
     nc = require_integer("nc", nc, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     parents = [[] for _ in range(p)]
     for i in range(p):
         for j in range(i + 1, p):
@@ -77,7 +85,7 @@ def sample(cd: ColoredDag, theta: ModelParams, n: int, seed) -> Dataset:
     """n independent draws by forward simulation along the topological order;
     a CdagError naming the first vertex, in that order, whose draws overflow."""
     n = require_integer("sample size", n, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     w, lam = expand_params(cd, theta)
     x = np.zeros((n, cd.p))
     # each node's terms are summed in the order of the set of its parents

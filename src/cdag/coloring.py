@@ -17,7 +17,7 @@ from typing import FrozenSet, Iterable, Tuple
 
 import numpy as np
 
-from .dag import Dag, Edge
+from .dag import Dag, Edge, first_refused
 from .errors import ColoringError, GraphError
 from .files import read_json, read_matrix_csv
 
@@ -38,6 +38,16 @@ def _integer(x, where: str) -> int:
     return x
 
 
+def _sets(groups, to_set, member, shape: str):
+    """Each group as ``to_set`` makes it a frozenset; a ColoringError names
+    the first member (or group) that ``member`` cannot hash."""
+    try:
+        return [to_set(g) for g in groups]
+    except TypeError:
+        bad = first_refused(first_refused(groups, to_set), member)
+        raise ColoringError(f"color class member {bad!r} is not a {shape}") from None
+
+
 def _classes(groups, universe, kind: str, absent: str, name, key):
     """The given classes plus a singleton for each member of ``universe``
     they leave out, sorted by base member under ``key``; ``name`` renders a
@@ -48,8 +58,11 @@ def _classes(groups, universe, kind: str, absent: str, name, key):
             raise ColoringError(f"empty {kind} color class")
         outside = [x for x in grp if x not in universe]
         if outside:
-            raise ColoringError(
-                f"colored {kind} {name(min(outside, key=key))} {absent}")
+            try:
+                shown = name(min(outside, key=key))
+            except (TypeError, ValueError):   # a member that is no vertex or edge at all
+                shown = repr(first_refused(outside, lambda x: name(key(x))))
+            raise ColoringError(f"colored {kind} {shown} {absent}")
         if grp & seen:
             raise ColoringError(f"{kind} {name(min(grp & seen, key=key))} "
                                 "assigned to more than one class")
@@ -70,16 +83,20 @@ class ColoredDag:
     def __init__(self, graph: Dag,
                  vertex_classes: Iterable[Iterable[int]] = (),
                  edge_classes: Iterable[Iterable[Edge]] = ()):
-        v_groups = _classes([frozenset(g) for g in vertex_classes],
+        v_groups = _classes(_sets(vertex_classes, frozenset, hash, "vertex index"),
                             range(graph.p), "vertex", "out of range",
                             lambda v: v + 1, int)
-        e_groups = _classes([frozenset(tuple(e) for e in g) for g in edge_classes],
+        e_groups = _classes(_sets(edge_classes, lambda g: frozenset(map(tuple, g)),
+                                  lambda e: hash(tuple(e)), "vertex pair"),
                             graph.edges, "edge", "is not in the graph",
                             _edge_name, _edge_key)
         vmap = [0] * graph.p
-        for cid, grp in enumerate(v_groups):
-            for v in grp:
-                vmap[v] = cid
+        try:
+            for cid, grp in enumerate(v_groups):
+                for v in grp:
+                    vmap[v] = cid
+        except TypeError:   # a float equal to a vertex passes the range test
+            raise ColoringError(f"colored vertex {v!r} is not a vertex index") from None
         emap = {e: cid for cid, grp in enumerate(e_groups) for e in grp}
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "vertex_class", tuple(vmap))

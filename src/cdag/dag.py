@@ -53,6 +53,27 @@ def require_integer(name: str, value, least: int) -> int:
     return int(value)
 
 
+def first_refused(items, convert):
+    """The first member of ``items`` that ``convert`` refuses with a
+    TypeError or a ValueError, to name once converting them all has failed;
+    ``items`` itself if it is no iterable or no member is refused (a spent
+    iterator)."""
+    try:
+        for x in items:
+            try:
+                convert(x)
+            except (TypeError, ValueError):
+                return x
+    except TypeError:
+        pass
+    return items
+
+
+def _pair(e) -> None:
+    """Nothing if ``e`` unpacks as a pair; a TypeError or ValueError if not."""
+    _, _ = e
+
+
 def bitmask(vertices: Iterable[int]) -> int:
     """The bitmask of a vertex set: bit v for vertex v."""
     return sum(1 << v for v in vertices)
@@ -183,7 +204,13 @@ class Dag:
 
     def __init__(self, p: int, edges: Iterable[Edge] = ()):
         p = require_integer("vertex count", p, 0)
-        edge_list = [(_index(i), _index(j)) for i, j in edges]
+        try:
+            edge_list = [(_index(i), _index(j)) for i, j in edges]
+        except GraphError:
+            raise
+        except (TypeError, ValueError):
+            bad = first_refused(edges, _pair)
+            raise GraphError(f"edge {bad!r} is not a vertex pair") from None
         for i, j in edge_list:
             if not (0 <= i < p and 0 <= j < p):
                 raise GraphError(f"edge ({i + 1}, {j + 1}) out of range for p={p}")

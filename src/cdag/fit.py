@@ -63,7 +63,10 @@ class Dataset:
     names: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        x = np.asarray(self.X, dtype=float)
+        try:
+            x = np.asarray(self.X, dtype=float)
+        except (TypeError, ValueError) as exc:   # a ragged row, or a value that is no number
+            raise CdagError(f"data must be a 2-d array of numbers: {exc}") from None
         if x.ndim != 2:
             raise CdagError("data must be a 2-d array of samples by variables")
         if x.shape[0] < 1:

@@ -23,7 +23,7 @@ a row per remaining (pair target, candidate), on g plus the sinks.  A row
 holds one vertex a bit in an int64, so the pair targets go in chunks of
 at most 63 - p, one augmented graph and one query each; below the
 enumeration guard of p = 12 that is a single chunk up to 51 targets.  The
-membership tests and sampling take one candidate as a Python int, on g
+membership test and sampling take one candidate as a Python int, on g
 plus the target's own sink, and work at any p.  Both enumeration and
 sampling hand out sets in one form: sorted tuples, in sorted order (a set
 before its extensions).
@@ -35,7 +35,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dag import STACK_BITS, Dag, Edge, bitmask, members, ordered_sets, vertex
+from .dag import STACK_BITS, Dag, Edge, bitmask, members, ordered_sets, require_integer, vertex
 from .errors import GraphError, SizeGuardError
 
 ENUM_GUARD_P = 12
@@ -56,25 +56,15 @@ class _Rule(NamedTuple):
     edge: bool = False
 
 
-def is_vertex_identifying(g: Dag, i: int, candidate) -> bool:
-    """True iff pa(i) is contained in the candidate set, which avoids i and
-    all of its descendants."""
-    rule = _rule(g, vertex(i, g.p))
-    return _test(g, rule)(_candidate(g, candidate, rule))
-
-
-def is_zero_identifying(g: Dag, i: int, j: int, candidate) -> bool:
-    """For a non-edge (i, j): the regression quotient of i on j given the
-    candidate set is identically zero iff the set minus i d-separates i and j."""
-    rule = _rule(g, (i, j), edge=False)
-    return _test(g, rule)(_candidate(g, candidate, rule))
-
-
-def is_edge_identifying(g: Dag, i: int, j: int, candidate) -> bool:
-    """For an edge i -> j: the candidate set must contain i, avoid j and its
-    descendants, and, minus i, d-separate i and j in the graph with the edge
-    i -> j and all descendants of j deleted."""
-    rule = _rule(g, (i, j), edge=True)
+def is_identifying(g: Dag, target: Union[int, Edge], candidate) -> bool:
+    """Whether the candidate set, which may not hold the target's head,
+    identifies the target, read as :func:`identifying_sets` reads it.  For
+    a vertex i the set holds pa(i) and avoids de(i); for an edge i -> j it
+    holds i, avoids de(j), and, minus i, d-separates i and j in g with the
+    edge i -> j and de(j) deleted; for a non-edge (i, j), where the
+    regression quotient of i on j given the set is to vanish, the set minus
+    i d-separates i and j."""
+    rule = _rule(g, target)
     return _test(g, rule)(_candidate(g, candidate, rule))
 
 
@@ -93,18 +83,13 @@ def _target(g: Dag, target) -> Union[int, Edge]:
     return pair
 
 
-def _rule(g: Dag, target, edge: Optional[bool] = None) -> _Rule:
-    """The rule of a vertex, an edge or a non-edge; ``edge`` says which of
-    the last two a pair must be, if it matters."""
+def _rule(g: Dag, target) -> _Rule:
+    """The rule of a vertex, an edge or a non-edge."""
     target = _target(g, target)
     if isinstance(target, int):
         return _Rule(f"vertex {target + 1}", target, g._parents[target], g._descendants[target])
     i, j = target
-    present = (i, j) in g.edges
-    if edge is not None and present != edge:
-        raise GraphError(f"({i + 1}, {j + 1}) is an edge; use is_edge_identifying" if present
-                         else f"({i + 1}, {j + 1}) is not an edge; use is_zero_identifying")
-    if present:
+    if (i, j) in g.edges:
         return _Rule(f"edge ({i + 1}, {j + 1})", j, 1 << i, g._descendants[j], i, True)
     return _Rule(f"pair ({i + 1}, {j + 1})", j, 0, 0, i)
 
@@ -193,6 +178,7 @@ def sample_identifying_sets(g: Dag, target: Union[int, Edge], witness,
     ``SAMPLE_TRIES`` random supersets of ``witness``, an identifying set
     that is always included; for graphs too large to enumerate.  A witness
     that does not identify the target is a GraphError."""
+    want = require_integer("want", want, 1)
     rule = _rule(g, target)
     test = _test(g, rule)
     always = g._bits_of(witness)

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .coloring import ColoredDag
-from .dag import Dag, vertex
+from .dag import Dag, first_refused, vertex
 from .errors import CdagError, ColoringError, NotPositiveDefiniteError
 from .files import write_matrix_csv  # noqa: F401  (re-exported for perfbench)
 
@@ -33,12 +33,17 @@ class ModelParams:
     lam: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
-        object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
-        for kind, values in (("error variances", self.omega), ("coefficients", self.lam)):
+        for field, kind in (("omega", "error variances"), ("lam", "coefficients")):
+            values = getattr(self, field)
+            try:
+                values = tuple(float(v) for v in values)
+            except (TypeError, ValueError):
+                bad = first_refused(values, float)
+                raise ColoringError(f"{kind} must be real numbers, got {bad!r}") from None
             for v in values:
                 if not math.isfinite(v):
                     raise ColoringError(f"{kind} must be finite, got {v}")
+            object.__setattr__(self, field, values)
         for w in self.omega:
             if not w > 0:
                 raise ColoringError(f"error variances must be positive, got {w}")
@@ -171,9 +176,14 @@ def minor(sigma: np.ndarray, rows, cols):
 
 def _vertices(sigma: np.ndarray, vertices) -> List[int]:
     """``vertices`` as indices of sigma: integers, not bools, in 0..p-1;
-    otherwise a GraphError that names the first bad one, 1-based."""
-    p = np.shape(sigma)[-1]
-    return [vertex(v, p) for v in vertices]
+    otherwise a GraphError that names the first bad one, 1-based.  A sigma
+    that is not a square, finite 2-d array of numbers is a CdagError."""
+    sigma = np.asarray(sigma)
+    if not (sigma.ndim == 2 and sigma.shape[0] == sigma.shape[1]
+            and sigma.dtype.kind in "iuf" and np.isfinite(sigma).all()):
+        raise CdagError(f"sigma must be a square, finite 2-d array of numbers, "
+                        f"got {sigma.dtype} of shape {sigma.shape}")
+    return [vertex(v, sigma.shape[1]) for v in vertices]
 
 
 def almost_principal_minor(sigma: np.ndarray, i: int, j: int, given=()) -> float:

@@ -65,6 +65,28 @@ class TestRandomBpec:
         with pytest.raises(CdagError, match=re.escape(message)):
             random_bpec(p, 0.5, nc, seed=0)
 
+    @pytest.mark.parametrize("draw", [
+        lambda seed: random_bpec(5, 0.5, 2, seed),
+        lambda seed: sample(*random_bpec(4, 0.5, 2, 0), 5, seed),
+    ], ids=["random_bpec", "sample"])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be at least 0, got -1"),
+        ([1, -1], "seed must be at least 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("x", "seed must be an integer, got 'x'"),
+        (None, "seed must be an integer, got None"),
+        (True, "seed must be an integer, got True"),
+        ((1, 2.0), "seed must be an integer, got 2.0"),
+    ], ids=["negative", "negative-entry", "float", "str", "none", "bool", "float-entry"])
+    def test_seeds_must_be_nonnegative_integers(self, draw, seed, message):
+        with pytest.raises(CdagError, match=re.escape(message)):
+            draw(seed)
+
+    def test_numpy_integer_and_tuple_seeds_draw_as_ints(self):
+        expected = random_bpec(6, 0.5, 2, [3, 1])
+        assert random_bpec(6, 0.5, 2, (np.int64(3), np.uint8(1))) == expected
+        assert random_bpec(6, 0.5, 2, np.int32(3)) == random_bpec(6, 0.5, 2, 3)
+
 
 class TestSample:
     def test_sample_covariance_converges(self):

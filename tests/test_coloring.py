@@ -160,6 +160,15 @@ class TestValidation:
         (lambda: ColoredDag(P4, edge_classes=[[(0, 1)], [(0, 1), (1, 2)]]),
          "edge (1, 2) assigned to more than one class"),
         (lambda: ColoredDag(P4, vertex_classes=[[]]), "empty vertex color class"),
+        (lambda: ColoredDag(P4, edge_classes=[[5]]), "color class member 5 is not a vertex pair"),
+        (lambda: ColoredDag(P4, edge_classes=[[(0, [1])]]),
+         "color class member (0, [1]) is not a vertex pair"),
+        (lambda: ColoredDag(P4, vertex_classes=[[[0]]]),
+         "color class member [0] is not a vertex index"),
+        (lambda: ColoredDag(P4, vertex_classes=[["a"]]), "colored vertex 'a' out of range"),
+        (lambda: ColoredDag(P4, vertex_classes=[[0, "a"]]), "colored vertex 'a' out of range"),
+        (lambda: ColoredDag(P4, vertex_classes=[[1.0, 2]]),
+         "colored vertex 1.0 is not a vertex index"),
         (lambda: P4_COLORED.edge_color((0, 2)), "(1, 3) is not an edge of the graph"),
     ])
     def test_errors_name_vertices_one_based(self, build, expected):

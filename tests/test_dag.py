@@ -51,6 +51,9 @@ class TestBasicQueries:
         (lambda: Dag(3, [(0.5, 1)]), "vertex index 0.5 is not an integer"),
         (lambda: Dag(3, [("0", 1)]), "vertex index '0' is not an integer"),
         (lambda: Dag(3, [(0, True)]), "vertex index True is not an integer"),
+        (lambda: Dag(3, [(0, 1, 2)]), "edge (0, 1, 2) is not a vertex pair"),
+        (lambda: Dag(3, [(0, 1), 0]), "edge 0 is not a vertex pair"),
+        (lambda: Dag(3, 5), "edge 5 is not a vertex pair"),
     ])
     def test_errors_name_vertices_one_based(self, build, expected):
         with pytest.raises(GraphError) as exc:

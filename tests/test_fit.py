@@ -1,6 +1,7 @@
 """Maximum likelihood, grouped least squares, and the decomposable score."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -31,6 +32,16 @@ class TestDataset:
         x[1, 1] = np.nan
         with pytest.raises(CdagError):
             Dataset(x)
+
+    @pytest.mark.parametrize("rows, named", [
+        ([[1, 2], [3]], "setting an array element with a sequence"),
+        ([["a"]], "'a'"),
+        ([[1.0, {}]], "'dict'"),
+    ], ids=["ragged", "string", "dict"])
+    def test_rejects_values_that_are_no_numbers(self, rows, named):
+        with pytest.raises(CdagError, match="^data must be a 2-d array of numbers: .*"
+                                            + re.escape(named)):
+            Dataset(rows)
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

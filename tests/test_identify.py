@@ -13,9 +13,8 @@ from cdag.bench import random_bpec
 from cdag.cli import main
 from cdag.coloring import uncolored, write_graph_json
 from cdag.dag import Dag
-from cdag.errors import GraphError, SizeGuardError
-from cdag.identify import (is_edge_identifying, is_vertex_identifying,
-                           is_zero_identifying, sample_identifying_sets)
+from cdag.errors import CdagError, GraphError, SizeGuardError
+from cdag.identify import is_identifying, sample_identifying_sets
 from cdag.params import parametrize, random_params, recover_lambda, recover_omega
 
 from oracles import all_dags, identifying_sets, path_dsep, random_dag
@@ -36,49 +35,47 @@ def all_targets(p):
 
 class TestVertexSets:
     def test_chain_vertex(self):
-        assert is_vertex_identifying(P4, 2, {1})
-        assert is_vertex_identifying(P4, 2, {0, 1})
-        assert not is_vertex_identifying(P4, 2, {1, 3})  # 3 is a descendant
+        assert is_identifying(P4, 2, {1})
+        assert is_identifying(P4, 2, {0, 1})
+        assert not is_identifying(P4, 2, {1, 3})  # 3 is a descendant
 
     def test_source_with_empty_set(self):
-        assert is_vertex_identifying(P4, 0, set())
+        assert is_identifying(P4, 0, set())
 
     def test_rejects_self(self):
         with pytest.raises(GraphError):
-            is_vertex_identifying(P4, 2, {2})
+            is_identifying(P4, 2, {2})
 
     def test_parent_set_always_identifies(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             g = random_dag(rng, 6, 0.5)
             for i in range(g.p):
-                assert is_vertex_identifying(g, i, g.parents(i))
+                assert is_identifying(g, i, g.parents(i))
 
 
 class TestEdgeSets:
     def test_chain_first_edge(self):
-        assert is_edge_identifying(P4, 0, 1, {0})
-        assert not is_edge_identifying(P4, 0, 1, {0, 2})  # 3's ancestor rule
+        assert is_identifying(P4, (0, 1), {0})
+        assert not is_identifying(P4, (0, 1), {0, 2})  # 3's ancestor rule
 
     def test_example48_edge_45(self):
         # confirmed against the path enumerator: in the graph with 4 -> 5
         # deleted, {3} blocks every path between 4 and 5
         pruned = Dag(5, [(0, 4), (0, 2), (1, 4), (2, 3)])
         assert path_dsep(pruned, {3}, {4}, {2})
-        assert is_edge_identifying(EX48, 3, 4, {3, 2})
+        assert is_identifying(EX48, (3, 4), {3, 2})
 
     def test_parent_set_always_identifies(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             g = random_dag(rng, 6, 0.5)
             for i, j in g.edges:
-                assert is_edge_identifying(g, i, j, g.parents(j) | {i})
+                assert is_identifying(g, (i, j), g.parents(j) | {i})
 
     def test_zero_identifying_for_non_edges(self):
-        assert is_zero_identifying(P4, 0, 2, {1})
-        assert not is_zero_identifying(P4, 0, 2, set())
-        with pytest.raises(GraphError):
-            is_zero_identifying(P4, 0, 1, {0})
+        assert is_identifying(P4, (0, 2), {1})
+        assert not is_identifying(P4, (0, 2), set())
 
 
 class TestEnumeration:
@@ -100,7 +97,7 @@ class TestEnumeration:
                 universe = [v for v in range(g.p) if v != j]
                 expected.append(sorted(a for r in range(len(universe) + 1)
                                        for a in combinations(universe, r)
-                                       if is_edge_identifying(g, i, j, a)))
+                                       if is_identifying(g, (i, j), a)))
             built.clear()
             assert identify.identifying_sets_for(g, edges) == expected
             assert len(built) == (1 if edges else 0)
@@ -132,15 +129,9 @@ class TestEnumeration:
                                                 if i != j]:
                     head = target if isinstance(target, int) else target[1]
                     universe = [v for v in range(p) if v != head]
-                    if isinstance(target, int):
-                        test = lambda a: is_vertex_identifying(g, target, a)
-                    elif target in g.edges:
-                        test = lambda a: is_edge_identifying(g, *target, a)
-                    else:
-                        test = lambda a: is_zero_identifying(g, *target, a)
                     expected = {a for r in range(p) for a in map(frozenset,
                                                                  combinations(universe, r))
-                                if test(a)}
+                                if is_identifying(g, target, a)}
                     assert identify.identifying_sets(g, target) == ordered(expected), target
 
     def test_one_call_on_every_dag_up_to_p4_matches_the_definitions(self):
@@ -266,9 +257,19 @@ class TestSampling:
                 ((2, 0), (), "witness {} does not identify pair (3, 1)")):
             with pytest.raises(GraphError, match=re.escape(message)):
                 sample_identifying_sets(chain, target, witness, rng, want=3)
-        assert not is_vertex_identifying(chain, 2, {0})
-        assert not is_zero_identifying(chain, 2, 0, ())
+        assert not is_identifying(chain, 2, {0})
+        assert not is_identifying(chain, (2, 0), ())
         assert sample_identifying_sets(chain, 2, {1}, rng, want=3) == [(0, 1), (1,)]
+
+    @pytest.mark.parametrize("want, message", [
+        (0, "want must be at least 1, got 0"),
+        (True, "want must be an integer, got True"),
+        (2.5, "want must be an integer, got 2.5"),
+    ])
+    def test_want_is_a_positive_integer(self, want, message):
+        with pytest.raises(CdagError, match=re.escape(message)):
+            sample_identifying_sets(P4, 2, {1}, np.random.default_rng(0), want)
+        assert sample_identifying_sets(P4, 2, {1}, np.random.default_rng(0), np.int64(1)) == [(1,)]
 
     def test_samples_beyond_the_enumeration_guard_are_identifying(self):
         rng = np.random.default_rng(5)
@@ -278,14 +279,13 @@ class TestSampling:
             got = sample_identifying_sets(g, target, g.parents(head), rng, want=4)
             assert got == ordered(got) and tuple(sorted(g.parents(head))) in got
             for a in got:
-                assert (is_vertex_identifying(g, target, a) if isinstance(target, int)
-                        else is_edge_identifying(g, *target, a)), (target, a)
+                assert is_identifying(g, target, a), (target, a)
 
 
 def test_numpy_integer_targets_are_vertices():
     assert identify.identifying_sets(P4, np.int64(2)) == identify.identifying_sets(P4, 2)
     assert identify.identifying_sets(P4, (np.int64(0), np.int32(1))) == [(0,)]
-    assert is_zero_identifying(P4, np.int64(0), np.int64(2), [1])
+    assert is_identifying(P4, (np.int64(0), np.int64(2)), [1])
 
 
 def identify_digest(workdir, capsys, rho=0.5, seed=(33, 8), p=8):
@@ -324,19 +324,16 @@ def test_identify_output_at_p10_is_pinned(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("call, expected", [
-    (lambda: is_vertex_identifying(P4, 1, {1}),
+    (lambda: is_identifying(P4, 1, {1}),
      "candidate set for vertex 2 may not contain it"),
-    (lambda: is_edge_identifying(P4, 0, 1, {1}),
+    (lambda: is_identifying(P4, (0, 1), {1}),
      "candidate set for edge (1, 2) may not contain 2"),
-    (lambda: is_edge_identifying(P4, 0, 2, {1}),
-     "(1, 3) is not an edge; use is_zero_identifying"),
-    (lambda: is_zero_identifying(P4, 0, 2, {2}),
+    (lambda: is_identifying(P4, (0, 2), {2}),
      "candidate set for pair (1, 3) may not contain 3"),
-    (lambda: is_zero_identifying(P4, 0, 1, {0}),
-     "(1, 2) is an edge; use is_edge_identifying"),
     (lambda: identify.identifying_sets(P4, (1, 1)), "(2, 2) is a self-loop"),
-    (lambda: is_zero_identifying(P4, 2, 2, []), "(3, 3) is a self-loop"),
-    (lambda: is_edge_identifying(P4, 2, 2, []), "(3, 3) is a self-loop"),
+    (lambda: is_identifying(P4, (2, 2), []), "(3, 3) is a self-loop"),
+    (lambda: sample_identifying_sets(P4, (2, 2), [], np.random.default_rng(0), 2),
+     "(3, 3) is a self-loop"),
     (lambda: identify.identifying_sets(P4, True), "vertex index True is not an integer"),
     (lambda: identify.identifying_sets(P4, 1.0), "vertex index 1.0 is not an integer"),
     (lambda: identify.identifying_sets(P4, (0, 1.0)), "vertex index 1.0 is not an integer"),
@@ -347,11 +344,10 @@ def test_identify_output_at_p10_is_pinned(tmp_path, capsys):
      "target () is neither a vertex nor a vertex pair"),
     (lambda: identify.identifying_sets(P4, 4), "vertex 5 out of range for p=4"),
     (lambda: identify.identifying_sets(P4, (0, -1)), "vertex 0 out of range for p=4"),
-    (lambda: is_vertex_identifying(P4, False, []), "vertex index False is not an integer"),
-    (lambda: is_vertex_identifying(P4, (0, 1), []), "vertex index (0, 1) is not an integer"),
-    (lambda: is_zero_identifying(P4, 0, 2.0, []), "vertex index 2.0 is not an integer"),
-    (lambda: is_edge_identifying(P4, True, 1, []), "vertex index True is not an integer"),
-    (lambda: is_vertex_identifying(P4, 1, {0.0}), "vertex index 0.0 is not an integer"),
+    (lambda: is_identifying(P4, False, []), "vertex index False is not an integer"),
+    (lambda: is_identifying(P4, (0, 2.0), []), "vertex index 2.0 is not an integer"),
+    (lambda: is_identifying(P4, (True, 1), []), "vertex index True is not an integer"),
+    (lambda: is_identifying(P4, 1, {0.0}), "vertex index 0.0 is not an integer"),
     (lambda: sample_identifying_sets(P4, 2.5, [], np.random.default_rng(0), 2),
      "vertex index 2.5 is not an integer"),
 ])

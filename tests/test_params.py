@@ -71,6 +71,9 @@ class TestParametrize:
         ((1.0, math.nan, 1.0), (0.5, 0.7), "error variances must be finite, got nan"),
         ((1.0, 1.0, 1.0), (-math.inf, 0.7), "coefficients must be finite, got -inf"),
         ((1.0, 1.0, 1.0), (0.5, math.nan), "coefficients must be finite, got nan"),
+        (("a",), (), "error variances must be real numbers, got 'a'"),
+        ((1.0,), (None,), "coefficients must be real numbers, got None"),
+        ((1.0,), (0.5, 1j), "coefficients must be real numbers, got 1j"),
     ])
     def test_non_finite_values_rejected(self, omega, lam, expected):
         with pytest.raises(ColoringError, match=expected):
@@ -314,6 +317,16 @@ class TestCsv:
      "singular principal minor at [1]"),
     (lambda: recover_lambda(np.diag([1.0, 1.0, 0.0]), None, 0, 1, {0, 2}),
      "singular principal minor at [1, 3]"),
+    (lambda: recover_omega(np.eye(3)[:2], P4, 1),
+     "sigma must be a square, finite 2-d array of numbers, got float64 of shape (2, 3)"),
+    (lambda: recover_lambda(np.diag([1.0, np.inf, 1.0]), None, 0, 1, {0}),
+     "sigma must be a square, finite 2-d array of numbers"),
+    (lambda: recover_omega(np.diag([np.nan, 1.0]), None, 1, {0}),
+     "sigma must be a square, finite 2-d array of numbers"),
+    (lambda: almost_principal_minor(np.ones((2, 3, 3)), 0, 1),
+     "sigma must be a square, finite 2-d array of numbers, got float64 of shape (2, 3, 3)"),
+    (lambda: recover_omega(np.eye(3, dtype=complex), None, 1, {0}),
+     "sigma must be a square, finite 2-d array of numbers, got complex128 of shape (3, 3)"),
 ])
 def test_messages_name_vertices_one_based(call, expected):
     with pytest.raises(CdagError, match=re.escape(expected)):
