@@ -38,6 +38,11 @@ def _integer(x, where: str) -> int:
     return x
 
 
+def _is_index(x) -> bool:
+    """Whether ``x`` is an integer, Python's or numpy's and not a bool."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 def _sets(groups, to_set, member, shape: str):
     """Each group as ``to_set`` makes it a frozenset; a ColoringError names
     the first member (or group) that ``member`` cannot hash."""
@@ -83,20 +88,26 @@ class ColoredDag:
     def __init__(self, graph: Dag,
                  vertex_classes: Iterable[Iterable[int]] = (),
                  edge_classes: Iterable[Iterable[Edge]] = ()):
-        v_groups = _classes(_sets(vertex_classes, frozenset, hash, "vertex index"),
-                            range(graph.p), "vertex", "out of range",
+        v_given = _sets(vertex_classes, frozenset, hash, "vertex index")
+        e_given = _sets(edge_classes, lambda g: frozenset(map(tuple, g)),
+                        lambda e: hash(tuple(e)), "vertex pair")
+        v_groups = _classes(v_given, range(graph.p), "vertex", "out of range",
                             lambda v: v + 1, int)
-        e_groups = _classes(_sets(edge_classes, lambda g: frozenset(map(tuple, g)),
-                                  lambda e: hash(tuple(e)), "vertex pair"),
-                            graph.edges, "edge", "is not in the graph",
+        e_groups = _classes(e_given, graph.edges, "edge", "is not in the graph",
                             _edge_name, _edge_key)
+        # a float or a bool equal to a vertex passes the range and edge tests;
+        # such a member has no 1-based form, so it is named as given
+        bad = next((v for grp in v_given for v in grp if not _is_index(v)), None)
+        if bad is not None:
+            raise ColoringError(f"colored vertex {bad!r} is not a vertex index")
+        bad = next((e for grp in e_given for e in grp
+                    if not (_is_index(e[0]) and _is_index(e[1]))), None)
+        if bad is not None:
+            raise ColoringError(f"colored edge {bad!r} is not a pair of vertex indices")
         vmap = [0] * graph.p
-        try:
-            for cid, grp in enumerate(v_groups):
-                for v in grp:
-                    vmap[v] = cid
-        except TypeError:   # a float equal to a vertex passes the range test
-            raise ColoringError(f"colored vertex {v!r} is not a vertex index") from None
+        for cid, grp in enumerate(v_groups):
+            for v in grp:
+                vmap[v] = cid
         emap = {e: cid for cid, grp in enumerate(e_groups) for e in grp}
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "vertex_class", tuple(vmap))

@@ -64,7 +64,10 @@ class Dataset:
 
     def __post_init__(self):
         try:
-            x = np.asarray(self.X, dtype=float)
+            x = np.asarray(self.X)
+            if x.dtype.kind == "c":   # casting would drop the imaginary parts
+                raise TypeError("complex values are not real numbers")
+            x = np.asarray(x, dtype=float)
         except (TypeError, ValueError) as exc:   # a ragged row, or a value that is no number
             raise CdagError(f"data must be a 2-d array of numbers: {exc}") from None
         if x.ndim != 2:
@@ -272,11 +275,12 @@ def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[E
     return coef, rss, errors
 
 
-def family_loglik(n: int, rss: float, nodes: Sequence[int]) -> float:
-    """Gaussian log-likelihood of a vertex color class at its MLE."""
+def family_loglik(n: int, rss, nodes: Sequence[int]):
+    """Gaussian log-likelihood of a vertex color class at its MLE; of each
+    entry when ``rss`` is an array of residual sums."""
     m = n * len(nodes)
-    omega = rss / m
-    return -0.5 * m * (LOG_2PI + math.log(omega) + 1.0)
+    log = np.log if isinstance(rss, np.ndarray) else math.log
+    return -0.5 * m * (LOG_2PI + log(rss / m) + 1.0)
 
 
 def family_bic(loglik: float, n: int, n_columns: int) -> float:

@@ -12,7 +12,7 @@ one move over singleton parent groups.
 Scores decompose over families, so a candidate is the new parent groups of
 the one or two nodes it changes, in canonical form (each group sorted, then
 the groups), and its score is the state's plus one delta per changed node:
-the memoized score of the node's new family minus its current one.
+the score component of the node's new family minus its current one.
 
 What the moves read of a state's graph (parents, children, descendants and
 the children whose edge may be reversed) is the graph's `dag.closure`, the
@@ -21,34 +21,55 @@ search adds only the vertices that may become a new parent of a node.  No
 `Dag` is built while searching: only the result, `SearchState.current`,
 builds one.
 
-A move lists its candidates in blocks, one per node, and the search keeps
+A move scores its candidates in blocks, one per node, and the search keeps
 only the latest block of each (move, node) pair with each candidate's
 deltas: at most 8 p blocks for GECS and p for the baseline.  A block is
 keyed by everything it is built from: the node's parent groups; for
-add_color, add_edge and the baseline, also the vertices that may become a
-new parent of the node (for the baseline, with the children whose edge may
-be reversed); for reverse_edge, also which children's edges may be reversed
-and each child's parent groups.  Each try of a move rebuilds only the
-blocks whose key changed, fits the families they need that are not yet
-memoized in one stacked least-squares call (`stacked_ls`), and then scans
-the deltas of all blocks in a fixed order: node by node, except that the
-baseline visits edges in (tail, head) order.  An add_color or add_edge
-block keeps, per candidate, the mask of the new parents it adds; when its
-node kept its parent groups and only lost new parents, the block is
-filtered to the candidates that add none of the lost ones instead of being
-rebuilt.  A candidate's score is the same sum in the same order whether its
-block was kept, filtered or rebuilt, so the search chooses exactly what a
-fresh listing of every candidate would.
+add_edge, also the vertices that may become a new parent of the node; for
+reverse_edge, also which children's edges may be reversed and each child's
+parent groups.  Each try of a move rebuilds only the blocks whose key
+changed and then scans the deltas of all blocks in a fixed order: node by
+node, except that the baseline visits edges in (tail, head) order.  An
+add_edge block keeps, per candidate, the mask of the new parents it adds;
+when its node kept its parent groups and only lost new parents, the block
+is filtered to the candidates that add none of the lost ones instead of
+being rebuilt.
+
+add_color and the baseline change one node's family by one regressor
+column: a new group {a, b}, or one parent more or less.  Their blocks are
+scored in closed form, every vertex pair or vertex of a block from one
+Cholesky factor of the node's current family (the Frisch-Waugh-Lovell
+update, in `_FamilyScorer`), and hold their deltas as one array, so their
+key is the node's parent groups alone; the scan masks them with the
+state's new parents and reversible children.  Every other move lists its
+candidates and fits the families not yet memoized in one stacked
+least-squares call (`stacked_ls`).
+
+`stacked_ls` stays the scorer of record: nothing but its scores is
+compared or enters a state.  A closed-form score differs from the
+kernel's by at most n/2 times CLOSED_FORM_RTOL per changed node, so the
+scan of a closed-form move finds, with that slack, the few candidates
+that can decide the choice (`_contenders`), builds only those, fits them
+with the kernel, and repeats until every contender has the kernel's
+score; `_select` then sees kernel scores only and chooses what a listing
+of every candidate through the kernel would.  Where the closed form is
+not accurate to that bound, a changed column the others nearly explain or
+a residual sum near zero, and where the kernel may refuse the family, the
+closed form leaves the candidate to the kernel.  A candidate's score is
+the same sum in the same order whether its block was kept, filtered or
+rebuilt.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Tuple)
+                    Tuple, Union)
+
+import numpy as np
 
 from .coloring import ColoredDag
 from .dag import Dag, closure, members, require_integer
@@ -62,6 +83,15 @@ Families = Tuple[Tuple[Group, ...], ...]   # per node: its parent groups
 Candidate = Tuple[Tuple[int, Tuple[Group, ...]], ...]
 
 SCORE_EPS = 1e-9   # strict-improvement margin; stops float-noise cycling
+# A closed-form residual sum of squares is within this share of the
+# kernel's (the largest difference seen is 3.5e-12, on dense p = 40 states,
+# where the kernel is itself off by up to 1.6e-12 from a long-double fit),
+# so a closed-form score component is within n/2 times it of the kernel's.
+CLOSED_FORM_RTOL = 1e-11
+# The closed form leaves to the kernel a family whose changed column keeps
+# at most this share of its squared norm unexplained by the node's other
+# columns, or whose residual sum is at most this share of the node's.
+KERNEL_SHARE = 1e-6
 
 
 class _Masks(NamedTuple):
@@ -171,6 +201,81 @@ class _FamilyScorer:
         cache = tuple(self._memo[key] for key in enumerate(families))
         return SearchState(families, math.fsum(cache), cache)
 
+    # -- one column more or less, in closed form -----------------------------
+    # Node k's current family is one the search accepted, so the kernel
+    # fitted it and G = C^T S C, with C the indicator matrix of its columns,
+    # is positive definite.  The residual cross products of every vertex on
+    # those columns are R = S - S C G^-1 C^T S, and u = R[:, k].  A new
+    # column with 0/1 indicator w leaves RSS' = R_kk - (w^T u)^2 / (w^T R w),
+    # of which w^T R w / w^T S w is the share unexplained by C; removing
+    # column c leaves RSS' = RSS + beta_c^2 / (G^-1)_cc, and 1 / (G^-1)_cc is
+    # c's share unexplained by the others once G is scaled to unit diagonal
+    # (Frisch-Waugh-Lovell).
+
+    def _residuals(self, k: int, groups: Tuple[Group, ...]):
+        """R for node k's family ``groups``, and, with the columns scaled to
+        unit norm as `stacked_ls` scales them, node k's coefficients and the
+        diagonal of G^-1 (a removal's RSS' does not depend on the scale).
+        G is factored by Cholesky, which keeps R as accurate as the
+        kernel's fit where R = S - S C G^-1 C^T S by an inverse would not."""
+        S, m = self.S, len(groups)
+        C = np.zeros((len(S), m))
+        C[[i for grp in groups for i in grp],
+          [c for c, grp in enumerate(groups) for _ in grp]] = 1.0
+        SC = S @ C
+        G = SC.T @ C
+        d = np.sqrt(G.diagonal())
+        inverse = np.linalg.inv(np.linalg.cholesky(G / np.outer(d, d)))
+        Y = inverse @ (SC / d).T
+        return S - Y.T @ Y, inverse.T @ Y[:, k], (inverse * inverse).sum(axis=0)
+
+    def _components(self, k: int, columns, rss: np.ndarray, share: np.ndarray) -> np.ndarray:
+        """Score components of node k's family with ``columns`` columns (a
+        count, or one per entry), the residual sums ``rss`` and the changed
+        column's unexplained ``share``: -inf with as many columns as
+        samples, which the kernel refuses whatever the data, and +inf, which
+        leaves the family to the kernel, where the share or the residual
+        sum is too small for the closed form to be accurate or for the
+        kernel's verdict to be known."""
+        n = self.n
+        scores = family_bic(family_loglik(n, rss, (k,)), n, columns)
+        unsure = ~(share > KERNEL_SHARE) | ~(rss > KERNEL_SHARE * self.S[k, k])
+        return np.where(columns < n, np.where(unsure, math.inf, scores), -math.inf)
+
+    def added_pairs(self, k: int, groups: Tuple[Group, ...],
+                    a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Node k's score component with the group {a[t], b[t]} added to its
+        family ``groups``, for every t."""
+        S = self.S
+        R = self._residuals(k, groups)[0]
+        u = R[:, k]
+        wRw = R[a, a] + R[a, b] + R[b, a] + R[b, b]
+        wu = u[a] + u[b]
+        with np.errstate(divide="ignore", invalid="ignore"):   # collinear pairs
+            return self._components(k, len(groups) + 1, R[k, k] - wu * wu / wRw,
+                                    wRw / (S[a, a] + S[a, b] + S[b, a] + S[b, b]))
+
+    def toggled(self, k: int, groups: Tuple[Group, ...]) -> np.ndarray:
+        """Node k's score component with vertex v toggled in its parent
+        groups ``groups`` at position v: removed if a singleton group, else
+        added (at k itself, a value nothing reads).  A parent in a larger
+        group cannot be toggled alone and scores -inf."""
+        S, m = self.S, len(groups)
+        R, beta, inverse_diagonal = self._residuals(k, groups)
+        u, r = R[:, k], R.diagonal()
+        singles = [c for c, grp in enumerate(groups) if len(grp) == 1]
+        removed = [groups[c][0] for c in singles]
+        columns = np.full(len(S), m + 1)
+        columns[removed] = m - 1
+        with np.errstate(divide="ignore", invalid="ignore"):   # collinear vertices
+            rss = R[k, k] - u * u / r
+            share = r / S.diagonal()
+            rss[removed] = R[k, k] + beta[singles] ** 2 / inverse_diagonal[singles]
+            share[removed] = 1.0 / inverse_diagonal[singles]
+            scores = self._components(k, columns, rss, share)
+        scores[[v for grp in groups if len(grp) > 1 for v in grp]] = -math.inf
+        return scores
+
 
 def _edit(groups: Tuple[Group, ...], drop=(), add=()) -> Tuple[Group, ...]:
     """Canonical form of a node's canonical ``groups`` without those at
@@ -226,13 +331,15 @@ def _select(state: SearchState, scored: Iterable[Tuple[Candidate, List[float]]],
 
 class _Block(NamedTuple):
     """One node's candidates of one move with each one's deltas, under the
-    key they were built from.  A block whose candidates add new parents of
-    the node holds, per candidate, the mask of those it adds (``uses``),
-    and its key is (the node's parent groups, its new-parent mask)."""
+    key they were built from.  A block scored in closed form holds no
+    candidates and its deltas as one array.  A block whose candidates add
+    new parents of the node holds, per candidate, the mask of those it adds
+    (``uses``), and its key is (the node's parent groups, its new-parent
+    mask)."""
 
     key: object
-    candidates: List[Candidate]
-    deltas: List[List[float]]
+    candidates: Optional[List[Candidate]]
+    deltas: Union[List[List[float]], np.ndarray]
     uses: Optional[List[int]]
 
     def filtered(self, key) -> Optional["_Block"]:
@@ -250,16 +357,67 @@ class _Block(NamedTuple):
                       list(compress(self.deltas, keep)), list(compress(self.uses, keep)))
 
 
+def _bits(masks: List[int], p: int) -> np.ndarray:
+    """Boolean matrix whose row r holds bits 0 to p - 1 of ``masks[r]``."""
+    width = (p + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=p,
+                         bitorder="little").view(bool)
+
+
+def _contenders(base: float, scores: np.ndarray, slack: float) -> np.ndarray:
+    """The positions, in scan order, of the scores in ``scores`` that can
+    decide `_select` on a state scoring ``base`` when each may be off from
+    its kernel score by up to ``slack``: those above base + SCORE_EPS -
+    slack, from the best down to the first gap wider than 2 (SCORE_EPS +
+    slack).  The kernel's own contenders, its improving scores from the
+    best down to the first gap wider than 2 SCORE_EPS, are among them.  Any
+    other improving score lies that far below all of those, so `_select`
+    skips it once one of those is the best, and the first of those scanned
+    replaces it as the best: the choice is the same without it."""
+    improving = np.sort(scores[scores > base + SCORE_EPS - slack])
+    if not improving.size:
+        return np.zeros(0, int)
+    if improving[-1] == math.inf:   # any score is below one left to the kernel
+        return np.flatnonzero(scores == math.inf)
+    wide = np.flatnonzero(improving[1:] - improving[:-1] > 2 * (SCORE_EPS + slack))
+    return np.flatnonzero(scores >= improving[wide[-1] + 1 if wide.size else 0])
+
+
 # -- the eight moves ---------------------------------------------------------
 # A move lists one node's block of candidates at a time.  Every move builds a
 # changed node's new groups with `_edit`.  Only add_color, add_edge and
 # reverse_edge add an edge, so only they can close a cycle: add_color and
 # add_edge take new parents from the state's `new_parents` mask, and
 # reverse_edge asks its `reversible` mask, both judged on the current graph.
+# add_color scores every vertex pair of its blocks in closed form and its
+# scan keeps the pairs of new parents; the other moves list their
+# candidates and fit the new families with `stacked_ls`.
 
 
 def _node_by_node(state: SearchState, blocks: List[_Block]):
     return chain.from_iterable(zip(b.candidates, b.deltas) for b in blocks)
+
+
+@lru_cache(maxsize=None)
+def _pairs(p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Both members of every vertex pair a < b, in order."""
+    return np.triu_indices(p, 1)
+
+
+def _pairs_node_by_node(state: SearchState, blocks: List[_Block]):
+    """add_color's closed-form scores, node by node and each node's pairs
+    of new parents in order, with the function that builds candidate t."""
+    p = len(blocks)
+    a, b = _pairs(p)
+    new = _bits(state.masks.new_parents, p)
+    at = np.flatnonzero(new[:, a] & new[:, b])
+    scores = state.score + np.array([blk.deltas for blk in blocks]).ravel()[at]
+
+    def candidate(t: int) -> Candidate:
+        k, pair = divmod(at[t].item(), len(a))
+        return ((k, _edit(state.families[k], add=((a[pair].item(), b[pair].item()),))),)
+    return scores, candidate
 
 
 class _Move(NamedTuple):
@@ -268,13 +426,16 @@ class _Move(NamedTuple):
     every candidate with its deltas, in the order the search scans them.  A
     move that ``adds`` new parents returns its candidates and, per
     candidate, the mask of the new parents it adds, so that its blocks can
-    be filtered."""
+    be filtered.  A ``closed`` move's ``block(scorer, state, k)`` returns
+    node k's new score components in closed form, and its ``order``
+    returns the closed-form scores of its candidates in scan order with
+    the function that builds candidate t."""
 
-    block: Callable[[SearchState, int], Iterable[Candidate]]
+    block: Callable
     key: Callable[[SearchState, int], object]
-    order: Callable[[SearchState, List[_Block]],
-                    Iterable[Tuple[Candidate, List[float]]]] = _node_by_node
+    order: Callable = _node_by_node
     adds: bool = False
+    closed: bool = False
 
 
 def _groups(state: SearchState, k: int):
@@ -285,11 +446,8 @@ def _groups_and_new_parents(state: SearchState, k: int):
     return state.families[k], state.masks.new_parents[k]
 
 
-def _add_color(state: SearchState, i: int):
-    groups = state.families[i]
-    pairs = list(combinations(members(state.masks.new_parents[i]), 2))
-    return ([((i, _edit(groups, add=(pair,))),) for pair in pairs],
-            [1 << a | 1 << b for a, b in pairs])
+def _add_color(scorer: _FamilyScorer, state: SearchState, i: int):
+    return scorer.added_pairs(i, state.families[i], *_pairs(len(state.families)))
 
 
 def _split_color(state: SearchState, i: int):
@@ -366,7 +524,7 @@ def _remove_color(state: SearchState, i: int):
 
 
 PHASES = (
-    ("phase1", (("add_color", _Move(_add_color, _groups_and_new_parents, adds=True)),
+    ("phase1", (("add_color", _Move(_add_color, _groups, _pairs_node_by_node, closed=True)),
                 ("split_color", _Move(_split_color, _groups)))),
     ("phase2", (("add_edge", _Move(_add_edge, _groups_and_new_parents, adds=True)),
                 ("move_edge", _Move(_move_edge, _groups)),
@@ -378,50 +536,48 @@ PHASES = (
 
 
 # -- uncolored baseline move -------------------------------------------------
-# Node k's block holds, at position v, k's parent set with v toggled: the
-# removal of a parent, the addition of a vertex from the `new_parents` mask
-# or of a child whose edge may be reversed, or () where v can be neither.
-# The singleton groups are spliced in place rather than through `_edit`,
-# which costs more per candidate.  Its blocks are rebuilt, not filtered, as
-# the scan reads them by position.
+# Node k's block holds, at position v, the delta of k's parent set with v
+# toggled: the removal of a parent, or the addition of any other vertex,
+# scored in closed form.  Its key is k's parents alone; the scan keeps the
+# positions of the state's acyclic edge changes.
 
 
-def _toggle_key(state: SearchState, k: int):
-    masks = state.masks
-    return state.families[k], masks.new_parents[k] | masks.reversible[k]
-
-
-def _toggles(state: SearchState, k: int):
-    groups, addable = _toggle_key(state, k)
-    parents = state.masks.parents[k]
-    for v in range(len(state.families)):
-        if parents >> v & 1:
-            yield ((k, tuple(grp for grp in groups if grp != (v,))),)
-        elif addable >> v & 1:
-            yield ((k, tuple(sorted(groups + ((v,),)))),)
-        else:
-            yield ()
+def _toggles(scorer: _FamilyScorer, state: SearchState, k: int):
+    return scorer.toggled(k, state.families[k])
 
 
 def _edge_by_edge(state: SearchState, blocks: List[_Block]):
-    """Every acyclic single-edge deletion, reversal and addition, in (tail,
-    head) order; a reversal changes the head j first, then the tail i."""
-    masks = state.masks
-    parents, new_parents = masks.parents, masks.new_parents
-    p = len(blocks)
-    for i in range(p):
-        bit, reversible = 1 << i, masks.reversible[i]
-        for j in range(p):
-            if parents[j] & bit:
-                removal, d = blocks[j].candidates[i], blocks[j].deltas[i]
-                yield removal, d
-                if reversible >> j & 1:
-                    yield removal + blocks[i].candidates[j], d + blocks[i].deltas[j]
-            elif new_parents[j] & bit:
-                yield blocks[j].candidates[i], blocks[j].deltas[i]
+    """The closed-form scores of every acyclic single-edge deletion,
+    reversal and addition, in (tail, head) order, with the function that
+    builds candidate t; a reversal changes the head j first, then the tail
+    i."""
+    masks, fams, p = state.masks, state.families, len(blocks)
+    toggled = np.array([b.deltas for b in blocks])   # [j, v]: v toggled at j
+    # [j, i]: i is a parent, a new parent of j; [i, j]: i -> j may be reversed
+    bits = _bits(masks.parents + masks.new_parents + masks.reversible, p)
+    # [i, j, 0]: edge i -> j removed or added; [i, j, 1]: reversed
+    valid = np.empty((p, p, 2), bool)
+    np.logical_or(bits[:p].T, bits[p:2 * p].T, out=valid[:, :, 0])
+    np.logical_and(bits[:p].T, bits[2 * p:], out=valid[:, :, 1])
+    scores = np.empty((p, p, 2))
+    edge = np.add(state.score, toggled.T, out=scores[:, :, 0])
+    np.add(edge, toggled, out=scores[:, :, 1])
+    at = np.flatnonzero(valid)
+
+    def candidate(t: int) -> Candidate:
+        t = at[t].item()
+        i, j, reversal = t // (2 * p), t // 2 % p, t % 2
+        if masks.parents[j] >> i & 1:
+            changed = ((j, tuple(grp for grp in fams[j] if grp != (i,))),)
+        else:
+            changed = ((j, tuple(sorted(fams[j] + ((i,),)))),)
+        if reversal:
+            changed += ((i, tuple(sorted(fams[i] + ((j,),)))),)
+        return changed
+    return scores.ravel()[at], candidate
 
 
-BASELINE_MOVE = _Move(_toggles, _toggle_key, _edge_by_edge)
+BASELINE_MOVE = _Move(_toggles, _groups, _edge_by_edge, closed=True)
 
 
 # -- the shared greedy engine ------------------------------------------------
@@ -465,8 +621,9 @@ class _GreedySearch:
 
     def _scored(self, name: str, move: _Move):
         """Every candidate of the move on the current state with its
-        deltas, in scan order; only the blocks whose key changed since the
-        move was last tried are filtered, or listed and fitted again."""
+        deltas, in scan order, or of a closed-form move those that can
+        decide the choice; only the blocks whose key changed since the move
+        was last tried are filtered, or listed or scored again."""
         state, blocks = self.state, self._blocks[name]
         stale = []
         for k, block in enumerate(blocks):
@@ -476,6 +633,9 @@ class _GreedySearch:
             kept = None if block is None else block.filtered(key)
             if kept is not None:
                 blocks[k] = kept
+            elif move.closed:
+                blocks[k] = _Block(key, None, move.block(self.scorer, state, k)
+                                   - state.family_cache[k], None)
             elif move.adds:
                 stale.append((k, key, *move.block(state, k)))
             else:
@@ -488,7 +648,40 @@ class _GreedySearch:
                 blocks[k] = _Block(key, cands, [[memo[family] - cache[family[0]]
                                                  for family in candidate]
                                                 for candidate in cands], uses)
+        if move.closed:
+            return self._refitted(*move.order(state, blocks))
         return move.order(state, blocks)
+
+    def _refitted(self, scores: np.ndarray, candidate: Callable[[int], Candidate]):
+        """The candidates that can decide the choice, in scan order, each
+        with its deltas from `stacked_ls`, from ``scores``, the closed-form
+        scores of a move's candidates in scan order, and ``candidate(t)``,
+        which builds candidate t.  The contenders are found with the closed
+        form's bound as slack, built and fitted, and their kernel scores
+        replace their closed-form ones; while one moved by more than the
+        slack (the kernel refused it, or the closed form left it to the
+        kernel), the contenders are found again."""
+        state, memo = self.state, self.scorer._memo
+        # two changed nodes at most, and the rounding of the score sums
+        slack = self.scorer.n * CLOSED_FORM_RTOL + 4 * math.ulp(state.score)
+        fitted: Dict[int, Tuple[Candidate, List[float]]] = {}
+        settled = False
+        while not settled:
+            new = [t for t in _contenders(state.score, scores, slack).tolist()
+                   if t not in fitted]
+            built = [candidate(t) for t in new]
+            self.scorer.fit(family for changed in built for family in changed)
+            # the contenders stand if each kernel score is within the slack
+            # of the score they were found with
+            settled = True
+            for t, changed in zip(new, built):
+                deltas = [memo[family] - state.family_cache[family[0]] for family in changed]
+                score = state.score
+                for delta in deltas:
+                    score += delta
+                settled &= abs(score - scores[t]) <= slack
+                fitted[t], scores[t] = (changed, deltas), score
+        return [fitted[t] for t in sorted(fitted)]
 
     def _apply_best(self, name: str, move: _Move) -> SearchState:
         """The state after the move's best strictly improving candidate, or

@@ -174,22 +174,23 @@ def minor(sigma: np.ndarray, rows, cols):
     return np.linalg.det(sigma[..., rows[..., :, None], cols[..., None, :]])
 
 
-def _vertices(sigma: np.ndarray, vertices) -> List[int]:
-    """``vertices`` as indices of sigma: integers, not bools, in 0..p-1;
-    otherwise a GraphError that names the first bad one, 1-based.  A sigma
-    that is not a square, finite 2-d array of numbers is a CdagError."""
+def _checked(sigma: np.ndarray, vertices) -> Tuple[np.ndarray, List[int]]:
+    """``sigma`` as an array, and ``vertices`` as its indices: integers, not
+    bools, in 0..p-1; otherwise a GraphError that names the first bad one,
+    1-based.  A sigma that is not a square, finite 2-d array of numbers is
+    a CdagError."""
     sigma = np.asarray(sigma)
     if not (sigma.ndim == 2 and sigma.shape[0] == sigma.shape[1]
             and sigma.dtype.kind in "iuf" and np.isfinite(sigma).all()):
         raise CdagError(f"sigma must be a square, finite 2-d array of numbers, "
                         f"got {sigma.dtype} of shape {sigma.shape}")
-    return [vertex(v, sigma.shape[1]) for v in vertices]
+    return sigma, [vertex(v, sigma.shape[1]) for v in vertices]
 
 
 def almost_principal_minor(sigma: np.ndarray, i: int, j: int, given=()) -> float:
     """|Sigma_{ij|K}|: rows i,K against columns j,K.  Vanishes exactly when
     X_i and X_j are conditionally independent given X_K."""
-    i, j, *k = _vertices(sigma, [i, j, *given])
+    sigma, (i, j, *k) = _checked(sigma, [i, j, *given])
     k = sorted(k)
     if i in k or j in k:
         raise ColoringError("conditioning set may not contain i or j")
@@ -203,7 +204,7 @@ def _identifying_set(sigma: np.ndarray, graph: Optional[Dag], v: int, given, con
         if graph is None:
             raise CdagError("a graph or an identifying set is needed")
         given = graph.parents(v)
-    a = sorted(set(_vertices(sigma, given)))
+    a = sorted(set(_checked(sigma, given)[1]))
     if v in a:
         raise ColoringError(contains_v)
     den = minor(sigma, a, a)
@@ -215,7 +216,7 @@ def _identifying_set(sigma: np.ndarray, graph: Optional[Dag], v: int, given, con
 def recover_omega(sigma: np.ndarray, graph: Optional[Dag], i: int, given=None) -> float:
     """The conditional variance |Sigma_{iA}| / |Sigma_A|; with A = pa(i)
     (the default) this returns the error variance of i on any model point."""
-    (i,) = _vertices(sigma, [i])
+    sigma, (i,) = _checked(sigma, [i])
     a, den = _identifying_set(sigma, graph, i, given,
                               f"identifying set for vertex {i + 1} may not contain it")
     return minor(sigma, [i] + a, [i] + a) / den
@@ -225,7 +226,7 @@ def recover_lambda(sigma: np.ndarray, graph: Optional[Dag], i: int, j: int,
                    given=None) -> float:
     """The regression quotient |Sigma_{ij|A \\ i}| / |Sigma_A|; with A = pa(j)
     (the default) this returns the coefficient on i -> j on any model point."""
-    i, j = _vertices(sigma, [i, j])
+    sigma, (i, j) = _checked(sigma, [i, j])
     a, den = _identifying_set(sigma, graph, j, given, f"identifying set for edge "
                               f"({i + 1}, {j + 1}) may not contain {j + 1}")
     return almost_principal_minor(sigma, i, j, [v for v in a if v != i]) / den

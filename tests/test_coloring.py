@@ -169,9 +169,22 @@ class TestValidation:
         (lambda: ColoredDag(P4, vertex_classes=[[0, "a"]]), "colored vertex 'a' out of range"),
         (lambda: ColoredDag(P4, vertex_classes=[[1.0, 2]]),
          "colored vertex 1.0 is not a vertex index"),
+        (lambda: ColoredDag(P4, vertex_classes=[[True, 2]]),
+         "colored vertex True is not a vertex index"),
+        (lambda: ColoredDag(P4, vertex_classes=[[np.bool_(True), 2]]),
+         "colored vertex np.True_ is not a vertex index"),
+        (lambda: ColoredDag(P4, edge_classes=[[(0.0, 1), (1, 2)]]),
+         "colored edge (0.0, 1) is not a pair of vertex indices"),
+        (lambda: ColoredDag(P4, edge_classes=[[(0, 1), (True, 2)]]),
+         "colored edge (True, 2) is not a pair of vertex indices"),
         (lambda: P4_COLORED.edge_color((0, 2)), "(1, 3) is not an edge of the graph"),
     ])
     def test_errors_name_vertices_one_based(self, build, expected):
         with pytest.raises(ColoringError) as exc:
             build()
         assert expected in str(exc.value)
+
+    def test_numpy_integer_members(self):
+        cd = ColoredDag(P4, vertex_classes=[[np.int64(0), 2]],
+                        edge_classes=[[(np.int32(0), 1), (1, np.int64(2))]])
+        assert cd == ColoredDag(P4, vertex_classes=[[0, 2]], edge_classes=[[(0, 1), (1, 2)]])

@@ -37,7 +37,10 @@ class TestDataset:
         ([[1, 2], [3]], "setting an array element with a sequence"),
         ([["a"]], "'a'"),
         ([[1.0, {}]], "'dict'"),
-    ], ids=["ragged", "string", "dict"])
+        (np.array([[1j]]), "complex values are not real numbers"),
+        ([[1.0, 2 + 0j]], "complex values are not real numbers"),
+        ([[1.0, 1j, {}]], "'complex'"),
+    ], ids=["ragged", "string", "dict", "complex", "complex-list", "complex-object"])
     def test_rejects_values_that_are_no_numbers(self, rows, named):
         with pytest.raises(CdagError, match="^data must be a 2-d array of numbers: .*"
                                             + re.escape(named)):

@@ -1,6 +1,7 @@
 """Greedy edge-colored search: moves, invariants, and the baseline climber."""
 
 import importlib
+import math
 import re
 
 import numpy as np
@@ -241,6 +242,24 @@ ALL_MOVES = {**MOVES, "baseline": BASELINE_MOVE}
 EDGE_ADDING = ("add_color", "add_edge", "reverse_edge", "baseline")
 
 
+def _every(search, name, move):
+    """Every candidate of the move with its deltas, in scan order: a
+    closed-form move builds and fits only the candidates that can decide
+    the choice, so its scan is made to take them all."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gecs_module, "_contenders",
+                      lambda base, scores, slack: np.arange(len(scores)))
+        return list(search._scored(name, move))
+
+
+def _closed_form(search, name, move):
+    """Every candidate of a closed-form move with its closed-form score, in
+    scan order."""
+    search._scored(name, move)   # brings the blocks up to date
+    scores, candidate = move.order(search.state, search._blocks[name])
+    return [(candidate(t), score) for t, score in enumerate(scores.tolist())]
+
+
 def _listed(name, state, data, masks=None):
     """Every candidate of one move on ``state``, in the order the search
     scans them, from a fresh search over ``data`` (so no block is kept, and
@@ -250,7 +269,7 @@ def _listed(name, state, data, masks=None):
     if masks is not None:
         search.state.__dict__["masks"] = masks
     return [candidate for candidate, _ in
-            search._scored("" if name == "baseline" else name, ALL_MOVES[name])]
+            _every(search, "" if name == "baseline" else name, ALL_MOVES[name])]
 
 
 def _unfiltered(name, state, data):
@@ -362,6 +381,19 @@ class TestMasks:
             state.masks
 
 
+def _summed(score, deltas):
+    for delta in deltas:
+        score += delta
+    return score
+
+
+def _within_bound(got, want, n, terms=1):
+    """Whether a closed-form score is the kernel's ``want`` within the
+    bound the search allows for, for a candidate that changes ``terms``
+    score components."""
+    return abs(got - want) <= terms * 0.5 * n * gecs_module.CLOSED_FORM_RTOL + 4 * math.ulp(want)
+
+
 class _OracleChecked:
     """Checks every try of a move against the uncached reference scan of
     `oracles.apply_best`: the same new families and the same score bits.
@@ -410,7 +442,8 @@ class TestIncrementalEngine:
     def test_kept_blocks_scan_the_reference_listing(self):
         # along a chain of states, each one move from the last, every move
         # scans the reference listing of the current state, each candidate
-        # with the reference's score bits, from blocks kept or rebuilt
+        # with the reference's score bits, from blocks kept or rebuilt, and
+        # chooses what the reference chooses
         rng = np.random.default_rng(8)
         for colored, cls in ((True, GecsSearch), (False, BaselineSearch)):
             steps = ("add_color", "add_edge", "reverse_edge", "remove_edge") if colored else ("",)
@@ -423,14 +456,12 @@ class TestIncrementalEngine:
                     for _, moves in search.phases:
                         for name, move in moves:
                             before = list(search._blocks[name])
-                            got = []
-                            for candidate, deltas in search._scored(name, move):
-                                score = state.score
-                                for delta in deltas:
-                                    score += delta
-                                got.append((candidate, score))
-                            assert got == oracles.scan(state, search.scorer,
-                                                       oracles.CANDIDATES[name](state))
+                            got = [(candidate, _summed(state.score, deltas))
+                                   for candidate, deltas in _every(search, name, move)]
+                            listing = list(oracles.CANDIDATES[name](state))
+                            assert got == oracles.scan(state, search.scorer, listing)
+                            assert search._apply_best(name, move).families == oracles.apply_best(
+                                state, search.scorer, listing, search._tiekey).families
                             kept += sum(a is b for a, b in zip(before, search._blocks[name]))
                     nearby = [c for name in steps for c in oracles.CANDIDATES[name](state)]
                     if not nearby:
@@ -442,9 +473,10 @@ class TestIncrementalEngine:
     def test_filtered_blocks_equal_a_fresh_listing(self):
         # adding an edge u -> w takes w and its descendants from the new
         # parents of u and of each ancestor of u, whose parent groups stay
-        # as they were, so their add_color and add_edge blocks are filtered
-        # from the kept ones; each move must still scan what a fresh search
-        # on the new state lists, with the same delta bits in the same order
+        # as they were, so their add_edge blocks are filtered from the kept
+        # ones and their add_color blocks, keyed on the parent groups alone,
+        # are kept; each move must still scan what a fresh search on the new
+        # state lists, with the same delta bits in the same order
         rng = np.random.default_rng(24)
         names = ("add_color", "add_edge")
         filtered = 0
@@ -465,10 +497,14 @@ class TestIncrementalEngine:
                 fresh = GecsSearch(data)
                 fresh.state = SearchState(state.families, state.score, state.family_cache)
                 for name in names:
-                    got, want = ([(c, [d.hex() for d in ds]) for c, ds in s._scored(name, MOVES[name])]
+                    got, want = ([(c, [d.hex() for d in ds])
+                                  for c, ds in _every(s, name, MOVES[name])]
                                  for s in (search, fresh))
                     assert got == want
                     for old, new in zip(before[name], search._blocks[name]):
+                        if name == "add_color":
+                            assert (new is old) == (new.key == old.key)
+                            continue
                         (groups, allowed), (new_groups, new_allowed) = old.key, new.key
                         if groups != new_groups or new_allowed & ~allowed:
                             continue   # the node's groups changed, or it gained new parents
@@ -487,6 +523,17 @@ class TestIncrementalEngine:
                 search = cls(data)
                 search.run()
                 assert len(search.trace) > 1
+
+    @pytest.mark.parametrize("seed, n", [(1, 1000), (5, 1000), (3, 100_000)])
+    def test_searches_on_wide_models(self, seed, n):
+        # on models of the benchmark's width, and with many samples, where
+        # the closed form's bound on a score is widest
+        truth, theta = random_bpec(15, 0.5, 2, seed=[15, seed])
+        data = sample(truth, theta, n, [15, seed, 1])
+        for cls in (_CheckedGecs, _CheckedBaseline):
+            search = cls(data)
+            search.run()
+            assert len(search.trace) > 20
 
     def test_memoized_families_call_no_kernel(self, monkeypatch):
         truth, theta = random_bpec(6, 0.5, 2, seed=[6, 1])
@@ -512,6 +559,90 @@ class TestIncrementalEngine:
             search = cls(Dataset(x))
             search.run()
             assert any(a == b for a, b in search.ties)
+
+
+class TestClosedForm:
+    """add_color and the baseline score their blocks in closed form, and
+    `stacked_ls` stays the scorer of record."""
+
+    @pytest.mark.parametrize("p", [5, 8, 15, 20, 40])
+    def test_scores_match_the_kernel(self, p):
+        # true models from sparse to dense as states, each with its own data
+        checked = 0
+        for colored, name in ((True, "add_color"), (False, "baseline")):
+            for seed, rho in enumerate((0.2, 0.4, 0.6)):
+                cd, theta = random_bpec(p, rho, 2, seed=[p, seed, 28])
+                data = sample(cd, theta, 1000, [p, seed, 29])
+                cd = cd if colored else uncolored(cd.graph)
+                search = (GecsSearch if colored else BaselineSearch)(data)
+                search.state = state = search.scorer.state_from(_families_from(cd))
+                move = ALL_MOVES[name]
+                scanned = _closed_form(search, "" if name == "baseline" else name, move)
+                search.scorer.fit(family for candidate, _ in scanned for family in candidate)
+                memo = search.scorer._memo
+                for candidate, score in scanned:
+                    want = _summed(state.score, [memo[family] - state.family_cache[family[0]]
+                                                 for family in candidate])
+                    assert _within_bound(score, want, data.n, len(candidate))
+                    checked += 1
+        assert checked > 100
+
+    def test_collinear_candidates_are_left_to_the_kernel(self):
+        x = np.random.default_rng(28).standard_normal((200, 9))
+        x[:, 4] = x[:, 0]                 # a duplicated column
+        x[:, 5] = x[:, 0] + x[:, 1]       # columns equal to the sum of two others
+        x[:, 6] = x[:, 2] + x[:, 3]
+        x[:, 8] += x[:, :4].sum(axis=1)
+        # node 9 has parents 1, 2, 3 (uncolored) or the groups {1, 3} and
+        # {2, 4}; adding 5 or 6 alone, or 6 and 7 as a group, adds a column
+        # in the span of its columns, which the closed form scores +inf, so
+        # the kernel decides, and which the search scores -inf
+        cases = (
+            (BaselineSearch, "", ((0,), (1,), (2,)), (((4,),), ((5,),)), ((7,),)),
+            (GecsSearch, "add_color", ((0, 2), (1, 3)), (((5, 6),),), ((4, 7),)),
+        )
+        for cls, name, groups, collinear, fitted in cases:
+            search = cls(Dataset(x))
+            search.state = state = search.scorer.state_from(((),) * 8 + (groups,))
+            move = search.phases[0][1][0][1]
+            closed = dict(_closed_form(search, name, move))
+            scanned = dict(_every(search, name, move))
+            for add in collinear + (fitted,):
+                candidate = ((8, tuple(sorted(groups + add))),)
+                search.scorer.fit(candidate)
+                kernel = search.scorer._memo[candidate[0]]
+                assert scanned[candidate] == [kernel - state.family_cache[8]]
+                if add == fitted:
+                    assert _within_bound(closed[candidate], state.score + scanned[candidate][0], 200)
+                else:
+                    assert kernel == -math.inf and closed[candidate] == math.inf
+        for cls in (_CheckedGecs, _CheckedBaseline):
+            search = cls(Dataset(x))
+            search.run()
+            assert len(search.trace) > 5
+
+    @pytest.mark.parametrize("slack", [0.0, 3e-9])
+    def test_contenders_choose_what_the_whole_scan_chooses(self, slack):
+        # scores a few SCORE_EPS apart, around the state's score and each
+        # other, with tie keys in random order; the contenders are found from
+        # the scores each moved by less than the slack
+        rng = np.random.default_rng(28)
+        eps = gecs_module.SCORE_EPS
+        state = SearchState((), 1000.0, ())
+        picked = 0
+        for _ in range(3000):
+            count = int(rng.integers(1, 25))
+            deltas = rng.integers(-2, 8, count) * (eps * rng.choice([0.5, 0.9, 1.1, 2.0, 9.0]))
+            deltas += rng.integers(0, 2, count) * eps * rng.uniform(-0.1, 0.1, count)
+            keys = rng.permutation(count).tolist()
+            scored = [(t, [d]) for t, d in enumerate(deltas.tolist())]
+            moved = state.score + deltas + rng.uniform(-0.9, 0.9, count) * slack
+            contenders = gecs_module._contenders(state.score, moved, slack)
+            tiekey = lambda families, t: keys[t]
+            want = gecs_module._select(state, scored, tiekey)
+            assert gecs_module._select(state, [scored[t] for t in contenders], tiekey) == want
+            picked += len(contenders) < sum(state.score + d > state.score + eps for d in deltas)
+        assert picked > 100   # scans where the contenders left improving scores out
 
 
 # Search output on random_bpec(10, 0.5, 2, seed=5) with sample(n=1000, seed=6).

@@ -248,6 +248,14 @@ class TestRecovery:
         with pytest.raises(CdagError, match="a graph or an identifying set is needed"):
             call()
 
+    def test_nested_list_sigma(self):
+        assert recover_omega([[1.0]], Dag(1), 0) == 1.0
+        nested = P4_SIGMA.tolist()
+        assert recover_omega(nested, P4, 2) == recover_omega(P4_SIGMA, P4, 2)
+        assert recover_lambda(nested, P4, 0, 1) == recover_lambda(P4_SIGMA, P4, 0, 1)
+        assert (almost_principal_minor(nested, 0, 2, [1])
+                == almost_principal_minor(P4_SIGMA, 0, 2, [1]))
+
 
 S3 = np.array([[2.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.5]])
 
