@@ -218,6 +218,7 @@ class RelationPoly:
                 for m in kind.minors(_Tuples, *head, given)]
 
     def __call__(self, sigma: np.ndarray) -> float:
+        sigma = np.asarray(sigma)
         return _KINDS[self.kind].polynomial([minor(sigma, rows, cols)
                                              for rows, cols in self.minors()])
 

@@ -27,13 +27,11 @@ deltas: at most 8 p blocks for GECS and p for the baseline.  A block is
 keyed by everything it is built from: the node's parent groups; for
 add_edge, also the vertices that may become a new parent of the node; for
 reverse_edge, also which children's edges may be reversed and each child's
-parent groups.  Each try of a move rebuilds only the blocks whose key
-changed and then scans the deltas of all blocks in a fixed order: node by
-node, except that the baseline visits edges in (tail, head) order.  An
-add_edge block keeps, per candidate, the mask of the new parents it adds;
-when its node kept its parent groups and only lost new parents, the block
-is filtered to the candidates that add none of the lost ones instead of
-being rebuilt.
+parent groups.  A block is kept while its key holds and rebuilt once it
+changes, so each try of a move rebuilds only the blocks whose key changed
+and then scans the deltas of all blocks in a fixed order: node by node,
+except that the baseline visits edges in (tail, head) order.  A rebuilt
+block whose families are all memoized costs no kernel call.
 
 add_color and the baseline change one node's family by one regressor
 column: a new group {a, b}, or one parent more or less.  Their blocks are
@@ -56,8 +54,7 @@ of every candidate through the kernel would.  Where the closed form is
 not accurate to that bound, a changed column the others nearly explain or
 a residual sum near zero, and where the kernel may refuse the family, the
 closed form leaves the candidate to the kernel.  A candidate's score is
-the same sum in the same order whether its block was kept, filtered or
-rebuilt.
+the same sum in the same order whether its block was kept or rebuilt.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple, Union)
 
@@ -163,10 +160,6 @@ class _FamilyScorer:
         self.S = data.gram
         self.n = data.n
         self._memo: Dict[Tuple[int, Tuple[Group, ...]], float] = {}
-        # per node, the edge column of each parent group, built once and
-        # shared by every family that holds the group (never modified)
-        self._columns: List[Dict[Group, List[Tuple[int, int]]]] = [
-            {} for _ in range(data.p)]
 
     def fit(self, keys) -> None:
         """Score every (node, parent groups) key not yet memoized, in one
@@ -177,15 +170,8 @@ class _FamilyScorer:
         new = list({key: None for key in keys if key not in memo})
         if not new:
             return
-        families = []
-        for k, groups in new:
-            columns, family = self._columns[k], []
-            for grp in groups:
-                column = columns.get(grp)
-                if column is None:
-                    column = columns[grp] = [(i, k) for i in grp]
-                family.append(column)
-            families.append(((k,), family))
+        families = [((k,), [[(i, k) for i in grp] for grp in groups])
+                    for k, groups in new]
         _, rss, errors = stacked_ls(self.S, families, n=self.n, coefficients=False)
         for key, r, error in zip(new, rss.tolist(), errors):
             if error is None:
@@ -207,7 +193,9 @@ class _FamilyScorer:
     # is positive definite.  The residual cross products of every vertex on
     # those columns are R = S - S C G^-1 C^T S, and u = R[:, k].  A new
     # column with 0/1 indicator w leaves RSS' = R_kk - (w^T u)^2 / (w^T R w),
-    # of which w^T R w / w^T S w is the share unexplained by C; removing
+    # of which w^T R w / w^T S w is the share unexplained by C; RSS' is
+    # computed as R_kk - w^T u (w^T u / w^T R w), since the square underflows
+    # or overflows on data scaled far from 1 where RSS' does not.  Removing
     # column c leaves RSS' = RSS + beta_c^2 / (G^-1)_cc, and 1 / (G^-1)_cc is
     # c's share unexplained by the others once G is scaled to unit diagonal
     # (Frisch-Waugh-Lovell).
@@ -252,7 +240,7 @@ class _FamilyScorer:
         wRw = R[a, a] + R[a, b] + R[b, a] + R[b, b]
         wu = u[a] + u[b]
         with np.errstate(divide="ignore", invalid="ignore"):   # collinear pairs
-            return self._components(k, len(groups) + 1, R[k, k] - wu * wu / wRw,
+            return self._components(k, len(groups) + 1, R[k, k] - wu * (wu / wRw),
                                     wRw / (S[a, a] + S[a, b] + S[b, a] + S[b, b]))
 
     def toggled(self, k: int, groups: Tuple[Group, ...]) -> np.ndarray:
@@ -268,7 +256,7 @@ class _FamilyScorer:
         columns = np.full(len(S), m + 1)
         columns[removed] = m - 1
         with np.errstate(divide="ignore", invalid="ignore"):   # collinear vertices
-            rss = R[k, k] - u * u / r
+            rss = R[k, k] - u * (u / r)
             share = r / S.diagonal()
             rss[removed] = R[k, k] + beta[singles] ** 2 / inverse_diagonal[singles]
             share[removed] = 1.0 / inverse_diagonal[singles]
@@ -331,30 +319,13 @@ def _select(state: SearchState, scored: Iterable[Tuple[Candidate, List[float]]],
 
 class _Block(NamedTuple):
     """One node's candidates of one move with each one's deltas, under the
-    key they were built from.  A block scored in closed form holds no
-    candidates and its deltas as one array.  A block whose candidates add
-    new parents of the node holds, per candidate, the mask of those it adds
-    (``uses``), and its key is (the node's parent groups, its new-parent
-    mask)."""
+    key they were built from; kept while the key holds, else rebuilt.  A
+    block scored in closed form holds no candidates and its deltas as one
+    array."""
 
     key: object
     candidates: Optional[List[Candidate]]
     deltas: Union[List[List[float]], np.ndarray]
-    uses: Optional[List[int]]
-
-    def filtered(self, key) -> Optional["_Block"]:
-        """The block under ``key`` if the node kept its parent groups and
-        only lost new parents: the candidates that add none of the lost
-        ones, in order, with their deltas (the node's family, and with it
-        every delta, is unchanged).  None if the block must be rebuilt."""
-        if self.uses is None:
-            return None
-        groups, allowed = key
-        if groups != self.key[0] or allowed & ~self.key[1]:
-            return None
-        keep = [not used & ~allowed for used in self.uses]
-        return _Block(key, list(compress(self.candidates, keep)),
-                      list(compress(self.deltas, keep)), list(compress(self.uses, keep)))
 
 
 def _bits(masks: List[int], p: int) -> np.ndarray:
@@ -424,17 +395,14 @@ class _Move(NamedTuple):
     """``block(state, k)`` lists node k's candidates, and ``key(state, k)``
     is everything that block is built from.  ``order(state, blocks)`` pairs
     every candidate with its deltas, in the order the search scans them.  A
-    move that ``adds`` new parents returns its candidates and, per
-    candidate, the mask of the new parents it adds, so that its blocks can
-    be filtered.  A ``closed`` move's ``block(scorer, state, k)`` returns
-    node k's new score components in closed form, and its ``order``
-    returns the closed-form scores of its candidates in scan order with
-    the function that builds candidate t."""
+    ``closed`` move's ``block(scorer, state, k)`` returns node k's new score
+    components in closed form, and its ``order`` returns the closed-form
+    scores of its candidates in scan order with the function that builds
+    candidate t."""
 
     block: Callable
     key: Callable[[SearchState, int], object]
     order: Callable = _node_by_node
-    adds: bool = False
     closed: bool = False
 
 
@@ -462,10 +430,9 @@ def _split_color(state: SearchState, i: int):
 
 def _add_edge(state: SearchState, j: int):
     groups = state.families[j]
-    new = members(state.masks.new_parents[j])
-    return ([((j, _edit(groups, (gi,), (grp + (i,),))),)
-             for i in new for gi, grp in enumerate(groups)],
-            [1 << i for i in new for _ in groups])
+    for i in members(state.masks.new_parents[j]):
+        for gi, grp in enumerate(groups):
+            yield ((j, _edit(groups, (gi,), (grp + (i,),))),)
 
 
 def _move_edge(state: SearchState, i: int):
@@ -526,7 +493,7 @@ def _remove_color(state: SearchState, i: int):
 PHASES = (
     ("phase1", (("add_color", _Move(_add_color, _groups, _pairs_node_by_node, closed=True)),
                 ("split_color", _Move(_split_color, _groups)))),
-    ("phase2", (("add_edge", _Move(_add_edge, _groups_and_new_parents, adds=True)),
+    ("phase2", (("add_edge", _Move(_add_edge, _groups_and_new_parents)),
                 ("move_edge", _Move(_move_edge, _groups)),
                 ("reverse_edge", _Move(_reverse_edge, _reverse_edge_key)),
                 ("remove_edge", _Move(_remove_edge, _groups)))),
@@ -623,31 +590,26 @@ class _GreedySearch:
         """Every candidate of the move on the current state with its
         deltas, in scan order, or of a closed-form move those that can
         decide the choice; only the blocks whose key changed since the move
-        was last tried are filtered, or listed or scored again."""
+        was last tried are listed or scored again."""
         state, blocks = self.state, self._blocks[name]
         stale = []
         for k, block in enumerate(blocks):
             key = move.key(state, k)
             if block is not None and block.key == key:
                 continue
-            kept = None if block is None else block.filtered(key)
-            if kept is not None:
-                blocks[k] = kept
-            elif move.closed:
+            if move.closed:
                 blocks[k] = _Block(key, None, move.block(self.scorer, state, k)
-                                   - state.family_cache[k], None)
-            elif move.adds:
-                stale.append((k, key, *move.block(state, k)))
+                                   - state.family_cache[k])
             else:
-                stale.append((k, key, list(move.block(state, k)), None))
+                stale.append((k, key, list(move.block(state, k))))
         if stale:
-            self.scorer.fit(family for _, _, cands, _ in stale
+            self.scorer.fit(family for _, _, cands in stale
                             for candidate in cands for family in candidate)
             memo, cache = self.scorer._memo, state.family_cache
-            for k, key, cands, uses in stale:
+            for k, key, cands in stale:
                 blocks[k] = _Block(key, cands, [[memo[family] - cache[family[0]]
                                                  for family in candidate]
-                                                for candidate in cands], uses)
+                                                for candidate in cands])
         if move.closed:
             return self._refitted(*move.order(state, blocks))
         return move.order(state, blocks)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coloring import ColoredDag
 from .dag import Dag, first_refused, vertex
-from .errors import CdagError, ColoringError, NotPositiveDefiniteError
+from .errors import CdagError, ColoringError, GraphError, NotPositiveDefiniteError
 from .files import write_matrix_csv  # noqa: F401  (re-exported for perfbench)
 
 SYMMETRY_TOL = 1e-12   # largest |sigma - sigma^T| entry, relative to 1 + max |sigma|
@@ -227,6 +227,8 @@ def recover_lambda(sigma: np.ndarray, graph: Optional[Dag], i: int, j: int,
     """The regression quotient |Sigma_{ij|A \\ i}| / |Sigma_A|; with A = pa(j)
     (the default) this returns the coefficient on i -> j on any model point."""
     sigma, (i, j) = _checked(sigma, [i, j])
+    if i == j:
+        raise GraphError(f"({i + 1}, {j + 1}) is a self-loop, not a vertex pair")
     a, den = _identifying_set(sigma, graph, j, given, f"identifying set for edge "
                               f"({i + 1}, {j + 1}) may not contain {j + 1}")
     return almost_principal_minor(sigma, i, j, [v for v in a if v != i]) / den

@@ -11,7 +11,7 @@ import pytest
 from cdag import constraints
 from cdag.bench import random_bpec
 from cdag.coloring import ColoredDag, uncolored
-from cdag.constraints import (check_global_markov, check_local_markov,
+from cdag.constraints import (RelationPoly, check_global_markov, check_local_markov,
                               faithfulness_scan, local_generators,
                               model_equivalent)
 from cdag.dag import Dag
@@ -480,6 +480,14 @@ class TestArguments:
     def test_numeric_arguments_out_of_range(self, call, expected):
         with pytest.raises(CdagError, match=re.escape(expected)):
             call()
+
+    def test_nested_list_sigma(self):
+        # a relation evaluates a nested-list sigma as it does the array
+        sigma = parametrize(EX48, random_params(EX48, np.random.default_rng(1)))
+        relations = local_generators(EX48) + [RelationPoly("cir", (0, 1), ((),))]
+        assert {r.kind for r in relations} == {"cir", "vcr", "ecr"}
+        for relation in relations:
+            assert relation(sigma.tolist()) == relation(sigma)
 
     def test_numpy_integers_are_integers(self):
         result = model_equivalent(EX48, EX48, trials=np.int64(2), seed=np.uint8(1))

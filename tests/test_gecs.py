@@ -3,6 +3,7 @@
 import importlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -470,16 +471,17 @@ class TestIncrementalEngine:
                     state = search.scorer.state_from(gecs_module._updated(state.families, step))
             assert kept > 0
 
-    def test_filtered_blocks_equal_a_fresh_listing(self):
+    def test_kept_blocks_equal_a_fresh_listing(self):
         # adding an edge u -> w takes w and its descendants from the new
         # parents of u and of each ancestor of u, whose parent groups stay
-        # as they were, so their add_edge blocks are filtered from the kept
-        # ones and their add_color blocks, keyed on the parent groups alone,
-        # are kept; each move must still scan what a fresh search on the new
-        # state lists, with the same delta bits in the same order
+        # as they were: their add_color blocks, keyed on the parent groups
+        # alone, are kept, and their add_edge blocks, keyed also on the new
+        # parents, are rebuilt; each move must still scan what a fresh
+        # search on the new state lists, with the same delta bits in the
+        # same order, and keep a block exactly when its key holds
         rng = np.random.default_rng(24)
         names = ("add_color", "add_edge")
-        filtered = 0
+        lost_only = 0
         for state, data in _random_states(colored=True):
             search = GecsSearch(data)
             state = search.scorer.state_from(state.families)
@@ -501,19 +503,21 @@ class TestIncrementalEngine:
                                   for c, ds in _every(s, name, MOVES[name])]
                                  for s in (search, fresh))
                     assert got == want
-                    for old, new in zip(before[name], search._blocks[name]):
+                    for old, new, listed in zip(before[name], search._blocks[name],
+                                                fresh._blocks[name]):
+                        assert (new is old) == (new.key == old.key)
                         if name == "add_color":
-                            assert (new is old) == (new.key == old.key)
                             continue
                         (groups, allowed), (new_groups, new_allowed) = old.key, new.key
-                        if groups != new_groups or new_allowed & ~allowed:
-                            continue   # the node's groups changed, or it gained new parents
-                        if new_allowed != allowed:
-                            # it only lost new parents: the kept candidates, filtered
-                            kept = set(map(id, old.candidates))
-                            assert all(id(c) in kept for c in new.candidates)
-                            filtered += 1
-        assert filtered > 0
+                        if groups != new_groups or new_allowed & ~allowed or new_allowed == allowed:
+                            continue
+                        # the node only lost new parents: its block was
+                        # rebuilt as a fresh search lists it
+                        assert new.candidates == listed.candidates
+                        assert ([[d.hex() for d in ds] for ds in new.deltas]
+                                == [[d.hex() for d in ds] for ds in listed.deltas])
+                        lost_only += 1
+        assert lost_only > 0
 
     def test_searches_on_sampled_models(self):
         for seed in range(4):
@@ -620,6 +624,20 @@ class TestClosedForm:
             search = cls(Dataset(x))
             search.run()
             assert len(search.trace) > 5
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-90, 1e80, 1e150])
+    def test_data_scale_changes_no_result(self, scale):
+        # the closed form divides before it squares: squared residual cross
+        # products of tiny data underflow to 0, which scored every candidate
+        # as no gain, and those of huge data overflow
+        truth, theta = random_bpec(8, 0.5, 2, seed=[41, 0])
+        x = sample(truth, theta, 500, [41, 0, 1]).X
+        want = gecs(Dataset(x)), baseline_greedy(Dataset(x)).edges
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gecs(Dataset(x * scale)), baseline_greedy(Dataset(x * scale)).edges
+        assert got == want
+        assert len(want[0].graph.edges) > 10 and len(want[1]) > 10
 
     @pytest.mark.parametrize("slack", [0.0, 3e-9])
     def test_contenders_choose_what_the_whole_scan_chooses(self, slack):

@@ -284,6 +284,14 @@ class TestRecoveryRejectsBadVertices:
         with pytest.raises(GraphError, match=re.escape(message)):
             call(bad)
 
+    @pytest.mark.parametrize("graph, given", [(P4, None), (None, [0])],
+                             ids=["parents", "given"])
+    def test_self_loop_is_a_graph_error(self, graph, given):
+        # the quotient would be the vertex's conditional variance, not an
+        # edge coefficient
+        with pytest.raises(GraphError, match=re.escape("(2, 2) is a self-loop, not a vertex pair")):
+            recover_lambda(P4_SIGMA, graph, 1, 1, given=given)
+
     def test_numpy_integers_are_vertices(self):
         assert recover_omega(S3, None, np.int64(1), given=np.array([0])) == \
             recover_omega(S3, None, 1, given=[0])
