@@ -292,6 +292,12 @@ def main(argv=None) -> int:
         for flag, needs in (("budget", "global"), ("seed", "global"), ("seed", "budget")):
             if getattr(args, flag) is not None and getattr(args, needs) is None:
                 parser.error(f"check --{flag} needs --{needs}")
+    if args.command == "simulate":
+        if args.params is not None and args.graph is None:
+            parser.error("simulate --params needs --graph")
+        for flag in ("p", "rho", "nc"):
+            if getattr(args, flag) is not None and args.graph is not None:
+                parser.error(f"simulate --{flag} cannot be used with --graph")
     try:
         return args.func(args)
     except (CdagError, OSError) as exc:

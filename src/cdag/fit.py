@@ -15,13 +15,21 @@ The kernel reads no samples: it fits from the Gram matrix S = X^T X, which a
 `Dataset` computes once (`Dataset.gram`).  With A_j the indicator matrix of
 node j's regressor columns, the normal equations are G = sum_j A_j^T S A_j
 and b = sum_j A_j^T S[:, j], and RSS = sum_j S[j, j] - b^T G^-1 b.  Each G
-is scaled to unit diagonal and factored by Cholesky without pivoting, all
-families at once, so each squared pivot is the share of a column's squared
-norm left unexplained by the columns before it.  A family with fewer
-columns than the widest in the call is padded with identity columns, which
-leaves its solution exact, and its normal equations are formed by the same
-matrix products as when it is fitted alone, so its results do not depend
-on the rest of the call.  One relative tolerance, `RESIDUAL_RTOL`, decides
+is scaled to unit diagonal and factored by Cholesky without pivoting, so
+each squared pivot is the share of a column's squared norm left
+unexplained by the columns before it.  There are two ways to factor,
+chosen by the size of the call.  A call of more than `SCALAR_FAMILIES`
+families factors them all at once in numpy, a family with fewer columns
+than the widest in the call padded with identity columns, which leaves its
+solution exact.  A smaller call, such as the search makes to fit the few
+contenders of a move, fits each family alone on Python floats, since
+numpy's cost per call dominates on arrays of a few dozen entries.  Both
+form a family's normal equations by the matrix products a lone family's
+fit makes, with the same BLAS shapes, and both then run the same IEEE
+operations in the same order (on the upper triangle, the only part the
+factorization reads), so a family's results, to the bit, depend neither
+on the rest of the call nor on the way it was factored.  One relative
+tolerance, `RESIDUAL_RTOL`, decides
 both failures: a column whose share falls to it is collinear with the
 others, and a response whose RSS falls to that share of its squared norm
 has zero residual variance.  A family with as many columns as samples is
@@ -53,6 +61,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 # unexplained share of a squared norm at or below which a column counts as
 # in the span of the others, or a response as fitted exactly
 RESIDUAL_RTOL = 1e-10
+# a call with at most this many families fits each alone on Python floats,
+# where numpy's cost per call outweighs its batched arithmetic; the two
+# ways cost about the same at four or five families of the search's widths
+SCALAR_FAMILIES = 4
 
 
 @dataclass(frozen=True)
@@ -99,7 +111,13 @@ class Dataset:
         return tuple(f"x{i + 1}" for i in range(self.p))
 
     def centered(self) -> "Dataset":
-        return Dataset(self.X - self.X.mean(axis=0, keepdims=True), self.names)
+        """The data less each column's mean.  Finite data whose means or
+        centered values pass the float range are an error naming the columns
+        involved."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self.X - self.X.mean(axis=0, keepdims=True)
+        _require_finite(x, "centered values")
+        return Dataset(x, self.names)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -108,11 +126,7 @@ class Dataset:
         the columns involved."""
         with np.errstate(over="ignore", invalid="ignore"):
             s = self.X.T @ self.X
-        overflowed = np.flatnonzero(~np.isfinite(s).all(axis=0)).tolist()
-        if overflowed:
-            columns = ", ".join(str(j + 1) for j in overflowed)
-            raise CdagError(f"products of data column{'s' * (len(overflowed) > 1)} "
-                            f"{columns} overflow the float range; rescale the data")
+        _require_finite(s, "products")
         s.setflags(write=False)
         return s
 
@@ -131,6 +145,16 @@ class Dataset:
         """Write the header, then each sample, so that `from_csv` reads back
         the same array."""
         write_matrix_csv(self.X, path, header=self.column_names())
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Refuse ``a``, computed from finite data, if some column of it is not
+    finite: the data's ``what`` pass the float range."""
+    overflowed = np.flatnonzero(~np.isfinite(a).all(axis=0)).tolist()
+    if overflowed:
+        columns = ", ".join(str(j + 1) for j in overflowed)
+        raise CdagError(f"{what} of data column{'s' * (len(overflowed) > 1)} "
+                        f"{columns} overflow the float range; rescale the data")
 
 
 Edges = Tuple[Tuple[int, int], ...]
@@ -160,18 +184,112 @@ def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[E
     squares; and per family either None or the `RankDeficientError` that
     fitting it alone raises.  A family's results do not depend on the others
     in the call, nor on the order of its columns: each is fitted with its
-    columns sorted by their sorted edges."""
+    columns sorted by their sorted edges.  A call of up to `SCALAR_FAMILIES`
+    families is fitted family by family (`_fit_alone`), a larger one all at
+    once (`_fit_batched`), to the same bits."""
     if not families:
         return (np.zeros((0, 0)) if coefficients else None), np.zeros(0), []
-    N, p = len(families), S.shape[0]
     norms = S.diagonal().tolist()
-    yy = np.array([sum(map(norms.__getitem__, nodes)) for nodes, _ in families])
+    yy = [sum(map(norms.__getitem__, nodes)) for nodes, _ in families]
     # each family's columns in canonical order: sorted by their sorted edges
     columns = [sorted(groups, key=sorted) for _, groups in families]
+    if len(families) <= SCALAR_FAMILIES:
+        rss, collinear, fitted = zip(*(
+            _fit_alone(S, nodes, cols, y, coefficients)
+            for (nodes, _), cols, y in zip(families, columns, yy)))
+    else:
+        rss, collinear, fitted = _fit_batched(S, families, columns, yy, coefficients)
+    coef = None
+    if coefficients:
+        coef = np.zeros((len(families), max(map(len, columns))))
+        for f, (_, groups) in enumerate(families):
+            # back to the caller's column order
+            order = sorted(range(len(groups)), key=lambda c: sorted(groups[c]))
+            coef[f, order] = fitted[f][:len(groups)]
+    errors = [_failure(tuple(nodes), len(cols), n, col, y)
+              if len(cols) >= n or col or r <= RESIDUAL_RTOL * y else None
+              for (nodes, _), cols, col, r, y in zip(families, columns, collinear, rss, yy)]
+    return coef, np.array(rss, dtype=float), errors
+
+
+def _failure(nodes: Tuple[int, ...], m: int, n: int, collinear: bool,
+             yy: float) -> RankDeficientError:
+    """The error of a family with ``m`` columns and squared norm ``yy`` that
+    the fit refuses."""
+    if m >= n:
+        # as many regressors as samples: the fit interpolates, and its
+        # residual is rounding noise rather than a variance estimate
+        msg = (f"the family of {_vertices(nodes)} has {m} regressor "
+               f"columns but only {n} samples")
+    elif collinear:
+        msg = f"collinear regressors in the family of {_vertices(nodes)}"
+    elif yy == 0.0:
+        # no fit is to blame: there is no variance to explain
+        columns = "its data column is" if len(nodes) == 1 else "their data columns are"
+        msg = (f"zero residual variance at {_vertices(nodes)}; {columns} all zero "
+               f"(a constant column is, once centered)")
+    else:
+        msg = (f"zero residual variance at {_vertices(nodes)}; the model "
+               f"interpolates the data")
+    return RankDeficientError(msg, family=nodes)
+
+
+def _fit_alone(S: np.ndarray, nodes: Sequence[int], columns: List[Edges], yy: float,
+               coefficients: bool):
+    """One family's RSS, whether it is collinear, and its coefficients in
+    ``columns`` order (None unless ``coefficients``): the arithmetic of
+    `_fit_batched`, as the same IEEE operations in the same order on Python
+    floats, so with the same bits.  Its matrix products and its solve stay
+    in numpy, with the shapes they have for a lone family in the batched
+    path, since their rounding is the BLAS kernel's."""
+    m = len(columns)
+    if not m:
+        return yy, False, []
+    p = S.shape[0]
+    for s, k in enumerate(nodes):
+        # node k's slot: the products of the batched path's slot s
+        A = np.zeros(p * m)
+        A[[i * m + a for a, col in enumerate(columns) for i, j in col if j == k]] = 1.0
+        A = A.reshape(p, m)
+        SA = S @ A
+        GA, bA = (A.T @ SA).tolist(), SA[k].tolist()
+        if s:
+            G = [[x + y for x, y in zip(g, h)] for g, h in zip(G, GA)]
+            b = [x + y for x, y in zip(b, bA)]
+        else:
+            G, b = GA, bA
+    # the batched steps on the upper triangle, which is all they read: G
+    # is not bitwise symmetric
+    d = [math.sqrt(x if x > 0.0 else 1.0) for x in (G[a][a] for a in range(m))]
+    U = [[0.0] * a + [G[a][c] / (d[a] * d[c]) for c in range(a, m)] for a in range(m)]
+    z = [x / y for x, y in zip(b, d)]
+    collinear = False
+    for j, uj in enumerate(U):
+        pivot = uj[j]
+        if not pivot > RESIDUAL_RTOL:   # np.fmax's clip, NaN included
+            collinear, pivot = True, RESIDUAL_RTOL
+        r = uj[j] = math.sqrt(pivot)   # the factor's diagonal, for back-substitution
+        inv = 1.0 / r
+        row = uj[j + 1:] = [x * inv for x in uj[j + 1:]]
+        zj = z[j] = z[j] / r
+        for a, ra in enumerate(row, j + 1):
+            ua = U[a]
+            ua[a:] = [x - ra * y for x, y in zip(ua[a:], row[a - j - 1:])]
+            z[a] -= ra * zj
+    z = np.array(z)
+    fitted = np.linalg.solve(np.array(U), z[:, None])[:, 0] / d if coefficients else None
+    return yy - float(z @ z), collinear, fitted
+
+
+def _fit_batched(S: np.ndarray, families, columns: List[List[Edges]], yy: List[float],
+                 coefficients: bool):
+    """Every family's RSS, whether it is collinear, and its coefficients in
+    ``columns`` order (None unless ``coefficients``), all families at once."""
+    N, p = len(families), S.shape[0]
     by_width: Dict[int, List[int]] = {}
     for f, cols in enumerate(columns):
         by_width.setdefault(len(cols), []).append(f)
-    M = max(by_width, default=0)
+    M = max(by_width)
     ii = np.arange(M)   # indexes the diagonal of M x M blocks
 
     # normal equations: with A_j the indicator matrix of node j's regressor
@@ -232,47 +350,18 @@ def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[E
     collinear = ~(pivots > RESIDUAL_RTOL).all(axis=1)
     # z^T z by the dot product of a lone family's length, as padding zeros
     # could move its bits in a longer one
-    rss = yy.copy()
+    rss = np.array(yy)
     for m, fams in by_width.items():
         if m:
             zm = z[fams, :m, None]
             rss[fams] -= (zm.swapaxes(1, 2) @ zm)[:, 0, 0]
-    coef = None
+    fitted = None
     if coefficients:
         # back-substitution; U is triangular, so the LU solve does no pivoting
         U = np.triu(U)
         U[:, ii, ii] = np.sqrt(np.fmax(pivots, RESIDUAL_RTOL))
         fitted = np.linalg.solve(U, z[:, :, None])[:, :, 0] / d
-        coef = np.zeros((N, M))
-        for f, (_, groups) in enumerate(families):
-            # back to the caller's column order
-            order = sorted(range(len(groups)), key=lambda c: sorted(groups[c]))
-            coef[f, order] = fitted[f, :len(groups)]
-
-    errors: List[Optional[RankDeficientError]] = [None] * N
-    failed = collinear | (rss <= RESIDUAL_RTOL * yy)
-    for m, fams in by_width.items():
-        if m >= n:
-            failed[fams] = True
-    for f in np.flatnonzero(failed).tolist():
-        nodes, m = tuple(families[f][0]), len(families[f][1])
-        if m >= n:
-            # as many regressors as samples: the fit interpolates, and its
-            # residual is rounding noise rather than a variance estimate
-            msg = (f"the family of {_vertices(nodes)} has {m} regressor "
-                   f"columns but only {n} samples")
-        elif collinear[f]:
-            msg = f"collinear regressors in the family of {_vertices(nodes)}"
-        elif yy[f] == 0.0:
-            # no fit is to blame: there is no variance to explain
-            columns = "its data column is" if len(nodes) == 1 else "their data columns are"
-            msg = (f"zero residual variance at {_vertices(nodes)}; {columns} all zero "
-                   f"(a constant column is, once centered)")
-        else:
-            msg = (f"zero residual variance at {_vertices(nodes)}; the model "
-                   f"interpolates the data")
-        errors[f] = RankDeficientError(msg, family=nodes)
-    return coef, rss, errors
+    return rss.tolist(), collinear.tolist(), fitted
 
 
 def family_loglik(n: int, rss, nodes: Sequence[int]):

@@ -142,6 +142,38 @@ class TestSimulateLearnScore:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (workdir / "d.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--p", "3", "--rho", "0.5", "--nc", "1", "--params", "theta.json"),
+         "simulate --params needs --graph"),
+        (("--graph", "g.json", "--p", "3"), "simulate --p cannot be used with --graph"),
+        (("--graph", "g.json", "--rho", "0.5"), "simulate --rho cannot be used with --graph"),
+        (("--graph", "g.json", "--params", "theta.json", "--nc", "1"),
+         "simulate --nc cannot be used with --graph"),
+    ])
+    def test_simulate_refuses_flags_it_would_ignore(self, workdir, capsys, flags, message):
+        # the files named are never read: theta.json does not even exist
+        write_graph_json(ColoredDag(Dag(3, [(0, 1), (1, 2)])), workdir / "g.json")
+        flags = [str(workdir / f) if f.endswith(".json") else f for f in flags]
+        out_csv = workdir / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *flags, "--n", "4", "--out", str(out_csv)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
+        assert not out_csv.exists()
+
+    def test_learn_names_the_columns_whose_centering_overflows(self, workdir, capsys):
+        # every value is finite; only the column mean passes the float range
+        data = workdir / "d.csv"
+        data.write_text("x1,x2\n1e308,1\n1e308,2\n3,4\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "learn", "--data", str(data))
+        assert code == 1 and out == ""
+        assert err == ("error: centered values of data column 1 overflow the float "
+                       "range; rescale the data\n")
+        assert not caught
+
 
 class TestCheck:
     def _write_model_point(self, workdir):

@@ -10,7 +10,7 @@ import pytest
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, RankDeficientError
-from cdag.fit import Dataset, bic_score, fit_families, mle, stacked_ls
+from cdag.fit import SCALAR_FAMILIES, Dataset, bic_score, fit_families, mle, stacked_ls
 from cdag.params import ModelParams, parametrize, recover_lambda
 from cdag.bench import random_bpec, sample
 
@@ -106,6 +106,25 @@ class TestDataset:
     def test_centering(self):
         data = Dataset(np.array([[1.0, 2.0], [3.0, 6.0]]))
         assert np.allclose(data.centered().X.mean(axis=0), 0.0)
+
+    def test_centering_keeps_the_bits(self):
+        x = np.random.default_rng(1).standard_normal((50, 4)) * [1.0, 1e150, 1e-150, 3.0]
+        centered = Dataset(x).centered()
+        assert centered.X.tobytes() == (x - x.mean(axis=0, keepdims=True)).tobytes()
+
+    @pytest.mark.parametrize("rows, named", [
+        # the column sum overflows, so its mean is infinite
+        ([[1e308, 1.0], [1e308, 2.0], [3.0, 4.0]], "centered values of data column 1 overflow"),
+        # finite means, but a value minus its mean passes the float range
+        ([[1.7e308, -1.7e308, 1.0], [-1e308, 1e308, 2.0], [-1e308, 1e308, 0.0]],
+         "centered values of data columns 1, 2 overflow"),
+    ])
+    def test_centering_overflow_names_the_columns(self, rows, named):
+        # finite data, so the message must not blame missing values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CdagError, match=named + " the float range; rescale the data"):
+                Dataset(np.array(rows)).centered()
 
 
 class TestMle:
@@ -322,6 +341,43 @@ def _random_family(rng, p, n_nodes, max_edges):
     return nodes, sorted(groups)
 
 
+def _family_of_width(rng, p, n_nodes, width):
+    """A random vertex color class of ``n_nodes`` nodes with at most
+    ``width`` columns (fewer only if it lacks the edges), in canonical order;
+    its edges, two per column on average, are split among the columns at
+    random."""
+    nodes = tuple(sorted(rng.choice(p, size=n_nodes, replace=False).tolist()))
+    pool = [(i, k) for k in nodes for i in range(p) if i not in nodes]
+    pool = [pool[e] for e in rng.permutation(len(pool))[:2 * width]]
+    width = min(width, len(pool))
+    cuts = [0, *sorted(rng.choice(range(1, len(pool)), size=width - 1, replace=False).tolist()),
+            len(pool)] if width else [0]
+    return nodes, sorted(tuple(sorted(pool[a:b])) for a, b in zip(cuts, cuts[1:]))
+
+
+def _failing_families():
+    """Data with a duplicated, an all-zero and an exactly fitted column;
+    families that fit it, and families that fail it, by their message."""
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((40, 6))
+    x[:, 1] = x[:, 0]                     # a duplicated column
+    x[:, 2] = 0.0                         # an all-zero column
+    x[:, 5] = x[:, 3] - 2.0 * x[:, 4]     # a response its parents fit exactly
+    good = [((3,), [((0, 3),), ((4, 3),)]), ((4,), []),
+            ((0,), [((3, 0), (4, 0))]), ((3, 5), [((0, 3), (0, 5)), ((4, 5),)])]
+    bad = {
+        "collinear regressors in the family of vertex 4": ((3,), [((0, 3),), ((1, 3),)]),
+        "collinear regressors in the family of vertex 1": ((0,), [((2, 0),), ((3, 0),)]),
+        "zero residual variance at vertex 6; the model interpolates the data":
+            ((5,), [((3, 5),), ((4, 5),)]),
+        "the family of vertex 1 has 40 regressor columns but only 40 samples":
+            ((0,), [((i % 5 + 1, 0),) for i in range(40)]),
+        "zero residual variance at vertex 3; its data column is all zero "
+        "(a constant column is, once centered)": ((2,), [((0, 2),)]),
+    }
+    return x, good, bad
+
+
 class TestStackedKernel:
     """`stacked_ls` fits many families in one call; each family's results
     are those of its own one-family call."""
@@ -368,6 +424,57 @@ class TestStackedKernel:
                 assert rss[f] == alone_rss
                 assert coef[f, :len(groups)].tolist() == alone_coef[orders[f]].tolist()
 
+    def test_families_fitted_alone_equal_their_batched_fits_bit_for_bit(self):
+        # a call of up to SCALAR_FAMILIES families fits each alone on Python
+        # floats, a larger one fits them all at once in numpy; both must give
+        # a family the same bits, pooled families and failures included
+        assert 2 <= SCALAR_FAMILIES < 12
+        rng = np.random.default_rng(23)
+        padded, widths = 0, set()
+        for p in (5, 15, 40):
+            n = 300
+            x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+            families = []
+            for _ in range(24):
+                nodes, groups = _family_of_width(rng, p, 1 + int(rng.integers(0, 3)),
+                                                 int(rng.integers(0, 13)))
+                families.append((nodes, [groups[c] for c in rng.permutation(len(groups))]))
+                widths.add(len(groups))
+            # the batched path pads a family's node slots when another family
+            # of its width has more nodes
+            padded += sum(any(len(g) == len(h) and len(v) < len(u) for u, h in families)
+                          for v, g in families)
+            self._same_bits_in_every_call(x.T @ x, families, n)
+        assert widths == set(range(13)) and padded > 0
+
+    def test_failures_fitted_alone_equal_their_batched_fits(self):
+        x, good, bad = _failing_families()
+        bad = list(bad.values())
+        # every failure kind twice, among families that fit
+        families = [good[f % len(good)] if f % 3 else bad[f // 3 % len(bad)]
+                    for f in range(6 * len(bad))]
+        self._same_bits_in_every_call(x.T @ x, families, len(x))
+
+    @staticmethod
+    def _same_bits_in_every_call(S, families, n):
+        """Each family's rss, coefficients and error from a call of all the
+        families equal those from calls of sizes 1 and around the threshold."""
+        assert len(families) > SCALAR_FAMILIES + 1
+        for coefficients in (True, False):
+            coef, rss, errors = stacked_ls(S, families, n=n, coefficients=coefficients)
+            for size in (1, SCALAR_FAMILIES - 1, SCALAR_FAMILIES, SCALAR_FAMILIES + 1):
+                for first in range(0, len(families), size):
+                    part = families[first:first + size]
+                    c, r, e = stacked_ls(S, part, n=n, coefficients=coefficients)
+                    for f, (_, groups) in enumerate(part, first):
+                        t, m = f - first, len(groups)
+                        assert r[t].tobytes() == rss[f].tobytes()
+                        assert repr(e[t]) == repr(errors[f])
+                        assert getattr(e[t], "family", None) == getattr(errors[f], "family", None)
+                        if coefficients:
+                            assert c[t, :m].tobytes() == coef[f, :m].tobytes()
+                            assert not c[t, m:].any()
+
     def test_empty_batch(self):
         S = np.eye(3)
         coef, rss, errors = stacked_ls(S, [], n=10)
@@ -377,23 +484,9 @@ class TestStackedKernel:
         assert coef is None and rss.shape == (0,) and errors == []
 
     def test_each_failure_stays_with_its_family(self):
-        rng = np.random.default_rng(22)
-        x = rng.standard_normal((40, 6))
-        x[:, 1] = x[:, 0]                     # a duplicated column
-        x[:, 2] = 0.0                         # an all-zero column
-        x[:, 5] = x[:, 3] - 2.0 * x[:, 4]     # a response its parents fit exactly
-        good = [((3,), [((0, 3),), ((4, 3),)]), ((4,), []),
-                ((0,), [((3, 0), (4, 0))]), ((3, 5), [((0, 3), (0, 5)), ((4, 5),)])]
-        bad = {
-            "collinear regressors in the family of vertex 4": ((3,), [((0, 3),), ((1, 3),)]),
-            "collinear regressors in the family of vertex 1": ((0,), [((2, 0),), ((3, 0),)]),
-            "zero residual variance at vertex 6; the model interpolates the data":
-                ((5,), [((3, 5),), ((4, 5),)]),
-            "the family of vertex 1 has 40 regressor columns but only 40 samples":
-                ((0,), [((i % 5 + 1, 0),) for i in range(40)]),
-        }
+        x, good, bad = _failing_families()
         families = good + list(bad.values())
-        order = rng.permutation(len(families))
+        order = np.random.default_rng(22).permutation(len(families))
         shuffled = [families[f] for f in order]
         _, rss, errors = stacked_ls(x.T @ x, shuffled, n=40)
         for t, f in enumerate(order):
@@ -403,7 +496,7 @@ class TestStackedKernel:
                 message = list(bad)[f - len(good)]
                 assert str(errors[t]) == message
                 assert errors[t].family == shuffled[t][0]
-                with pytest.raises(RankDeficientError, match=message):
+                with pytest.raises(RankDeficientError, match=re.escape(message)):
                     family_ls(x.T @ x, *shuffled[t], n=40)
 
 
