@@ -21,40 +21,44 @@ search adds only the vertices that may become a new parent of a node.  No
 `Dag` is built while searching: only the result, `SearchState.current`,
 builds one.
 
-A move scores its candidates in blocks, one per node, and the search keeps
-only the latest block of each (move, node) pair with each candidate's
-deltas: at most 8 p blocks for GECS and p for the baseline.  A block is
-keyed by everything it is built from: the node's parent groups; for
-add_edge, also the vertices that may become a new parent of the node; for
-reverse_edge, also which children's edges may be reversed and each child's
-parent groups.  A block is kept while its key holds and rebuilt once it
-changes, so each try of a move rebuilds only the blocks whose key changed
-and then scans the deltas of all blocks in a fixed order: node by node,
-except that the baseline visits edges in (tail, head) order.  A rebuilt
-block whose families are all memoized costs no kernel call.
+Every move is scored in closed form.  The search keeps one block per node,
+keyed on the node's parent groups and rebuilt once they change: the deltas
+of every change the search's moves can make to that family, all scored from
+one factor of it (`_FamilyScorer.changes`).  A change drops the set D of the
+node's groups and adds the set W of columns, each a sum or difference of
+group indicators c_g and vertices e_v (`_CHANGES`):
 
-add_color and the baseline change one node's family by one regressor
-column: a new group {a, b}, or one parent more or less.  Their blocks are
-scored in closed form, every vertex pair or vertex of a block from one
-Cholesky factor of the node's current family (the Frisch-Waugh-Lovell
-update, in `_FamilyScorer`), and hold their deltas as one array, so their
-key is the node's parent groups alone; the scan masks them with the
-state's new parents and reversible children.  Every other move lists its
-candidates and fits the families not yet memoized in one stacked
-least-squares call (`stacked_ls`).
+    move          D        W
+    add_color     -        e_a + e_b
+    add_edge      g        c_g + e_v
+    move_edge     g, h     c_g - e_v, c_h + e_v
+    split_color   g        c_g - e_a - e_b, e_a + e_b
+    remove_edge   g        c_g - e_v
+    merge_colors  g, h     c_g + c_h
+    remove_color  g        -
+    baseline      -        e_v          (a vertex added)
+                  c        -            (a singleton parent removed)
+
+reverse_edge adds an edge at its tail and removes one at its head, so its
+score sums add_edge's delta at the tail and remove_edge's at the head.  A
+block holds every vertex's and every group's rows, so a move's scan masks
+the blocks with the state's new parents and reversible children and with
+the group sizes the move needs, and walks the rows left in a fixed order:
+node by node, except that reverse_edge visits edges in (tail, head) order
+and the baseline in (tail, head) order over all vertex pairs.
 
 `stacked_ls` stays the scorer of record: nothing but its scores is
 compared or enters a state.  A closed-form score differs from the
 kernel's by at most n/2 times CLOSED_FORM_RTOL per changed node, so the
-scan of a closed-form move finds, with that slack, the few candidates
-that can decide the choice (`_contenders`), builds only those, fits them
-with the kernel, and repeats until every contender has the kernel's
-score; `_select` then sees kernel scores only and chooses what a listing
-of every candidate through the kernel would.  Where the closed form is
-not accurate to that bound, a changed column the others nearly explain or
-a residual sum near zero, and where the kernel may refuse the family, the
-closed form leaves the candidate to the kernel.  A candidate's score is
-the same sum in the same order whether its block was kept or rebuilt.
+scan finds, with that slack, the few candidates that can decide the choice
+(`_contenders`), builds only those, fits them with the kernel, and repeats
+until every contender has the kernel's score; `_select` then sees kernel
+scores only and chooses what a listing of every candidate through the
+kernel would.  Where the closed form is not accurate to that bound, a
+changed column the others nearly explain or a residual sum near zero, and
+where the kernel may refuse the family, the closed form leaves the
+candidate to the kernel.  A candidate's score is the same sum in the same
+order whether its block was kept or rebuilt.
 """
 
 from __future__ import annotations
@@ -62,14 +66,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Tuple, Union)
+from itertools import accumulate, chain, combinations
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .coloring import ColoredDag
-from .dag import Dag, closure, members, require_integer
+from .dag import Dag, closure, require_integer
 from .errors import CdagError, GraphError, SearchBudgetError
 from .fit import Dataset, family_bic, family_loglik, stacked_ls
 
@@ -152,6 +155,170 @@ def _acyclic(p: int, families: Families) -> bool:
     return True
 
 
+# -- the changes a block scores ----------------------------------------------
+# A node's block has one row per change, laid out by `_layout` for the sizes
+# of its m groups.  A row names the groups it drops (at most two; m and
+# m + 1 stand for none) and three local indices, over which each kind of
+# change adds its two columns by fixed 0/±1 patterns.  A local index is a
+# vertex v (v < p), the indicator of group g (p + g), one of two null
+# columns, which stand for no column (p + m and p + m + 1), or the parent in
+# slot s of the groups in order (p + m + 2 + s); the node itself follows
+# the slots.
+
+class _Change(NamedTuple):
+    rows: Callable   # (p, m, slots, none, null, other) -> the rows
+    columns: Tuple[Tuple[int, int, int], Tuple[int, int, int]]   # W over the indices
+    added: int       # the change in the column count
+
+
+_CHANGES: Dict[str, _Change] = {
+    # D = {}, W = {e_a + e_b}: every vertex pair
+    "add_color": _Change(
+        lambda p, m, slots, none, null, other:
+        [(none, none, a, b, other) for a, b in combinations(range(p), 2)],
+        ((1, 1, 0), (0, 0, 1)), 1),
+    # D = {g}, W = {c_g + e_v}: every vertex v, then every group g
+    "add_edge": _Change(
+        lambda p, m, slots, none, null, other:
+        [(g, none, p + g, v, other) for v in range(p) for g in range(m)],
+        ((1, 1, 0), (0, 0, 1)), 0),
+    # D = {g}, W = {c_g - e_v}: groups of three or more keep two
+    "remove_edge": _Change(
+        lambda p, m, slots, none, null, other:
+        [(g, none, p + g, s, other)
+         for g, group in enumerate(slots) if len(group) >= 3 for s in group],
+        ((1, -1, 0), (0, 0, 1)), 0),
+    # D = {g}, W = {c_g - e_a - e_b, e_a + e_b}: groups of four or more
+    "split_color": _Change(
+        lambda p, m, slots, none, null, other:
+        [(g, none, p + g, a, b)
+         for g, group in enumerate(slots) if len(group) >= 4
+         for a, b in combinations(group, 2)],
+        ((1, -1, -1), (0, 1, 1)), 1),
+    # D = {g, h}, W = {c_g - e_v, c_h + e_v}: donors of three or more
+    "move_edge": _Change(
+        lambda p, m, slots, none, null, other:
+        [(g, h, p + g, s, p + h)
+         for g, group in enumerate(slots) if len(group) > 2
+         for h in range(m) if h != g for s in group],
+        ((1, -1, 0), (0, 1, 1)), 0),
+    # D = {g, h}, W = {c_g + c_h}
+    "merge_colors": _Change(
+        lambda p, m, slots, none, null, other:
+        [(g, h, p + g, p + h, other) for g, h in combinations(range(m), 2)],
+        ((1, 1, 0), (0, 0, 1)), -1),
+    # D = {g}, W = {}
+    "remove_color": _Change(
+        lambda p, m, slots, none, null, other:
+        [(g, none, null, other, null) for g in range(m)],
+        ((1, 0, 0), (0, 1, 0)), -1),
+    # D = {}, W = {e_v}: the baseline's additions, every vertex v
+    "add_vertex": _Change(
+        lambda p, m, slots, none, null, other:
+        [(none, none, v, other, null) for v in range(p)],
+        ((1, 0, 0), (0, 1, 0)), 1),
+}
+
+
+# the upper triangle of a 3 x 3 matrix, row by row
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _products(columns) -> np.ndarray:
+    """The products that give, from a row's 42 values (S and R at its three
+    local indices and the node, flat 2 x 4 x 4; the first and the second
+    row of R_D's correction there; the unexplained shares of the dropped
+    columns), the upper triangle of W^T R W with the node's own column
+    third, the diagonal of W^T S W, the two shares, and for each entry of
+    that triangle, (i, j), the i-th and then the j-th entry of W^T times
+    each correction row."""
+    W = np.zeros((3, 4))
+    W[:2, :3] = columns
+    W[2, 3] = 1.0
+    K = np.zeros((42, 34))
+    for o, (i, j) in enumerate(_UPPER):
+        K[16:32, o] = np.outer(W[i], W[j]).ravel()
+        K[32:36, 10 + o] = K[36:40, 16 + o] = W[i]
+        K[32:36, 22 + o] = K[36:40, 28 + o] = W[j]
+    K[:16, 6], K[:16, 7] = np.outer(W[0], W[0]).ravel(), np.outer(W[1], W[1]).ravel()
+    K[40, 8] = K[41, 9] = 1.0
+    return K
+
+
+_PRODUCTS = {name: _products(change.columns) for name, change in _CHANGES.items()}
+
+
+class _Layout(NamedTuple):
+    """The rows of a node's block for groups of the given sizes."""
+
+    p: int
+    drop: np.ndarray      # (rows, 2): the groups dropped, m for none
+    terms: np.ndarray     # (rows, 3): the local indices
+    pairs: int            # how many pairs of groups the rows drop
+    reads: np.ndarray     # (rows, 42): where `changes` finds each row's values
+    added: np.ndarray     # (rows,): the change in the column count
+    segments: Dict[str, slice]   # each change's rows
+
+
+@lru_cache(maxsize=None)
+def _layout(p: int, sizes: Tuple[int, ...], changes: Tuple[str, ...]) -> _Layout:
+    m = len(sizes)
+    base = p + m + 2
+    slots = [range(base + end - size, base + end) for size, end in zip(sizes, accumulate(sizes))]
+    rows, added, segments = [], [], {}
+    for name in changes:
+        change = _CHANGES[name]
+        new = change.rows(p, m, slots, m, p + m, p + m + 1)
+        segments[name] = slice(len(rows), len(rows) + len(new))
+        rows += new
+        added += [change.added] * len(new)
+    count = len(rows)
+    rows = np.array(rows, dtype=np.intp).reshape(count, 5)
+    size = base + sum(sizes) + 1
+    terms = np.empty((count, 4), np.intp)
+    terms[:, :3] = rows[:, 2:]
+    terms[:, 3] = size - 1
+    # the values sit in S, R and the correction rows, each row-major, then
+    # the groups' unexplained shares: the first correction row of a drop is
+    # its first group's, the second one its pair's; the last correction row
+    # is zero, and the last share, of no group, is 1
+    pairs = {pair: m + t for t, pair in enumerate(combinations(range(m), 2))}
+    two = [pairs[min(g, h), max(g, h)] if h < m else -1 for g, h in rows[:, :2].tolist()]
+    npairs = len(pairs) if max(two, default=-1) >= 0 else 0
+    zero = m + npairs
+    corrections = np.array([[zero if g == m else g if h < 0 else min(g, d), zero if h < 0 else h]
+                            for (g, d), h in zip(rows[:, :2].tolist(), two)], dtype=np.intp)
+    square = terms[:, :, None] * size + terms[:, None, :]
+    shares = 2 * size ** 2 + (zero + 1) * size
+    reads = np.concatenate((square.reshape(count, 16), size ** 2 + square.reshape(count, 16),
+                            2 * size ** 2 + (corrections[:, :, None] * size
+                                             + terms[:, None, :]).reshape(count, 8),
+                            shares + rows[:, :2]), axis=1)
+    return _Layout(p, rows[:, :2].copy(), rows[:, 2:].copy(), npairs, reads,
+                   np.array(added, dtype=np.intp), segments)
+
+
+def _changed(block: "_Block", name: str, t: int) -> Tuple[Group, ...]:
+    """The canonical parent groups of a block's node after its change ``t``
+    of kind ``name``: the dropped groups go, and each added column that is
+    not a null column becomes the group of its vertices."""
+    groups, layout = block.key, block.layout
+    p, m = layout.p, len(groups)
+    row = layout.segments[name].start + t
+    order = list(chain.from_iterable(groups))
+    added = []
+    for column in _CHANGES[name].columns:
+        plus, minus = set(), set()
+        for t, c in zip(layout.terms[row].tolist(), column):
+            if c and not p + m <= t < p + m + 2:
+                vertices = (groups[t - p] if p <= t < p + m
+                            else (t if t < p else order[t - p - m - 2],))
+                (plus if c > 0 else minus).update(vertices)
+        if plus:
+            added.append(plus - minus)
+    return _edit(groups, [g for g in layout.drop[row].tolist() if g < m], added)
+
+
 class _FamilyScorer:
     """Memoized per-node score components: log-likelihood of the family's
     grouped regression minus the ln(n)/2 share of its parameters."""
@@ -187,40 +354,78 @@ class _FamilyScorer:
         cache = tuple(self._memo[key] for key in enumerate(families))
         return SearchState(families, math.fsum(cache), cache)
 
-    # -- one column more or less, in closed form -----------------------------
+    # -- every change of one node's family, in closed form -------------------
     # Node k's current family is one the search accepted, so the kernel
     # fitted it and G = C^T S C, with C the indicator matrix of its columns,
-    # is positive definite.  The residual cross products of every vertex on
-    # those columns are R = S - S C G^-1 C^T S, and u = R[:, k].  A new
-    # column with 0/1 indicator w leaves RSS' = R_kk - (w^T u)^2 / (w^T R w),
-    # of which w^T R w / w^T S w is the share unexplained by C; RSS' is
-    # computed as R_kk - w^T u (w^T u / w^T R w), since the square underflows
-    # or overflows on data scaled far from 1 where RSS' does not.  Removing
-    # column c leaves RSS' = RSS + beta_c^2 / (G^-1)_cc, and 1 / (G^-1)_cc is
-    # c's share unexplained by the others once G is scaled to unit diagonal
-    # (Frisch-Waugh-Lovell).
+    # is positive definite.  With the columns scaled to unit norm as
+    # `stacked_ls` scales them and G factored by Cholesky, which keeps
+    # these as accurate as the kernel's fit where an inverse would not, the
+    # residual cross products of every vertex on those columns are
+    # R = S - S C G^-1 C^T S, and B = G^-1 C^T S holds every vertex's
+    # coefficients.  Dropping the columns D leaves R_D = R + B_D^T
+    # (G^-1_DD)^-1 B_D, and adding the columns W then leaves RSS' = (R_D)_kk
+    # - u^T (W^T R_D W)^-1 u, with u = W^T R_D[:, k] (Frisch-Waugh-Lovell).
+    # Each column of W is a 0/±1 combination of vertices and group
+    # indicators, so every entry is a gather from S and R in a local basis
+    # of those (`_layout` says where), plus the drop's correction, and each
+    # kind of change combines its gathers by one product (`_PRODUCTS`).
+    # Both inverses are taken by Cholesky steps of
+    # at most two columns, each product divided before it is squared, since
+    # the square underflows or overflows on data scaled far from 1 where
+    # RSS' does not.  A dropped column's share of its squared norm left
+    # unexplained by the others is 1 / (G^-1)_cc once G is scaled to unit
+    # diagonal; an added column's is its Cholesky pivot over its squared
+    # norm.
 
-    def _residuals(self, k: int, groups: Tuple[Group, ...]):
-        """R for node k's family ``groups``, and, with the columns scaled to
-        unit norm as `stacked_ls` scales them, node k's coefficients and the
-        diagonal of G^-1 (a removal's RSS' does not depend on the scale).
-        G is factored by Cholesky, which keeps R as accurate as the
-        kernel's fit where R = S - S C G^-1 C^T S by an inverse would not."""
+    def changes(self, k: int, groups: Tuple[Group, ...], layout: _Layout) -> np.ndarray:
+        """Node k's score component after each change of ``layout`` to its
+        family ``groups``."""
         S, m = self.S, len(groups)
-        C = np.zeros((len(S), m))
-        C[[i for grp in groups for i in grp],
-          [c for c, grp in enumerate(groups) for _ in grp]] = 1.0
-        SC = S @ C
-        G = SC.T @ C
+        p = len(S)
+        q = p + m
+        # the local basis: every vertex, every group's indicator, the two
+        # null columns (each orthogonal to all else), every parent in slot
+        # order, and the node
+        order = [i for grp in groups for i in grp]
+        size = q + 3 + len(order)
+        E = np.eye(p, size)
+        E[order + order + [k], [p + c for c, grp in enumerate(groups) for _ in grp]
+          + list(range(q + 2, size))] = 1.0
+        S = E.T @ S @ E
+        S[q, q] = S[q + 1, q + 1] = 1.0
+        G = S[p:q, p:q]
         d = np.sqrt(G.diagonal())
         inverse = np.linalg.inv(np.linalg.cholesky(G / np.outer(d, d)))
-        Y = inverse @ (SC / d).T
-        return S - Y.T @ Y, inverse.T @ Y[:, k], (inverse * inverse).sum(axis=0)
+        Y = inverse @ (S[p:q] / d[:, None])
+        B, Q = inverse.T @ Y, inverse.T @ inverse
+        # R_D adds, per dropped group c, the outer product of its row of B
+        # over the root of (G^-1)_cc, and per pair the second step of that
+        # Cholesky factorization of G^-1_DD
+        corrections = [B / np.sqrt(Q.diagonal())[:, None]]
+        if layout.pairs:
+            g, h = _pairs(m)
+            t = Q[g, h] / Q[g, g]
+            corrections.append((B[h] - t[:, None] * B[g]) / np.sqrt(Q[h, h] - Q[g, h] * t)[:, None])
+        values = np.concatenate((S.ravel(), (S - Y.T @ Y).ravel(), *map(np.ravel, corrections),
+                                 np.zeros(size), 1.0 / Q.diagonal(), [1.0])).take(layout.reads)
+        Z = np.concatenate([values[rows] @ _PRODUCTS[name]
+                            for name, rows in layout.segments.items()])
+        corrections = Z[:, 10:22] * Z[:, 22:]
+        s1, c, u1, s2, u2, r = (Z[:, :6] + corrections[:, :6] + corrections[:, 6:]).T
+        w1, w2, d1, d2 = Z[:, 6:10].T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the added columns in turn, then the node's residual sum
+            t = c / s1
+            s2 = s2 - c * t
+            u2 = u2 - u1 * t
+            rss = r - u1 * (u1 / s1) - u2 * (u2 / s2)
+            share = np.minimum.reduce([s1 / w1, s2 / w2, d1, d2])
+            return self._components(k, m + layout.added, rss, share)
 
     def _components(self, k: int, columns, rss: np.ndarray, share: np.ndarray) -> np.ndarray:
         """Score components of node k's family with ``columns`` columns (a
         count, or one per entry), the residual sums ``rss`` and the changed
-        column's unexplained ``share``: -inf with as many columns as
+        columns' least unexplained ``share``: -inf with as many columns as
         samples, which the kernel refuses whatever the data, and +inf, which
         leaves the family to the kernel, where the share or the residual
         sum is too small for the closed form to be accurate or for the
@@ -229,40 +434,6 @@ class _FamilyScorer:
         scores = family_bic(family_loglik(n, rss, (k,)), n, columns)
         unsure = ~(share > KERNEL_SHARE) | ~(rss > KERNEL_SHARE * self.S[k, k])
         return np.where(columns < n, np.where(unsure, math.inf, scores), -math.inf)
-
-    def added_pairs(self, k: int, groups: Tuple[Group, ...],
-                    a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Node k's score component with the group {a[t], b[t]} added to its
-        family ``groups``, for every t."""
-        S = self.S
-        R = self._residuals(k, groups)[0]
-        u = R[:, k]
-        wRw = R[a, a] + R[a, b] + R[b, a] + R[b, b]
-        wu = u[a] + u[b]
-        with np.errstate(divide="ignore", invalid="ignore"):   # collinear pairs
-            return self._components(k, len(groups) + 1, R[k, k] - wu * (wu / wRw),
-                                    wRw / (S[a, a] + S[a, b] + S[b, a] + S[b, b]))
-
-    def toggled(self, k: int, groups: Tuple[Group, ...]) -> np.ndarray:
-        """Node k's score component with vertex v toggled in its parent
-        groups ``groups`` at position v: removed if a singleton group, else
-        added (at k itself, a value nothing reads).  A parent in a larger
-        group cannot be toggled alone and scores -inf."""
-        S, m = self.S, len(groups)
-        R, beta, inverse_diagonal = self._residuals(k, groups)
-        u, r = R[:, k], R.diagonal()
-        singles = [c for c, grp in enumerate(groups) if len(grp) == 1]
-        removed = [groups[c][0] for c in singles]
-        columns = np.full(len(S), m + 1)
-        columns[removed] = m - 1
-        with np.errstate(divide="ignore", invalid="ignore"):   # collinear vertices
-            rss = R[k, k] - u * (u / r)
-            share = r / S.diagonal()
-            rss[removed] = R[k, k] + beta[singles] ** 2 / inverse_diagonal[singles]
-            share[removed] = 1.0 / inverse_diagonal[singles]
-            scores = self._components(k, columns, rss, share)
-        scores[[v for grp in groups if len(grp) > 1 for v in grp]] = -math.inf
-        return scores
 
 
 def _edit(groups: Tuple[Group, ...], drop=(), add=()) -> Tuple[Group, ...]:
@@ -318,14 +489,15 @@ def _select(state: SearchState, scored: Iterable[Tuple[Candidate, List[float]]],
 
 
 class _Block(NamedTuple):
-    """One node's candidates of one move with each one's deltas, under the
-    key they were built from; kept while the key holds, else rebuilt.  A
-    block scored in closed form holds no candidates and its deltas as one
-    array."""
+    """One node's deltas, one per change of its layout, under the parent
+    groups they were scored for; kept while the node has them, else
+    rebuilt.  ``by_vertex`` holds the deltas the edge scans read per
+    vertex."""
 
-    key: object
-    candidates: Optional[List[Candidate]]
-    deltas: Union[List[List[float]], np.ndarray]
+    key: Tuple[Group, ...]
+    layout: _Layout
+    deltas: np.ndarray
+    by_vertex: np.ndarray
 
 
 def _bits(masks: List[int], p: int) -> np.ndarray:
@@ -356,18 +528,30 @@ def _contenders(base: float, scores: np.ndarray, slack: float) -> np.ndarray:
 
 
 # -- the eight moves ---------------------------------------------------------
-# A move lists one node's block of candidates at a time.  Every move builds a
-# changed node's new groups with `_edit`.  Only add_color, add_edge and
-# reverse_edge add an edge, so only they can close a cycle: add_color and
-# add_edge take new parents from the state's `new_parents` mask, and
-# reverse_edge asks its `reversible` mask, both judged on the current graph.
-# add_color scores every vertex pair of its blocks in closed form and its
-# scan keeps the pairs of new parents; the other moves list their
-# candidates and fit the new families with `stacked_ls`.
+# A move is a scan: from the state and every node's block, the closed-form
+# scores of its candidates in scan order, with the function that builds
+# candidate t.  Only add_color, add_edge and reverse_edge add an edge, so
+# only they can close a cycle: add_color and add_edge keep the rows of the
+# state's `new_parents`, and reverse_edge those its `reversible` mask
+# admits, both judged on the current graph.
 
 
-def _node_by_node(state: SearchState, blocks: List[_Block]):
-    return chain.from_iterable(zip(b.candidates, b.deltas) for b in blocks)
+def _segment(block: _Block, name: str) -> np.ndarray:
+    return block.deltas[block.layout.segments[name]]
+
+
+def _node_by_node(name: str):
+    """The scan of a move every row of whose change the state admits: node
+    by node, each node's rows in order."""
+    def scan(state: SearchState, blocks: List[_Block]):
+        parts = [_segment(block, name) for block in blocks]
+        ends = np.cumsum([len(part) for part in parts])
+
+        def candidate(t: int) -> Candidate:
+            k = int(np.searchsorted(ends, t, side="right"))
+            return ((k, _changed(blocks[k], name, t - int(ends[k]) + len(parts[k]))),)
+        return state.score + np.concatenate(parts), candidate
+    return scan
 
 
 @lru_cache(maxsize=None)
@@ -376,141 +560,103 @@ def _pairs(p: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(p, 1)
 
 
-def _pairs_node_by_node(state: SearchState, blocks: List[_Block]):
-    """add_color's closed-form scores, node by node and each node's pairs
-    of new parents in order, with the function that builds candidate t."""
+def _add_color(state: SearchState, blocks: List[_Block]):
+    """Node by node, each node's pairs of new parents in order."""
     p = len(blocks)
     a, b = _pairs(p)
     new = _bits(state.masks.new_parents, p)
     at = np.flatnonzero(new[:, a] & new[:, b])
-    scores = state.score + np.array([blk.deltas for blk in blocks]).ravel()[at]
+    scores = state.score + np.array([_segment(block, "add_color") for block in blocks]).ravel()[at]
 
     def candidate(t: int) -> Candidate:
         k, pair = divmod(at[t].item(), len(a))
-        return ((k, _edit(state.families[k], add=((a[pair].item(), b[pair].item()),))),)
+        return ((k, _changed(blocks[k], "add_color", pair)),)
     return scores, candidate
 
 
-class _Move(NamedTuple):
-    """``block(state, k)`` lists node k's candidates, and ``key(state, k)``
-    is everything that block is built from.  ``order(state, blocks)`` pairs
-    every candidate with its deltas, in the order the search scans them.  A
-    ``closed`` move's ``block(scorer, state, k)`` returns node k's new score
-    components in closed form, and its ``order`` returns the closed-form
-    scores of its candidates in scan order with the function that builds
-    candidate t."""
-
-    block: Callable
-    key: Callable[[SearchState, int], object]
-    order: Callable = _node_by_node
-    closed: bool = False
+def _grid(blocks: List[_Block]) -> np.ndarray:
+    """[k, v, g]: node k's delta with vertex v added to its group g, NaN
+    past its groups."""
+    p = len(blocks)
+    grid = np.full((p, p, max(len(block.key) for block in blocks)), np.nan)
+    for k, block in enumerate(blocks):
+        grid[k, :, :len(block.key)] = _segment(block, "add_edge").reshape(p, len(block.key))
+    return grid
 
 
-def _groups(state: SearchState, k: int):
-    return state.families[k]
+def _grid_candidate(blocks: List[_Block], k: int, v: int, g: int):
+    return k, _changed(blocks[k], "add_edge", v * len(blocks[k].key) + g)
 
 
-def _groups_and_new_parents(state: SearchState, k: int):
-    return state.families[k], state.masks.new_parents[k]
+def _add_edge(state: SearchState, blocks: List[_Block]):
+    """Node by node, each node's new parents in order, each to every
+    group in order."""
+    grid = _grid(blocks)
+    valid = _bits(state.masks.new_parents, len(blocks))[:, :, None] & ~np.isnan(grid)
+    at = np.flatnonzero(valid)
+
+    def candidate(t: int) -> Candidate:
+        return (_grid_candidate(blocks, *np.unravel_index(at[t], grid.shape)),)
+    return state.score + grid.ravel()[at], candidate
 
 
-def _add_color(scorer: _FamilyScorer, state: SearchState, i: int):
-    return scorer.added_pairs(i, state.families[i], *_pairs(len(state.families)))
+def _reverse_edge(state: SearchState, blocks: List[_Block]):
+    """Edge by edge, in (tail, head) order, the head to every group of the
+    tail in order; the tail changes first, then the head.  Keeping the
+    donor group at two members or more after the removal keeps the state
+    properly colored, so only groups of three or more donate."""
+    grid = _grid(blocks)   # [i, j, g]: j added to group g of i
+    removed = np.array([block.by_vertex for block in blocks]).T   # [i, j]: i removed at j
+    reversible = _bits(state.masks.reversible, len(blocks)) & ~np.isnan(removed)
+    at = np.flatnonzero(reversible[:, :, None] & ~np.isnan(grid))
+    scores = (state.score + grid + removed[:, :, None]).ravel()[at]
+    fams = state.families
 
-
-def _split_color(state: SearchState, i: int):
-    groups = state.families[i]
-    for gi, grp in enumerate(groups):
-        if len(grp) < 4:
-            continue
-        for a, b in combinations(grp, 2):
-            rest = tuple(v for v in grp if v not in (a, b))
-            yield ((i, _edit(groups, (gi,), (rest, (a, b)))),)
-
-
-def _add_edge(state: SearchState, j: int):
-    groups = state.families[j]
-    for i in members(state.masks.new_parents[j]):
-        for gi, grp in enumerate(groups):
-            yield ((j, _edit(groups, (gi,), (grp + (i,),))),)
-
-
-def _move_edge(state: SearchState, i: int):
-    groups = state.families[i]
-    for g1, donor in enumerate(groups):
-        if len(donor) <= 2:
-            continue
-        for g2, target in enumerate(groups):
-            if g2 == g1:
-                continue
-            for v in donor:
-                rest = tuple(x for x in donor if x != v)
-                yield ((i, _edit(groups, (g1, g2), (rest, target + (v,)))),)
-
-
-def _reverse_edge_key(state: SearchState, i: int):
-    fams, masks = state.families, state.masks
-    return fams[i], masks.reversible[i], tuple(
-        (j, fams[j]) for j in members(masks.children[i]))
-
-
-def _reverse_edge(state: SearchState, i: int):
-    # the edges out of i, by head.  Keeping the donor class at size >= 2
-    # after the removal preserves a properly colored state, so only classes
-    # of size >= 3 donate.
-    fams, masks = state.families, state.masks
-    for j in members(masks.children[i]):
-        donor_groups = fams[j]
-        gi = next(t for t, grp in enumerate(donor_groups) if i in grp)
-        if len(donor_groups[gi]) < 3 or not masks.reversible[i] >> j & 1:
-            continue
-        shrunk = _edit(donor_groups, (gi,), (tuple(v for v in donor_groups[gi] if v != i),))
-        for ti, grp in enumerate(fams[i]):
-            yield (i, _edit(fams[i], (ti,), (grp + (j,),))), (j, shrunk)
-
-
-def _remove_edge(state: SearchState, j: int):
-    groups = state.families[j]
-    for gi, grp in enumerate(groups):
-        if len(grp) < 3:
-            continue
-        for v in grp:
-            yield ((j, _edit(groups, (gi,), (tuple(x for x in grp if x != v),))),)
-
-
-def _merge_colors(state: SearchState, i: int):
-    groups = state.families[i]
-    for g1, g2 in combinations(range(len(groups)), 2):
-        yield ((i, _edit(groups, (g1, g2), (groups[g1] + groups[g2],))),)
-
-
-def _remove_color(state: SearchState, i: int):
-    groups = state.families[i]
-    for gi in range(len(groups)):
-        yield ((i, _edit(groups, (gi,))),)
+    def candidate(t: int) -> Candidate:
+        i, j, g = (x.item() for x in np.unravel_index(at[t], grid.shape))
+        donor = next(t for t, grp in enumerate(fams[j]) if i in grp)
+        shrunk = _edit(fams[j], (donor,), (tuple(v for v in fams[j][donor] if v != i),))
+        return _grid_candidate(blocks, i, j, g), (j, shrunk)
+    return scores, candidate
 
 
 PHASES = (
-    ("phase1", (("add_color", _Move(_add_color, _groups, _pairs_node_by_node, closed=True)),
-                ("split_color", _Move(_split_color, _groups)))),
-    ("phase2", (("add_edge", _Move(_add_edge, _groups_and_new_parents)),
-                ("move_edge", _Move(_move_edge, _groups)),
-                ("reverse_edge", _Move(_reverse_edge, _reverse_edge_key)),
-                ("remove_edge", _Move(_remove_edge, _groups)))),
-    ("phase3", (("merge_colors", _Move(_merge_colors, _groups)),
-                ("remove_color", _Move(_remove_color, _groups)))),
+    ("phase1", (("add_color", _add_color),
+                ("split_color", _node_by_node("split_color")))),
+    ("phase2", (("add_edge", _add_edge),
+                ("move_edge", _node_by_node("move_edge")),
+                ("reverse_edge", _reverse_edge),
+                ("remove_edge", _node_by_node("remove_edge")))),
+    ("phase3", (("merge_colors", _node_by_node("merge_colors")),
+                ("remove_color", _node_by_node("remove_color")))),
 )
 
 
+def _removals(groups: Tuple[Group, ...], layout: _Layout, deltas: np.ndarray) -> np.ndarray:
+    """Per vertex, the delta of removing it from its group at this node, or
+    NaN where remove_edge does not: a vertex that is no parent, or whose
+    group has fewer than three members."""
+    rows = layout.segments["remove_edge"]
+    base = layout.p + len(groups) + 2
+    out = np.full(layout.p, np.nan)
+    order = np.array([i for grp in groups for i in grp], dtype=np.intp)
+    out[order[layout.terms[rows, 1] - base]] = deltas[rows]
+    return out
+
+
 # -- uncolored baseline move -------------------------------------------------
-# Node k's block holds, at position v, the delta of k's parent set with v
-# toggled: the removal of a parent, or the addition of any other vertex,
-# scored in closed form.  Its key is k's parents alone; the scan keeps the
-# positions of the state's acyclic edge changes.
+# Node k's deltas by vertex hold, at position v, the delta of k's parent set
+# with v toggled: the removal of a parent, or the addition of any other
+# vertex.  The scan keeps the positions of the state's acyclic edge changes.
 
 
-def _toggles(scorer: _FamilyScorer, state: SearchState, k: int):
-    return scorer.toggled(k, state.families[k])
+def _toggles(groups: Tuple[Group, ...], layout: _Layout, deltas: np.ndarray) -> np.ndarray:
+    """Per vertex v, the delta of v toggled in the node's singleton parent
+    groups: removed if a parent, else added (at the node itself, a value
+    nothing reads)."""
+    out = deltas[layout.segments["add_vertex"]].copy()
+    out[[grp[0] for grp in groups]] = deltas[layout.segments["remove_color"]]
+    return out
 
 
 def _edge_by_edge(state: SearchState, blocks: List[_Block]):
@@ -519,7 +665,7 @@ def _edge_by_edge(state: SearchState, blocks: List[_Block]):
     builds candidate t; a reversal changes the head j first, then the tail
     i."""
     masks, fams, p = state.masks, state.families, len(blocks)
-    toggled = np.array([b.deltas for b in blocks])   # [j, v]: v toggled at j
+    toggled = np.array([b.by_vertex for b in blocks])   # [j, v]: v toggled at j
     # [j, i]: i is a parent, a new parent of j; [i, j]: i -> j may be reversed
     bits = _bits(masks.parents + masks.new_parents + masks.reversible, p)
     # [i, j, 0]: edge i -> j removed or added; [i, j, 1]: reversed
@@ -544,7 +690,7 @@ def _edge_by_edge(state: SearchState, blocks: List[_Block]):
     return scores.ravel()[at], candidate
 
 
-BASELINE_MOVE = _Move(_toggles, _groups, _edge_by_edge, closed=True)
+BASELINE_MOVE = _edge_by_edge
 
 
 # -- the shared greedy engine ------------------------------------------------
@@ -566,7 +712,9 @@ class _GreedySearch:
     gives the phase table of (move name, move) pairs, the key that breaks
     score ties and the fewest variables it searches over."""
 
-    phases: Tuple[Tuple[str, Tuple[Tuple[str, _Move], ...]], ...]
+    phases: Tuple[Tuple[str, Tuple[Tuple[str, Callable], ...]], ...]
+    changes: Tuple[str, ...]   # the changes a block scores, in layout order
+    _by_vertex: Callable       # the deltas of a block the edge scans read per vertex
     _tiekey: Callable
     min_p: int
 
@@ -582,37 +730,20 @@ class _GreedySearch:
         self.state = self.scorer.state_from(empty)
         self.trace: List[TraceRow] = [TraceRow(0, "init", "", self.state.score)]
         self._accepted = 0
-        # per move name, the latest block of each node
-        self._blocks: Dict[str, List[Optional[_Block]]] = {
-            name: [None] * data.p for _, moves in self.phases for name, _ in moves}
+        self._blocks: List[Optional[_Block]] = [None] * data.p   # the latest of each node
 
-    def _scored(self, name: str, move: _Move):
-        """Every candidate of the move on the current state with its
-        deltas, in scan order, or of a closed-form move those that can
-        decide the choice; only the blocks whose key changed since the move
-        was last tried are listed or scored again."""
-        state, blocks = self.state, self._blocks[name]
-        stale = []
-        for k, block in enumerate(blocks):
-            key = move.key(state, k)
-            if block is not None and block.key == key:
-                continue
-            if move.closed:
-                blocks[k] = _Block(key, None, move.block(self.scorer, state, k)
-                                   - state.family_cache[k])
-            else:
-                stale.append((k, key, list(move.block(state, k))))
-        if stale:
-            self.scorer.fit(family for _, _, cands in stale
-                            for candidate in cands for family in candidate)
-            memo, cache = self.scorer._memo, state.family_cache
-            for k, key, cands in stale:
-                blocks[k] = _Block(key, cands, [[memo[family] - cache[family[0]]
-                                                 for family in candidate]
-                                                for candidate in cands])
-        if move.closed:
-            return self._refitted(*move.order(state, blocks))
-        return move.order(state, blocks)
+    def _scored(self, move: Callable):
+        """The candidates of the move on the current state that can decide
+        the choice, in scan order, each with its deltas; only the blocks of
+        nodes whose parent groups changed since they were scored are scored
+        again."""
+        state, blocks = self.state, self._blocks
+        for k, groups in enumerate(state.families):
+            if blocks[k] is None or blocks[k].key != groups:
+                layout = _layout(len(blocks), tuple(map(len, groups)), self.changes)
+                deltas = self.scorer.changes(k, groups, layout) - state.family_cache[k]
+                blocks[k] = _Block(groups, layout, deltas, self._by_vertex(groups, layout, deltas))
+        return self._refitted(*move(state, blocks))
 
     def _refitted(self, scores: np.ndarray, candidate: Callable[[int], Candidate]):
         """The candidates that can decide the choice, in scan order, each
@@ -645,10 +776,10 @@ class _GreedySearch:
                 fitted[t], scores[t] = (changed, deltas), score
         return [fitted[t] for t in sorted(fitted)]
 
-    def _apply_best(self, name: str, move: _Move) -> SearchState:
+    def _apply_best(self, move: Callable) -> SearchState:
         """The state after the move's best strictly improving candidate, or
         the current state if none improves."""
-        best = _select(self.state, self._scored(name, move), self._tiekey)
+        best = _select(self.state, self._scored(move), self._tiekey)
         if best is None:
             return self.state
         return self.scorer.state_from(_updated(self.state.families, best))
@@ -667,7 +798,7 @@ class _GreedySearch:
         while True:
             before = self._accepted
             for name, move in moves:
-                new_state = self._apply_best(name, move)
+                new_state = self._apply_best(move)
                 if new_state.score > self.state.score + SCORE_EPS:
                     self._accept(phase, name, new_state)
             if self._accepted == before:
@@ -689,6 +820,9 @@ class GecsSearch(_GreedySearch):
     """One greedy run over a dataset; exposes the score trace and final state."""
 
     phases = PHASES
+    changes = ("add_color", "add_edge", "remove_edge", "split_color", "move_edge",
+               "merge_colors", "remove_color")
+    _by_vertex = staticmethod(_removals)
     _tiekey = staticmethod(_gecs_tiekey)
     min_p = 2
 
@@ -708,6 +842,8 @@ class BaselineSearch(_GreedySearch):
     graphs."""
 
     phases = (("climb", (("", BASELINE_MOVE),)),)
+    changes = ("add_vertex", "remove_color")
+    _by_vertex = staticmethod(_toggles)
     _tiekey = staticmethod(_baseline_tiekey)
     min_p = 1
 

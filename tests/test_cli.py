@@ -174,6 +174,13 @@ class TestSimulateLearnScore:
                        "range; rescale the data\n")
         assert not caught
 
+    def test_learn_names_the_first_non_finite_value(self, workdir, capsys):
+        data = workdir / "d.csv"
+        data.write_text("a,b\n1,inf\n3,4\n")
+        code, out, err = run(capsys, "learn", "--data", str(data))
+        assert code == 1 and out == ""
+        assert err == "error: data sample 1, column 2 is inf; data must be finite\n"
+
 
 class TestCheck:
     def _write_model_point(self, workdir):

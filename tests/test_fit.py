@@ -30,7 +30,8 @@ class TestDataset:
     def test_rejects_missing_values(self):
         x = np.ones((3, 2))
         x[1, 1] = np.nan
-        with pytest.raises(CdagError):
+        x[2, 0] = np.inf
+        with pytest.raises(CdagError, match=r"^data sample 2, column 2 is nan; data must be finite$"):
             Dataset(x)
 
     @pytest.mark.parametrize("rows, named", [

@@ -26,7 +26,7 @@ MOVES = dict(move for _, moves in PHASES for move in moves)
 def _apply_move(name, state, search):
     """The state after the best strictly improving candidate of one move."""
     search.state = state
-    return search._apply_best(name, MOVES[name])
+    return search._apply_best(MOVES[name])
 
 
 class _CheckedSearch(GecsSearch):
@@ -241,6 +241,8 @@ class TestRankDeficiency:
 gecs_module = importlib.import_module("cdag.gecs")
 ALL_MOVES = {**MOVES, "baseline": BASELINE_MOVE}
 EDGE_ADDING = ("add_color", "add_edge", "reverse_edge", "baseline")
+# each move's name as the reference listings name it
+NAMES = {move: "" if name == "baseline" else name for name, move in ALL_MOVES.items()}
 
 
 def _every(search, name, move):
@@ -250,14 +252,14 @@ def _every(search, name, move):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gecs_module, "_contenders",
                       lambda base, scores, slack: np.arange(len(scores)))
-        return list(search._scored(name, move))
+        return list(search._scored(move))
 
 
 def _closed_form(search, name, move):
     """Every candidate of a closed-form move with its closed-form score, in
     scan order."""
-    search._scored(name, move)   # brings the blocks up to date
-    scores, candidate = move.order(search.state, search._blocks[name])
+    search._scored(move)   # brings the blocks up to date
+    scores, candidate = move(search.state, search._blocks)
     return [(candidate(t), score) for t, score in enumerate(scores.tolist())]
 
 
@@ -404,9 +406,10 @@ class _OracleChecked:
         super().__init__(data, **kwargs)
         self.tries, self.ties = 0, []
 
-    def _apply_best(self, name, move):
+    def _apply_best(self, move):
+        name = NAMES[move]
         before = self.state
-        got = super()._apply_best(name, move)
+        got = super()._apply_best(move)
         want = oracles.apply_best(before, self.scorer, oracles.CANDIDATES[name](before),
                                   self._tiekey, self.ties)
         assert got.families == want.families
@@ -456,14 +459,14 @@ class TestIncrementalEngine:
                     search.state = state
                     for _, moves in search.phases:
                         for name, move in moves:
-                            before = list(search._blocks[name])
+                            before = list(search._blocks)
                             got = [(candidate, _summed(state.score, deltas))
                                    for candidate, deltas in _every(search, name, move)]
                             listing = list(oracles.CANDIDATES[name](state))
                             assert got == oracles.scan(state, search.scorer, listing)
-                            assert search._apply_best(name, move).families == oracles.apply_best(
+                            assert search._apply_best(move).families == oracles.apply_best(
                                 state, search.scorer, listing, search._tiekey).families
-                            kept += sum(a is b for a, b in zip(before, search._blocks[name]))
+                            kept += sum(a is b for a, b in zip(before, search._blocks))
                     nearby = [c for name in steps for c in oracles.CANDIDATES[name](state)]
                     if not nearby:
                         break
@@ -474,26 +477,25 @@ class TestIncrementalEngine:
     def test_kept_blocks_equal_a_fresh_listing(self):
         # adding an edge u -> w takes w and its descendants from the new
         # parents of u and of each ancestor of u, whose parent groups stay
-        # as they were: their add_color blocks, keyed on the parent groups
-        # alone, are kept, and their add_edge blocks, keyed also on the new
-        # parents, are rebuilt; each move must still scan what a fresh
-        # search on the new state lists, with the same delta bits in the
-        # same order, and keep a block exactly when its key holds
+        # as they were; each move must still scan what a fresh search on
+        # the new state lists, with the same delta bits in the same order,
+        # and every block is kept exactly when its node's parent groups are
         rng = np.random.default_rng(24)
         names = ("add_color", "add_edge")
-        lost_only = 0
+        kept = 0
         for state, data in _random_states(colored=True):
             search = GecsSearch(data)
             state = search.scorer.state_from(state.families)
             for _ in range(4):
                 search.state = state
                 for name in names:
-                    list(search._scored(name, MOVES[name]))
-                before = {name: list(search._blocks[name]) for name in names}
+                    list(search._scored(MOVES[name]))
+                before = list(search._blocks)
                 steps = [c for name in names for c in oracles.CANDIDATES[name](state)]
                 if not steps:
                     break
                 step = steps[int(rng.integers(len(steps)))]
+                old = state
                 state = search.scorer.state_from(gecs_module._updated(state.families, step))
                 search.state = state
                 fresh = GecsSearch(data)
@@ -503,21 +505,10 @@ class TestIncrementalEngine:
                                   for c, ds in _every(s, name, MOVES[name])]
                                  for s in (search, fresh))
                     assert got == want
-                    for old, new, listed in zip(before[name], search._blocks[name],
-                                                fresh._blocks[name]):
-                        assert (new is old) == (new.key == old.key)
-                        if name == "add_color":
-                            continue
-                        (groups, allowed), (new_groups, new_allowed) = old.key, new.key
-                        if groups != new_groups or new_allowed & ~allowed or new_allowed == allowed:
-                            continue
-                        # the node only lost new parents: its block was
-                        # rebuilt as a fresh search lists it
-                        assert new.candidates == listed.candidates
-                        assert ([[d.hex() for d in ds] for ds in new.deltas]
-                                == [[d.hex() for d in ds] for ds in listed.deltas])
-                        lost_only += 1
-        assert lost_only > 0
+                for k, (block, new) in enumerate(zip(before, search._blocks)):
+                    assert (new is block) == (old.families[k] == state.families[k])
+                    kept += new is block
+        assert kept > 0
 
     def test_searches_on_sampled_models(self):
         for seed in range(4):
@@ -551,7 +542,7 @@ class TestIncrementalEngine:
         assert state.score == search.state.score
         for _, moves in search.phases:
             for name, move in moves:
-                assert search._apply_best(name, move) is search.state
+                assert search._apply_best(move) is search.state
 
     def test_exact_ties_take_the_tie_key(self):
         # a duplicated column makes two vertices interchangeable as parents,
