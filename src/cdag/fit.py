@@ -3,8 +3,8 @@
 Every fit goes through one stacked least-squares kernel, `stacked_ls`,
 which solves many vertex color classes ("families") in one call:
 `fit_families` (behind `mle` and `bic_score`) passes all
-classes of a graph at once, and the greedy search passes every family a
-move's candidates need that it has not fitted before.  Within a family,
+classes of a graph at once, and the greedy search passes the families of
+the few candidates its closed form cannot rule out.  Within a family,
 parents sharing an edge color contribute a single regressor column equal to
 the sum of their sample values, and the families of a class are stacked
 into one pooled system (a node lacking parents of some shared edge color
@@ -17,18 +17,11 @@ node j's regressor columns, the normal equations are G = sum_j A_j^T S A_j
 and b = sum_j A_j^T S[:, j], and RSS = sum_j S[j, j] - b^T G^-1 b.  Each G
 is scaled to unit diagonal and factored by Cholesky without pivoting, so
 each squared pivot is the share of a column's squared norm left
-unexplained by the columns before it.  There are two ways to factor,
-chosen by the size of the call.  A call of more than `SCALAR_FAMILIES`
-families factors them all at once in numpy, a family with fewer columns
-than the widest in the call padded with identity columns, which leaves its
-solution exact.  A smaller call, such as the search makes to fit the few
-contenders of a move, fits each family alone on Python floats, since
-numpy's cost per call dominates on arrays of a few dozen entries.  Both
-form a family's normal equations by the matrix products a lone family's
-fit makes, with the same BLAS shapes, and both then run the same IEEE
-operations in the same order (on the upper triangle, the only part the
-factorization reads), so a family's results, to the bit, depend neither
-on the rest of the call nor on the way it was factored.  One relative
+unexplained by the columns before it.  Each family is fitted alone
+(`_fit_alone`): its normal equations come from numpy's matrix products,
+and the factorization runs on Python floats, since numpy's cost per call
+dominates on arrays of a few dozen entries; a family's results, to the
+bit, do not depend on the rest of the call.  One relative
 tolerance, `RESIDUAL_RTOL`, decides
 both failures: a column whose share falls to it is collinear with the
 others, and a response whose RSS falls to that share of its squared norm
@@ -61,10 +54,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 # unexplained share of a squared norm at or below which a column counts as
 # in the span of the others, or a response as fitted exactly
 RESIDUAL_RTOL = 1e-10
-# a call with at most this many families fits each alone on Python floats,
-# where numpy's cost per call outweighs its batched arithmetic; the two
-# ways cost about the same at four or five families of the search's widths
-SCALAR_FAMILIES = 4
 
 
 @dataclass(frozen=True)
@@ -187,21 +176,17 @@ def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[E
     squares; and per family either None or the `RankDeficientError` that
     fitting it alone raises.  A family's results do not depend on the others
     in the call, nor on the order of its columns: each is fitted with its
-    columns sorted by their sorted edges.  A call of up to `SCALAR_FAMILIES`
-    families is fitted family by family (`_fit_alone`), a larger one all at
-    once (`_fit_batched`), to the same bits."""
+    columns sorted by their sorted edges: each is fitted alone
+    (`_fit_alone`)."""
     if not families:
         return (np.zeros((0, 0)) if coefficients else None), np.zeros(0), []
     norms = S.diagonal().tolist()
     yy = [sum(map(norms.__getitem__, nodes)) for nodes, _ in families]
     # each family's columns in canonical order: sorted by their sorted edges
     columns = [sorted(groups, key=sorted) for _, groups in families]
-    if len(families) <= SCALAR_FAMILIES:
-        rss, collinear, fitted = zip(*(
-            _fit_alone(S, nodes, cols, y, coefficients)
-            for (nodes, _), cols, y in zip(families, columns, yy)))
-    else:
-        rss, collinear, fitted = _fit_batched(S, families, columns, yy, coefficients)
+    rss, collinear, fitted = zip(*(
+        _fit_alone(S, nodes, cols, y, coefficients)
+        for (nodes, _), cols, y in zip(families, columns, yy)))
     coef = None
     if coefficients:
         coef = np.zeros((len(families), max(map(len, columns))))
@@ -240,17 +225,17 @@ def _failure(nodes: Tuple[int, ...], m: int, n: int, collinear: bool,
 def _fit_alone(S: np.ndarray, nodes: Sequence[int], columns: List[Edges], yy: float,
                coefficients: bool):
     """One family's RSS, whether it is collinear, and its coefficients in
-    ``columns`` order (None unless ``coefficients``): the arithmetic of
-    `_fit_batched`, as the same IEEE operations in the same order on Python
-    floats, so with the same bits.  Its matrix products and its solve stay
-    in numpy, with the shapes they have for a lone family in the batched
-    path, since their rounding is the BLAS kernel's."""
+    ``columns`` order (None unless ``coefficients``).  The normal equations
+    are formed per node slot by numpy's matrix products (S A, then A^T S A),
+    summed over the slots, scaled to unit diagonal and factored by Cholesky
+    on Python floats, where numpy's cost per call would outweigh the
+    arithmetic; z^T z and the back-substitution stay in numpy."""
     m = len(columns)
     if not m:
         return yy, False, []
     p = S.shape[0]
     for s, k in enumerate(nodes):
-        # node k's slot: the products of the batched path's slot s
+        # node k's slot s: A_k, S A_k, then A_k^T S A_k and A_k^T S[:, k]
         A = np.zeros(p * m)
         A[[i * m + a for a, col in enumerate(columns) for i, j in col if j == k]] = 1.0
         A = A.reshape(p, m)
@@ -261,8 +246,8 @@ def _fit_alone(S: np.ndarray, nodes: Sequence[int], columns: List[Edges], yy: fl
             b = [x + y for x, y in zip(b, bA)]
         else:
             G, b = GA, bA
-    # the batched steps on the upper triangle, which is all they read: G
-    # is not bitwise symmetric
+    # scale and factor on the upper triangle, which is all they read: G is
+    # not bitwise symmetric
     d = [math.sqrt(x if x > 0.0 else 1.0) for x in (G[a][a] for a in range(m))]
     U = [[0.0] * a + [G[a][c] / (d[a] * d[c]) for c in range(a, m)] for a in range(m)]
     z = [x / y for x, y in zip(b, d)]
@@ -282,89 +267,6 @@ def _fit_alone(S: np.ndarray, nodes: Sequence[int], columns: List[Edges], yy: fl
     z = np.array(z)
     fitted = np.linalg.solve(np.array(U), z[:, None])[:, 0] / d if coefficients else None
     return yy - float(z @ z), collinear, fitted
-
-
-def _fit_batched(S: np.ndarray, families, columns: List[List[Edges]], yy: List[float],
-                 coefficients: bool):
-    """Every family's RSS, whether it is collinear, and its coefficients in
-    ``columns`` order (None unless ``coefficients``), all families at once."""
-    N, p = len(families), S.shape[0]
-    by_width: Dict[int, List[int]] = {}
-    for f, cols in enumerate(columns):
-        by_width.setdefault(len(cols), []).append(f)
-    M = max(by_width)
-    ii = np.arange(M)   # indexes the diagonal of M x M blocks
-
-    # normal equations: with A_j the indicator matrix of node j's regressor
-    # columns, G = sum_j A_j^T S A_j and b = sum_j A_j^T S[:, j].  They are
-    # formed per column count m, with the matrix products a lone family's
-    # fit makes, so its bits do not depend on the rest of the call; a family
-    # with fewer than M columns gets identity rows and columns after its own.
-    G = np.zeros((N, M, M))
-    G[:, ii, ii] = 1.0
-    b = np.zeros((N, M))
-    for m, fams in by_width.items():
-        if not m:
-            continue
-        # A is (family, node slot, parent, column); a family with fewer than
-        # K nodes has all-zero slots after its own, which add exact zeros
-        K = max(len(families[f][0]) for f in fams)
-        pad = [0] * K
-        ones, heads = [], []   # flat positions of A's ones; each slot's node
-        for first, f in zip(range(0, len(fams) * K, K), fams):
-            nodes = families[f][0]
-            slot = nodes.index
-            ones += [((first + slot(j)) * p + i) * m + a
-                     for a, col in enumerate(columns[f]) for i, j in col]
-            heads += nodes
-            heads += pad[len(nodes):]
-        A = np.zeros(len(fams) * K * p * m)
-        A[ones] = 1.0
-        A = A.reshape(len(fams), K, p, m)
-        SA = S @ A
-        GA = A.swapaxes(2, 3) @ SA
-        # row k of node k's slot of S A is A_k^T S[:, k]; a padding slot is zero
-        rows = np.arange(0, len(heads) * p, p) + heads
-        bA = SA.reshape(-1, m)[rows].reshape(len(fams), K, m)
-        G[fams, :m, :m] = GA[:, 0]
-        b[fams, :m] = bA[:, 0]
-        for s in range(1, K):
-            G[fams, :m, :m] += GA[:, s]
-            b[fams, :m] += bA[:, s]
-
-    # scale to unit diagonal (an all-zero column keeps its zero diagonal),
-    # then Cholesky without pivoting.  Each squared pivot, left on the
-    # diagonal, is the share of a column's squared norm unexplained by the
-    # columns before it; z solves U^T z = b, so RSS = yy - z^T z.
-    dg = G[:, ii, ii]
-    d = np.sqrt(np.where(dg > 0.0, dg, 1.0))
-    U = G / (d[:, :, None] * d[:, None, :])
-    z = b / d
-    for j in range(M):
-        # a pivot at or below the cutoff fails its family; clipping it
-        # only keeps the arithmetic finite
-        r = np.sqrt(np.fmax(U[:, j, j], RESIDUAL_RTOL))
-        row = U[:, j, j + 1:] * (1.0 / r)[:, None]
-        U[:, j, j + 1:] = row
-        z[:, j] /= r
-        U[:, j + 1:, j + 1:] -= row[:, :, None] * row[:, None, :]
-        z[:, j + 1:] -= row * z[:, j, None]
-    pivots = U[:, ii, ii]
-    collinear = ~(pivots > RESIDUAL_RTOL).all(axis=1)
-    # z^T z by the dot product of a lone family's length, as padding zeros
-    # could move its bits in a longer one
-    rss = np.array(yy)
-    for m, fams in by_width.items():
-        if m:
-            zm = z[fams, :m, None]
-            rss[fams] -= (zm.swapaxes(1, 2) @ zm)[:, 0, 0]
-    fitted = None
-    if coefficients:
-        # back-substitution; U is triangular, so the LU solve does no pivoting
-        U = np.triu(U)
-        U[:, ii, ii] = np.sqrt(np.fmax(pivots, RESIDUAL_RTOL))
-        fitted = np.linalg.solve(U, z[:, :, None])[:, :, 0] / d
-    return rss.tolist(), collinear.tolist(), fitted
 
 
 def family_loglik(n: int, rss, nodes: Sequence[int]):

@@ -10,7 +10,7 @@ import pytest
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, RankDeficientError
-from cdag.fit import SCALAR_FAMILIES, Dataset, bic_score, fit_families, mle, stacked_ls
+from cdag.fit import Dataset, bic_score, fit_families, mle, stacked_ls
 from cdag.params import ModelParams, parametrize, recover_lambda
 from cdag.bench import random_bpec, sample
 
@@ -426,10 +426,8 @@ class TestStackedKernel:
                 assert coef[f, :len(groups)].tolist() == alone_coef[orders[f]].tolist()
 
     def test_families_fitted_alone_equal_their_batched_fits_bit_for_bit(self):
-        # a call of up to SCALAR_FAMILIES families fits each alone on Python
-        # floats, a larger one fits them all at once in numpy; both must give
-        # a family the same bits, pooled families and failures included
-        assert 2 <= SCALAR_FAMILIES < 12
+        # a family's bits must not depend on the other families of its call,
+        # pooled families and failures included
         rng = np.random.default_rng(23)
         padded, widths = 0, set()
         for p in (5, 15, 40):
@@ -441,8 +439,7 @@ class TestStackedKernel:
                                                  int(rng.integers(0, 13)))
                 families.append((nodes, [groups[c] for c in rng.permutation(len(groups))]))
                 widths.add(len(groups))
-            # the batched path pads a family's node slots when another family
-            # of its width has more nodes
+            # families of one width with different node counts
             padded += sum(any(len(g) == len(h) and len(v) < len(u) for u, h in families)
                           for v, g in families)
             self._same_bits_in_every_call(x.T @ x, families, n)
@@ -459,11 +456,11 @@ class TestStackedKernel:
     @staticmethod
     def _same_bits_in_every_call(S, families, n):
         """Each family's rss, coefficients and error from a call of all the
-        families equal those from calls of sizes 1 and around the threshold."""
-        assert len(families) > SCALAR_FAMILIES + 1
+        families equal those from calls of sizes 1, 3, 4 and 5."""
+        assert len(families) > 6
         for coefficients in (True, False):
             coef, rss, errors = stacked_ls(S, families, n=n, coefficients=coefficients)
-            for size in (1, SCALAR_FAMILIES - 1, SCALAR_FAMILIES, SCALAR_FAMILIES + 1):
+            for size in (1, 3, 4, 5):
                 for first in range(0, len(families), size):
                     part = families[first:first + size]
                     c, r, e = stacked_ls(S, part, n=n, coefficients=coefficients)
