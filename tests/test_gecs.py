@@ -613,6 +613,19 @@ class TestClosedForm:
                     assert _within_bound(closed[candidate], state.score + scanned[candidate][0], 200)
                 else:
                     assert kernel == -math.inf and closed[candidate] == math.inf
+        # a move that drops a group: removing 8 from the group {6, 7, 8}
+        # leaves {6, 7}, whose column is the sum of the other two groups'
+        search = GecsSearch(Dataset(x))
+        groups = ((0, 2), (1, 3), (5, 6, 7))
+        search.state = state = search.scorer.state_from(((),) * 8 + (groups,))
+        closed = dict(_closed_form(search, "remove_edge", MOVES["remove_edge"]))
+        scanned = dict(_every(search, "remove_edge", MOVES["remove_edge"]))
+        collinear, fitted = (((8, ((0, 2), (1, 3), kept)),) for kept in ((5, 6), (6, 7)))
+        for candidate in (collinear, fitted):
+            search.scorer.fit(candidate)
+            assert scanned[candidate] == [search.scorer._memo[candidate[0]] - state.family_cache[8]]
+        assert search.scorer._memo[collinear[0]] == -math.inf and closed[collinear] == math.inf
+        assert _within_bound(closed[fitted], state.score + scanned[fitted][0], 200)
         for cls in (_CheckedGecs, _CheckedBaseline):
             search = cls(Dataset(x))
             search.run()
