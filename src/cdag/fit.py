@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,9 +175,8 @@ def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[E
     its own column order, and the rest zero; the pooled residual sums of
     squares; and per family either None or the `RankDeficientError` that
     fitting it alone raises.  A family's results do not depend on the others
-    in the call, nor on the order of its columns: each is fitted with its
-    columns sorted by their sorted edges: each is fitted alone
-    (`_fit_alone`)."""
+    in the call, nor on the order of its columns: each is fitted alone
+    (`_fit_alone`), with its columns sorted by their sorted edges."""
     if not families:
         return (np.zeros((0, 0)) if coefficients else None), np.zeros(0), []
     norms = S.diagonal().tolist()

@@ -21,31 +21,31 @@ search adds only the vertices that may become a new parent of a node.  No
 `Dag` is built while searching: only the result, `SearchState.current`,
 builds one.
 
-Every move is scored in closed form.  The search keeps one block per node,
-keyed on the node's parent groups and rebuilt once they change: the deltas
-of every change the search's moves can make to that family, all scored from
-one factor of it (`_FamilyScorer.changes`).  A change drops the set D of the
-node's groups and adds the set W of columns, each a sum or difference of
-group indicators c_g and vertices e_v (`_CHANGES`):
+Every move is scored in closed form.  The search keeps one block per node
+(`_Block`), keyed on the node's parent groups and rebuilt once they change:
+one factor of the node's family, from which each change a move makes to it
+is a column added, a linear restriction of the coefficients, or a vertex
+added and then restricted.  A block holds three tables of deltas, each
+computed when a scan first reads it (m, the number of groups, stands for
+no group):
 
-    move          D        W
-    add_color     -        e_a + e_b
-    add_edge      g        c_g + e_v
-    move_edge     g, h     c_g - e_v, c_h + e_v
-    split_color   g        c_g - e_a - e_b, e_a + e_b
-    remove_edge   g        c_g - e_v
-    merge_colors  g, h     c_g + c_h
-    remove_color  g        -
-    baseline      -        e_v          (a vertex added)
-                  c        -            (a singleton parent removed)
+    move          table           the new family
+    add_color     added[a, b]     e_a + e_b added
+    split_color   added[a, b]     the same span: c_g - e_a - e_b, e_a + e_b
+    add_edge      moved[m, h, v]  e_v added with group h's coefficient
+    remove_edge   moved[g, m, v]  e_v added with minus group g's coefficient
+    move_edge     moved[g, h, v]  e_v added with the difference of both
+    merge_colors  merged[g, h]    g's and h's coefficients made equal
+    remove_color  merged[g, m]    g's coefficient made zero
+    baseline      the node's e_v added, or a singleton group's removal
 
 reverse_edge adds an edge at its tail and removes one at its head, so its
 score sums add_edge's delta at the tail and remove_edge's at the head.  A
-block holds every vertex's and every group's rows, so a move's scan masks
-the blocks with the state's new parents and reversible children and with
-the group sizes the move needs, and walks the rows left in a fixed order:
-node by node, except that reverse_edge visits edges in (tail, head) order
-and the baseline in (tail, head) order over all vertex pairs.
+move's scan masks the tables with the state's new parents and reversible
+children and with the group sizes the move needs, and walks what is left in
+a fixed order, node by node, except that reverse_edge visits edges in
+(tail, head) order and the baseline in (tail, head) order over all vertex
+pairs; it builds a candidate only when `_contenders` picks it.
 
 `stacked_ls` stays the scorer of record: nothing but its scores is
 compared or enters a state.  A closed-form score differs from the
@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import chain, combinations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -155,170 +155,6 @@ def _acyclic(p: int, families: Families) -> bool:
     return True
 
 
-# -- the changes a block scores ----------------------------------------------
-# A node's block has one row per change, laid out by `_layout` for the sizes
-# of its m groups.  A row names the groups it drops (at most two; m and
-# m + 1 stand for none) and three local indices, over which each kind of
-# change adds its two columns by fixed 0/±1 patterns.  A local index is a
-# vertex v (v < p), the indicator of group g (p + g), one of two null
-# columns, which stand for no column (p + m and p + m + 1), or the parent in
-# slot s of the groups in order (p + m + 2 + s); the node itself follows
-# the slots.
-
-class _Change(NamedTuple):
-    rows: Callable   # (p, m, slots, none, null, other) -> the rows
-    columns: Tuple[Tuple[int, int, int], Tuple[int, int, int]]   # W over the indices
-    added: int       # the change in the column count
-
-
-_CHANGES: Dict[str, _Change] = {
-    # D = {}, W = {e_a + e_b}: every vertex pair
-    "add_color": _Change(
-        lambda p, m, slots, none, null, other:
-        [(none, none, a, b, other) for a, b in combinations(range(p), 2)],
-        ((1, 1, 0), (0, 0, 1)), 1),
-    # D = {g}, W = {c_g + e_v}: every vertex v, then every group g
-    "add_edge": _Change(
-        lambda p, m, slots, none, null, other:
-        [(g, none, p + g, v, other) for v in range(p) for g in range(m)],
-        ((1, 1, 0), (0, 0, 1)), 0),
-    # D = {g}, W = {c_g - e_v}: groups of three or more keep two
-    "remove_edge": _Change(
-        lambda p, m, slots, none, null, other:
-        [(g, none, p + g, s, other)
-         for g, group in enumerate(slots) if len(group) >= 3 for s in group],
-        ((1, -1, 0), (0, 0, 1)), 0),
-    # D = {g}, W = {c_g - e_a - e_b, e_a + e_b}: groups of four or more
-    "split_color": _Change(
-        lambda p, m, slots, none, null, other:
-        [(g, none, p + g, a, b)
-         for g, group in enumerate(slots) if len(group) >= 4
-         for a, b in combinations(group, 2)],
-        ((1, -1, -1), (0, 1, 1)), 1),
-    # D = {g, h}, W = {c_g - e_v, c_h + e_v}: donors of three or more
-    "move_edge": _Change(
-        lambda p, m, slots, none, null, other:
-        [(g, h, p + g, s, p + h)
-         for g, group in enumerate(slots) if len(group) > 2
-         for h in range(m) if h != g for s in group],
-        ((1, -1, 0), (0, 1, 1)), 0),
-    # D = {g, h}, W = {c_g + c_h}
-    "merge_colors": _Change(
-        lambda p, m, slots, none, null, other:
-        [(g, h, p + g, p + h, other) for g, h in combinations(range(m), 2)],
-        ((1, 1, 0), (0, 0, 1)), -1),
-    # D = {g}, W = {}
-    "remove_color": _Change(
-        lambda p, m, slots, none, null, other:
-        [(g, none, null, other, null) for g in range(m)],
-        ((1, 0, 0), (0, 1, 0)), -1),
-    # D = {}, W = {e_v}: the baseline's additions, every vertex v
-    "add_vertex": _Change(
-        lambda p, m, slots, none, null, other:
-        [(none, none, v, other, null) for v in range(p)],
-        ((1, 0, 0), (0, 1, 0)), 1),
-}
-
-
-# the upper triangle of a 3 x 3 matrix, row by row
-_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
-
-def _products(columns) -> np.ndarray:
-    """The products that give, from a row's 42 values (S and R at its three
-    local indices and the node, flat 2 x 4 x 4; the first and the second
-    row of R_D's correction there; the unexplained shares of the dropped
-    columns), the upper triangle of W^T R W with the node's own column
-    third, the diagonal of W^T S W, the two shares, and for each entry of
-    that triangle, (i, j), the i-th and then the j-th entry of W^T times
-    each correction row."""
-    W = np.zeros((3, 4))
-    W[:2, :3] = columns
-    W[2, 3] = 1.0
-    K = np.zeros((42, 34))
-    for o, (i, j) in enumerate(_UPPER):
-        K[16:32, o] = np.outer(W[i], W[j]).ravel()
-        K[32:36, 10 + o] = K[36:40, 16 + o] = W[i]
-        K[32:36, 22 + o] = K[36:40, 28 + o] = W[j]
-    K[:16, 6], K[:16, 7] = np.outer(W[0], W[0]).ravel(), np.outer(W[1], W[1]).ravel()
-    K[40, 8] = K[41, 9] = 1.0
-    return K
-
-
-_PRODUCTS = {name: _products(change.columns) for name, change in _CHANGES.items()}
-
-
-class _Layout(NamedTuple):
-    """The rows of a node's block for groups of the given sizes."""
-
-    p: int
-    drop: np.ndarray      # (rows, 2): the groups dropped, m for none
-    terms: np.ndarray     # (rows, 3): the local indices
-    pairs: int            # how many pairs of groups the rows drop
-    reads: np.ndarray     # (rows, 42): where `changes` finds each row's values
-    added: np.ndarray     # (rows,): the change in the column count
-    segments: Dict[str, slice]   # each change's rows
-
-
-@lru_cache(maxsize=None)
-def _layout(p: int, sizes: Tuple[int, ...], changes: Tuple[str, ...]) -> _Layout:
-    m = len(sizes)
-    base = p + m + 2
-    slots = [range(base + end - size, base + end) for size, end in zip(sizes, accumulate(sizes))]
-    rows, added, segments = [], [], {}
-    for name in changes:
-        change = _CHANGES[name]
-        new = change.rows(p, m, slots, m, p + m, p + m + 1)
-        segments[name] = slice(len(rows), len(rows) + len(new))
-        rows += new
-        added += [change.added] * len(new)
-    count = len(rows)
-    rows = np.array(rows, dtype=np.intp).reshape(count, 5)
-    size = base + sum(sizes) + 1
-    terms = np.empty((count, 4), np.intp)
-    terms[:, :3] = rows[:, 2:]
-    terms[:, 3] = size - 1
-    # the values sit in S, R and the correction rows, each row-major, then
-    # the groups' unexplained shares: the first correction row of a drop is
-    # its first group's, the second one its pair's; the last correction row
-    # is zero, and the last share, of no group, is 1
-    pairs = {pair: m + t for t, pair in enumerate(combinations(range(m), 2))}
-    two = [pairs[min(g, h), max(g, h)] if h < m else -1 for g, h in rows[:, :2].tolist()]
-    npairs = len(pairs) if max(two, default=-1) >= 0 else 0
-    zero = m + npairs
-    corrections = np.array([[zero if g == m else g if h < 0 else min(g, d), zero if h < 0 else h]
-                            for (g, d), h in zip(rows[:, :2].tolist(), two)], dtype=np.intp)
-    square = terms[:, :, None] * size + terms[:, None, :]
-    shares = 2 * size ** 2 + (zero + 1) * size
-    reads = np.concatenate((square.reshape(count, 16), size ** 2 + square.reshape(count, 16),
-                            2 * size ** 2 + (corrections[:, :, None] * size
-                                             + terms[:, None, :]).reshape(count, 8),
-                            shares + rows[:, :2]), axis=1)
-    return _Layout(p, rows[:, :2].copy(), rows[:, 2:].copy(), npairs, reads,
-                   np.array(added, dtype=np.intp), segments)
-
-
-def _changed(block: "_Block", name: str, t: int) -> Tuple[Group, ...]:
-    """The canonical parent groups of a block's node after its change ``t``
-    of kind ``name``: the dropped groups go, and each added column that is
-    not a null column becomes the group of its vertices."""
-    groups, layout = block.key, block.layout
-    p, m = layout.p, len(groups)
-    row = layout.segments[name].start + t
-    order = list(chain.from_iterable(groups))
-    added = []
-    for column in _CHANGES[name].columns:
-        plus, minus = set(), set()
-        for t, c in zip(layout.terms[row].tolist(), column):
-            if c and not p + m <= t < p + m + 2:
-                vertices = (groups[t - p] if p <= t < p + m
-                            else (t if t < p else order[t - p - m - 2],))
-                (plus if c > 0 else minus).update(vertices)
-        if plus:
-            added.append(plus - minus)
-    return _edit(groups, [g for g in layout.drop[row].tolist() if g < m], added)
-
-
 class _FamilyScorer:
     """Memoized per-node score components: log-likelihood of the family's
     grouped regression minus the ln(n)/2 share of its parameters."""
@@ -327,6 +163,8 @@ class _FamilyScorer:
         self.S = data.gram
         self.n = data.n
         self._memo: Dict[Tuple[int, Tuple[Group, ...]], float] = {}
+        d = self.S.diagonal()
+        self.pair_norms = d[:, None] + d + 2.0 * self.S   # [a, b]: of e_a + e_b
 
     def fit(self, keys) -> None:
         """Score every (node, parent groups) key not yet memoized, in one
@@ -353,87 +191,6 @@ class _FamilyScorer:
         self.fit(enumerate(families))
         cache = tuple(self._memo[key] for key in enumerate(families))
         return SearchState(families, math.fsum(cache), cache)
-
-    # -- every change of one node's family, in closed form -------------------
-    # Node k's current family is one the search accepted, so the kernel
-    # fitted it and G = C^T S C, with C the indicator matrix of its columns,
-    # is positive definite.  With the columns scaled to unit norm as
-    # `stacked_ls` scales them and G factored by Cholesky, which keeps
-    # these as accurate as the kernel's fit where an inverse would not, the
-    # residual cross products of every vertex on those columns are
-    # R = S - S C G^-1 C^T S, and B = G^-1 C^T S holds every vertex's
-    # coefficients.  Dropping the columns D leaves R_D = R + B_D^T
-    # (G^-1_DD)^-1 B_D, and adding the columns W then leaves RSS' = (R_D)_kk
-    # - u^T (W^T R_D W)^-1 u, with u = W^T R_D[:, k] (Frisch-Waugh-Lovell).
-    # Each column of W is a 0/±1 combination of vertices and group
-    # indicators, so every entry is a gather from S and R in a local basis
-    # of those (`_layout` says where), plus the drop's correction, and each
-    # kind of change combines its gathers by one product (`_PRODUCTS`).
-    # Both inverses are taken by Cholesky steps of
-    # at most two columns, each product divided before it is squared, since
-    # the square underflows or overflows on data scaled far from 1 where
-    # RSS' does not.  A dropped column's share of its squared norm left
-    # unexplained by the others is 1 / (G^-1)_cc once G is scaled to unit
-    # diagonal; an added column's is its Cholesky pivot over its squared
-    # norm.
-
-    def changes(self, k: int, groups: Tuple[Group, ...], layout: _Layout) -> np.ndarray:
-        """Node k's score component after each change of ``layout`` to its
-        family ``groups``."""
-        S, m = self.S, len(groups)
-        p = len(S)
-        q = p + m
-        # the local basis: every vertex, every group's indicator, the two
-        # null columns (each orthogonal to all else), every parent in slot
-        # order, and the node
-        order = [i for grp in groups for i in grp]
-        size = q + 3 + len(order)
-        E = np.eye(p, size)
-        E[order + order + [k], [p + c for c, grp in enumerate(groups) for _ in grp]
-          + list(range(q + 2, size))] = 1.0
-        S = E.T @ S @ E
-        S[q, q] = S[q + 1, q + 1] = 1.0
-        G = S[p:q, p:q]
-        d = np.sqrt(G.diagonal())
-        inverse = np.linalg.inv(np.linalg.cholesky(G / np.outer(d, d)))
-        Y = inverse @ (S[p:q] / d[:, None])
-        B, Q = inverse.T @ Y, inverse.T @ inverse
-        # R_D adds, per dropped group c, the outer product of its row of B
-        # over the root of (G^-1)_cc, and per pair the second step of that
-        # Cholesky factorization of G^-1_DD
-        corrections = [B / np.sqrt(Q.diagonal())[:, None]]
-        if layout.pairs:
-            g, h = _pairs(m)
-            t = Q[g, h] / Q[g, g]
-            corrections.append((B[h] - t[:, None] * B[g]) / np.sqrt(Q[h, h] - Q[g, h] * t)[:, None])
-        values = np.concatenate((S.ravel(), (S - Y.T @ Y).ravel(), *map(np.ravel, corrections),
-                                 np.zeros(size), 1.0 / Q.diagonal(), [1.0])).take(layout.reads)
-        Z = np.concatenate([values[rows] @ _PRODUCTS[name]
-                            for name, rows in layout.segments.items()])
-        corrections = Z[:, 10:22] * Z[:, 22:]
-        s1, c, u1, s2, u2, r = (Z[:, :6] + corrections[:, :6] + corrections[:, 6:]).T
-        w1, w2, d1, d2 = Z[:, 6:10].T
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the added columns in turn, then the node's residual sum
-            t = c / s1
-            s2 = s2 - c * t
-            u2 = u2 - u1 * t
-            rss = r - u1 * (u1 / s1) - u2 * (u2 / s2)
-            share = np.minimum.reduce([s1 / w1, s2 / w2, d1, d2])
-            return self._components(k, m + layout.added, rss, share)
-
-    def _components(self, k: int, columns, rss: np.ndarray, share: np.ndarray) -> np.ndarray:
-        """Score components of node k's family with ``columns`` columns (a
-        count, or one per entry), the residual sums ``rss`` and the changed
-        columns' least unexplained ``share``: -inf with as many columns as
-        samples, which the kernel refuses whatever the data, and +inf, which
-        leaves the family to the kernel, where the share or the residual
-        sum is too small for the closed form to be accurate or for the
-        kernel's verdict to be known."""
-        n = self.n
-        scores = family_bic(family_loglik(n, rss, (k,)), n, columns)
-        unsure = ~(share > KERNEL_SHARE) | ~(rss > KERNEL_SHARE * self.S[k, k])
-        return np.where(columns < n, np.where(unsure, math.inf, scores), -math.inf)
 
 
 def _edit(groups: Tuple[Group, ...], drop=(), add=()) -> Tuple[Group, ...]:
@@ -488,16 +245,113 @@ def _select(state: SearchState, scored: Iterable[Tuple[Candidate, List[float]]],
     return best
 
 
-class _Block(NamedTuple):
-    """One node's deltas, one per change of its layout, under the parent
-    groups they were scored for; kept while the node has them, else
-    rebuilt.  ``by_vertex`` holds the deltas the edge scans read per
-    vertex."""
+class _Block:
+    """Node k's family, its parent groups ``key``, factored once, and the
+    deltas from its score component ``current`` of every change the moves
+    make to it, in closed form, each table computed when a scan first reads
+    it: ``added[a, b]`` with the column e_a + e_b added (e_a on the
+    diagonal), ``merged[g, h]`` with groups g and h merged, and ``moved[g,
+    h, v]`` with vertex v moved from group g to group h, where m, the number
+    of groups, stands for none (``merged[g, m]``: g removed, ``moved[m, h,
+    v]``: v added, ``moved[g, m, v]``: v removed).  Kept while the node has
+    these groups, else rebuilt."""
 
-    key: Tuple[Group, ...]
-    layout: _Layout
-    deltas: np.ndarray
-    by_vertex: np.ndarray
+    # Node k's current family is one the search accepted, so the kernel
+    # fitted it and G = C^T S C, with C the indicator matrix of its m
+    # columns, is positive definite.  With G scaled to unit diagonal as
+    # `stacked_ls` scales it and factored by Cholesky, which keeps these as
+    # accurate as the kernel's fit where an inverse would not, the residual
+    # cross products of every vertex on the columns are R = S - S C G^-1
+    # C^T S, with u = R[:, k] and RSS = R_kk, every vertex's coefficients on
+    # them are B = G^-1 C^T S, with beta = B[:, k], and Q = G^-1.  Then
+    # (Frisch-Waugh-Lovell, and least squares under a linear restriction):
+    # - adding the column w leaves RSS - (w^T u)^2 / (w^T R w), and w^T R w /
+    #   w^T S w is the share of its squared norm that C leaves unexplained;
+    # - adding the column e_v, whose coefficient is then gamma = u_v / R_vv,
+    #   and restricting the coefficients to beta_g - beta_h + gamma = 0
+    #   leaves RSS - u_v gamma + (beta_g - beta_h + gamma t)^2 / (q + t^2 /
+    #   R_vv), with t = 1 - B_gv + B_hv and q = Q_gg + Q_hh - 2 Q_gh; without
+    #   v, h or g, the terms of what is missing drop out.  Group g's column
+    #   keeps the share 1 / Q_gg of its squared norm unexplained by the
+    #   others once G is scaled to unit diagonal.
+    # Each product is divided before it is squared, since the square
+    # underflows or overflows on data scaled far from 1 where RSS' does not.
+
+    def __init__(self, scorer: _FamilyScorer, k: int, groups: Tuple[Group, ...], current: float):
+        S, m = scorer.S, len(groups)
+        p = len(S)
+        C = np.zeros((p, m))
+        C[[i for grp in groups for i in grp], [c for c, grp in enumerate(groups) for _ in grp]] = 1.0
+        SC = S @ C
+        G = SC.T @ C
+        d = np.sqrt(G.diagonal())
+        inverse = np.linalg.inv(np.linalg.cholesky(G / np.outer(d, d)))
+        Y = inverse @ (SC / d).T
+        self.R = S - Y.T @ Y
+        # padded with a zero row (and column) for no group
+        self.B, self.Q, self.kept = np.zeros((m + 1, p)), np.zeros((m + 1, m + 1)), np.ones(m + 1)
+        self.B[:m] = inverse.T @ Y / d[:, None]
+        Q = inverse.T @ inverse
+        self.kept[:m] = 1.0 / Q.diagonal()
+        self.Q[:m, :m] = Q / np.outer(d, d)
+        self.scorer, self.k, self.key, self.current = scorer, k, groups, current
+        self._cached: Dict[Callable, object] = {}
+
+    def cached(self, f: Callable):
+        """f(self), computed on the first call."""
+        if f not in self._cached:
+            self._cached[f] = f(self)
+        return self._cached[f]
+
+    def _deltas(self, columns: int, rss: np.ndarray, share: np.ndarray) -> np.ndarray:
+        """Node k's delta with a family of ``columns`` columns, the residual
+        sums ``rss`` and the changed columns' least unexplained ``share``:
+        -inf with as many columns as samples, which the kernel refuses
+        whatever the data, and +inf, which leaves the family to the kernel,
+        where the share or the residual sum is too small for the closed
+        form to be accurate or for the kernel's verdict to be known."""
+        n, k = self.scorer.n, self.k
+        if columns >= n:
+            return np.full(rss.shape, -math.inf)
+        sure = (share > KERNEL_SHARE) & (rss > KERNEL_SHARE * self.scorer.S[k, k])
+        return np.where(sure, family_bic(family_loglik(n, rss, (k,)), n, columns), math.inf) - self.current
+
+    def add(self, uw: np.ndarray, wRw: np.ndarray, wSw: np.ndarray) -> np.ndarray:
+        """Node k's deltas with a column w added, from w^T u, w^T R w and
+        w^T S w, one entry per column."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._deltas(len(self.key) + 1, self.R[self.k, self.k] - uw * (uw / wRw), wRw / wSw)
+
+    @cached_property
+    def added(self) -> np.ndarray:
+        R, k = self.R, self.k
+        return self.add(R[k, :, None] + R[k], R.diagonal()[:, None] + R.diagonal() + 2.0 * R,
+                        self.scorer.pair_norms)
+
+    def _restricted(self):
+        """beta_g - beta_h and q at [g, h], and the least unexplained share
+        of groups g and h."""
+        beta, Q, kept = self.B[:, self.k], self.Q, self.kept
+        return (beta[:, None] - beta, Q.diagonal()[:, None] + Q.diagonal() - 2.0 * Q,
+                np.minimum.outer(kept, kept))
+
+    @cached_property
+    def merged(self) -> np.ndarray:
+        a, q, share = self._restricted()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._deltas(len(self.key) - 1, self.R[self.k, self.k] + a * (a / q), share)
+
+    @cached_property
+    def moved(self) -> np.ndarray:
+        R, B, k = self.R, self.B, self.k
+        a, q, share = (x[:, :, None] for x in self._restricted())
+        rho = R.diagonal()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gamma = R[k] / rho
+            t = 1.0 - B[:, None] + B
+            a = a + gamma * t
+            rss = R[k, k] - R[k] * gamma + a * (a / (q + t * t / rho))
+            return self._deltas(len(self.key), rss, np.minimum(share, rho / self.scorer.S.diagonal()))
 
 
 def _bits(masks: List[int], p: int) -> np.ndarray:
@@ -531,26 +385,34 @@ def _contenders(base: float, scores: np.ndarray, slack: float) -> np.ndarray:
 # A move is a scan: from the state and every node's block, the closed-form
 # scores of its candidates in scan order, with the function that builds
 # candidate t.  Only add_color, add_edge and reverse_edge add an edge, so
-# only they can close a cycle: add_color and add_edge keep the rows of the
-# state's `new_parents`, and reverse_edge those its `reversible` mask
+# only they can close a cycle: add_color and add_edge keep the changes the
+# state's `new_parents` admits, and reverse_edge those its `reversible` mask
 # admits, both judged on the current graph.
 
 
-def _segment(block: _Block, name: str) -> np.ndarray:
-    return block.deltas[block.layout.segments[name]]
+def _without(group: Group, *vertices: int) -> Group:
+    return tuple(v for v in group if v not in vertices)
 
 
-def _node_by_node(name: str):
-    """The scan of a move every row of whose change the state admits: node
-    by node, each node's rows in order."""
+def _node_by_node(table: str, rows: Callable, build: Callable):
+    """The scan of a move that changes one node every row of which the
+    state admits: node by node, each node's ``rows(groups, m)`` in order,
+    indices into its block's ``table``; ``build(groups, *row)`` makes the
+    node's new groups."""
+    def listed(block: _Block):
+        index = rows(block.key, len(block.key))
+        deltas = getattr(block, table)
+        return deltas[tuple(np.array(index, dtype=np.intp).reshape(-1, deltas.ndim).T)], index
+
     def scan(state: SearchState, blocks: List[_Block]):
-        parts = [_segment(block, name) for block in blocks]
-        ends = np.cumsum([len(part) for part in parts])
+        parts = [block.cached(listed) for block in blocks]
+        ends = np.cumsum([len(index) for _, index in parts])
 
         def candidate(t: int) -> Candidate:
             k = int(np.searchsorted(ends, t, side="right"))
-            return ((k, _changed(blocks[k], name, t - int(ends[k]) + len(parts[k]))),)
-        return state.score + np.concatenate(parts), candidate
+            index = parts[k][1]
+            return ((k, build(blocks[k].key, *index[t - ends[k] + len(index)])),)
+        return state.score + np.concatenate([deltas for deltas, _ in parts]), candidate
     return scan
 
 
@@ -565,13 +427,21 @@ def _add_color(state: SearchState, blocks: List[_Block]):
     p = len(blocks)
     a, b = _pairs(p)
     new = _bits(state.masks.new_parents, p)
-    at = np.flatnonzero(new[:, a] & new[:, b])
-    scores = state.score + np.array([_segment(block, "add_color") for block in blocks]).ravel()[at]
+    k, pair = np.divmod(np.flatnonzero(new[:, a] & new[:, b]), len(a))
+    a, b = a[pair], b[pair]
+    scores = state.score + np.array([block.added for block in blocks])[k, a, b]
 
     def candidate(t: int) -> Candidate:
-        k, pair = divmod(at[t].item(), len(a))
-        return ((k, _changed(blocks[k], "add_color", pair)),)
+        return ((k[t].item(), _edit(state.families[k[t]], add=((a[t].item(), b[t].item()),))),)
     return scores, candidate
+
+
+# splitting the pair a, b off its group adds e_a + e_b to the family's span
+_split_color = _node_by_node(
+    "added", lambda groups, m: [(a, b) for grp in groups if len(grp) >= 4
+                                for a, b in combinations(grp, 2)],
+    lambda groups, a, b: next(_edit(groups, (g,), (_without(grp, a, b), (a, b)))
+                              for g, grp in enumerate(groups) if a in grp))
 
 
 def _grid(blocks: List[_Block]) -> np.ndarray:
@@ -580,12 +450,14 @@ def _grid(blocks: List[_Block]) -> np.ndarray:
     p = len(blocks)
     grid = np.full((p, p, max(len(block.key) for block in blocks)), np.nan)
     for k, block in enumerate(blocks):
-        grid[k, :, :len(block.key)] = _segment(block, "add_edge").reshape(p, len(block.key))
+        m = len(block.key)
+        grid[k, :, :m] = block.moved[m, :m].T
     return grid
 
 
 def _grid_candidate(blocks: List[_Block], k: int, v: int, g: int):
-    return k, _changed(blocks[k], "add_edge", v * len(blocks[k].key) + g)
+    groups = blocks[k].key
+    return k, _edit(groups, (g,), (groups[g] + (v,),))
 
 
 def _add_edge(state: SearchState, blocks: List[_Block]):
@@ -596,8 +468,25 @@ def _add_edge(state: SearchState, blocks: List[_Block]):
     at = np.flatnonzero(valid)
 
     def candidate(t: int) -> Candidate:
-        return (_grid_candidate(blocks, *np.unravel_index(at[t], grid.shape)),)
+        return (_grid_candidate(blocks, *(x.item() for x in np.unravel_index(at[t], grid.shape))),)
     return state.score + grid.ravel()[at], candidate
+
+
+_move_edge = _node_by_node(
+    "moved", lambda groups, m: [(g, h, v) for g, grp in enumerate(groups) if len(grp) > 2
+                                for h in range(m) if h != g for v in grp],
+    lambda groups, g, h, v: _edit(groups, (g, h), (_without(groups[g], v), groups[h] + (v,))))
+
+
+def _removals(block: _Block) -> np.ndarray:
+    """Per vertex, the delta of removing it from its group at this node, or
+    NaN where remove_edge does not: a vertex that is no parent, or whose
+    group has fewer than three members."""
+    out = np.full(len(block.R), np.nan)
+    for g, grp in enumerate(block.key):
+        if len(grp) >= 3:
+            out[list(grp)] = block.moved[g, len(block.key), list(grp)]
+    return out
 
 
 def _reverse_edge(state: SearchState, blocks: List[_Block]):
@@ -606,7 +495,7 @@ def _reverse_edge(state: SearchState, blocks: List[_Block]):
     donor group at two members or more after the removal keeps the state
     properly colored, so only groups of three or more donate."""
     grid = _grid(blocks)   # [i, j, g]: j added to group g of i
-    removed = np.array([block.by_vertex for block in blocks]).T   # [i, j]: i removed at j
+    removed = np.array([block.cached(_removals) for block in blocks]).T   # [i, j]: i removed at j
     reversible = _bits(state.masks.reversible, len(blocks)) & ~np.isnan(removed)
     at = np.flatnonzero(reversible[:, :, None] & ~np.isnan(grid))
     scores = (state.score + grid + removed[:, :, None]).ravel()[at]
@@ -615,33 +504,34 @@ def _reverse_edge(state: SearchState, blocks: List[_Block]):
     def candidate(t: int) -> Candidate:
         i, j, g = (x.item() for x in np.unravel_index(at[t], grid.shape))
         donor = next(t for t, grp in enumerate(fams[j]) if i in grp)
-        shrunk = _edit(fams[j], (donor,), (tuple(v for v in fams[j][donor] if v != i),))
-        return _grid_candidate(blocks, i, j, g), (j, shrunk)
+        return _grid_candidate(blocks, i, j, g), (j, _edit(fams[j], (donor,), (_without(fams[j][donor], i),)))
     return scores, candidate
+
+
+_remove_edge = _node_by_node(
+    "moved", lambda groups, m: [(g, m, v) for g, grp in enumerate(groups) if len(grp) >= 3
+                                for v in grp],
+    lambda groups, g, _, v: _edit(groups, (g,), (_without(groups[g], v),)))
+
+_merge_colors = _node_by_node(
+    "merged", lambda groups, m: list(combinations(range(m), 2)),
+    lambda groups, g, h: _edit(groups, (g, h), (groups[g] + groups[h],)))
+
+_remove_color = _node_by_node(
+    "merged", lambda groups, m: [(g, m) for g in range(m)],
+    lambda groups, g, _: _edit(groups, (g,)))
 
 
 PHASES = (
     ("phase1", (("add_color", _add_color),
-                ("split_color", _node_by_node("split_color")))),
+                ("split_color", _split_color))),
     ("phase2", (("add_edge", _add_edge),
-                ("move_edge", _node_by_node("move_edge")),
+                ("move_edge", _move_edge),
                 ("reverse_edge", _reverse_edge),
-                ("remove_edge", _node_by_node("remove_edge")))),
-    ("phase3", (("merge_colors", _node_by_node("merge_colors")),
-                ("remove_color", _node_by_node("remove_color")))),
+                ("remove_edge", _remove_edge))),
+    ("phase3", (("merge_colors", _merge_colors),
+                ("remove_color", _remove_color))),
 )
-
-
-def _removals(groups: Tuple[Group, ...], layout: _Layout, deltas: np.ndarray) -> np.ndarray:
-    """Per vertex, the delta of removing it from its group at this node, or
-    NaN where remove_edge does not: a vertex that is no parent, or whose
-    group has fewer than three members."""
-    rows = layout.segments["remove_edge"]
-    base = layout.p + len(groups) + 2
-    out = np.full(layout.p, np.nan)
-    order = np.array([i for grp in groups for i in grp], dtype=np.intp)
-    out[order[layout.terms[rows, 1] - base]] = deltas[rows]
-    return out
 
 
 # -- uncolored baseline move -------------------------------------------------
@@ -650,12 +540,13 @@ def _removals(groups: Tuple[Group, ...], layout: _Layout, deltas: np.ndarray) ->
 # vertex.  The scan keeps the positions of the state's acyclic edge changes.
 
 
-def _toggles(groups: Tuple[Group, ...], layout: _Layout, deltas: np.ndarray) -> np.ndarray:
+def _toggles(block: _Block) -> np.ndarray:
     """Per vertex v, the delta of v toggled in the node's singleton parent
     groups: removed if a parent, else added (at the node itself, a value
     nothing reads)."""
-    out = deltas[layout.segments["add_vertex"]].copy()
-    out[[grp[0] for grp in groups]] = deltas[layout.segments["remove_color"]]
+    R, m = block.R, len(block.key)
+    out = block.add(R[block.k], R.diagonal(), block.scorer.S.diagonal())
+    out[[grp[0] for grp in block.key]] = block.merged[:m, m]
     return out
 
 
@@ -665,7 +556,7 @@ def _edge_by_edge(state: SearchState, blocks: List[_Block]):
     builds candidate t; a reversal changes the head j first, then the tail
     i."""
     masks, fams, p = state.masks, state.families, len(blocks)
-    toggled = np.array([b.by_vertex for b in blocks])   # [j, v]: v toggled at j
+    toggled = np.array([b.cached(_toggles) for b in blocks])   # [j, v]: v toggled at j
     # [j, i]: i is a parent, a new parent of j; [i, j]: i -> j may be reversed
     bits = _bits(masks.parents + masks.new_parents + masks.reversible, p)
     # [i, j, 0]: edge i -> j removed or added; [i, j, 1]: reversed
@@ -713,8 +604,6 @@ class _GreedySearch:
     score ties and the fewest variables it searches over."""
 
     phases: Tuple[Tuple[str, Tuple[Tuple[str, Callable], ...]], ...]
-    changes: Tuple[str, ...]   # the changes a block scores, in layout order
-    _by_vertex: Callable       # the deltas of a block the edge scans read per vertex
     _tiekey: Callable
     min_p: int
 
@@ -740,9 +629,7 @@ class _GreedySearch:
         state, blocks = self.state, self._blocks
         for k, groups in enumerate(state.families):
             if blocks[k] is None or blocks[k].key != groups:
-                layout = _layout(len(blocks), tuple(map(len, groups)), self.changes)
-                deltas = self.scorer.changes(k, groups, layout) - state.family_cache[k]
-                blocks[k] = _Block(groups, layout, deltas, self._by_vertex(groups, layout, deltas))
+                blocks[k] = _Block(self.scorer, k, groups, state.family_cache[k])
         return self._refitted(*move(state, blocks))
 
     def _refitted(self, scores: np.ndarray, candidate: Callable[[int], Candidate]):
@@ -820,9 +707,6 @@ class GecsSearch(_GreedySearch):
     """One greedy run over a dataset; exposes the score trace and final state."""
 
     phases = PHASES
-    changes = ("add_color", "add_edge", "remove_edge", "split_color", "move_edge",
-               "merge_colors", "remove_color")
-    _by_vertex = staticmethod(_removals)
     _tiekey = staticmethod(_gecs_tiekey)
     min_p = 2
 
@@ -842,8 +726,6 @@ class BaselineSearch(_GreedySearch):
     graphs."""
 
     phases = (("climb", (("", BASELINE_MOVE),)),)
-    changes = ("add_vertex", "remove_color")
-    _by_vertex = staticmethod(_toggles)
     _tiekey = staticmethod(_baseline_tiekey)
     min_p = 1
 
