@@ -75,9 +75,8 @@ class Dataset:
             raise CdagError("data must be a 2-d array of samples by variables")
         if x.shape[0] < 1:
             raise CdagError("data must contain at least one sample")
-        bad = np.argwhere(~np.isfinite(x))
-        if bad.size:
-            i, j = bad[0].tolist()
+        if not np.isfinite(x).all():
+            i, j = np.argwhere(~np.isfinite(x))[0].tolist()
             raise CdagError(f"data sample {i + 1}, column {j + 1} is {x[i, j]}; "
                             f"data must be finite")
         x = x.copy()
