@@ -1,35 +1,30 @@
 """Maximum likelihood and BIC for compatibly colored DAGs.
 
-Every fit goes through one stacked least-squares kernel, `stacked_ls`,
-which solves many vertex color classes ("families") in one call:
-`fit_families` (behind `mle` and `bic_score`) passes all
-classes of a graph at once, and the greedy search passes the families of
-the few candidates its closed form cannot rule out.  Within a family,
-parents sharing an edge color contribute a single regressor column equal to
-the sum of their sample values, and the families of a class are stacked
-into one pooled system (a node lacking parents of some shared edge color
-contributes zero-filled rows for that column).  Data are treated as
-mean-zero; centering is the caller's decision.
+Every fit goes through one least-squares kernel, `family_ls`, which solves
+one vertex color class (a "family") per call: `fit_families` (behind `mle`
+and `bic_score`) calls it once per class of a graph, and the greedy search
+once per family of the few candidates its closed form cannot rule out.
+Within a family, parents sharing an edge color contribute a single
+regressor column equal to the sum of their sample values, and the nodes of
+a class are stacked into one pooled system (a node lacking parents of some
+shared edge color contributes zero-filled rows for that column).  Data are
+treated as mean-zero; centering is the caller's decision.
 
 The kernel reads no samples: it fits from the Gram matrix S = X^T X, which a
 `Dataset` computes once (`Dataset.gram`).  With A_j the indicator matrix of
 node j's regressor columns, the normal equations are G = sum_j A_j^T S A_j
-and b = sum_j A_j^T S[:, j], and RSS = sum_j S[j, j] - b^T G^-1 b.  Each G
-is scaled to unit diagonal and factored by Cholesky without pivoting, so
-each squared pivot is the share of a column's squared norm left
-unexplained by the columns before it.  Each family is fitted alone
-(`_fit_alone`): its normal equations come from numpy's matrix products,
-and the factorization runs on Python floats, since numpy's cost per call
-dominates on arrays of a few dozen entries; a family's results, to the
-bit, do not depend on the rest of the call.  One relative
-tolerance, `RESIDUAL_RTOL`, decides
+and b = sum_j A_j^T S[:, j], and RSS = sum_j S[j, j] - b^T G^-1 b.  G is
+scaled to unit diagonal and factored by Cholesky without pivoting, so each
+squared pivot is the share of a column's squared norm left unexplained by
+the columns before it.  One relative tolerance, `RESIDUAL_RTOL`, decides
 both failures: a column whose share falls to it is collinear with the
 others, and a response whose RSS falls to that share of its squared norm
-has zero residual variance.  A family with as many columns as samples is
-refused, since it interpolates.  Each failure is reported for its own
-family only.  The kernel sorts each family's columns by their sorted edges
-before fitting, so a family fits to the same bits whichever order its
-caller lists them in, and hands the coefficients back in the caller's order.
+has zero residual variance.  A class with at least as many columns as
+stacked rows (n per node) is refused, since it interpolates.  Each failure
+raises a `RankDeficientError` naming the class.  The kernel sorts the
+columns by their sorted edges before fitting, so a family fits to the same
+bits whichever order its caller lists them in, and hands the coefficients
+back in the caller's order.
 
 The score is the log-likelihood at the MLE minus ln(n)/2 per free parameter
 (`family_bic`), and it decomposes over vertex colors, which is what makes
@@ -41,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,79 +153,36 @@ def _vertices(nodes: Sequence[int]) -> str:
     return "vertices " + ", ".join(str(k + 1) for k in nodes)
 
 
-def stacked_ls(S: np.ndarray, families: Sequence[Tuple[Sequence[int], Sequence[Edges]]],
-               *, n: int, coefficients: bool = True):
-    """Pooled least squares for many vertex color classes in one call, from
-    the Gram matrix ``S`` of ``n`` samples.
+def family_ls(S: np.ndarray, nodes: Sequence[int], groups: Sequence[Edges], *, n: int,
+              coefficients: bool = True):
+    """Pooled least squares for one vertex color class, from the Gram matrix
+    ``S`` of ``n`` samples: its coefficients, one per column of ``groups`` in
+    that order (None unless ``coefficients``), and its residual sum of
+    squares.
 
-    Each family is a pair ``(nodes, groups)``: ``nodes`` are the class's
-    vertices and ``groups`` its regressor columns, each a tuple of edges
-    (i, j) with j in ``nodes``; node j's block of a column is the sum of
-    X[:, i] over its edges, or zeros if it has none, and the nodes' blocks
-    are stacked into one system.
-
-    Returns the coefficients (None unless ``coefficients``) as an array with
-    one row per family, whose first ``len(groups)`` entries are its own, in
-    its own column order, and the rest zero; the pooled residual sums of
-    squares; and per family either None or the `RankDeficientError` that
-    fitting it alone raises.  A family's results do not depend on the others
-    in the call, nor on the order of its columns: each is fitted alone
-    (`_fit_alone`), with its columns sorted by their sorted edges."""
-    if not families:
-        return (np.zeros((0, 0)) if coefficients else None), np.zeros(0), []
-    norms = S.diagonal().tolist()
-    yy = [sum(map(norms.__getitem__, nodes)) for nodes, _ in families]
-    # each family's columns in canonical order: sorted by their sorted edges
-    columns = [sorted(groups, key=sorted) for _, groups in families]
-    rss, collinear, fitted = zip(*(
-        _fit_alone(S, nodes, cols, y, coefficients)
-        for (nodes, _), cols, y in zip(families, columns, yy)))
-    coef = None
-    if coefficients:
-        coef = np.zeros((len(families), max(map(len, columns))))
-        for f, (_, groups) in enumerate(families):
-            # back to the caller's column order
-            order = sorted(range(len(groups)), key=lambda c: sorted(groups[c]))
-            coef[f, order] = fitted[f][:len(groups)]
-    errors = [_failure(tuple(nodes), len(cols), n, col, y)
-              if len(cols) >= n or col or r <= RESIDUAL_RTOL * y else None
-              for (nodes, _), cols, col, r, y in zip(families, columns, collinear, rss, yy)]
-    return coef, np.array(rss, dtype=float), errors
-
-
-def _failure(nodes: Tuple[int, ...], m: int, n: int, collinear: bool,
-             yy: float) -> RankDeficientError:
-    """The error of a family with ``m`` columns and squared norm ``yy`` that
-    the fit refuses."""
-    if m >= n:
-        # as many regressors as samples: the fit interpolates, and its
+    ``nodes`` are the class's vertices and ``groups`` its regressor columns,
+    each a tuple of edges (i, j) with j in ``nodes``; node j's block of a
+    column is the sum of X[:, i] over its edges, or zeros if it has none, and
+    the nodes' blocks are stacked into one system of n * len(nodes) rows.
+    The columns are fitted sorted by their sorted edges, so the results do
+    not depend on their order.  The normal equations are formed per node
+    slot by numpy's matrix products (S A, then A^T S A), summed over the
+    slots, scaled to unit diagonal and factored by Cholesky on Python
+    floats, where numpy's cost per call would outweigh the arithmetic; z^T z
+    and the back-substitution stay in numpy.  A class the fit refuses raises
+    `RankDeficientError`."""
+    nodes = tuple(nodes)
+    order = sorted(range(len(groups)), key=lambda c: sorted(groups[c]))
+    columns = [groups[c] for c in order]
+    m, rows = len(columns), n * len(nodes)
+    if m >= rows:
+        # as many regressors as stacked rows: the fit interpolates, and its
         # residual is rounding noise rather than a variance estimate
-        msg = (f"the family of {_vertices(nodes)} has {m} regressor "
-               f"columns but only {n} samples")
-    elif collinear:
-        msg = f"collinear regressors in the family of {_vertices(nodes)}"
-    elif yy == 0.0:
-        # no fit is to blame: there is no variance to explain
-        columns = "its data column is" if len(nodes) == 1 else "their data columns are"
-        msg = (f"zero residual variance at {_vertices(nodes)}; {columns} all zero "
-               f"(a constant column is, once centered)")
-    else:
-        msg = (f"zero residual variance at {_vertices(nodes)}; the model "
-               f"interpolates the data")
-    return RankDeficientError(msg, family=nodes)
-
-
-def _fit_alone(S: np.ndarray, nodes: Sequence[int], columns: List[Edges], yy: float,
-               coefficients: bool):
-    """One family's RSS, whether it is collinear, and its coefficients in
-    ``columns`` order (None unless ``coefficients``).  The normal equations
-    are formed per node slot by numpy's matrix products (S A, then A^T S A),
-    summed over the slots, scaled to unit diagonal and factored by Cholesky
-    on Python floats, where numpy's cost per call would outweigh the
-    arithmetic; z^T z and the back-substitution stay in numpy."""
-    m = len(columns)
-    if not m:
-        return yy, False, []
+        samples = f"{n} sample{'s' * (n > 1)}" if len(nodes) == 1 else f"{rows} pooled samples"
+        raise RankDeficientError(
+            f"the family of {_vertices(nodes)} has {m} regressor "
+            f"column{'s' * (m > 1)} but only {samples}", family=nodes)
+    yy = sum(S.diagonal()[list(nodes)].tolist())
     p = S.shape[0]
     for s, k in enumerate(nodes):
         # node k's slot s: A_k, S A_k, then A_k^T S A_k and A_k^T S[:, k]
@@ -263,8 +215,31 @@ def _fit_alone(S: np.ndarray, nodes: Sequence[int], columns: List[Edges], yy: fl
             ua[a:] = [x - ra * y for x, y in zip(ua[a:], row[a - j - 1:])]
             z[a] -= ra * zj
     z = np.array(z)
-    fitted = np.linalg.solve(np.array(U), z[:, None])[:, 0] / d if coefficients else None
-    return yy - float(z @ z), collinear, fitted
+    rss = yy - float(z @ z)
+    if collinear or rss <= RESIDUAL_RTOL * yy:
+        raise _failure(nodes, collinear, yy)
+    if not coefficients:
+        return None, rss
+    coef = np.empty(m)
+    # back to the caller's column order
+    coef[order] = np.linalg.solve(np.array(U).reshape(m, m), z[:, None])[:, 0] / d
+    return coef, rss
+
+
+def _failure(nodes: Tuple[int, ...], collinear: bool, yy: float) -> RankDeficientError:
+    """The error of a class with squared norm ``yy`` whose fit is collinear
+    or leaves no residual variance."""
+    if collinear:
+        msg = f"collinear regressors in the family of {_vertices(nodes)}"
+    elif yy == 0.0:
+        # no fit is to blame: there is no variance to explain
+        columns = "its data column is" if len(nodes) == 1 else "their data columns are"
+        msg = (f"zero residual variance at {_vertices(nodes)}; {columns} all zero "
+               f"(a constant column is, once centered)")
+    else:
+        msg = (f"zero residual variance at {_vertices(nodes)}; the model "
+               f"interpolates the data")
+    return RankDeficientError(msg, family=nodes)
 
 
 def family_loglik(n: int, rss, nodes: Sequence[int]):
@@ -302,22 +277,15 @@ def fit_families(cd: ColoredDag, data: Dataset):
         raise ColoringError(
             "maximum likelihood requires a compatible coloring "
             "(same-colored edges must enter same-colored vertices)")
-    classes = []
-    for grp in cd.vertex_classes:
-        nodes = tuple(sorted(grp))
-        classes.append((nodes, tuple(sorted({c for k in nodes for c in cd.parent_edge_colors(k)}))))
-    coef, rss, errors = stacked_ls(
-        data.gram, [(nodes, [cd.edge_classes[c] for c in colors]) for nodes, colors in classes],
-        n=data.n)
-    for error in errors:
-        if error is not None:
-            raise error
     lam = [0.0] * len(cd.edge_classes)
     omega, families = [], []
-    for cid, ((nodes, colors), r) in enumerate(zip(classes, rss.tolist())):
-        families.append(FamilyScore(nodes, colors, family_loglik(data.n, r, nodes)))
-        omega.append(r / (data.n * len(nodes)))
-        for color, value in zip(colors, coef[cid].tolist()):
+    for grp in cd.vertex_classes:
+        nodes = tuple(sorted(grp))
+        colors = tuple(sorted({c for k in nodes for c in cd.parent_edge_colors(k)}))
+        coef, rss = family_ls(data.gram, nodes, [cd.edge_classes[c] for c in colors], n=data.n)
+        families.append(FamilyScore(nodes, colors, family_loglik(data.n, rss, nodes)))
+        omega.append(rss / (data.n * len(nodes)))
+        for color, value in zip(colors, coef.tolist()):
             lam[color] = value
     return ModelParams(tuple(omega), tuple(lam)), tuple(families)
 

@@ -47,7 +47,7 @@ a fixed order, node by node, except that reverse_edge visits edges in
 (tail, head) order and the baseline in (tail, head) order over all vertex
 pairs; it builds a candidate only when `_contenders` picks it.
 
-`stacked_ls` stays the scorer of record: nothing but its scores is
+`family_ls` stays the scorer of record: nothing but its scores is
 compared or enters a state.  A closed-form score differs from the
 kernel's by at most n/2 times CLOSED_FORM_RTOL per changed node, so the
 scan finds, with that slack, the few candidates that can decide the choice
@@ -73,8 +73,8 @@ import numpy as np
 
 from .coloring import ColoredDag
 from .dag import Dag, closure, require_integer
-from .errors import CdagError, GraphError, SearchBudgetError
-from .fit import Dataset, family_bic, family_loglik, stacked_ls
+from .errors import CdagError, GraphError, RankDeficientError, SearchBudgetError
+from .fit import Dataset, family_bic, family_loglik, family_ls
 
 Group = Tuple[int, ...]
 Families = Tuple[Tuple[Group, ...], ...]   # per node: its parent groups
@@ -167,25 +167,24 @@ class _FamilyScorer:
         self.pair_norms = d[:, None] + d + 2.0 * self.S   # [a, b]: of e_a + e_b
 
     def fit(self, keys) -> None:
-        """Score every (node, parent groups) key not yet memoized, in one
-        stacked least-squares call, or in none if every key is.  A candidate
-        family that cannot be fitted scores -inf, so no move accepts it, but
-        a parentless node that cannot be fitted is an error."""
+        """Score every (node, parent groups) key not yet memoized, one
+        kernel call each.  A candidate family that cannot be fitted scores
+        -inf, so no move accepts it, but a parentless node that cannot be
+        fitted is an error."""
         memo = self._memo
-        new = list({key: None for key in keys if key not in memo})
-        if not new:
-            return
-        families = [((k,), [[(i, k) for i in grp] for grp in groups])
-                    for k, groups in new]
-        _, rss, errors = stacked_ls(self.S, families, n=self.n, coefficients=False)
-        for key, r, error in zip(new, rss.tolist(), errors):
-            if error is None:
-                memo[key] = family_bic(family_loglik(self.n, r, (key[0],)),
-                                       self.n, len(key[1]))
-            elif not key[1]:
-                raise error
-            else:
+        for key in keys:
+            if key in memo:
+                continue
+            k, groups = key
+            try:
+                _, rss = family_ls(self.S, (k,), [[(i, k) for i in grp] for grp in groups],
+                                   n=self.n, coefficients=False)
+            except RankDeficientError:
+                if not groups:
+                    raise
                 memo[key] = -math.inf
+            else:
+                memo[key] = family_bic(family_loglik(self.n, rss, (k,)), self.n, len(groups))
 
     def state_from(self, families: Families) -> SearchState:
         self.fit(enumerate(families))
@@ -259,7 +258,7 @@ class _Block:
     # Node k's current family is one the search accepted, so the kernel
     # fitted it and G = C^T S C, with C the indicator matrix of its m
     # columns, is positive definite.  With G scaled to unit diagonal as
-    # `stacked_ls` scales it and factored by Cholesky, which keeps these as
+    # `family_ls` scales it and factored by Cholesky, which keeps these as
     # accurate as the kernel's fit where an inverse would not, the residual
     # cross products of every vertex on the columns are R = S - S C G^-1
     # C^T S, with u = R[:, k] and RSS = R_kk, every vertex's coefficients on
@@ -634,7 +633,7 @@ class _GreedySearch:
 
     def _refitted(self, scores: np.ndarray, candidate: Callable[[int], Candidate]):
         """The candidates that can decide the choice, in scan order, each
-        with its deltas from `stacked_ls`, from ``scores``, the closed-form
+        with its deltas from `family_ls`, from ``scores``, the closed-form
         scores of a move's candidates in scan order, and ``candidate(t)``,
         which builds candidate t.  The contenders are found with the closed
         form's bound as slack, built and fitted, and their kernel scores

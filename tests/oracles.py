@@ -4,8 +4,7 @@ Everything here is deliberately naive: path enumeration instead of
 ball-passing, transitive closure instead of DFS, trek-monomial sums instead
 of triangular solves, explicit normal equations instead of QR, linear solves
 on submatrices instead of minors.  These stay independent of the code paths
-they check; `family_ls` alone is a shorthand over the fitting kernel, for
-tests that fit one family at a time.
+they check.
 """
 
 from collections import deque
@@ -18,7 +17,6 @@ from cdag.coloring import ColoredDag
 from cdag.constraints import _KINDS, RelationPoly
 from cdag.errors import GraphError, SizeGuardError
 from cdag.identify import identifying_sets as enumerated_sets, sample_identifying_sets
-from cdag.fit import stacked_ls
 from cdag.params import minor
 from cdag.gecs import SCORE_EPS, _edit, _updated
 
@@ -292,16 +290,6 @@ def normal_equation_ls(design: np.ndarray, y: np.ndarray):
     coef = np.linalg.solve(gram, design.T @ y)
     resid = y - design @ coef
     return coef, float(resid @ resid)
-
-
-def family_ls(S, nodes, groups, *, n):
-    """Pooled least squares for one vertex color class through `stacked_ls`,
-    raising its error: the coefficients, one per column of ``groups``, and
-    the pooled residual sum of squares."""
-    coef, rss, errors = stacked_ls(S, [(nodes, groups)], n=n)
-    if errors[0] is not None:
-        raise errors[0]
-    return coef[0, :len(groups)], float(rss[0])
 
 
 def _regression(sigma, target, given):

@@ -17,16 +17,15 @@ from cdag.constraints import (check_global_markov, check_local_markov,
                               faithfulness_scan, local_generators,
                               model_equivalent)
 from cdag.dag import Dag
-from cdag.fit import Dataset, bic_score, fit_families, mle
+from cdag.fit import Dataset, bic_score, family_ls, fit_families, mle
 from cdag.gecs import GecsSearch, baseline_greedy, gecs
 from cdag.identify import identifying_sets
 from cdag.params import (almost_principal_minor, expand_params,
                          parametrize, random_params, recover_lambda,
                          recover_omega, recover_params)
 
-from oracles import (all_dags, all_natural_dags, family_ls, normal_equation_ls,
-                     path_dsep, random_bpec_like, random_colored_dag,
-                     random_dag, trek_covariance)
+from oracles import (all_dags, all_natural_dags, normal_equation_ls, path_dsep,
+                     random_bpec_like, random_colored_dag, random_dag, trek_covariance)
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
 P4_COLORED = ColoredDag(P4, vertex_classes=[[0, 2]],

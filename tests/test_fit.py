@@ -10,11 +10,11 @@ import pytest
 from cdag.coloring import ColoredDag, uncolored
 from cdag.dag import Dag
 from cdag.errors import CdagError, ColoringError, RankDeficientError
-from cdag.fit import Dataset, bic_score, fit_families, mle, stacked_ls
+from cdag.fit import Dataset, bic_score, family_ls, fit_families, mle
 from cdag.params import ModelParams, parametrize, recover_lambda
 from cdag.bench import random_bpec, sample
 
-from oracles import family_ls, normal_equation_ls, random_bpec_like
+from oracles import normal_equation_ls, random_bpec_like
 
 P4 = Dag(4, [(0, 1), (1, 2), (2, 3)])
 P4_COLORED = ColoredDag(P4, vertex_classes=[[0, 2]],
@@ -318,14 +318,48 @@ class TestGramKernel:
         S = x.T @ x
         families = [((2,), []), ((2,), [((0, 2),), ((1, 2),)]),
                     ((2, 3), [((0, 2), (0, 3))])]
-        _, _, errors = stacked_ls(S, families, n=60)
-        assert [str(e) for e in errors] == [
+        messages = []
+        for nodes, groups in families:
+            with pytest.raises(RankDeficientError) as exc:
+                family_ls(S, nodes, groups, n=60)
+            assert exc.value.family == nodes
+            messages.append(str(exc.value))
+        assert messages == [
             "zero residual variance at vertex 3; its data column is all zero "
             "(a constant column is, once centered)",
             "zero residual variance at vertex 3; its data column is all zero "
             "(a constant column is, once centered)",
             "zero residual variance at vertices 3, 4; their data columns are all zero "
             "(a constant column is, once centered)"]
+
+    def test_class_is_refused_at_its_stacked_row_count(self):
+        # a class of k nodes stacks n * k rows: with n = 2, two nodes and
+        # three columns it fits, and it is refused only at four columns
+        x = np.random.default_rng(1).standard_normal((2, 4))
+        nodes, groups = (2, 3), [((0, 2), (0, 3)), ((1, 2),), ((1, 3),)]
+        coef, rss = family_ls(x.T @ x, nodes, groups, n=2)
+        ref_coef, ref_rss = normal_equation_ls(*_pooled_design(x, nodes, groups))
+        assert np.allclose(coef, ref_coef, rtol=1e-8, atol=1e-10)
+        assert rss == pytest.approx(ref_rss, rel=1e-9) and rss == pytest.approx(1.5528, abs=1e-4)
+        cd = ColoredDag(Dag(4, [(0, 2), (1, 2), (0, 3), (1, 3)]), vertex_classes=[[2, 3]],
+                        edge_classes=[[(0, 2), (0, 3)]])
+        params, _ = mle(cd, Dataset(x))
+        assert params.omega[cd.vertex_color(2)] == pytest.approx(ref_rss / 4, rel=1e-9)
+        # the message gives the count it compared, in the singular for one
+        for n, nodes, groups, message in [
+            (2, nodes, [((0, 2),), ((0, 3),), ((1, 2),), ((1, 3),)],
+             "the family of vertices 3, 4 has 4 regressor columns but only 4 pooled samples"),
+            (1, nodes, groups,
+             "the family of vertices 3, 4 has 3 regressor columns but only 2 pooled samples"),
+            (1, (2,), [((0, 2),)],
+             "the family of vertex 3 has 1 regressor column but only 1 sample"),
+            (1, (2,), [((0, 2),), ((1, 2),)],
+             "the family of vertex 3 has 2 regressor columns but only 1 sample"),
+        ]:
+            with pytest.raises(RankDeficientError, match=re.escape(message)) as exc:
+                family_ls(x[:n].T @ x[:n], nodes, groups, n=n)
+            assert exc.value.family == nodes
+
 
 def _random_family(rng, p, n_nodes, max_edges):
     """A random vertex color class of ``n_nodes`` nodes with its columns in
@@ -380,10 +414,10 @@ def _failing_families():
 
 
 class TestStackedKernel:
-    """`stacked_ls` fits many families in one call; each family's results
-    are those of its own one-family call."""
+    """`family_ls` fits one vertex color class per call, a pooled one as
+    one stacked system."""
 
-    def _batch(self, rng, p, size):
+    def _families(self, rng, p, size):
         return [_random_family(rng, p, 1 + int(rng.integers(0, 3)), 9)
                 for _ in range(size)]
 
@@ -394,108 +428,73 @@ class TestStackedKernel:
             p = int(rng.integers(4, 13))
             n = int(rng.choice([50, 500, 5000]))
             x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
-            families = self._batch(rng, p, 12)
-            coef, rss, errors = stacked_ls(x.T @ x, families, n=n)
-            assert errors == [None] * len(families)
-            for f, (nodes, groups) in enumerate(families):
+            for nodes, groups in self._families(rng, p, 12):
                 widths.add(len(groups))
                 pooled += len(nodes) > 1
+                coef, rss = family_ls(x.T @ x, nodes, groups, n=n)
                 design, y = _pooled_design(x, nodes, groups)
                 ref_coef, ref_rss = normal_equation_ls(design, y)
-                assert np.allclose(coef[f, :len(groups)], ref_coef, rtol=1e-8, atol=1e-10)
-                assert not coef[f, len(groups):].any()
-                assert rss[f] == pytest.approx(ref_rss, rel=1e-9)
+                assert np.allclose(coef, ref_coef, rtol=1e-8, atol=1e-10)
+                assert rss == pytest.approx(ref_rss, rel=1e-9)
         assert len(widths) >= 4 and pooled > 0
 
-    def test_batch_equals_one_family_calls_bit_for_bit(self):
+    def test_shuffled_columns_give_the_same_bits(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             p, n = 12, 400
             x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
             S = x.T @ x
-            families = self._batch(rng, p, 20)
+            families = self._families(rng, p, 20)
             assert len({len(g) for _, g in families}) > 2
-            # the batch lists each family's columns in a shuffled order
             orders = [rng.permutation(len(g)) for _, g in families]
-            shuffled = [(nodes, [groups[c] for c in order])
-                        for (nodes, groups), order in zip(families, orders)]
-            coef, rss, _ = stacked_ls(S, shuffled, n=n)
-            for f, (nodes, groups) in enumerate(families):
-                alone_coef, alone_rss = family_ls(S, nodes, groups, n=n)
-                assert rss[f] == alone_rss
-                assert coef[f, :len(groups)].tolist() == alone_coef[orders[f]].tolist()
+            for (nodes, groups), order in zip(families, orders):
+                coef, rss = family_ls(S, nodes, [groups[c] for c in order], n=n)
+                canonical_coef, canonical_rss = family_ls(S, nodes, groups, n=n)
+                assert rss == canonical_rss
+                assert coef.tolist() == canonical_coef[order].tolist()
 
-    def test_families_fitted_alone_equal_their_batched_fits_bit_for_bit(self):
-        # a family's bits must not depend on the other families of its call,
-        # pooled families and failures included
+    def test_rss_without_coefficients_has_the_same_bits(self):
+        # widths 0-12, pooled families and every failure kind: the rss, or
+        # the error, does not depend on whether coefficients are asked for
         rng = np.random.default_rng(23)
-        padded, widths = 0, set()
+        cases, widths, pooled = [], set(), 0
         for p in (5, 15, 40):
             n = 300
             x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
-            families = []
             for _ in range(24):
                 nodes, groups = _family_of_width(rng, p, 1 + int(rng.integers(0, 3)),
                                                  int(rng.integers(0, 13)))
-                families.append((nodes, [groups[c] for c in rng.permutation(len(groups))]))
+                cases.append((x.T @ x, n, nodes,
+                              [groups[c] for c in rng.permutation(len(groups))]))
                 widths.add(len(groups))
-            # families of one width with different node counts
-            padded += sum(any(len(g) == len(h) and len(v) < len(u) for u, h in families)
-                          for v, g in families)
-            self._same_bits_in_every_call(x.T @ x, families, n)
-        assert widths == set(range(13)) and padded > 0
-
-    def test_failures_fitted_alone_equal_their_batched_fits(self):
+                pooled += len(nodes) > 1
+        assert widths == set(range(13)) and pooled > 0
         x, good, bad = _failing_families()
-        bad = list(bad.values())
-        # every failure kind twice, among families that fit
-        families = [good[f % len(good)] if f % 3 else bad[f // 3 % len(bad)]
-                    for f in range(6 * len(bad))]
-        self._same_bits_in_every_call(x.T @ x, families, len(x))
-
-    @staticmethod
-    def _same_bits_in_every_call(S, families, n):
-        """Each family's rss, coefficients and error from a call of all the
-        families equal those from calls of sizes 1, 3, 4 and 5."""
-        assert len(families) > 6
-        for coefficients in (True, False):
-            coef, rss, errors = stacked_ls(S, families, n=n, coefficients=coefficients)
-            for size in (1, 3, 4, 5):
-                for first in range(0, len(families), size):
-                    part = families[first:first + size]
-                    c, r, e = stacked_ls(S, part, n=n, coefficients=coefficients)
-                    for f, (_, groups) in enumerate(part, first):
-                        t, m = f - first, len(groups)
-                        assert r[t].tobytes() == rss[f].tobytes()
-                        assert repr(e[t]) == repr(errors[f])
-                        assert getattr(e[t], "family", None) == getattr(errors[f], "family", None)
-                        if coefficients:
-                            assert c[t, :m].tobytes() == coef[f, :m].tobytes()
-                            assert not c[t, m:].any()
-
-    def test_empty_batch(self):
-        S = np.eye(3)
-        coef, rss, errors = stacked_ls(S, [], n=10)
-        assert coef.shape == (0, 0) and rss.shape == (0,) and errors == []
-        assert rss.dtype == coef.dtype == np.float64
-        coef, rss, errors = stacked_ls(S, [], n=10, coefficients=False)
-        assert coef is None and rss.shape == (0,) and errors == []
+        cases += [(x.T @ x, len(x), nodes, groups) for nodes, groups in good + list(bad.values())]
+        failed = 0
+        for S, n, nodes, groups in cases:
+            outcomes = []
+            for coefficients in (True, False):
+                try:
+                    coef, rss = family_ls(S, nodes, groups, n=n, coefficients=coefficients)
+                    assert (coef is None) is not coefficients
+                    outcomes.append(rss.hex())
+                except RankDeficientError as exc:
+                    outcomes.append((repr(exc), exc.family))
+            assert outcomes[0] == outcomes[1]
+            failed += isinstance(outcomes[0], tuple)
+        assert failed == len(bad)
 
     def test_each_failure_stays_with_its_family(self):
         x, good, bad = _failing_families()
-        families = good + list(bad.values())
-        order = np.random.default_rng(22).permutation(len(families))
-        shuffled = [families[f] for f in order]
-        _, rss, errors = stacked_ls(x.T @ x, shuffled, n=40)
-        for t, f in enumerate(order):
-            if f < len(good):
-                assert errors[t] is None and np.isfinite(rss[t]) and rss[t] > 0.0
-            else:
-                message = list(bad)[f - len(good)]
-                assert str(errors[t]) == message
-                assert errors[t].family == shuffled[t][0]
-                with pytest.raises(RankDeficientError, match=re.escape(message)):
-                    family_ls(x.T @ x, *shuffled[t], n=40)
+        for nodes, groups in good:
+            _, rss = family_ls(x.T @ x, nodes, groups, n=40)
+            assert np.isfinite(rss) and rss > 0.0
+        for message, (nodes, groups) in bad.items():
+            with pytest.raises(RankDeficientError, match=re.escape(message)) as exc:
+                family_ls(x.T @ x, nodes, groups, n=40)
+            assert str(exc.value) == message
+            assert exc.value.family == nodes
 
 
 class TestBic:
