@@ -14,20 +14,26 @@ the one or two nodes it changes, in canonical form (each group sorted, then
 the groups), and its score is the state's plus one delta per changed node:
 the score component of the node's new family minus its current one.
 
-What the moves read of a state's graph (parents, children, descendants and
-the children whose edge may be reversed) is the graph's `dag.closure`, the
-same derivation a `Dag` makes, read from the state's parent groups; the
-search adds only the vertices that may become a new parent of a node.  No
-`Dag` is built while searching: only the result, `SearchState.current`,
-builds one.
+What the moves read of a state's graph (parents, children, descendants,
+the children whose edge may be reversed and the vertices that may become a
+new parent of a node) is kept with the state as bitmasks.  A state a move
+made carries them from the state before (`_carried`): the same masks where
+every parent set stays as it was (split_color, move_edge, merge_colors),
+and extended where parents are only added (add_color, add_edge, the
+baseline's additions), which changes only the new parents and the vertices
+that reach them.  After a removal or a reversal, and for a state no move
+made, they are the graph's `dag.closure`, the derivation a `Dag` makes,
+read from the state's parent groups when first needed.  No `Dag` is built
+while searching: only the result, `SearchState.current`, builds one.
 
 Every move is scored in closed form.  The search keeps one block per node
 (`_Block`), keyed on the node's parent groups and rebuilt once they change:
 one factor of the node's family, from which each change a move makes to it
 is a column added, a linear restriction of the coefficients, or a vertex
-added and then restricted.  A block holds three tables of deltas, each
-computed when a scan first reads it (m, the number of groups, stands for
-no group):
+added and then restricted.  A block factors the family as it is built (an
+empty family needs no factor) and derives the rest when a table first
+reads it.  It holds three tables of deltas, each computed when a scan
+first reads it (m, the number of groups, stands for no group):
 
     move          table           the new family
     add_color     added[a, b]     e_a + e_b added
@@ -37,10 +43,14 @@ no group):
     move_edge     moved[g, h, v]  e_v added with the difference of both
     merge_colors  merged[g, h]    g's and h's coefficients made equal
     remove_color  merged[g, m]    g's coefficient made zero
-    baseline      the node's e_v added, or a singleton group's removal
+    baseline      the node's e_v added, or dropped[g]: g's coefficient
+                  made zero, merged[g, m] alone
 
 reverse_edge adds an edge at its tail and removes one at its head, so its
-score sums add_edge's delta at the tail and remove_edge's at the head.  A
+score sums add_edge's delta at the tail and remove_edge's at the head.
+add_color reads every node's added table from one stack that the search
+keeps with its blocks (`_Blocks`), taking a node's table again only once
+its block was rebuilt.  A
 move's scan masks the tables with the state's new parents and reversible
 children and with the group sizes the move needs, and walks what is left in
 a fixed order, node by node, except that reverse_edge visits edges in
@@ -64,7 +74,7 @@ order whether its block was kept or rebuilt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -118,19 +128,52 @@ def _masks(families: Families) -> _Masks:
     return _Masks(parents, children, descendants, reversible, new_parents)
 
 
+def _extended(masks: _Masks, k: int, added: int) -> _Masks:
+    """The masks once node k gains the parents in the bitmask ``added``,
+    from the masks before; a GraphError where a new parent is k or one of
+    its descendants.  Only the vertices above k change: the new parents and
+    the vertices that reach one.  Each gains k and k's descendants (below
+    k) as descendants.  Its reversible children lose what its children now
+    reach besides: all that is below k where a child of it is above k, and
+    k's descendants where it is a new parent.  A new parent gains k as a
+    reversible child unless it reached k before."""
+    parents, children, descendants, reversible, new_parents = map(list, masks)
+    below = 1 << k | descendants[k]
+    if added & below:
+        raise GraphError("graph contains a directed cycle")
+    parents[k] |= added
+    above = [v for v, desc in enumerate(descendants) if added >> v & 1 or desc & added]
+    upper = sum(1 << v for v in above)   # the same, as a bitmask
+    every = (1 << len(parents)) - 1
+    for v in above:
+        grown = below if children[v] & upper else 0
+        if added >> v & 1:
+            if not descendants[v] >> k & 1:
+                reversible[v] |= 1 << k
+            children[v] |= 1 << k
+            grown |= descendants[k]
+        reversible[v] &= ~grown
+        descendants[v] |= below
+        new_parents[v] = every & ~(1 << v | parents[v] | descendants[v])
+    new_parents[k] = every & ~(below | parents[k])
+    return _Masks(parents, children, descendants, reversible, new_parents)
+
+
 @dataclass(frozen=True)
 class SearchState:
     """Canonical parent groups of every node with the score and per-node
-    score components.  The graph's bitmasks are derived when first read;
-    only `current`, the search's result, builds a `Dag`."""
+    score components.  The graph's bitmasks are ``carried`` from the state
+    a move made this one of, or else derived when first read; only
+    `current`, the search's result, builds a `Dag`."""
 
     families: Families
     score: float
     family_cache: Tuple[float, ...]
+    carried: Optional[_Masks] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def masks(self) -> _Masks:
-        return _masks(self.families)
+        return _masks(self.families) if self.carried is None else self.carried
 
     @cached_property
     def current(self) -> ColoredDag:
@@ -186,10 +229,10 @@ class _FamilyScorer:
             else:
                 memo[key] = family_bic(family_loglik(self.n, rss, (k,)), self.n, len(groups))
 
-    def state_from(self, families: Families) -> SearchState:
+    def state_from(self, families: Families, carried: Optional[_Masks] = None) -> SearchState:
         self.fit(enumerate(families))
         cache = tuple(self._memo[key] for key in enumerate(families))
-        return SearchState(families, math.fsum(cache), cache)
+        return SearchState(families, math.fsum(cache), cache, carried)
 
 
 def _edit(groups: Tuple[Group, ...], drop=(), add=()) -> Tuple[Group, ...]:
@@ -207,6 +250,30 @@ def _updated(families: Families, candidate: Candidate) -> Families:
     for k, groups in candidate:
         new[k] = groups
     return tuple(new)
+
+
+def _carried(state: SearchState, candidate: Candidate) -> Optional[_Masks]:
+    """The masks of the state ``candidate`` makes of ``state``, from those
+    ``state`` holds, carried or read already: the same where every parent
+    set stays as it was, extended where parents are only added, and None,
+    for the new state to derive its own, where a parent is removed or
+    ``state`` holds none."""
+    # `SearchState.masks` keeps them there once read
+    masks = state.__dict__.get("masks", state.carried)
+    if masks is None:
+        return None
+    added = []
+    for k, groups in candidate:
+        new = sum(1 << v for v in chain.from_iterable(groups))
+        if masks.parents[k] & ~new:
+            return None
+        if new != masks.parents[k]:
+            added.append((k, new & ~masks.parents[k]))
+    # only once no node loses a parent: a reversal's added edge closes a
+    # cycle with the edge it removes
+    for k, new in added:
+        masks = _extended(masks, k, new)
+    return masks
 
 
 def _gecs_tiekey(families: Families, candidate: Candidate):
@@ -252,8 +319,9 @@ class _Block:
     diagonal), ``merged[g, h]`` with groups g and h merged, and ``moved[g,
     h, v]`` with vertex v moved from group g to group h, where m, the number
     of groups, stands for none (``merged[g, m]``: g removed, ``moved[m, h,
-    v]``: v added, ``moved[g, m, v]``: v removed).  Kept while the node has
-    these groups, else rebuilt."""
+    v]``: v added, ``moved[g, m, v]``: v removed), and for the baseline
+    ``dropped[g]``, ``merged[g, m]`` without the rest of the table.  Kept
+    while the node has these groups, else rebuilt."""
 
     # Node k's current family is one the search accepted, so the kernel
     # fitted it and G = C^T S C, with C the indicator matrix of its m
@@ -275,32 +343,48 @@ class _Block:
     #   others once G is scaled to unit diagonal.
     # Each product is divided before it is squared, since the square
     # underflows or overflows on data scaled far from 1 where RSS' does not.
+    # The block factors G and stops at Y = L^-1 (S C / d)^T, with L the
+    # factor and d the columns' norms; R and the coefficients are derived
+    # when a table first reads them.  An empty family has nothing to factor:
+    # its R is S.
 
     def __init__(self, scorer: _FamilyScorer, k: int, groups: Tuple[Group, ...], current: float):
+        self.scorer, self.k, self.key, self.current = scorer, k, groups, current
+        self._cached: Dict[Callable, object] = {}
         S, m = scorer.S, len(groups)
-        p = len(S)
-        C = np.zeros((p, m))
+        if not m:
+            self.R = S
+            self._d, self._inverse, self._Y = np.ones(0), np.zeros((0, 0)), np.zeros((0, len(S)))
+            return
+        C = np.zeros((len(S), m))
         C[[i for grp in groups for i in grp], [c for c, grp in enumerate(groups) for _ in grp]] = 1.0
         SC = S @ C
         G = SC.T @ C
-        d = np.sqrt(G.diagonal())
-        inverse = np.linalg.inv(np.linalg.cholesky(G / np.outer(d, d)))
-        Y = inverse @ (SC / d).T
-        self.R = S - Y.T @ Y
-        # padded with a zero row (and column) for no group
-        self.B, self.Q, self.kept = np.zeros((m + 1, p)), np.zeros((m + 1, m + 1)), np.ones(m + 1)
-        self.B[:m] = inverse.T @ Y / d[:, None]
-        Q = inverse.T @ inverse
-        self.kept[:m] = 1.0 / Q.diagonal()
-        self.Q[:m, :m] = Q / np.outer(d, d)
-        self.scorer, self.k, self.key, self.current = scorer, k, groups, current
-        self._cached: Dict[Callable, object] = {}
+        self._d = d = np.sqrt(G.diagonal())
+        self._inverse = np.linalg.inv(np.linalg.cholesky(G / np.outer(d, d)))
+        self._Y = self._inverse @ (SC / d).T
 
     def cached(self, f: Callable):
         """f(self), computed on the first call."""
         if f not in self._cached:
             self._cached[f] = f(self)
         return self._cached[f]
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return self.scorer.S - self._Y.T @ self._Y
+
+    @cached_property
+    def coefficients(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B, Q and each group's unexplained share 1 / Q_gg, padded with a
+        zero row (and column) and a share of 1 for no group."""
+        m, inverse, d = len(self.key), self._inverse, self._d
+        B, Q, kept = np.zeros((m + 1, len(self.scorer.S))), np.zeros((m + 1, m + 1)), np.ones(m + 1)
+        B[:m] = inverse.T @ self._Y / d[:, None]
+        unit = inverse.T @ inverse
+        kept[:m] = 1.0 / unit.diagonal()
+        Q[:m, :m] = unit / np.outer(d, d)
+        return B, Q, kept
 
     def _deltas(self, columns: int, rss: np.ndarray, share: np.ndarray) -> np.ndarray:
         """Node k's delta with a family of ``columns`` columns, the residual
@@ -330,7 +414,8 @@ class _Block:
     def _restricted(self):
         """beta_g - beta_h and q at [g, h], and the least unexplained share
         of groups g and h."""
-        beta, Q, kept = self.B[:, self.k], self.Q, self.kept
+        B, Q, kept = self.coefficients
+        beta = B[:, self.k]
         return (beta[:, None] - beta, Q.diagonal()[:, None] + Q.diagonal() - 2.0 * Q,
                 np.minimum.outer(kept, kept))
 
@@ -341,8 +426,16 @@ class _Block:
             return self._deltas(len(self.key) - 1, self.R[self.k, self.k] + a * (a / q), share)
 
     @cached_property
+    def dropped(self) -> np.ndarray:
+        m, k = len(self.key), self.k
+        B, Q, kept = self.coefficients
+        beta = B[:m, k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._deltas(m - 1, self.R[k, k] + beta * (beta / Q.diagonal()[:m]), kept[:m])
+
+    @cached_property
     def moved(self) -> np.ndarray:
-        R, B, k = self.R, self.B, self.k
+        R, B, k = self.R, self.coefficients[0], self.k
         a, q, share = (x[:, :, None] for x in self._restricted())
         rho = R.diagonal()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -351,6 +444,27 @@ class _Block:
             a = a + gamma * t
             rss = R[k, k] - R[k] * gamma + a * (a / (q + t * t / rho))
             return self._deltas(len(self.key), rss, np.minimum(share, rho / self.scorer.S.diagonal()))
+
+
+class _Blocks(list):
+    """The latest block of each node, and add_color's stack of their
+    ``added`` tables, whose row k is taken again only once node k's block
+    is not the one it was taken from."""
+
+    def __init__(self, p: int):
+        super().__init__([None] * p)
+        self._stack: Optional[np.ndarray] = None
+        self._stacked: List[Optional[_Block]] = [None] * p
+
+    def added(self) -> np.ndarray:
+        """[k, a, b]: node k's block's added[a, b]."""
+        if self._stack is None:
+            self._stack = np.empty((len(self),) * 3)
+        for k, block in enumerate(self):
+            if self._stacked[k] is not block:
+                self._stack[k] = block.added
+                self._stacked[k] = block
+        return self._stack
 
 
 def _bits(masks: List[int], p: int) -> np.ndarray:
@@ -393,14 +507,16 @@ def _without(group: Group, *vertices: int) -> Group:
     return tuple(v for v in group if v not in vertices)
 
 
-def _node_by_node(table: str, rows: Callable, build: Callable):
+def _node_by_node(table: Callable, rows: Callable, build: Callable):
     """The scan of a move that changes one node every row of which the
     state admits: node by node, each node's ``rows(groups, m)`` in order,
-    indices into its block's ``table``; ``build(groups, *row)`` makes the
-    node's new groups."""
+    indices into its block's ``table(block)``; ``build(groups, *row)``
+    makes the node's new groups."""
     def listed(block: _Block):
         index = rows(block.key, len(block.key))
-        deltas = getattr(block, table)
+        if not index:   # the table is not read
+            return np.zeros(0), index
+        deltas = table(block)
         return deltas[tuple(np.array(index, dtype=np.intp).reshape(-1, deltas.ndim).T)], index
 
     def scan(state: SearchState, blocks: List[_Block]):
@@ -421,14 +537,14 @@ def _pairs(p: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(p, 1)
 
 
-def _add_color(state: SearchState, blocks: List[_Block]):
+def _add_color(state: SearchState, blocks: _Blocks):
     """Node by node, each node's pairs of new parents in order."""
     p = len(blocks)
     a, b = _pairs(p)
     new = _bits(state.masks.new_parents, p)
     k, pair = np.divmod(np.flatnonzero(new[:, a] & new[:, b]), len(a))
     a, b = a[pair], b[pair]
-    scores = state.score + np.array([block.added for block in blocks])[k, a, b]
+    scores = state.score + blocks.added()[k, a, b]
 
     def candidate(t: int) -> Candidate:
         return ((k[t].item(), _edit(state.families[k[t]], add=((a[t].item(), b[t].item()),))),)
@@ -437,8 +553,8 @@ def _add_color(state: SearchState, blocks: List[_Block]):
 
 # splitting the pair a, b off its group adds e_a + e_b to the family's span
 _split_color = _node_by_node(
-    "added", lambda groups, m: [(a, b) for grp in groups if len(grp) >= 4
-                                for a, b in combinations(grp, 2)],
+    lambda block: block.added,
+    lambda groups, m: [(a, b) for grp in groups if len(grp) >= 4 for a, b in combinations(grp, 2)],
     lambda groups, a, b: next(_edit(groups, (g,), (_without(grp, a, b), (a, b)))
                               for g, grp in enumerate(groups) if a in grp))
 
@@ -450,7 +566,8 @@ def _grid(blocks: List[_Block]) -> np.ndarray:
     grid = np.full((p, p, max(len(block.key) for block in blocks)), np.nan)
     for k, block in enumerate(blocks):
         m = len(block.key)
-        grid[k, :, :m] = block.moved[m, :m].T
+        if m:
+            grid[k, :, :m] = block.moved[m, :m].T
     return grid
 
 
@@ -472,8 +589,9 @@ def _add_edge(state: SearchState, blocks: List[_Block]):
 
 
 _move_edge = _node_by_node(
-    "moved", lambda groups, m: [(g, h, v) for g, grp in enumerate(groups) if len(grp) > 2
-                                for h in range(m) if h != g for v in grp],
+    lambda block: block.moved,
+    lambda groups, m: [(g, h, v) for g, grp in enumerate(groups) if len(grp) > 2
+                       for h in range(m) if h != g for v in grp],
     lambda groups, g, h, v: _edit(groups, (g, h), (_without(groups[g], v), groups[h] + (v,))))
 
 
@@ -481,7 +599,7 @@ def _removals(block: _Block) -> np.ndarray:
     """Per vertex, the delta of removing it from its group at this node, or
     NaN where remove_edge does not: a vertex that is no parent, or whose
     group has fewer than three members."""
-    out = np.full(len(block.R), np.nan)
+    out = np.full(len(block.scorer.S), np.nan)
     for g, grp in enumerate(block.key):
         if len(grp) >= 3:
             out[list(grp)] = block.moved[g, len(block.key), list(grp)]
@@ -508,16 +626,16 @@ def _reverse_edge(state: SearchState, blocks: List[_Block]):
 
 
 _remove_edge = _node_by_node(
-    "moved", lambda groups, m: [(g, m, v) for g, grp in enumerate(groups) if len(grp) >= 3
-                                for v in grp],
+    lambda block: block.moved,
+    lambda groups, m: [(g, m, v) for g, grp in enumerate(groups) if len(grp) >= 3 for v in grp],
     lambda groups, g, _, v: _edit(groups, (g,), (_without(groups[g], v),)))
 
 _merge_colors = _node_by_node(
-    "merged", lambda groups, m: list(combinations(range(m), 2)),
+    lambda block: block.merged, lambda groups, m: list(combinations(range(m), 2)),
     lambda groups, g, h: _edit(groups, (g, h), (groups[g] + groups[h],)))
 
 _remove_color = _node_by_node(
-    "merged", lambda groups, m: [(g, m) for g in range(m)],
+    lambda block: block.merged, lambda groups, m: [(g, m) for g in range(m)],
     lambda groups, g, _: _edit(groups, (g,)))
 
 
@@ -543,9 +661,10 @@ def _toggles(block: _Block) -> np.ndarray:
     """Per vertex v, the delta of v toggled in the node's singleton parent
     groups: removed if a parent, else added (at the node itself, a value
     nothing reads)."""
-    R, m = block.R, len(block.key)
+    R = block.R
     out = block.add(R[block.k], R.diagonal(), block.scorer.S.diagonal())
-    out[[grp[0] for grp in block.key]] = block.merged[:m, m]
+    if block.key:
+        out[[grp[0] for grp in block.key]] = block.dropped
     return out
 
 
@@ -618,7 +737,7 @@ class _GreedySearch:
         self.state = self.scorer.state_from(empty)
         self.trace: List[TraceRow] = [TraceRow(0, "init", "", self.state.score)]
         self._accepted = 0
-        self._blocks: List[Optional[_Block]] = [None] * data.p   # the latest of each node
+        self._blocks = _Blocks(data.p)
 
     def _scored(self, move: Callable):
         """The candidates of the move on the current state that can decide
@@ -668,7 +787,8 @@ class _GreedySearch:
         best = _select(self.state, self._scored(move), self._tiekey)
         if best is None:
             return self.state
-        return self.scorer.state_from(_updated(self.state.families, best))
+        return self.scorer.state_from(_updated(self.state.families, best),
+                                      _carried(self.state, best))
 
     def _accept(self, phase: str, move_name: str, new_state: SearchState):
         self._accepted += 1

@@ -797,10 +797,13 @@ LEARN_DIGESTS = {
 }
 
 
-def test_learn_outputs_are_unchanged(workdir, capsys):
+def _learn_digests(workdir, capsys, rho, cells):
+    """(exit code, SHA-256 of stdout, SHA-256 of the --trace CSV) of `learn`
+    and `learn --baseline` on random_bpec(p, rho, 2, [24, p]) data with n
+    samples, per (p, n) in ``cells``."""
     got = {}
-    for p, n in ((15, 1000), (20, 500)):
-        truth, theta = random_bpec(p, 0.5, 2, seed=[24, p])
+    for p, n in cells:
+        truth, theta = random_bpec(p, rho, 2, seed=[24, p])
         data, trace = workdir / f"d{p}.csv", workdir / "t.csv"
         sample(truth, theta, n, [24, p, 1]).to_csv(data)
         for flags in ([], ["--baseline"]):
@@ -809,4 +812,23 @@ def test_learn_outputs_are_unchanged(workdir, capsys):
             got[f"{'baseline' if flags else 'gecs'}{p}"] = (
                 code, hashlib.sha256(out.encode()).hexdigest(),
                 hashlib.sha256(trace.read_bytes()).hexdigest())
-    assert got == LEARN_DIGESTS
+    return got
+
+
+def test_learn_outputs_are_unchanged(workdir, capsys):
+    assert _learn_digests(workdir, capsys, 0.5, ((15, 1000), (20, 500))) == LEARN_DIGESTS
+
+
+# The same at p = 40 with rho = 0.3 and n = 1000, a width no benchmark
+# workload reaches (about 1 200 GECS and 600 baseline moves), recorded
+# before accepted states carried their reachability masks from move to move
+WIDE_LEARN_DIGESTS = {
+    "gecs40": (0, "ac0a89ee34a7d4a519e53d00472ea5aefe5f04c63030fa22f093a0b26a119c04",
+               "57d9e3741a1fcde78a34de716e0e6eb53dd9a24430ea24b296cef8e3002c6539"),
+    "baseline40": (0, "b0e8c6391c19c6648dd77faf6eab6fa55e09bc85ae58ed85de51143a48a3211e",
+                   "22034a58ee72167bf4173febc7ccaa30ea8d1a57d74d1d22226d26bfb1f323c8"),
+}
+
+
+def test_wide_learn_outputs_are_unchanged(workdir, capsys):
+    assert _learn_digests(workdir, capsys, 0.3, ((40, 1000),)) == WIDE_LEARN_DIGESTS

@@ -388,6 +388,18 @@ class TestMasks:
         with pytest.raises(GraphError, match="directed cycle"):
             state.masks
 
+    def test_a_move_that_closes_a_cycle_is_refused(self):
+        # on the chain 1 -> 2 -> 3, whose masks a move would carry, adding
+        # 3 -> 1, 2 as a parent of itself or the group {2, 3} at 1 closes a
+        # cycle, and adding 1 -> 3 extends the masks
+        state = SearchState(((), ((0,),), ((1,),)), 0.0, (0.0,) * 3)
+        assert state.masks.descendants == [0b110, 0b100, 0]
+        for candidate in (((0, ((2,),)),), ((1, ((0,), (1,))),), ((0, ((1, 2),)),)):
+            with pytest.raises(GraphError, match="directed cycle"):
+                gecs_module._carried(state, candidate)
+        extended = gecs_module._carried(state, ((2, ((0,), (1,))),))
+        assert extended == gecs_module._masks(((), ((0,),), ((0,), (1,))))
+
 
 def _summed(score, deltas):
     for delta in deltas:
@@ -404,12 +416,15 @@ def _within_bound(got, want, n, terms=1):
 
 class _OracleChecked:
     """Checks every try of a move against the uncached reference scan of
-    `oracles.apply_best`: the same new families and the same score bits.
-    Counts the tries and collects the reference's tie-key comparisons."""
+    `oracles.apply_best`: the same new families and the same score bits;
+    and the new state's masks against `dag.closure`'s, and add_color's
+    kept stack against one listed anew.  Counts the tries and the states
+    that carried their masks, and collects the reference's tie-key
+    comparisons."""
 
     def __init__(self, data, **kwargs):
         super().__init__(data, **kwargs)
-        self.tries, self.ties = 0, []
+        self.tries, self.ties, self.carried = 0, [], 0
 
     def _apply_best(self, move):
         name = NAMES[move]
@@ -419,8 +434,19 @@ class _OracleChecked:
                                   self._tiekey, self.ties)
         assert got.families == want.families
         assert got.score.hex() == want.score.hex()
+        # the masks a move carries are those derived from scratch
+        assert got.masks == gecs_module._masks(got.families)
+        self.carried += got is not before and got.carried is not None
+        if name == "add_color":
+            assert _stack_is_fresh(self._blocks)
         self.tries += 1
         return got
+
+
+def _stack_is_fresh(blocks):
+    """Whether add_color's kept stack holds the bits of every block's
+    ``added`` table listed anew."""
+    return blocks.added().tobytes() == np.array([block.added for block in blocks]).tobytes()
 
 
 class _CheckedGecs(_OracleChecked, GecsSearch):
@@ -440,13 +466,14 @@ class TestIncrementalEngine:
         # so the search travels far from where it starts
         for colored, cls in ((True, _CheckedGecs), (False, _CheckedBaseline)):
             states = list(_random_states(colored))
-            moves = 0
+            moves = carried = 0
             for t, (state, _) in enumerate(states):
                 search = cls(states[t // 8 * 8 + (t + 1) % 8][1])
                 search.state = search.scorer.state_from(state.families)
                 search.run()
                 moves += len(search.trace) - 1
-            assert moves > 100
+                carried += search.carried
+            assert moves > 100 and carried > 50
 
     def test_kept_blocks_scan_the_reference_listing(self):
         # along a chain of states, each one move from the last, every move
@@ -484,7 +511,8 @@ class TestIncrementalEngine:
         # parents of u and of each ancestor of u, whose parent groups stay
         # as they were; each move must still scan what a fresh search on
         # the new state lists, with the same delta bits in the same order,
-        # and every block is kept exactly when its node's parent groups are
+        # every block is kept exactly when its node's parent groups are,
+        # and add_color's stack holds the bits of every block's table
         rng = np.random.default_rng(24)
         names = ("add_color", "add_edge")
         kept = 0
@@ -495,6 +523,8 @@ class TestIncrementalEngine:
                 search.state = state
                 for name in names:
                     list(search._scored(MOVES[name]))
+                # add_color's stack keeps the rows of kept blocks
+                assert _stack_is_fresh(search._blocks)
                 before = list(search._blocks)
                 steps = [c for name in names for c in oracles.CANDIDATES[name](state)]
                 if not steps:
@@ -510,6 +540,7 @@ class TestIncrementalEngine:
                                   for c, ds in _every(s, name, MOVES[name])]
                                  for s in (search, fresh))
                     assert got == want
+                assert _stack_is_fresh(search._blocks)
                 for k, (block, new) in enumerate(zip(before, search._blocks)):
                     assert (new is block) == (old.families[k] == state.families[k])
                     kept += new is block
@@ -522,7 +553,7 @@ class TestIncrementalEngine:
             for cls in (_CheckedGecs, _CheckedBaseline):
                 search = cls(data)
                 search.run()
-                assert len(search.trace) > 1
+                assert len(search.trace) > 1 and search.carried > 0
 
     @pytest.mark.parametrize("seed, n", [(1, 1000), (5, 1000), (3, 100_000)])
     def test_searches_on_wide_models(self, seed, n):
@@ -648,6 +679,37 @@ class TestClosedForm:
             search = cls(Dataset(x))
             search.run()
             assert len(search.trace) > 5
+
+    def test_lazy_factors_equal_the_eager_ones(self):
+        # R, B, Q and the unexplained shares, derived when a table first
+        # reads them (and R = S for an empty family, with no factor), hold
+        # the bits of a block that derives them all as it is built
+        def eager(S, groups):
+            m, p = len(groups), len(S)
+            C = np.zeros((p, m))
+            C[[i for grp in groups for i in grp], [c for c, grp in enumerate(groups) for _ in grp]] = 1.0
+            SC = S @ C
+            G = SC.T @ C
+            d = np.sqrt(G.diagonal())
+            inverse = np.linalg.inv(np.linalg.cholesky(G / np.outer(d, d)))
+            Y = inverse @ (SC / d).T
+            B, Q, kept = np.zeros((m + 1, p)), np.zeros((m + 1, m + 1)), np.ones(m + 1)
+            B[:m] = inverse.T @ Y / d[:, None]
+            unit = inverse.T @ inverse
+            kept[:m] = 1.0 / unit.diagonal()
+            Q[:m, :m] = unit / np.outer(d, d)
+            return S - Y.T @ Y, B, Q, kept
+
+        empty = 0
+        for colored in (True, False):
+            for state, data in _random_states(colored):
+                scorer = GecsSearch(data).scorer
+                for k, groups in enumerate(state.families):
+                    block = gecs_module._Block(scorer, k, groups, 0.0)
+                    got = [x.tobytes() for x in (block.R, *block.coefficients)]
+                    assert got == [x.tobytes() for x in eager(scorer.S, groups)]
+                    empty += not groups
+        assert empty > 0
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-90, 1e80, 1e150])
     def test_data_scale_changes_no_result(self, scale):
